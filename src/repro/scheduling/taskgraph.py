@@ -124,17 +124,22 @@ class AssayGraph:
     # -- construction ------------------------------------------------------
 
     def add(self, operation, after=()):
-        """Add an operation, depending on the ids in ``after``."""
-        if operation.op_id in self._graph:
-            raise ValueError(f"duplicate operation id {operation.op_id}")
-        self._graph.add_node(operation.op_id, op=operation)
+        """Add an operation, depending on the ids in ``after``.
+
+        Every edge runs from an existing node into the new one, so an
+        insert can never close a cycle -- except a self-dependency,
+        which is rejected up front.  Nothing is added on error.
+        """
+        op_id = operation.op_id
+        if op_id in self._graph:
+            raise ValueError(f"duplicate operation id {op_id}")
+        if op_id in after:
+            raise ValueError(f"operation {op_id} cannot depend on itself")
         for dep in after:
             if dep not in self._graph:
                 raise ValueError(f"dependency {dep} not in graph")
-            self._graph.add_edge(dep, operation.op_id)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_node(operation.op_id)
-            raise ValueError(f"adding {operation.op_id} would create a cycle")
+        self._graph.add_node(op_id, op=operation)
+        self._graph.add_edges_from((dep, op_id) for dep in after)
         return operation
 
     # -- queries -----------------------------------------------------------

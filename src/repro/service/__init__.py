@@ -77,7 +77,8 @@ from .jobs import (
     JobState,
     classify_error,
 )
-from .scheduler import ADMISSION_POLICIES, ExecutionService, ServiceConfig
+from .core import ADMISSION_POLICIES
+from .scheduler import ExecutionService, ServiceConfig
 from .telemetry import Counter, Histogram, Telemetry
 from .tenancy import (
     Footprint,

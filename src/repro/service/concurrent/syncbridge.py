@@ -67,11 +67,6 @@ class WallClock(Clock):
     def now(self) -> float:
         return time.monotonic() - self.epoch
 
-    @staticmethod
-    def sleep(seconds: float):
-        if seconds > 0.0:
-            time.sleep(seconds)
-
 
 class SenseTap:
     """Backend proxy that streams sense outcomes to a callback.

@@ -6,9 +6,9 @@ behavioural reference.  This module is the tier that serves jobs for
 real: N chip workers, each owning one spawned backend (fault-injected
 when a plan is active) plus its compiled-program cache, pull jobs from
 a shared queue and push attempt outcomes to a completion queue; a
-coordinator thread applies the serving semantics (priority order,
-admission bounds, retry backoff, deadline expiry, telemetry) on a
-monotonic wall clock.
+coordinator thread applies the serving core's semantics (see
+:mod:`repro.service.core`: admission bounds, retry backoff,
+settlement, telemetry) on a monotonic wall clock.
 
 Workers come in two flavours:
 
@@ -23,16 +23,15 @@ Workers come in two flavours:
   and jobs/results cross the queues pickled.  True host parallelism
   for CPU-bound simulation at the cost of per-dispatch serialisation.
 
-Fault-tolerance semantics carry over from the virtual tier in wall
-time: a retryable attempt re-queues with exponential backoff (the job
-sits in a delay heap -- the backoff window is charged exactly once,
-never re-slept at dispatch), retries prefer workers that have not
-already failed the job (a bounded bounce back through the coordinator),
-a worker that fails K consecutive retryable attempts quarantines
-*itself* -- it stops pulling, so its queued work drains to the rest of
-the pool -- sleeps out the cooldown, then restarts with a fresh backend
-spawn that preserves the physical defect map and re-seeds the transient
-stream.
+Fault tolerance runs in wall time: a retryable attempt re-queues with
+exponential backoff (the job sits in a delay heap -- the backoff window
+is charged exactly once, never re-slept at dispatch), retries prefer
+workers that have not already failed the job (a bounded bounce back
+through the coordinator), a worker that fails K consecutive retryable
+attempts quarantines *itself* -- it stops pulling, so its queued work
+drains to the rest of the pool -- sleeps out the cooldown, then
+restarts with a fresh backend spawn that preserves the physical defect
+map and re-seeds the transient stream.
 """
 
 from __future__ import annotations
@@ -44,29 +43,23 @@ import threading
 import time
 from dataclasses import dataclass
 
-from ...core.backend import Backend
-from ...core.errors import BiochipError, ServiceError
-from ...core.session import Session, sweep_handles
-from ...faults import FaultInjector, FaultModel, FleetFaultPlan
+from ...core.errors import ServiceError
+from ...core.session import Session
 from ...observability import tracing
 from ..cache import ProgramCache
-from ..fleet import RegionLeaseAllocator
-from ..tenancy import (
-    LeasedBackend,
-    frame_merge_ratio,
-    merged_group_time,
-    protocol_footprint,
-    routing_separation,
+from ..core import (
+    Attempt,
+    CoreConfig,
+    LeaseWindows,
+    ServingCore,
+    add_counts,
+    can_lease,
+    chip_backend,
+    enforce_timeout,
+    group_cost,
+    run_attempt,
 )
-from ..jobs import (
-    ErrorKind,
-    Job,
-    JobError,
-    JobResult,
-    JobState,
-    classify_error,
-)
-from ..telemetry import Telemetry
+from ..jobs import ErrorKind, JobError, JobResult, JobState, JobView
 from .syncbridge import SenseTap, WallClock
 
 log = logging.getLogger("repro.service")
@@ -74,20 +67,21 @@ log = logging.getLogger("repro.service")
 #: Worker execution modes.
 WORKER_MODES = ("thread", "process")
 
-#: Admission behaviours when the queue is at ``max_queue_depth``
-#: (mirrors the virtual tier's).
-ADMISSION_POLICIES = ("reject", "shed-lowest")
-
 
 @dataclass
-class ConcurrentConfig:
+class ConcurrentConfig(CoreConfig):
     """Tuning knobs of one :class:`ConcurrentExecutionService`.
 
-    The serving semantics mirror
-    :class:`~repro.service.scheduler.ServiceConfig`, but every duration
-    here is *wall seconds* on the service's monotonic clock -- backoff,
-    timeouts, deadlines and cooldowns are real time, not fleet virtual
-    time.
+    The serving knobs both tiers share are documented on
+    :class:`~repro.service.core.CoreConfig`; here every duration is
+    *wall seconds* on the service's monotonic clock -- backoff,
+    timeouts, deadlines and cooldowns are real time.  A full queue
+    suspends ``submit(block=True)`` instead of rejecting -- the
+    backpressure path.  A quarantined worker quarantines *itself* and
+    restarts after ``restart_cooldown`` (None = it parks until
+    :meth:`ConcurrentExecutionService.restart_worker`); with
+    ``max_tenants`` > 1 it pulls up to that many jobs at once and paces
+    the group to the *merged* frame time.
 
     Attributes
     ----------
@@ -97,30 +91,6 @@ class ConcurrentConfig:
     mode:
         ``"thread"`` (default) or ``"process"`` (multiprocessing
         spawn; the chip template is pickled once per worker).
-    max_queue_depth:
-        Admission bound on coordinator-queued jobs; None = unbounded.
-        ``submit(block=True)`` suspends the caller on a full queue
-        instead of rejecting -- the backpressure path.
-    admission:
-        ``"reject"`` or ``"shed-lowest"`` when a non-blocking submit
-        finds the queue full.
-    cache_capacity:
-        Per-worker compiled-program cache capacity (None = unbounded).
-    max_retries:
-        Re-queue budget for retryable (transient/timeout) failures.
-    retry_backoff:
-        Base wall-clock backoff [s] before a retry may run; doubles per
-        attempt.
-    job_timeout:
-        Per-attempt wall-time budget [s]; an attempt over it fails
-        TIMEOUT (retryable) and its run is discarded.  None disables.
-    quarantine_after:
-        Consecutive retryable failures that make a worker quarantine
-        itself.  None disables.
-    restart_cooldown:
-        Wall seconds a self-quarantined worker sits out before
-        restarting (fresh spawn, same defect map).  None = it parks
-        until :meth:`ConcurrentExecutionService.restart_worker`.
     time_scale:
         Device-latency emulation: each attempt is paced to
         ``accounted chip seconds * time_scale`` of real time (the
@@ -132,32 +102,15 @@ class ConcurrentConfig:
         bounds shutdown/quarantine responsiveness.
     mp_context:
         ``multiprocessing`` start method for ``mode="process"``.
-    max_tenants:
-        Co-residency bound per chip (mirrors the virtual tier's): a
-        worker may pull up to this many compatible jobs at once, run
-        each in a disjoint leased region of its chip, and pace the
-        whole group to the *merged* frame time.  1 (default) disables
-        multi-tenancy.
-    lease_margin:
-        Clearance rows/cols added around a tenant's protocol footprint
-        inside its leased window.
     """
 
     n_workers: int = 4
     mode: str = "thread"
-    max_queue_depth: int | None = None
-    admission: str = "reject"
-    cache_capacity: int | None = None
-    max_retries: int = 2
     retry_backoff: float = 0.05
-    job_timeout: float | None = None
-    quarantine_after: int | None = 3
     restart_cooldown: float | None = 1.0
     time_scale: float | None = None
     poll_interval: float = 0.02
     mp_context: str = "spawn"
-    max_tenants: int = 1
-    lease_margin: int = 3
 
     def __post_init__(self):
         if self.n_workers < 1:
@@ -166,54 +119,24 @@ class ConcurrentConfig:
             raise ValueError(
                 f"mode must be one of {WORKER_MODES}, got {self.mode!r}"
             )
-        if self.admission not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"admission must be one of {ADMISSION_POLICIES}, "
-                f"got {self.admission!r}"
-            )
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff < 0.0:
-            raise ValueError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
-            )
-        if self.job_timeout is not None and self.job_timeout <= 0.0:
-            raise ValueError(
-                f"job_timeout must be positive, got {self.job_timeout}"
-            )
-        if self.quarantine_after is not None and self.quarantine_after < 1:
-            raise ValueError(
-                f"quarantine_after must be >= 1, got {self.quarantine_after}"
-            )
-        if self.restart_cooldown is not None and self.restart_cooldown < 0.0:
-            raise ValueError(
-                f"restart_cooldown must be >= 0, got {self.restart_cooldown}"
-            )
+        super().__post_init__()
         if self.poll_interval <= 0.0:
             raise ValueError(
                 f"poll_interval must be positive, got {self.poll_interval}"
-            )
-        if self.max_tenants < 1:
-            raise ValueError(
-                f"max_tenants must be >= 1, got {self.max_tenants}"
-            )
-        if self.lease_margin < 0:
-            raise ValueError(
-                f"lease_margin must be >= 0, got {self.lease_margin}"
             )
 
 
 class _WorkerRuntime:
     """One chip worker's execution loop -- shared by both modes.
 
-    Owns the spawned backend (wrapped in a :class:`FaultInjector` when
-    a plan is active, and always in a :class:`SenseTap` so sense
-    outcomes stream to the coordinator), the worker's program cache,
-    and the worker-local health state: the consecutive-retryable-
-    failure streak, self-quarantine, cooldown sleep and restart all
-    happen *inside* the worker, which is what makes the semantics
-    identical for threads and processes -- no control channel beyond
-    the per-worker restart event is needed.
+    Owns the spawned backend (wrapped in a fault injector when a plan
+    is active, and always in a :class:`SenseTap` so sense outcomes
+    stream to the coordinator), the worker's program cache, and the
+    worker-local health state: the consecutive-retryable-failure
+    streak, self-quarantine, cooldown sleep and restart all happen
+    *inside* the worker, which is what makes the semantics identical
+    for threads and processes -- no control channel beyond the
+    per-worker restart event is needed.
     """
 
     def __init__(self, worker_id, template, registry, plan, config,
@@ -239,10 +162,7 @@ class _WorkerRuntime:
         # Faults injected into leased per-tenant views (their injectors
         # are discarded with the views, so the tallies live here).
         self._leased_faults = {}
-        self._can_lease = (
-            config.max_tenants > 1
-            and type(template).set_region is not Backend.set_region
-        )
+        self._can_lease = can_lease(template, config)
         # Process mode only: the local tracer's in-memory exporter;
         # finished span dicts are drained into each outcome message so
         # the coordinator can ingest them into the parent trace.
@@ -252,18 +172,10 @@ class _WorkerRuntime:
 
     def _build_session(self):
         """Spawn a fresh chip and wrap it (faults, sense tap)."""
-        backend = self.template.spawn()
-        self.injector = None
-        if self.plan is not None:
-            grid = backend.grid
-            model = self.plan.model_for(
-                self.worker_id, (grid.rows, grid.cols)
-            )
-            backend = FaultInjector(
-                backend, model,
-                seed=(self.plan.seed, self.worker_id, self.restarts),
-            )
-            self.injector = backend
+        backend, self.injector = chip_backend(
+            self.template.spawn(), self.plan, self.worker_id,
+            (self.restarts,),
+        )
         self.session = Session(
             SenseTap(backend, self._on_sense), registry=self.registry
         )
@@ -271,8 +183,7 @@ class _WorkerRuntime:
     def _fault_counters(self) -> dict:
         totals = dict(self._leased_faults)
         if self.injector is not None:
-            for name, value in self.injector.counters.items():
-                totals[name] = totals.get(name, 0) + value
+            add_counts(totals, self.injector.counters)
         return totals
 
     def _restart(self) -> dict:
@@ -340,20 +251,23 @@ class _WorkerRuntime:
                 if allow_bounce and self.worker_id in job.tried_chips:
                     self._send(("bounced", self.worker_id, job.job_id))
                     continue
-                now = self.clock.now()
-                if (job.deadline is not None
-                        and now - job.submitted_at > job.deadline):
-                    self._send((
-                        "outcome", self.worker_id, job.job_id,
-                        {"expired": True, "started_at": now,
-                         "finished_at": now,
-                         "faults": self._fault_counters()},
-                    ))
+                if (job.deadline is not None and
+                        self.clock.now() - job.submitted_at > job.deadline):
+                    self._send(("expired", self.worker_id, job.job_id))
                     continue
                 runnable.append(job)
             leased, solo = [], runnable
             if len(runnable) > 1:
-                leased, solo = self._partition_lease(runnable)
+                windows = LeaseWindows(
+                    self.template, self.worker_id, self.config.lease_margin
+                )
+                leased, solo = [], []
+                for job in runnable:
+                    fit = windows.fit(job.protocol)
+                    if fit is None:
+                        solo.append(job)
+                    else:
+                        leased.append((job, *fit))
             if len(leased) == 1:
                 # A lone leasable job gains nothing from the leased
                 # path; run it on the worker's own chip as usual.
@@ -362,157 +276,79 @@ class _WorkerRuntime:
             if leased:
                 self._run_group(leased)
             for job in solo:
-                self._serve(job)
+                self._send(
+                    ("started", self.worker_id, job.job_id, self.clock.now())
+                )
+                attempt = self._attempt(
+                    job, self.session, budget=self.config.job_timeout,
+                    pace=self._pace,
+                )
+                self._report([(job, attempt)])
             if stop_after:
                 break
         self._send(("stopped", self.worker_id, self._fault_counters()))
 
-    def _serve(self, job):
-        """One exclusive job: attempt, streak accounting, quarantine."""
-        self._send(("started", self.worker_id, job.job_id, self.clock.now()))
-        outcome = self._attempt(job)
-        error = outcome["error"]
-        if error is None:
-            self.streak = 0
-        elif error.retryable:
-            self.streak += 1
-        self._send(("outcome", self.worker_id, job.job_id, outcome))
+    def _attempt(self, job, session, **options) -> Attempt:
+        """Run one attempt of ``job``, streaming its sense outcomes.
+
+        The attempt span is parented on the job's root span by its
+        shipped ids (a remote tuple): threads share the coordinator's
+        tracer, process workers run a local one and ship span dicts
+        back in the outcome.  Chip clocks reset per worker spawn, so
+        the span's domain clock is the SHARED wall clock and the
+        chip-local seconds ride along as an attribute.
+        """
+        self._current_job_id = job.job_id
+        try:
+            return run_attempt(
+                job, self.worker_id, session, self.cache, self.clock.now,
+                registry=self.registry,
+                parent=(job.trace_id, job.root_span_id), **options,
+            )
+        finally:
+            self._current_job_id = None
+
+    def _pace(self, started, chip_seconds):
+        """Device pacing: on real hardware the attempt *takes* its chip
+        time; sleep out what simulation didn't spend."""
+        if self.config.time_scale:
+            remaining = (chip_seconds * self.config.time_scale
+                         - (self.clock.now() - started))
+            if remaining > 0.0:
+                time.sleep(remaining)
+
+    def _report(self, outcomes):
+        """Ship ``(job, attempt)`` outcomes home, update the failure
+        streak, and self-quarantine when it reaches the threshold."""
+        for job, attempt in outcomes:
+            error = attempt.error
+            if error is None:
+                self.streak = 0
+            elif error.retryable:
+                self.streak += 1
+            if error is not None and self.strip_cause:
+                # exception objects are not reliably picklable across
+                # the process boundary; the structured JobError is
+                error.cause = None
+            spans = (
+                self.span_buffer.drain()
+                if self.span_buffer is not None else None
+            )
+            self._send((
+                "outcome", self.worker_id, job.job_id, attempt,
+                self._fault_counters(), spans,
+            ))
         threshold = self.config.quarantine_after
         if threshold is not None and self.streak >= threshold:
             self._quarantine_and_recover()
 
-    def _attempt(self, job) -> dict:
-        """Run one attempt of ``job`` on this worker's chip."""
-        started = self.clock.now()
-        backend = self.session.backend
-        chip_before = backend.elapsed
-        run = None
-        error = None
-        cache_hit = False
-        handles = {}
-        self._current_job_id = job.job_id
-        # The attempt span is parented on the job's root span by its
-        # shipped ids (a remote tuple): threads share the coordinator's
-        # tracer, process workers run a local one and ship span dicts
-        # back in the outcome.  Chip clocks reset per worker spawn, so
-        # the span's domain clock is the SHARED wall clock and the
-        # chip-local seconds ride along as an attribute.
-        with tracing.span(
-            "attempt",
-            parent=(job.trace_id, job.root_span_id),
-            attributes={"attempt": job.attempts + 1, "chip": self.worker_id},
-            clock=self.clock.now,
-        ) as span:
-            try:
-                program, cache_hit = self.cache.get_or_compile(
-                    job.protocol, self.session, registry=self.registry,
-                    fingerprint=job.fingerprint,
-                )
-                run = self.session.run(program, handles=handles)
-            except BiochipError as exc:
-                error = classify_error(
-                    exc, chip_id=self.worker_id, attempts=job.attempts + 1
-                )
-            except Exception as exc:  # noqa: BLE001 -- same contract as
-                # the virtual tier: any dispatch bug terminalises the
-                # job instead of escaping with its cages leaked
-                error = JobError(
-                    kind=ErrorKind.PERMANENT,
-                    message=f"unexpected {type(exc).__name__}: {exc}",
-                    cause=exc,
-                    chip_id=self.worker_id,
-                    attempts=job.attempts + 1,
-                )
-            finally:
-                # leftover cages would poison this chip for later jobs
-                sweep_handles(backend, handles)
-                self._current_job_id = None
-            chip_seconds = backend.elapsed - chip_before
-            scale = self.config.time_scale
-            if scale:
-                # Device pacing: on real hardware the attempt *takes*
-                # its chip time; sleep out what simulation didn't spend.
-                target = chip_seconds * scale
-                spent = self.clock.now() - started
-                if target > spent:
-                    time.sleep(target - spent)
-            finished = self.clock.now()
-            budget = self.config.job_timeout
-            if (error is None and budget is not None
-                    and finished - started > budget):
-                error = JobError(
-                    kind=ErrorKind.TIMEOUT,
-                    message=(
-                        f"attempt took {finished - started:.3f}s, over the "
-                        f"{budget:.3f}s job timeout"
-                    ),
-                    chip_id=self.worker_id,
-                    attempts=job.attempts + 1,
-                )
-                run = None  # past-budget results are discarded
-            if span.recording:
-                span.set_attributes({
-                    "cache_hit": cache_hit,
-                    "chip_seconds": chip_seconds,
-                })
-                if error is not None:
-                    error.trace_id = span.trace_id
-                    error.span_id = span.span_id
-                    span.set_attribute("error.kind", error.kind.value)
-                    span.set_error(error.message)
-        if error is not None and self.strip_cause:
-            # exception objects are not reliably picklable across the
-            # process boundary; the structured JobError fields are
-            error.cause = None
-        outcome = {
-            "error": error,
-            "run": run,
-            "cache_hit": cache_hit,
-            "started_at": started,
-            "finished_at": finished,
-            "chip_seconds": chip_seconds,
-            "expired": False,
-            "faults": self._fault_counters(),
-        }
-        if self.span_buffer is not None:
-            outcome["spans"] = self.span_buffer.drain()
-        return outcome
-
     # -- multi-tenant lanes --------------------------------------------------
 
-    def _partition_lease(self, jobs):
-        """Split ``jobs`` into leased ``(job, lease, offset)`` tenants
-        and jobs that must run exclusively (no static footprint, or no
-        window left on this chip)."""
-        grid = self.template.grid
-        allocator = RegionLeaseAllocator(
-            grid.rows, grid.cols,
-            guard=routing_separation(self.template),
-            chip_id=self.worker_id,
-        )
-        margin = self.config.lease_margin
-        leased, solo = [], []
-        for job in jobs:
-            footprint = protocol_footprint(job.protocol)
-            lease = None
-            if footprint is not None:
-                lease = allocator.allocate(
-                    footprint.rows + 2 * margin,
-                    footprint.cols + 2 * margin,
-                )
-            if lease is None:
-                solo.append(job)
-                continue
-            offset = (
-                lease.origin[0] + margin - footprint.row0,
-                lease.origin[1] + margin - footprint.col0,
-            )
-            leased.append((job, lease, offset))
-        return leased, solo
-
     def _run_group(self, leased):
-        """Run a lease group: each tenant on its own leased view, the
-        whole group paced once to the merged frame time."""
+        """Run a lease group: each tenant on its own leased view of
+        this chip, the whole group paced once to the merged frame
+        time -- concurrent tenants share the chip's wall time, which
+        is what multi-tenancy buys."""
         group_started = self.clock.now()
         for job, __, __ in leased:
             self._send(
@@ -520,154 +356,34 @@ class _WorkerRuntime:
             )
         outcomes = []
         for job, lease, offset in leased:
-            outcomes.append(
-                (job, self._leased_attempt(job, lease, offset, group_started))
+            view, injector = chip_backend(
+                self.template.spawn(), self.plan, self.worker_id,
+                (self.restarts, job.job_id), lease, offset,
             )
-        group_time = merged_group_time(
-            [outcome["chip_seconds"] for __, outcome in outcomes],
-            [outcome["program_time"] for __, outcome in outcomes],
-        )
-        scale = self.config.time_scale
-        if scale:
-            # One pacing sleep for the whole group: concurrent tenants
-            # share the chip's wall time, which is what multi-tenancy
-            # buys.
-            target = group_time * scale
-            spent = self.clock.now() - group_started
-            if target > spent:
-                time.sleep(target - spent)
+            session = Session(
+                SenseTap(view, self._on_sense), registry=self.registry
+            )
+            attempt = self._attempt(job, session, lease=lease)
+            attempt.program_time, attempt.frames = (
+                view.program_time, view.frames
+            )
+            if injector is not None:
+                add_counts(self._leased_faults, injector.counters)
+            outcomes.append((job, attempt))
+        attempts = [attempt for __, attempt in outcomes]
+        group_time, ratio = group_cost(attempts)
+        self._pace(group_started, group_time)
         finished = self.clock.now()
-        ratio = frame_merge_ratio(
-            [outcome["frames"] for __, outcome in outcomes]
-        )
         self._send(
             ("merged", self.worker_id, len(outcomes), ratio, group_time)
         )
-        budget = self.config.job_timeout
-        for job, outcome in outcomes:
-            outcome["finished_at"] = finished
-            outcome["merged"] = len(outcomes)
-            if (outcome["error"] is None and budget is not None
-                    and finished - group_started > budget):
-                outcome["error"] = JobError(
-                    kind=ErrorKind.TIMEOUT,
-                    message=(
-                        f"attempt took {finished - group_started:.3f}s, over "
-                        f"the {budget:.3f}s job timeout"
-                    ),
-                    chip_id=self.worker_id,
-                    attempts=job.attempts + 1,
-                )
-                outcome["run"] = None
-            error = outcome["error"]
-            if error is None:
-                self.streak = 0
-            elif error.retryable:
-                self.streak += 1
-            self._send(("outcome", self.worker_id, job.job_id, outcome))
-        threshold = self.config.quarantine_after
-        if threshold is not None and self.streak >= threshold:
-            self._quarantine_and_recover()
-
-    def _leased_attempt(self, job, lease, offset, started) -> dict:
-        """One tenant's attempt on a fresh leased view of this chip.
-
-        The view is spawned from the template (same defect map when a
-        fault plan is active; transient stream seeded per tenant), its
-        region clipped to the lease, and wrapped in a
-        :class:`LeasedBackend` so the job executes in its own protocol
-        coordinates -- events and results come out bit-identical to an
-        exclusive run.
-        """
-        view = self.template.spawn()
-        view.set_region(lease.origin, lease.rows, lease.cols)
-        inner = view
-        if self.plan is not None:
-            grid = view.grid
-            model = self.plan.model_for(
-                self.worker_id, (grid.rows, grid.cols)
+        for job, attempt in outcomes:
+            attempt.started_at, attempt.finished_at = group_started, finished
+            attempt.tenants = len(outcomes)
+            enforce_timeout(
+                attempt, job, self.worker_id, self.config.job_timeout
             )
-            inner = FaultInjector(
-                view, model,
-                seed=(self.plan.seed, self.worker_id, self.restarts,
-                      job.job_id),
-            )
-        leased_backend = LeasedBackend(inner, offset=offset)
-        session = Session(
-            SenseTap(leased_backend, self._on_sense), registry=self.registry
-        )
-        run = None
-        error = None
-        cache_hit = False
-        handles = {}
-        self._current_job_id = job.job_id
-        with tracing.span(
-            "attempt",
-            parent=(job.trace_id, job.root_span_id),
-            attributes={
-                "attempt": job.attempts + 1,
-                "chip": self.worker_id,
-                "leased": True,
-                "lease": f"{lease.origin}+{lease.rows}x{lease.cols}",
-            },
-            clock=self.clock.now,
-        ) as span:
-            try:
-                program, cache_hit = self.cache.get_or_compile(
-                    job.protocol, session, registry=self.registry,
-                    fingerprint=job.fingerprint,
-                )
-                run = session.run(program, handles=handles)
-            except BiochipError as exc:
-                error = classify_error(
-                    exc, chip_id=self.worker_id, attempts=job.attempts + 1
-                )
-            except Exception as exc:  # noqa: BLE001 -- same contract as
-                # the exclusive path
-                error = JobError(
-                    kind=ErrorKind.PERMANENT,
-                    message=f"unexpected {type(exc).__name__}: {exc}",
-                    cause=exc,
-                    chip_id=self.worker_id,
-                    attempts=job.attempts + 1,
-                )
-            finally:
-                sweep_handles(leased_backend, handles)
-                self._current_job_id = None
-            chip_seconds = leased_backend.elapsed
-            if span.recording:
-                span.set_attributes({
-                    "cache_hit": cache_hit,
-                    "chip_seconds": chip_seconds,
-                })
-                if error is not None:
-                    error.trace_id = span.trace_id
-                    error.span_id = span.span_id
-                    span.set_attribute("error.kind", error.kind.value)
-                    span.set_error(error.message)
-        if self.plan is not None:
-            for name, value in inner.counters.items():
-                self._leased_faults[name] = (
-                    self._leased_faults.get(name, 0) + value
-                )
-        if error is not None and self.strip_cause:
-            error.cause = None
-        outcome = {
-            "error": error,
-            "run": run,
-            "cache_hit": cache_hit,
-            "started_at": started,
-            "finished_at": started,  # patched after the group paces
-            "chip_seconds": chip_seconds,
-            "program_time": leased_backend.program_time,
-            "frames": leased_backend.frames,
-            "merged": 0,  # patched by _run_group's outcome loop
-            "expired": False,
-            "faults": self._fault_counters(),
-        }
-        if self.span_buffer is not None:
-            outcome["spans"] = self.span_buffer.drain()
-        return outcome
+        self._report(outcomes)
 
     def _quarantine_and_recover(self):
         """Self-quarantine: stop pulling, wait out the cooldown (or a
@@ -700,8 +416,8 @@ def _process_worker_main(worker_id, template, registry, plan, config,
     The wall-clock epoch is shared so deadlines and timestamps line up
     with the parent's timeline.
 
-    ``trace`` mirrors "was a tracer installed in the parent when the
-    pool spawned": tracers do not pickle, so the child installs its own
+    ``trace`` says whether a tracer was installed in the parent when
+    the pool spawned: tracers do not pickle, so the child installs its own
     buffering tracer and ships finished span dicts back inside each
     outcome message for the coordinator to ingest.
     """
@@ -718,7 +434,7 @@ def _process_worker_main(worker_id, template, registry, plan, config,
     runtime.run()
 
 
-class ConcurrentJobHandle:
+class ConcurrentJobHandle(JobView):
     """Future-style view of a job submitted to the concurrent tier.
 
     Unlike the virtual tier's handle, waiting never drives a scheduler
@@ -740,19 +456,8 @@ class ConcurrentJobHandle:
         self._events = []
         self._subscribers = []
 
-    @property
-    def job_id(self) -> int:
-        return self.job.job_id
-
-    @property
-    def state(self) -> JobState:
-        return self.job.state
-
     def done(self) -> bool:
         return self._done_event.is_set()
-
-    def poll(self) -> JobState:
-        return self.job.state
 
     def wait(self, timeout=None) -> JobResult:
         """Block until the job is terminal; raises
@@ -828,28 +533,21 @@ class _WorkerSlot:
         return self.health == "healthy"
 
     def retire_faults(self, counters):
-        for name, value in counters.items():
-            self.retired_faults[name] = (
-                self.retired_faults.get(name, 0) + value
-            )
+        add_counts(self.retired_faults, counters)
         self.current_faults = {}
 
     def fault_totals(self) -> dict:
-        totals = dict(self.retired_faults)
-        for name, value in self.current_faults.items():
-            totals[name] = totals.get(name, 0) + value
-        return totals
+        return add_counts(dict(self.retired_faults), self.current_faults)
 
 
-class ConcurrentExecutionService:
+class ConcurrentExecutionService(ServingCore):
     """Serve protocol jobs across a pool of wall-clock chip workers.
 
-    The API mirrors :class:`~repro.service.scheduler.ExecutionService`
-    (submit / submit_many / drain / snapshot / report and the same
-    admission, retry and quarantine semantics) but everything runs for
-    real: submissions are thread-safe, jobs execute on worker threads
-    or processes as they are submitted, and all durations are wall
-    seconds on one monotonic clock.  ``submit(block=True)`` suspends
+    Admission, retries and settlement are the serving core's (see
+    :class:`~repro.service.core.ServingCore`); what this tier adds is
+    real execution: submissions are thread-safe, jobs execute on worker
+    threads or processes as they are submitted, and all durations are
+    wall seconds on one monotonic clock.  ``submit(block=True)`` suspends
     the caller while the admission queue is full -- the backpressure
     path the asyncio front end builds on.
 
@@ -862,40 +560,25 @@ class ConcurrentExecutionService:
             results = service.drain()
     """
 
-    _UNSERVED_MESSAGES = {
-        JobState.REJECTED: "rejected at admission: queue full",
-        JobState.SHED: "shed from the queue for a higher-priority job",
-        JobState.EXPIRED: "deadline expired before a worker was free",
-    }
-
     def __init__(self, template_backend, config: ConcurrentConfig | None = None,
                  registry=None, faults=None):
-        self.config = config or ConcurrentConfig()
-        self.registry = registry
+        config = config or ConcurrentConfig()
+        super().__init__(
+            template_backend, config, registry, faults, config.n_workers
+        )
         self.clock = WallClock()
-        self.telemetry = Telemetry()
-        if isinstance(faults, FaultModel):
-            faults = FleetFaultPlan(
-                models={i: faults for i in range(self.config.n_workers)}
-            )
-        self._plan = faults
         # -- coordination state (all under _lock) --
         self._lock = threading.RLock()
         self._capacity = threading.Condition(self._lock)
         self._terminal = threading.Condition(self._lock)
-        self._heap = []          # (sort_key, Job) priority queue
-        self._queued_count = 0   # QUEUED jobs the coordinator holds
         self._delayed = []       # (not_before, job_id, Job) backoff heap
         self._inflight = {}      # job_id -> Job handed to the pool
-        self._handles = {}       # job_id -> handle, dropped on resolve
-        self._job_spans = {}     # job_id -> live root Span (tracing on)
         self._last_errors = {}   # worker_id -> last JobError it reported
         self._results = []       # terminal results pending drain()
         self._outstanding = 0    # submitted jobs not yet terminal
         self._bounces = {}       # job_id -> steering bounces so far
         self._cache_hits = 0
         self._cache_misses = 0
-        self._next_id = 0
         self._closed = False
         self._pump_stop = False
         # -- the pool --
@@ -921,7 +604,7 @@ class ConcurrentExecutionService:
             runners = [
                 ctx.Process(
                     target=_process_worker_main,
-                    args=(i, template_backend, registry, self._plan,
+                    args=(i, template_backend, registry, self._fault_plan,
                           self.config, self.clock.epoch, self._ready_qs[i],
                           self._done_q, self._stop_event, restart_events[i],
                           trace),
@@ -940,7 +623,7 @@ class ConcurrentExecutionService:
             restart_events = [threading.Event() for __ in range(n)]
             self._runtimes = [
                 _WorkerRuntime(
-                    i, template_backend, registry, self._plan, self.config,
+                    i, template_backend, registry, self._fault_plan, self.config,
                     self.clock, self._ready_qs[i], self._done_q,
                     self._stop_event, restart_events[i],
                 )
@@ -962,27 +645,6 @@ class ConcurrentExecutionService:
             target=self._pump_loop, daemon=True, name="service-pump"
         )
         self._pump.start()
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def simulator(cls, config=None, chip=None, registry=None, faults=None):
-        """A concurrent service whose chips are physical simulators."""
-        from ...core.backend import SimulatorBackend
-        from ...core.platform import Biochip
-
-        chip = chip if chip is not None else Biochip.small_chip()
-        return cls(SimulatorBackend(chip), config=config, registry=registry,
-                   faults=faults)
-
-    @classmethod
-    def dry_run(cls, config=None, registry=None, faults=None,
-                **backend_kwargs):
-        """A concurrent service on time/geometry-only chips."""
-        from ...core.backend import DryRunBackend
-
-        return cls(DryRunBackend(**backend_kwargs), config=config,
-                   registry=registry, faults=faults)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -1027,11 +689,8 @@ class ConcurrentExecutionService:
 
     def _drop_queued_jobs(self):
         """Pull every coordinator-held QUEUED job (heap + delay heap)."""
-        dropped = [
-            job for __, job in self._heap if job.state is JobState.QUEUED
-        ]
-        dropped += [job for __, __, job in self._delayed]
-        self._heap.clear()
+        dropped = self._waiting()
+        self._queue.clear()
         self._delayed.clear()
         self._queued_count = 0
         return dropped
@@ -1051,13 +710,21 @@ class ConcurrentExecutionService:
     # -- submission / admission ---------------------------------------------
 
     @property
+    def _tier(self) -> str:
+        return self.config.mode
+
+    def _make_handle(self, job):
+        return ConcurrentJobHandle(job)
+
+    @property
     def now(self) -> float:
         """Wall seconds since the service started."""
         return self.clock.now()
 
     @property
     def queue_depth(self) -> int:
-        """Jobs admitted and still waiting for a worker."""
+        """Jobs admitted and still waiting for a worker, retries
+        sitting out their backoff included."""
         with self._lock:
             return self._queued_count + len(self._delayed)
 
@@ -1068,9 +735,9 @@ class ConcurrentExecutionService:
         With ``block=True`` a full admission queue *suspends* the
         caller (backpressure) until capacity frees or ``timeout`` wall
         seconds pass, instead of rejecting; otherwise admission
-        follows the configured policy exactly like the virtual tier
-        (a refused job comes back with a terminal REJECTED handle --
-        submission never raises for admission decisions).
+        follows the configured policy (a refused job comes back with a
+        terminal REJECTED handle -- submission never raises for
+        admission decisions).
         """
         fingerprint = protocol.fingerprint(registry=self.registry)
         with self._lock:
@@ -1079,7 +746,7 @@ class ConcurrentExecutionService:
             if block:
                 limit = self.config.max_queue_depth
                 end = None if timeout is None else time.monotonic() + timeout
-                while (limit is not None and self._queued_count >= limit
+                while (limit is not None and self.queue_depth >= limit
                         and not self._closed):
                     remaining = (
                         None if end is None else end - time.monotonic()
@@ -1089,121 +756,45 @@ class ConcurrentExecutionService:
                     self._capacity.wait(remaining)
                 if self._closed:
                     raise ServiceError("service closed while waiting to submit")
-            job = Job(
-                protocol=protocol,
-                job_id=self._next_id,
-                priority=priority,
-                deadline=deadline,
-                submitted_at=self.clock.now(),
-                fingerprint=fingerprint,
+            job, handle = self._open_job(
+                protocol, priority, deadline, fingerprint
             )
-            self._next_id += 1
-            handle = ConcurrentJobHandle(job)
-            self._handles[job.job_id] = handle
             self._outstanding += 1
-            tracer = tracing.get_tracer()
-            if tracer is not None:
-                root = tracer.start_span(
-                    "job",
-                    parent=None,
-                    attributes={
-                        "job_id": job.job_id,
-                        "protocol": getattr(protocol, "name", ""),
-                        "tier": self.config.mode,
-                        "priority": priority,
-                    },
-                    clock=self.clock.now,
-                )
-                job.trace_id = root.trace_id
-                job.root_span_id = root.span_id
-                self._job_spans[job.job_id] = root
-            self.telemetry.count("submitted")
-            if not self._admit(job):
-                self._finish_unserved(job, JobState.REJECTED, "rejected")
-                return handle
-            span = self._job_spans.get(job.job_id)
-            if span is not None:
-                span.add_event("admit", queue_depth=self._queued_count + 1)
-            heapq.heappush(self._heap, (job.sort_key(), job))
-            self._queued_count += 1
-            handle._emit({"kind": "queued", "t": job.submitted_at})
-            self._refill()
+            if self._enqueue(job):
+                handle._emit({"kind": "queued", "t": job.submitted_at})
+                self._refill()
         return handle
 
-    def submit_many(self, jobs, block=False) -> list:
-        """Submit a batch; items are protocols or ``(protocol,
-        priority[, deadline])`` tuples.  Handles in submission order."""
-        handles = []
-        for item in jobs:
-            if isinstance(item, tuple):
-                handles.append(self.submit(*item, block=block))
-            else:
-                handles.append(self.submit(item, block=block))
-        return handles
+    def _waiting(self) -> list:
+        return super()._waiting() + [job for __, __, job in self._delayed]
 
-    def _admit(self, job) -> bool:
-        """Apply the queue bound (caller holds the lock)."""
-        limit = self.config.max_queue_depth
-        if limit is None or self._queued_count < limit:
-            return True
-        if self.config.admission == "reject":
-            return False
-        queued = [j for __, j in self._heap if j.state is JobState.QUEUED]
-        if not queued:
-            return False
-        weakest = min(queued, key=lambda j: (j.priority, -j.job_id))
-        if job.priority <= weakest.priority:
-            return False
-        self._finish_unserved(weakest, JobState.SHED, "shed")
-        self._queued_count -= 1  # lazily removed from the heap later
-        return True
+    def _unqueue(self, job):
+        delayed = [entry for entry in self._delayed if entry[2] is not job]
+        if len(delayed) == len(self._delayed):
+            super()._unqueue(job)
+        else:  # a retry shed while it sat out its backoff
+            heapq.heapify(delayed)
+            self._delayed = delayed
 
-    def _finish_unserved(self, job, state, counter, message=None):
-        job.state = state
-        self.telemetry.count(counter)
-        result = JobResult(
-            job_id=job.job_id,
-            state=state,
-            protocol_name=getattr(job.protocol, "name", ""),
-            error=JobError(
-                kind=ErrorKind.REJECTED,
-                message=message or self._UNSERVED_MESSAGES[state],
-                chip_id=job.last_chip,
-                attempts=job.attempts,
-            ),
-            submitted_at=job.submitted_at,
-            started_at=job.submitted_at,
-            finished_at=job.submitted_at,
-            attempts=job.attempts,
-        )
-        self._resolve(job, result)
+    def _requeue(self, job, error):
+        heapq.heappush(self._delayed, (job.not_before, job.job_id, job))
+        handle = self._handles.get(job.job_id)
+        if handle is not None:
+            handle._emit({
+                "kind": "retrying", "worker": job.last_chip,
+                "attempts": job.attempts, "not_before": job.not_before,
+                "error": str(error), "t": self.clock.now(),
+            })
 
     def _resolve(self, job, result):
         """Terminalise ``job`` (caller holds the lock)."""
-        handle = self._handles.pop(job.job_id)
         self._bounces.pop(job.job_id, None)
         self._outstanding -= 1
         self._results.append(result)
-        span = self._job_spans.pop(job.job_id, None)
-        if span is not None:
-            span.set_attributes({
-                "state": result.state.value,
-                "attempts": result.attempts,
-                "chip": result.chip_id,
-            })
-            if result.error is not None:
-                span.set_attribute("error.kind", result.error.kind.value)
-            if result.state is JobState.FAILED:
-                span.set_error(result.error.message)
-            span.end()
-            if result.state is JobState.FAILED:
-                tracing.dump_flight(
-                    "job %d failed: %s"
-                    % (job.job_id, result.error.kind.value)
-                )
-        handle._resolve(result)
+        super()._resolve(job, result)
         self._terminal.notify_all()
         self._capacity.notify_all()
+        return result
 
     # -- the coordinator ----------------------------------------------------
 
@@ -1261,21 +852,7 @@ class ConcurrentExecutionService:
         slot = self._workers[worker_id]
         slot.health = "dead"
         self._warm[worker_id].clear()
-        # Jobs still sitting in the dead worker's ready queue were
-        # never attempted; send them back to the heap for the
-        # survivors.
-        ready_q = self._ready_qs[worker_id]
-        while True:
-            try:
-                item = ready_q.get_nowait()
-            except queue.Empty:
-                break
-            if item is None:
-                continue
-            job, __ = item
-            if self._inflight.pop(job.job_id, None) is not None:
-                heapq.heappush(self._heap, (job.sort_key(), job))
-                self._queued_count += 1
+        self._reclaim_lane(worker_id)
         job_ids = sorted(slot.current_job_ids)
         slot.current_job_ids = set()
         for job_id in job_ids:
@@ -1283,20 +860,17 @@ class ConcurrentExecutionService:
                 continue
             # Its in-flight attempt can never report an outcome; treat
             # the death as a retryable chip failure of that attempt.
-            self._handle_outcome(worker_id, job_id, {
-                "error": JobError(
+            now = self.clock.now()
+            self._handle_outcome(worker_id, job_id, Attempt(
+                error=JobError(
                     kind=ErrorKind.TRANSIENT,
                     message=f"worker {worker_id} died mid-attempt: {detail}",
                     chip_id=worker_id,
                     attempts=self._inflight[job_id].attempts + 1,
                 ),
-                "run": None,
-                "cache_hit": False,
-                "started_at": self.clock.now(),
-                "finished_at": self.clock.now(),
-                "expired": False,
-                "faults": {},
-            })
+                started_at=now,
+                finished_at=now,
+            ))
         if self._accepting_count() == 0:
             # No worker will ever serve again: fail everything the
             # coordinator holds instead of letting waiters hang.
@@ -1309,12 +883,28 @@ class ConcurrentExecutionService:
                     f"no live workers ({detail})",
                 )
 
+    def _reclaim_lane(self, worker_id):
+        """Send the never-attempted jobs in a worker's lane back to the
+        heap once the worker stops pulling -- dead, or parked in
+        quarantine; a shutdown sentinel stays (caller holds the lock)."""
+        ready_q = self._ready_qs[worker_id]
+        items = []
+        while True:
+            try:
+                items.append(ready_q.get_nowait())
+            except queue.Empty:
+                break
+        for item in items:
+            if item is None:
+                ready_q.put_nowait(None)
+            elif self._inflight.pop(item[0].job_id, None) is not None:
+                self._push(item[0])
+
     def _release_due_retries(self):
         now = self.clock.now()
         while self._delayed and self._delayed[0][0] <= now:
             __, __, job = heapq.heappop(self._delayed)
-            heapq.heappush(self._heap, (job.sort_key(), job))
-            self._queued_count += 1
+            self._push(job)
 
     def _accepting_count(self) -> int:
         return sum(1 for slot in self._workers.values() if slot.accepting)
@@ -1379,8 +969,8 @@ class ConcurrentExecutionService:
         ):
             return
         skipped = []
-        while self._heap:
-            __, job = heapq.heappop(self._heap)
+        while self._queue:
+            __, job = heapq.heappop(self._queue)
             if job.state is not JobState.QUEUED:
                 continue  # shed after enqueue
             slot = self._select_worker(job, require_warm)
@@ -1406,7 +996,7 @@ class ConcurrentExecutionService:
             self._warm[slot.worker_id].add(job.fingerprint)
             self._capacity.notify_all()
         for job in skipped:
-            heapq.heappush(self._heap, (job.sort_key(), job))
+            heapq.heappush(self._queue, (job.sort_key(), job))
 
     def _handle_message(self, message):
         kind = message[0]
@@ -1417,12 +1007,7 @@ class ConcurrentExecutionService:
             handle = self._handles.get(job_id)
             self._workers[worker_id].current_job_ids.add(job_id)
             if job is not None:
-                job.state = JobState.RUNNING
-                span = self._job_spans.get(job_id)
-                if span is not None:
-                    span.add_event(
-                        "dispatch", chip=worker_id, attempt=job.attempts + 1
-                    )
+                self._note_start(job, worker_id)
             if handle is not None:
                 handle._emit({"kind": "started", "worker": worker_id, "t": t})
         elif kind == "sense":
@@ -1438,11 +1023,15 @@ class ConcurrentExecutionService:
             job = self._inflight.pop(job_id, None)
             if job is not None:
                 self._bounces[job_id] = self._bounces.get(job_id, 0) + 1
-                heapq.heappush(self._heap, (job.sort_key(), job))
-                self._queued_count += 1
+                self._push(job)
         elif kind == "outcome":
-            __, worker_id, job_id, outcome = message
-            self._handle_outcome(worker_id, job_id, outcome)
+            __, worker_id, job_id, attempt, faults, spans = message
+            self._handle_outcome(worker_id, job_id, attempt, faults, spans)
+        elif kind == "expired":
+            __, worker_id, job_id = message
+            job = self._inflight.pop(job_id, None)
+            if job is not None:
+                self._finish_unserved(job, JobState.EXPIRED, "expired")
         elif kind == "merged":
             __, worker_id, tenants, ratio, group_time = message
             self.telemetry.observe_tenancy(tenants, ratio)
@@ -1458,16 +1047,11 @@ class ConcurrentExecutionService:
             slot = self._workers[worker_id]
             slot.health = "quarantined"
             slot.quarantined_at = t
-            self.telemetry.count("quarantined")
-            error = self._last_errors.get(worker_id)
-            log.warning(
-                "worker %d quarantined itself at t=%.3f "
-                "(trace_id=%s span_id=%s)",
-                worker_id, t,
-                error.trace_id if error is not None else "",
-                error.span_id if error is not None else "",
+            self._reclaim_lane(worker_id)
+            self._note_quarantine(
+                "worker", worker_id, "itself at t=%.3f" % t,
+                self._last_errors.get(worker_id),
             )
-            tracing.dump_flight("worker %d quarantined" % worker_id)
         elif kind == "restarted":
             __, worker_id, t, retired = message
             slot = self._workers[worker_id]
@@ -1491,95 +1075,35 @@ class ConcurrentExecutionService:
             __, worker_id, detail = message
             self._mark_worker_dead(worker_id, detail)
 
-    def _handle_outcome(self, worker_id, job_id, outcome):
+    def _handle_outcome(self, worker_id, job_id, attempt, faults=None,
+                        spans=None):
         tracer = tracing.get_tracer()
         if tracer is not None:
             # Process workers ship their finished span dicts (attempt +
             # on-chip children) inside the outcome; adopt them here so
             # the parent trace file holds the whole tree.
-            for span_dict in outcome.get("spans") or ():
+            for span_dict in spans or ():
                 tracer.ingest(span_dict)
         job = self._inflight.pop(job_id, None)
         if job is None:
             return
         slot = self._workers[worker_id]
         slot.current_job_ids.discard(job_id)
-        if outcome.get("faults"):
-            slot.current_faults = outcome["faults"]
-        if outcome.get("expired"):
-            self._finish_unserved(job, JobState.EXPIRED, "expired")
-            return
+        if faults:
+            slot.current_faults = faults
         slot.jobs_done += 1
         # A merged group occupied the chip once; split the wall time
         # across its tenants so utilization reflects chip occupancy.
         slot.busy_time += (
-            (outcome["finished_at"] - outcome["started_at"])
-            / max(1, outcome.get("merged", 1))
+            (attempt.finished_at - attempt.started_at) / attempt.tenants
         )
-        if outcome["cache_hit"]:
+        if attempt.cache_hit:
             self._cache_hits += 1
         else:
             self._cache_misses += 1
-        error = outcome["error"]
-        self._last_errors[worker_id] = error
-        job_span = self._job_spans.get(job_id)
-        if job.attempts > 0 and worker_id != job.last_chip:
-            self.telemetry.count("migrated")
-            if job_span is not None:
-                job_span.add_event(
-                    "migrate", from_chip=job.last_chip, to_chip=worker_id
-                )
-        if error is not None and error.kind is ErrorKind.TIMEOUT:
-            self.telemetry.count("timeout")
-        if (error is not None and error.retryable
-                and job.attempts < self.config.max_retries):
-            job.attempts += 1
-            job.last_chip = worker_id
-            job.tried_chips.add(worker_id)
-            backoff = (
-                self.config.retry_backoff * (2 ** (job.attempts - 1))
-            )
-            job.not_before = self.clock.now() + backoff
-            job.state = JobState.QUEUED
-            if job_span is not None:
-                job_span.add_event(
-                    "backoff",
-                    attempt=job.attempts,
-                    chip=worker_id,
-                    error=error.kind.value,
-                    backoff=backoff,
-                    not_before=job.not_before,
-                )
-            heapq.heappush(
-                self._delayed, (job.not_before, job.job_id, job)
-            )
-            self.telemetry.count("retried")
-            handle = self._handles.get(job_id)
-            if handle is not None:
-                handle._emit({
-                    "kind": "retrying", "worker": worker_id,
-                    "attempts": job.attempts, "not_before": job.not_before,
-                    "error": str(error), "t": self.clock.now(),
-                })
-            return
-        state = JobState.DONE if error is None else JobState.FAILED
-        job.state = state
-        self.telemetry.count("completed" if error is None else "failed")
-        result = JobResult(
-            job_id=job.job_id,
-            state=state,
-            protocol_name=getattr(job.protocol, "name", ""),
-            run=outcome["run"],
-            error=error,
-            chip_id=worker_id,
-            cache_hit=outcome["cache_hit"],
-            submitted_at=job.submitted_at,
-            started_at=outcome["started_at"],
-            finished_at=outcome["finished_at"],
-            attempts=job.attempts + 1,
-        )
-        self.telemetry.observe_served(result)
-        self._resolve(job, result)
+        self._last_errors[worker_id] = attempt.error
+        self._note_migration(job, worker_id)
+        self._settle(job, worker_id, attempt, self.clock.now())
 
     # -- draining / worker control ------------------------------------------
 
@@ -1604,8 +1128,7 @@ class ConcurrentExecutionService:
         with self._lock:
             totals = {}
             for slot in self._workers.values():
-                for name, value in slot.fault_totals().items():
-                    totals[name] = totals.get(name, 0) + value
+                add_counts(totals, slot.fault_totals())
             return totals
 
     def snapshot(self) -> dict:
@@ -1653,7 +1176,7 @@ class ConcurrentExecutionService:
                     for slot in self._workers.values()
                 },
             }
-            if self._plan is not None:
+            if self._fault_plan is not None:
                 snap["faults"] = self.fault_counters()
         return snap
 

@@ -1,0 +1,644 @@
+"""The serving core both execution tiers share.
+
+The virtual-clock :class:`~repro.service.scheduler.ExecutionService`
+and the wall-clock
+:class:`~repro.service.concurrent.workers.ConcurrentExecutionService`
+serve jobs with one set of semantics, and every piece of it that the
+two tiers compute the same way lives here, once:
+
+* :class:`CoreConfig` -- the shared knobs and their validation;
+* :func:`run_attempt` -- one guarded attempt: compile or cache hit,
+  run, error classification, the cage sweep, the timeout check and the
+  attempt span;
+* :func:`chip_backend` -- a spawned chip wrapped for serving: clipped
+  to a tenant's leased window, behind its fault injector;
+* :class:`LeaseWindows` and :func:`group_cost` -- lease-window sizing
+  and the merged chip time of a tenant group;
+* :class:`ServingCore` -- admission, the job root span, retry
+  bookkeeping, settlement and terminal :class:`JobResult`\\ s.
+
+A tier keeps only what really differs: where a job is placed, when a
+queued job is ready, who owns chip quarantine, and how jobs reach the
+chips.  Time is whatever the tier's clock reads -- fleet virtual
+seconds or wall seconds.
+"""
+
+from __future__ import annotations
+
+import heapq
+import logging
+from dataclasses import dataclass
+
+from ..core.backend import Backend, DryRunBackend, SimulatorBackend
+from ..core.errors import BiochipError
+from ..core.platform import Biochip
+from ..core.session import sweep_handles
+from ..faults import FaultInjector, FaultModel, FleetFaultPlan
+from ..observability import tracing
+from .fleet import RegionLeaseAllocator
+from .jobs import ErrorKind, Job, JobError, JobResult, JobState, classify_error
+from .telemetry import Telemetry
+from .tenancy import (
+    LeasedBackend,
+    frame_merge_ratio,
+    merged_group_time,
+    protocol_footprint,
+    routing_separation,
+)
+
+log = logging.getLogger("repro.service")
+
+#: Admission behaviours when the queue is at ``max_queue_depth``.
+ADMISSION_POLICIES = ("reject", "shed-lowest")
+
+
+@dataclass
+class CoreConfig:
+    """Serving knobs both tiers share.
+
+    Durations are seconds on the tier's clock: fleet virtual seconds
+    for :class:`~repro.service.scheduler.ServiceConfig`, wall seconds
+    for :class:`~repro.service.concurrent.workers.ConcurrentConfig`.
+
+    Attributes
+    ----------
+    max_queue_depth:
+        Admission bound on admitted jobs still waiting for a chip,
+        retries sitting out their backoff included; None means
+        unbounded.
+    admission:
+        What to do with a submit that finds the queue full:
+        ``"reject"`` refuses the new job; ``"shed-lowest"`` drops the
+        lowest-priority waiting job instead, when the new job outranks
+        it.
+    cache_capacity:
+        Per-chip compiled-program cache capacity (None = unbounded).
+    max_retries:
+        How many times a job failing with a *retryable* error
+        (transient chip fault, timeout) is re-queued before it goes
+        terminal FAILED.  0 disables retries.
+    retry_backoff:
+        Base backoff before a retry may run; exponential (doubles per
+        attempt).
+    job_timeout:
+        Per-attempt time budget; an attempt exceeding it fails with a
+        TIMEOUT error (retryable) and its run is discarded.  None
+        disables the budget.
+    quarantine_after:
+        Consecutive chip-attributable failures (transient/timeout) that
+        bench a chip.  None disables quarantine.
+    restart_cooldown:
+        How long a quarantined chip sits out before it is restarted
+        (fresh spawn, same defect map).  None means manual restarts
+        only.
+    max_tenants:
+        Spatial multi-tenancy: how many jobs may co-reside on one chip
+        in disjoint leased windows, their concurrent moves merged into
+        shared frames.  1 (the default) is exclusive occupancy; > 1
+        enables region-leased co-scheduling for jobs with a static
+        footprint (whole-array protocols still run exclusively).
+    lease_margin:
+        Free electrodes added on every side of a tenant's protocol
+        footprint inside its lease -- routing slack for merge
+        approaches and detours.  The allocator additionally inflates
+        each window by the routing-separation guard band, so adjacent
+        tenants can never violate separation across a boundary.
+    """
+
+    max_queue_depth: int | None = None
+    admission: str = "reject"
+    cache_capacity: int | None = None
+    max_retries: int = 2
+    retry_backoff: float = 0.5
+    job_timeout: float | None = None
+    quarantine_after: int | None = 3
+    restart_cooldown: float | None = 30.0
+    max_tenants: int = 1
+    lease_margin: int = 3
+
+    def __post_init__(self):
+        if self.admission not in ADMISSION_POLICIES:
+            raise ValueError(
+                f"admission must be one of {ADMISSION_POLICIES}, "
+                f"got {self.admission!r}"
+            )
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.retry_backoff < 0.0:
+            raise ValueError(
+                f"retry_backoff must be >= 0, got {self.retry_backoff}"
+            )
+        if self.job_timeout is not None and self.job_timeout <= 0.0:
+            raise ValueError(
+                f"job_timeout must be positive, got {self.job_timeout}"
+            )
+        if self.quarantine_after is not None and self.quarantine_after < 1:
+            raise ValueError(
+                f"quarantine_after must be >= 1, got {self.quarantine_after}"
+            )
+        if self.restart_cooldown is not None and self.restart_cooldown < 0.0:
+            raise ValueError(
+                f"restart_cooldown must be >= 0, got {self.restart_cooldown}"
+            )
+        if self.max_tenants < 1:
+            raise ValueError(
+                f"max_tenants must be >= 1, got {self.max_tenants}"
+            )
+        if self.lease_margin < 0:
+            raise ValueError(
+                f"lease_margin must be >= 0, got {self.lease_margin}"
+            )
+
+
+# -- one attempt ------------------------------------------------------------
+
+
+@dataclass
+class Attempt:
+    """What one attempt of a job produced, as both tiers settle it.
+
+    ``started_at``/``finished_at`` are on the clock the attempt ran on;
+    ``chip_seconds`` is the chip time it accounted.  Leased attempts
+    also carry the frame-merge inputs (``program_time``, ``frames``)
+    and the size of their tenant group (``tenants``; 1 = exclusive).
+    """
+
+    run: object = None
+    error: JobError | None = None
+    cache_hit: bool = False
+    started_at: float = 0.0
+    finished_at: float = 0.0
+    chip_seconds: float = 0.0
+    program_time: float = 0.0
+    frames: int = 0
+    tenants: int = 1
+
+
+def enforce_timeout(attempt, job, chip_id, budget):
+    """Fail a successful ``attempt`` that took longer than ``budget``:
+    TIMEOUT (retryable), its run discarded, not trusted."""
+    spent = attempt.finished_at - attempt.started_at
+    if attempt.error is None and budget is not None and spent > budget:
+        attempt.error = JobError(
+            kind=ErrorKind.TIMEOUT,
+            message=(
+                f"attempt took {spent:.3f}s, over the {budget:.3f}s "
+                f"job timeout"
+            ),
+            chip_id=chip_id,
+            attempts=job.attempts + 1,
+        )
+        attempt.run = None
+
+
+def run_attempt(job, chip_id, session, cache, clock, *, registry=None,
+                parent=None, lease=None, budget=None, pace=None) -> Attempt:
+    """One guarded execution of ``job`` on ``session``'s chip.
+
+    Compiles the protocol or reuses ``cache``'s program, runs it, and
+    folds every failure into a structured :class:`JobError` -- an
+    unexpected (non-:class:`BiochipError`) exception included, as
+    PERMANENT, so a software bug terminalises the job instead of
+    escaping with it stuck RUNNING.  Cages the job left on the chip are
+    swept whatever happened.  ``pace(started_at, chip_seconds)``, when
+    given, runs before the finish is stamped; ``budget`` is the timeout
+    check.  The ``attempt`` span runs on ``clock`` under ``parent`` (a
+    span, or a shipped ``(trace_id, span_id)`` pair).  Never raises.
+    """
+    backend = session.backend
+    chip_before = backend.elapsed
+    attempt = Attempt(started_at=clock())
+    attributes = {"attempt": job.attempts + 1, "chip": chip_id}
+    if lease is not None:
+        attributes["leased"] = True
+    handles = {}
+    with tracing.span(
+        "attempt", parent=parent, attributes=attributes, clock=clock,
+    ) as span:
+        if lease is not None and span.recording:
+            span.set_attribute(
+                "lease", f"{lease.origin}+{lease.rows}x{lease.cols}"
+            )
+        try:
+            program, attempt.cache_hit = cache.get_or_compile(
+                job.protocol, session, registry=registry,
+                fingerprint=job.fingerprint,
+            )
+            attempt.run = session.run(program, handles=handles)
+        except BiochipError as exc:
+            attempt.error = classify_error(
+                exc, chip_id=chip_id, attempts=job.attempts + 1
+            )
+        except Exception as exc:  # noqa: BLE001 -- see the docstring
+            attempt.error = JobError(
+                kind=ErrorKind.PERMANENT,
+                message=f"unexpected {type(exc).__name__}: {exc}",
+                cause=exc,
+                chip_id=chip_id,
+                attempts=job.attempts + 1,
+            )
+        finally:
+            # leftover cages would poison the chip for every later job
+            sweep_handles(backend, handles)
+        attempt.chip_seconds = backend.elapsed - chip_before
+        if pace is not None:
+            pace(attempt.started_at, attempt.chip_seconds)
+        attempt.finished_at = clock()
+        enforce_timeout(attempt, job, chip_id, budget)
+        if span.recording:
+            span.set_attributes({
+                "cache_hit": attempt.cache_hit,
+                "chip_seconds": attempt.chip_seconds,
+            })
+            error = attempt.error
+            if error is not None:
+                error.trace_id = span.trace_id
+                error.span_id = span.span_id
+                span.set_attribute("error.kind", error.kind.value)
+                span.set_error(error.message)
+    return attempt
+
+
+def add_counts(totals, counters) -> dict:
+    """Add the ``counters`` mapping into ``totals``; returns ``totals``."""
+    for name, value in counters.items():
+        totals[name] = totals.get(name, 0) + value
+    return totals
+
+
+def chip_backend(backend, plan, chip_id, seed, lease=None, offset=(0, 0)):
+    """Wrap a freshly spawned ``backend`` for serving on chip ``chip_id``.
+
+    With a fault ``plan`` the chip sits behind a :class:`FaultInjector`
+    carrying the chip's defect map, its transient stream seeded by
+    ``(plan.seed, chip_id, *seed)``: defects are physical and survive
+    restarts, glitches re-seed per power-up (and per tenant).  With a
+    ``lease`` the chip is clipped to that window and wrapped in a
+    coordinate-translating :class:`LeasedBackend` at ``offset`` -- a
+    tenant view.  Returns ``(backend, injector)``; the injector is None
+    without a plan.
+    """
+    if lease is not None:
+        backend.set_region(lease.origin, lease.rows, lease.cols)
+    injector = None
+    if plan is not None:
+        grid = backend.grid
+        injector = backend = FaultInjector(
+            backend, plan.model_for(chip_id, (grid.rows, grid.cols)),
+            seed=(plan.seed, chip_id, *seed),
+        )
+    if lease is not None:
+        backend = LeasedBackend(backend, offset=offset)
+    return backend, injector
+
+
+# -- lease groups -----------------------------------------------------------
+
+
+def can_lease(template, config) -> bool:
+    """Whether ``config`` co-schedules tenants and chips spawned from
+    ``template`` can be clipped to a leased window; other backends are
+    served exclusively."""
+    return (config.max_tenants > 1
+            and type(template).set_region is not Backend.set_region)
+
+
+class LeaseWindows:
+    """Sizes tenants' leased windows on one chip for one lease group."""
+
+    def __init__(self, template, chip_id, margin):
+        grid = template.grid
+        self.allocator = RegionLeaseAllocator(
+            grid.rows, grid.cols,
+            guard=routing_separation(template),
+            chip_id=chip_id,
+        )
+        self.margin = margin
+
+    def fit(self, protocol):
+        """``(lease, offset)`` for ``protocol``, or None when it has no
+        static footprint or no window is left for it.
+
+        ``offset`` maps the job's own (protocol) coordinates into its
+        lease interior: lease origin plus the margin, minus the
+        footprint origin.
+        """
+        footprint = protocol_footprint(protocol)
+        if footprint is None:
+            return None
+        margin = self.margin
+        lease = self.allocator.allocate(
+            footprint.rows + 2 * margin, footprint.cols + 2 * margin
+        )
+        if lease is None:
+            return None
+        offset = (
+            lease.origin[0] + margin - footprint.row0,
+            lease.origin[1] + margin - footprint.col0,
+        )
+        return lease, offset
+
+
+def group_cost(attempts):
+    """``(chip seconds, frame-merge ratio)`` of one tenant group.
+
+    Concurrent dwell overlaps across the disjoint windows while the
+    electronics serialize, so the group occupies the chip once for
+    :func:`~repro.service.tenancy.merged_group_time`.
+    """
+    return (
+        merged_group_time(
+            [a.chip_seconds for a in attempts],
+            [a.program_time for a in attempts],
+        ),
+        frame_merge_ratio([a.frames for a in attempts]),
+    )
+
+
+# -- admission and settlement -----------------------------------------------
+
+
+class ServingCore:
+    """Admission and settlement for one serving tier.
+
+    Owns the chip template and fault plan, the priority queue
+    (``_queue``, a heap of ``(sort_key, Job)`` that may still hold shed
+    entries, with ``_queued_count`` counting its QUEUED ones), the live
+    handles and root spans, and the path every attempt ends on.  A
+    tier sets ``clock`` and ``_tier`` (the root span's tier attribute)
+    and implements ``_make_handle(job)``; it overrides
+    ``queue_depth``, ``_waiting``, ``_unqueue`` and ``_requeue`` when
+    retries wait somewhere other than the queue.
+    """
+
+    #: Messages for terminal states the service imposed (no chip ran).
+    _UNSERVED_MESSAGES = {
+        JobState.REJECTED: "rejected at admission: queue full",
+        JobState.SHED: "shed from the queue for a higher-priority job",
+        JobState.EXPIRED: "deadline expired before a chip was free",
+    }
+
+    def __init__(self, template, config, registry, faults, n_chips):
+        self._template = template
+        self.config = config
+        self.registry = registry
+        if isinstance(faults, FaultModel):  # one model for every chip
+            faults = FleetFaultPlan(
+                models=dict.fromkeys(range(n_chips), faults)
+            )
+        self._fault_plan = faults
+        self.telemetry = Telemetry()
+        self._queue = []
+        self._queued_count = 0
+        self._handles = {}    # job_id -> handle, dropped on resolve
+        self._job_spans = {}  # job_id -> live root Span (tracing on)
+        self._next_id = 0
+
+    @classmethod
+    def simulator(cls, config=None, chip=None, registry=None, faults=None,
+                  **options):
+        """A service whose chips are full physical simulators
+        (``Biochip.small_chip()`` unless ``chip`` is given)."""
+        chip = chip if chip is not None else Biochip.small_chip()
+        return cls(SimulatorBackend(chip), config=config, registry=registry,
+                   faults=faults, **options)
+
+    @classmethod
+    def dry_run(cls, config=None, registry=None, faults=None,
+                **backend_kwargs):
+        """A service on time/geometry-only chips, for planning scale."""
+        return cls(DryRunBackend(**backend_kwargs), config=config,
+                   registry=registry, faults=faults)
+
+    @property
+    def queue_depth(self) -> int:
+        """Jobs admitted and still waiting for a chip."""
+        return self._queued_count
+
+    # -- admission ----------------------------------------------------------
+
+    def _open_job(self, protocol, priority, deadline, fingerprint):
+        """Stamp a new job, register its handle and open its root
+        span; returns ``(job, handle)``."""
+        job = Job(
+            protocol=protocol,
+            job_id=self._next_id,
+            priority=priority,
+            deadline=deadline,
+            submitted_at=self.clock.now(),
+            fingerprint=fingerprint,
+        )
+        self._next_id += 1
+        handle = self._make_handle(job)
+        self._handles[job.job_id] = handle
+        tracer = tracing.get_tracer()
+        if tracer is not None:
+            root = tracer.start_span(
+                "job",
+                parent=None,
+                attributes={
+                    "job_id": job.job_id,
+                    "protocol": getattr(protocol, "name", ""),
+                    "tier": self._tier,
+                    "priority": priority,
+                },
+                clock=self.clock.now,
+            )
+            job.trace_id, job.root_span_id = root.trace_id, root.span_id
+            self._job_spans[job.job_id] = root
+        self.telemetry.count("submitted")
+        return job, handle
+
+    def _enqueue(self, job) -> bool:
+        """Queue an admitted ``job``, or resolve it REJECTED when the
+        admission bound refuses it."""
+        if not self._admit(job):
+            self._finish_unserved(job, JobState.REJECTED, "rejected")
+            return False
+        span = self._job_spans.get(job.job_id)
+        if span is not None:
+            span.add_event("admit", queue_depth=self.queue_depth + 1)
+        self._push(job)
+        return True
+
+    def _push(self, job):
+        """Queue a QUEUED ``job`` in priority order."""
+        heapq.heappush(self._queue, (job.sort_key(), job))
+        self._queued_count += 1
+
+    def _admit(self, job) -> bool:
+        """Apply the queue bound; True when ``job`` may be enqueued."""
+        limit = self.config.max_queue_depth
+        if limit is None or self.queue_depth < limit:
+            return True
+        if self.config.admission == "reject":
+            return False
+        # shed-lowest: drop the weakest waiting job iff the newcomer
+        # outranks it; ties keep the incumbent (FIFO fairness).
+        waiting = self._waiting()
+        if not waiting:  # max_queue_depth=0: nothing to shed, refuse
+            return False
+        weakest = min(waiting, key=lambda j: (j.priority, -j.job_id))
+        if job.priority <= weakest.priority:
+            return False
+        self._finish_unserved(weakest, JobState.SHED, "shed")
+        self._unqueue(weakest)
+        return True
+
+    def _waiting(self) -> list:
+        """The jobs shedding may pick from."""
+        return [j for __, j in self._queue if j.state is JobState.QUEUED]
+
+    def _unqueue(self, job):
+        """Forget a shed waiting ``job``."""
+        self._queued_count -= 1  # lazily removed from the heap later
+
+    def submit_many(self, jobs, **options) -> list:
+        """Submit a batch; each item is a protocol or a
+        ``(protocol, priority)`` / ``(protocol, priority, deadline)``
+        tuple, and ``options`` go to every :meth:`submit`.  Returns the
+        handles in submission order."""
+        return [
+            self.submit(*item, **options) if isinstance(item, tuple)
+            else self.submit(item, **options)
+            for item in jobs
+        ]
+
+    # -- settlement ---------------------------------------------------------
+
+    def _note_start(self, job, chip_id):
+        """Mark ``job`` RUNNING on chip ``chip_id``; trace the dispatch."""
+        job.state = JobState.RUNNING
+        span = self._job_spans.get(job.job_id)
+        if span is not None:
+            span.add_event("dispatch", chip=chip_id, attempt=job.attempts + 1)
+
+    def _note_quarantine(self, what, chip_id, detail, error):
+        """Count, log and flight-dump a quarantine.  ``error`` is the
+        :class:`JobError` that tripped it, if known; its span ids make
+        the log line greppable back to the span tree in the trace."""
+        self.telemetry.count("quarantined")
+        log.warning(
+            "%s %d quarantined %s (trace_id=%s span_id=%s)",
+            what, chip_id, detail,
+            error.trace_id if error is not None else "",
+            error.span_id if error is not None else "",
+        )
+        tracing.dump_flight("%s %d quarantined" % (what, chip_id))
+
+    def _note_migration(self, job, chip_id):
+        """Count and trace a retry that moved to other hardware."""
+        if job.attempts > 0 and chip_id != job.last_chip:
+            self.telemetry.count("migrated")
+            span = self._job_spans.get(job.job_id)
+            if span is not None:
+                span.add_event(
+                    "migrate", from_chip=job.last_chip, to_chip=chip_id
+                )
+
+    def _settle(self, job, chip_id, attempt, now) -> JobResult | None:
+        """End one attempt of ``job`` on chip ``chip_id``.
+
+        A retryable error with retry budget left re-queues the job with
+        exponential backoff counted from ``now`` and returns None;
+        anything else resolves it DONE or FAILED and returns its
+        :class:`JobResult`.
+        """
+        error = attempt.error
+        if error is not None and error.kind is ErrorKind.TIMEOUT:
+            self.telemetry.count("timeout")
+        if (error is not None and error.retryable
+                and job.attempts < self.config.max_retries):
+            job.attempts += 1
+            job.last_chip = chip_id
+            job.tried_chips.add(chip_id)
+            backoff = self.config.retry_backoff * (2 ** (job.attempts - 1))
+            job.not_before = now + backoff
+            job.state = JobState.QUEUED
+            span = self._job_spans.get(job.job_id)
+            if span is not None:
+                span.add_event(
+                    "backoff",
+                    attempt=job.attempts,
+                    chip=chip_id,
+                    error=error.kind.value,
+                    backoff=backoff,
+                    not_before=job.not_before,
+                )
+            self.telemetry.count("retried")
+            self._requeue(job, error)
+            return None
+        state = JobState.DONE if error is None else JobState.FAILED
+        job.state = state
+        self.telemetry.count("completed" if error is None else "failed")
+        result = JobResult(
+            job_id=job.job_id,
+            state=state,
+            protocol_name=getattr(job.protocol, "name", ""),
+            run=attempt.run,
+            error=error,
+            chip_id=chip_id,
+            cache_hit=attempt.cache_hit,
+            submitted_at=job.submitted_at,
+            started_at=attempt.started_at,
+            finished_at=attempt.finished_at,
+            attempts=job.attempts + 1,
+        )
+        self.telemetry.observe_served(result)
+        return self._resolve(job, result)
+
+    def _requeue(self, job, error):
+        """Put a job whose attempt failed retryably back in line."""
+        self._push(job)
+
+    def _finish_unserved(self, job, state, counter, message=None) -> JobResult:
+        """Terminalise a job that never reached a chip."""
+        job.state = state
+        self.telemetry.count(counter)
+        return self._resolve(
+            job,
+            JobResult(
+                job_id=job.job_id,
+                state=state,
+                protocol_name=getattr(job.protocol, "name", ""),
+                error=JobError(
+                    kind=ErrorKind.REJECTED,
+                    message=message or self._UNSERVED_MESSAGES[state],
+                    chip_id=job.last_chip,
+                    attempts=job.attempts,
+                ),
+                submitted_at=job.submitted_at,
+                started_at=job.submitted_at,
+                finished_at=job.submitted_at,
+                attempts=job.attempts,
+            ),
+        )
+
+    def _resolve(self, job, result) -> JobResult:
+        """Close the job's root span, hand ``result`` to its handle and
+        forget the job.
+
+        Dropping the ``_handles`` entry on resolution is what keeps a
+        long-running service's memory flat: the caller's own handle is
+        the only thing pinning a terminal job's result.
+        """
+        handle = self._handles.pop(job.job_id)
+        span = self._job_spans.pop(job.job_id, None)
+        if span is not None:
+            span.set_attributes({
+                "state": result.state.value,
+                "attempts": result.attempts,
+                "chip": result.chip_id,
+            })
+            if result.error is not None:
+                span.set_attribute("error.kind", result.error.kind.value)
+            if result.state is JobState.FAILED:
+                span.set_error(result.error.message)
+            span.end()
+            if result.state is JobState.FAILED:
+                tracing.dump_flight(
+                    "job %d failed: %s"
+                    % (job.job_id, result.error.kind.value)
+                )
+        handle._resolve(result)
+        return result

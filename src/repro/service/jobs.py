@@ -201,8 +201,24 @@ class JobResult:
         return self.queue_wait + self.service_time
 
 
+class JobView:
+    """What every job handle reads straight off its job."""
+
+    @property
+    def job_id(self) -> int:
+        return self.job.job_id
+
+    @property
+    def state(self) -> JobState:
+        return self.job.state
+
+    def poll(self) -> JobState:
+        """Current state, without waiting."""
+        return self.job.state
+
+
 @dataclass
-class JobHandle:
+class JobHandle(JobView):
     """Future-style view of a submitted job.
 
     The service is synchronous (chips are simulated), so :meth:`wait`
@@ -214,21 +230,9 @@ class JobHandle:
     _service: object
     _result: JobResult | None = field(default=None, repr=False)
 
-    @property
-    def job_id(self) -> int:
-        return self.job.job_id
-
-    @property
-    def state(self) -> JobState:
-        return self.job.state
-
     def done(self) -> bool:
         """True once the job is terminal (including rejected/shed)."""
         return self.job.state.terminal
-
-    def poll(self) -> JobState:
-        """Current state without driving the scheduler."""
-        return self.job.state
 
     def wait(self) -> JobResult:
         """Drive the scheduler until this job is terminal."""

@@ -1,4 +1,4 @@
-"""The execution service: admission control plus the priority drain loop.
+"""The virtual-clock execution service: placement plus the drain loop.
 
 :class:`ExecutionService` is the serving front end over a chip
 :class:`~repro.service.fleet.Fleet`: callers :meth:`submit` protocol
@@ -7,6 +7,9 @@ them (bounded queue, reject or shed-lowest-priority policies), orders
 the queue by priority, dispatches each job to a chip through the
 configured policy, reuses cached compiled programs, and meters
 everything through :class:`~repro.service.telemetry.Telemetry`.
+Admission, the attempt body and settlement are the serving core's
+(:mod:`repro.service.core`); this module owns placement, retry
+readiness and the fleet's chip health.
 
 The service is synchronous: chips are simulated, so "waiting" on a
 handle drives the drain loop instead of blocking a thread.  Time is
@@ -33,41 +36,37 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 
-from ..core.backend import Backend, DryRunBackend, SimulatorBackend
-from ..core.errors import BiochipError, ServiceError
-from ..core.platform import Biochip
-from ..core.session import Session, sweep_handles
-from ..faults import FaultInjector, FaultModel, FleetFaultPlan
+from ..core.backend import DryRunBackend
+from ..core.errors import ServiceError
+from ..core.session import Session
+from ..faults import FaultInjector
 from ..observability import tracing
 from .concurrent.syncbridge import FleetClock
-from .fleet import ChipHealth, Fleet, RegionLeaseAllocator, make_policy
-from .tenancy import (
-    LeasedBackend,
-    frame_merge_ratio,
-    merged_group_time,
-    protocol_footprint,
-    routing_separation,
+from .core import (
+    CoreConfig,
+    LeaseWindows,
+    ServingCore,
+    add_counts,
+    can_lease,
+    chip_backend,
+    group_cost,
+    run_attempt,
 )
-from .jobs import (
-    ErrorKind,
-    Job,
-    JobError,
-    JobHandle,
-    JobResult,
-    JobState,
-    classify_error,
-)
-from .telemetry import Telemetry
+from .fleet import ChipHealth, Fleet, make_policy
+from .jobs import JobHandle, JobResult, JobState
 
 log = logging.getLogger("repro.service")
 
-#: Admission behaviours when the queue is at ``max_queue_depth``.
-ADMISSION_POLICIES = ("reject", "shed-lowest")
-
 
 @dataclass
-class ServiceConfig:
+class ServiceConfig(CoreConfig):
     """Tuning knobs of one :class:`ExecutionService`.
+
+    The serving knobs both tiers share are documented on
+    :class:`~repro.service.core.CoreConfig`; here their durations are
+    fleet virtual seconds.  When *every* chip is quarantined the
+    service restarts the longest-benched one rather than refuse a job,
+    even with ``restart_cooldown=None``.
 
     Attributes
     ----------
@@ -78,105 +77,23 @@ class ServiceConfig:
         Dispatch policy name (``"round-robin"``, ``"least-loaded"``,
         ``"affinity"``) or a
         :class:`~repro.service.fleet.DispatchPolicy` instance.
-    max_queue_depth:
-        Admission bound on *queued* (not yet running) jobs; None means
-        unbounded.
-    admission:
-        What to do with a submit that finds the queue full:
-        ``"reject"`` refuses the new job; ``"shed-lowest"`` drops the
-        lowest-priority queued job instead, when the new job outranks
-        it.
-    cache_capacity:
-        Per-chip compiled-program cache capacity (None = unbounded).
-    max_retries:
-        How many times a job failing with a *retryable* error
-        (transient chip fault, timeout) is re-queued before it goes
-        terminal FAILED.  0 disables retries.
-    retry_backoff:
-        Base backoff [fleet virtual s] before a retry may run;
-        exponential (doubles per attempt).
-    job_timeout:
-        Per-attempt service-time budget [virtual s]; an attempt
-        exceeding it fails with a TIMEOUT error (retryable).  None
-        disables the budget.
-    quarantine_after:
-        Consecutive chip-attributable failures (transient/timeout) that
-        bench a chip.  None disables quarantine.
-    restart_cooldown:
-        Virtual seconds a quarantined chip sits out before the service
-        auto-restarts it (fresh spawn, same defect map).  None means
-        manual restarts only -- though the service will still restart
-        the longest-benched chip rather than refuse a job when *every*
-        chip is quarantined.
-    max_tenants:
-        Spatial multi-tenancy: how many jobs may co-reside on one chip
-        in disjoint leased windows, their concurrent moves merged into
-        shared frames.  1 (the default) is exclusive occupancy; > 1
-        enables region-leased co-scheduling for jobs with a static
-        footprint (whole-array protocols still run exclusively).
-    lease_margin:
-        Free electrodes added on every side of a tenant's protocol
-        footprint inside its lease -- routing slack for merge
-        approaches and detours.  The allocator additionally inflates
-        each window by the routing-separation guard band, so adjacent
-        tenants can never violate separation across a boundary.
     """
 
     n_chips: int = 4
     policy: object = "least-loaded"
-    max_queue_depth: int | None = None
-    admission: str = "reject"
-    cache_capacity: int | None = None
-    max_retries: int = 2
-    retry_backoff: float = 0.5
-    job_timeout: float | None = None
-    quarantine_after: int | None = 3
-    restart_cooldown: float | None = 30.0
-    max_tenants: int = 1
-    lease_margin: int = 3
-
-    def __post_init__(self):
-        if self.admission not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"admission must be one of {ADMISSION_POLICIES}, "
-                f"got {self.admission!r}"
-            )
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff < 0.0:
-            raise ValueError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
-            )
-        if self.job_timeout is not None and self.job_timeout <= 0.0:
-            raise ValueError(
-                f"job_timeout must be positive, got {self.job_timeout}"
-            )
-        if self.quarantine_after is not None and self.quarantine_after < 1:
-            raise ValueError(
-                f"quarantine_after must be >= 1, got {self.quarantine_after}"
-            )
-        if self.restart_cooldown is not None and self.restart_cooldown < 0.0:
-            raise ValueError(
-                f"restart_cooldown must be >= 0, got {self.restart_cooldown}"
-            )
-        if self.max_tenants < 1:
-            raise ValueError(
-                f"max_tenants must be >= 1, got {self.max_tenants}"
-            )
-        if self.lease_margin < 0:
-            raise ValueError(
-                f"lease_margin must be >= 0, got {self.lease_margin}"
-            )
 
 
-class ExecutionService:
+class ExecutionService(ServingCore):
     """Serve a stream of protocol jobs across a fleet of chips."""
+
+    _tier = "virtual"
 
     def __init__(self, template_backend, config: ServiceConfig | None = None,
                  registry=None, faults=None, clock=None):
-        self.config = config or ServiceConfig()
-        self.registry = registry
-        self._template = template_backend
+        config = config or ServiceConfig()
+        super().__init__(
+            template_backend, config, registry, faults, config.n_chips
+        )
         self.fleet = Fleet.spawn(
             template_backend,
             self.config.n_chips,
@@ -187,72 +104,40 @@ class ExecutionService:
         # the audit note on `now`); defaults to fleet virtual time.
         self.clock = clock if clock is not None else FleetClock(self.fleet)
         self.policy = make_policy(self.config.policy)
-        self.telemetry = Telemetry()
-        self._queue = []  # heap of (sort_key, Job)
-        self._queued_count = 0  # QUEUED entries (heap may hold shed ones)
+        self._can_lease = can_lease(template_backend, config)
         # Terminal results of co-tenants that finished alongside another
         # job's dispatch; later step() calls return them one at a time.
         self._extra_results = deque()
-        self._handles = {}  # job_id -> JobHandle
-        self._job_spans = {}  # job_id -> live root Span (tracing on)
-        self._next_id = 0
-        # Fault plan: a FleetFaultPlan (per-chip models), or one
-        # FaultModel applied to every chip.  Injectors wrap each chip's
-        # backend; counters from restarted (discarded) injectors are
-        # accumulated in _retired_faults so telemetry never loses them.
-        if isinstance(faults, FaultModel):
-            faults = FleetFaultPlan(
-                models={w.chip_id: faults for w in self.fleet.workers}
-            )
-        self._fault_plan = faults
+        # Injectors wrap each chip's backend per the fault plan;
+        # counters from restarted (discarded) injectors are accumulated
+        # in _retired_faults so telemetry never loses them.
         self._retired_faults = {}
         if self._fault_plan is not None:
             for worker in self.fleet.workers:
-                self._attach_faults(worker)
+                self._wrap_chip(worker, worker.session.backend)
 
-    def _attach_faults(self, worker):
-        """Wrap a worker's backend in a fault injector per the plan.
-
-        Deterministic per (plan seed, chip, restart count): the defect
-        map survives restarts (defects are physical, per-die) while the
-        transient stream re-seeds (glitches are per-power-up).
-        """
-        backend = worker.session.backend
-        grid = backend.grid
-        model = self._fault_plan.model_for(
-            worker.chip_id, (grid.rows, grid.cols)
+    def _wrap_chip(self, worker, backend):
+        """Serve ``worker``'s chip from ``backend``, behind its fault
+        injector when a plan is active."""
+        backend, __ = chip_backend(
+            backend, self._fault_plan, worker.chip_id, (worker.restarts,)
         )
-        injector = FaultInjector(
-            backend, model,
-            seed=(self._fault_plan.seed, worker.chip_id, worker.restarts),
-        )
-        worker.session = Session(injector, registry=self.registry)
+        worker.session = Session(backend, registry=self.registry)
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def simulator(cls, config=None, chip=None, registry=None, faults=None,
-                  clock=None):
-        """A service whose chips are full physical simulators."""
-        chip = chip if chip is not None else Biochip.small_chip()
-        return cls(SimulatorBackend(chip), config=config, registry=registry,
-                   faults=faults, clock=clock)
+    def _make_handle(self, job):
+        return JobHandle(job=job, _service=self)
 
     @classmethod
     def dry_run(cls, config=None, registry=None, faults=None, clock=None,
                 **backend_kwargs):
-        """A service on time/geometry-only chips, for planning scale."""
+        """A service on time/geometry-only chips, for planning scale
+        (the serving core's constructor, plus the injectable clock)."""
         return cls(
             DryRunBackend(**backend_kwargs), config=config, registry=registry,
             faults=faults, clock=clock,
         )
 
-    # -- submission / admission ---------------------------------------------
-
-    @property
-    def queue_depth(self) -> int:
-        """Jobs admitted and still waiting for a chip."""
-        return self._queued_count
+    # -- submission ---------------------------------------------------------
 
     @property
     def now(self) -> float:
@@ -285,132 +170,12 @@ class ExecutionService:
         decisions, so bursty callers can check ``handle.state`` instead
         of catching.
         """
-        job = Job(
-            protocol=protocol,
-            job_id=self._next_id,
-            priority=priority,
-            deadline=deadline,
-            submitted_at=self.clock.now(),
-            fingerprint=protocol.fingerprint(registry=self.registry),
+        job, handle = self._open_job(
+            protocol, priority, deadline,
+            protocol.fingerprint(registry=self.registry),
         )
-        self._next_id += 1
-        handle = JobHandle(job=job, _service=self)
-        self._handles[job.job_id] = handle
-        tracer = tracing.get_tracer()
-        if tracer is not None:
-            root = tracer.start_span(
-                "job",
-                parent=None,
-                attributes={
-                    "job_id": job.job_id,
-                    "protocol": getattr(protocol, "name", ""),
-                    "tier": "virtual",
-                    "priority": priority,
-                },
-                clock=self.clock.now,
-            )
-            job.trace_id, job.root_span_id = root.trace_id, root.span_id
-            self._job_spans[job.job_id] = root
-        self.telemetry.count("submitted")
-        if not self._admit(job):
-            self._finish_unserved(job, JobState.REJECTED, "rejected")
-            return handle
-        span = self._job_spans.get(job.job_id)
-        if span is not None:
-            span.add_event("admit", queue_depth=self._queued_count + 1)
-        heapq.heappush(self._queue, (job.sort_key(), job))
-        self._queued_count += 1
+        self._enqueue(job)
         return handle
-
-    def submit_many(self, jobs) -> list:
-        """Submit a batch; each item is a protocol or a
-        ``(protocol, priority)`` / ``(protocol, priority, deadline)``
-        tuple.  Returns the handles in submission order."""
-        handles = []
-        for item in jobs:
-            if isinstance(item, tuple):
-                handles.append(self.submit(*item))
-            else:
-                handles.append(self.submit(item))
-        return handles
-
-    def _admit(self, job) -> bool:
-        """Apply the queue bound; True when ``job`` may be enqueued."""
-        depth_limit = self.config.max_queue_depth
-        if depth_limit is None or self.queue_depth < depth_limit:
-            return True
-        if self.config.admission == "reject":
-            return False
-        # shed-lowest: drop the weakest queued job iff the newcomer
-        # outranks it; ties keep the incumbent (FIFO fairness).
-        queued = [j for __, j in self._queue if j.state is JobState.QUEUED]
-        if not queued:  # max_queue_depth=0: nothing to shed, refuse
-            return False
-        weakest = min(queued, key=lambda j: (j.priority, -j.job_id))
-        if job.priority <= weakest.priority:
-            return False
-        self._finish_unserved(weakest, JobState.SHED, "shed")
-        self._queued_count -= 1  # lazily removed from the heap later
-        return True
-
-    def _resolve(self, job, result) -> JobResult:
-        """Hand ``result`` to the job's handle and forget the job.
-
-        Dropping the ``_handles`` entry on resolution is what keeps a
-        long-running service's memory flat: the caller's own
-        :class:`JobHandle` is the only thing pinning a terminal job's
-        result.
-        """
-        handle = self._handles.pop(job.job_id)
-        handle._resolve(result)
-        span = self._job_spans.pop(job.job_id, None)
-        if span is not None:
-            span.set_attributes({
-                "state": result.state.value,
-                "attempts": result.attempts,
-                "chip": result.chip_id,
-            })
-            if result.error is not None:
-                span.set_attribute("error.kind", result.error.kind.value)
-            if result.state is JobState.FAILED:
-                span.set_error(result.error.message)
-            span.end()
-            if result.state is JobState.FAILED:
-                tracing.dump_flight(
-                    "job %d failed: %s"
-                    % (job.job_id, result.error.kind.value)
-                )
-        return result
-
-    #: Messages for terminal states the service imposed (no chip ran).
-    _UNSERVED_MESSAGES = {
-        JobState.REJECTED: "rejected at admission: queue full",
-        JobState.SHED: "shed from the queue for a higher-priority job",
-        JobState.EXPIRED: "deadline expired before a chip was free",
-    }
-
-    def _finish_unserved(self, job, state, counter) -> JobResult:
-        """Terminalise a job that never reached a chip."""
-        job.state = state
-        self.telemetry.count(counter)
-        return self._resolve(
-            job,
-            JobResult(
-                job_id=job.job_id,
-                state=state,
-                protocol_name=getattr(job.protocol, "name", ""),
-                error=JobError(
-                    kind=ErrorKind.REJECTED,
-                    message=self._UNSERVED_MESSAGES[state],
-                    chip_id=job.last_chip,
-                    attempts=job.attempts,
-                ),
-                submitted_at=job.submitted_at,
-                started_at=job.submitted_at,
-                finished_at=job.submitted_at,
-                attempts=job.attempts,
-            ),
-        )
 
     # -- the drain loop -----------------------------------------------------
 
@@ -538,16 +303,12 @@ class ExecutionService:
             return
         worker.health = ChipHealth.QUARANTINED
         worker.quarantined_at = self.clock.now()
-        self.telemetry.count("quarantined")
-        log.warning(
-            "chip %d quarantined after %d consecutive retryable failures "
-            "(trace_id=%s span_id=%s)",
-            chip_id,
-            worker.consecutive_failures,
-            error.trace_id if error is not None else "",
-            error.span_id if error is not None else "",
+        self._note_quarantine(
+            "chip", chip_id,
+            "after %d consecutive retryable failures"
+            % worker.consecutive_failures,
+            error,
         )
-        tracing.dump_flight("chip %d quarantined" % chip_id)
 
     def drain_chip(self, chip_id):
         """Gracefully take a chip out of rotation (state intact)."""
@@ -579,16 +340,10 @@ class ExecutionService:
             online_at = max(online_at, worker.quarantined_at + cooldown)
         old_backend = worker.session.backend
         if isinstance(old_backend, FaultInjector):
-            for name, value in old_backend.counters.items():
-                self._retired_faults[name] = (
-                    self._retired_faults.get(name, 0) + value
-                )
-        worker.session = Session(self._template.spawn(),
-                                 registry=self.registry)
+            add_counts(self._retired_faults, old_backend.counters)
         worker.cache.clear()
         worker.restarts += 1
-        if self._fault_plan is not None:
-            self._attach_faults(worker)
+        self._wrap_chip(worker, self._template.spawn())
         if online_at > 0.0:
             worker.session.backend.incubate(online_at)
         worker.health = ChipHealth.HEALTHY
@@ -619,28 +374,6 @@ class ExecutionService:
                 and worker.consecutive_failures >= threshold):
             self.quarantine_chip(worker.chip_id, error=error)
 
-    def _requeue_for_retry(self, job, worker, error):
-        """Put a retryably-failed job back in the queue with backoff."""
-        job.attempts += 1
-        job.last_chip = worker.chip_id
-        job.tried_chips.add(worker.chip_id)
-        backoff = self.config.retry_backoff * (2 ** (job.attempts - 1))
-        job.not_before = worker.elapsed + backoff
-        job.state = JobState.QUEUED
-        span = self._job_spans.get(job.job_id)
-        if span is not None:
-            span.add_event(
-                "backoff",
-                attempt=job.attempts,
-                chip=worker.chip_id,
-                error=error.kind.value,
-                backoff=backoff,
-                not_before=job.not_before,
-            )
-        heapq.heappush(self._queue, (job.sort_key(), job))
-        self._queued_count += 1
-        self.telemetry.count("retried")
-
     # -- dispatch -----------------------------------------------------------
 
     def _dispatch(self, job) -> JobResult | None:
@@ -664,16 +397,7 @@ class ExecutionService:
         if (job.deadline is not None
                 and worker.elapsed - job.submitted_at > job.deadline):
             return self._finish_unserved(job, JobState.EXPIRED, "expired")
-        job_span = self._job_spans.get(job.job_id)
-        if job.attempts > 0 and worker.chip_id != job.last_chip:
-            self.telemetry.count("migrated")
-            if job_span is not None:
-                job_span.add_event(
-                    "migrate",
-                    from_chip=job.last_chip,
-                    to_chip=worker.chip_id,
-                )
-        job.state = JobState.RUNNING
+        self._note_migration(job, worker.chip_id)
         # Chips run in parallel: a chip whose local clock lags the job's
         # submission time was simply idle in fleet wall time, so it sits
         # (cages static) until the job could physically have arrived.
@@ -684,16 +408,15 @@ class ExecutionService:
         if worker.elapsed < resume_at:
             worker.session.backend.incubate(resume_at - worker.elapsed)
         started_at = worker.elapsed
-        if job_span is not None:
-            job_span.add_event(
-                "dispatch", chip=worker.chip_id, attempt=job.attempts + 1
+        self._note_start(job, worker.chip_id)
+        if self._can_lease:
+            windows = LeaseWindows(
+                self._template, worker.chip_id, self.config.lease_margin
             )
-        if self.config.max_tenants > 1:
-            leased = self._try_lease(job, worker)
-            if leased is not None:
-                allocator, lease, offset = leased
+            fit = windows.fit(job.protocol)
+            if fit is not None:
                 return self._dispatch_leased(
-                    job, worker, allocator, lease, offset, started_at
+                    job, worker, windows, *fit, started_at
                 )
         routing_before = getattr(
             worker.session.backend, "routing_totals", None
@@ -702,35 +425,12 @@ class ExecutionService:
         # chip seconds), while the job root span runs on the fleet
         # clock; the span is parented explicitly because the root span
         # is never made ambient (submit returns before any chip runs).
-        with tracing.span(
-            "attempt",
-            parent=job_span,
-            attributes={"attempt": job.attempts + 1, "chip": worker.chip_id},
-            clock=lambda: worker.elapsed,
-        ) as attempt_span:
-            run, error, cache_hit = self._run_attempt(job, worker)
-            finished_at = worker.elapsed
-            if (error is None
-                    and self.config.job_timeout is not None
-                    and finished_at - started_at > self.config.job_timeout):
-                error = JobError(
-                    kind=ErrorKind.TIMEOUT,
-                    message=(
-                        f"attempt took {finished_at - started_at:.3f}s, over "
-                        f"the {self.config.job_timeout:.3f}s job timeout"
-                    ),
-                    chip_id=worker.chip_id,
-                    attempts=job.attempts + 1,
-                )
-                run = None  # past-budget results are discarded, not trusted
-                self.telemetry.count("timeout")
-            if attempt_span.recording:
-                attempt_span.set_attribute("cache_hit", cache_hit)
-                if error is not None:
-                    error.trace_id = attempt_span.trace_id
-                    error.span_id = attempt_span.span_id
-                    attempt_span.set_attribute("error.kind", error.kind.value)
-                    attempt_span.set_error(error.message)
+        attempt = run_attempt(
+            job, worker.chip_id, worker.session, worker.cache,
+            lambda: worker.elapsed, registry=self.registry,
+            parent=self._job_spans.get(job.job_id),
+            budget=self.config.job_timeout,
+        )
         if routing_before is not None:
             # per-job planner cost = the chip's cumulative routing
             # totals across the attempt (retries observe each attempt)
@@ -740,76 +440,13 @@ class ExecutionService:
                 for key in routing_after
             })
         worker.jobs_done += 1
-        worker.busy_time += finished_at - started_at
-        self._account_chip_health(worker, error)
-        if (error is not None
-                and error.retryable
-                and job.attempts < self.config.max_retries):
-            self._requeue_for_retry(job, worker, error)
-            return None
-        state = JobState.DONE if error is None else JobState.FAILED
-        job.state = state
-        self.telemetry.count("completed" if error is None else "failed")
-        result = JobResult(
-            job_id=job.job_id,
-            state=state,
-            protocol_name=getattr(job.protocol, "name", ""),
-            run=run,
-            error=error,
-            chip_id=worker.chip_id,
-            cache_hit=cache_hit,
-            submitted_at=job.submitted_at,
-            started_at=started_at,
-            finished_at=finished_at,
-            attempts=job.attempts + 1,
-        )
-        self.telemetry.observe_served(result)
-        return self._resolve(job, result)
+        worker.busy_time += attempt.finished_at - attempt.started_at
+        self._account_chip_health(worker, attempt.error)
+        return self._settle(job, worker.chip_id, attempt, worker.elapsed)
 
     # -- multi-tenant dispatch ----------------------------------------------
 
-    def _try_lease(self, job, worker):
-        """A lease group seeded with ``job``: a fresh allocator for
-        ``worker``'s chip plus the lead tenant's window.  None falls
-        back to exclusive dispatch (backend cannot clip regions, the
-        job's footprint is unknown, or its window doesn't fit)."""
-        if type(self._template).set_region is Backend.set_region:
-            return None
-        grid = self._template.grid
-        allocator = RegionLeaseAllocator(
-            grid.rows, grid.cols,
-            guard=routing_separation(self._template),
-            chip_id=worker.chip_id,
-        )
-        leased = self._lease_for(job, allocator)
-        if leased is None:
-            return None
-        lease, offset = leased
-        return allocator, lease, offset
-
-    def _lease_for(self, job, allocator):
-        """``(lease, offset)`` for ``job``'s footprint, or None.
-
-        ``offset`` maps the job's own (protocol) coordinates into its
-        lease interior: lease origin plus the margin, minus the
-        footprint origin.
-        """
-        margin = self.config.lease_margin
-        footprint = protocol_footprint(job.protocol)
-        if footprint is None:
-            return None
-        lease = allocator.allocate(
-            footprint.rows + 2 * margin, footprint.cols + 2 * margin
-        )
-        if lease is None:
-            return None
-        offset = (
-            lease.origin[0] + margin - footprint.row0,
-            lease.origin[1] + margin - footprint.col0,
-        )
-        return lease, offset
-
-    def _collect_tenants(self, worker, started_at, allocator):
+    def _collect_tenants(self, worker, started_at, windows):
         """Ready co-tenants for a lease group on ``worker``, in
         priority order.
 
@@ -837,41 +474,35 @@ class ExecutionService:
                     self._finish_unserved(job, JobState.EXPIRED, "expired")
                 )
                 continue
-            leased = self._lease_for(job, allocator)
-            if leased is None:
+            fit = windows.fit(job.protocol)
+            if fit is None:
                 passed.append(job)
                 continue
             self._queued_count -= 1
-            picked.append((job, *leased))
+            picked.append((job, *fit))
         for job in passed:
             heapq.heappush(self._queue, (job.sort_key(), job))
         return picked
 
-    def _dispatch_leased(self, lead, worker, allocator, lease, offset,
+    def _dispatch_leased(self, lead, worker, windows, lease, offset,
                          started_at) -> JobResult | None:
         """Run ``lead`` plus any ready co-tenants in disjoint leased
         windows of ``worker``'s chip, frames merged.
 
         Every tenant executes on its own region-clipped view, then the
-        group's chip time is charged ONCE: concurrent dwell overlaps,
-        electronics serializes (see
-        :func:`~repro.service.tenancy.merged_group_time`).  Returns the
-        lead's terminal result (None when it re-queued for retry);
-        co-tenant results land in the extra-results buffer.
+        group's chip time is charged ONCE (see
+        :func:`~repro.service.core.group_cost`).  Returns the lead's
+        terminal result (None when it re-queued for retry); co-tenant
+        results land in the extra-results buffer.
         """
         tenants = [(lead, lease, offset)]
-        tenants += self._collect_tenants(worker, started_at, allocator)
+        tenants += self._collect_tenants(worker, started_at, windows)
         attempts = []
         for job, tenant_lease, tenant_offset in tenants:
-            span = self._job_spans.get(job.job_id)
             if job is not lead:
-                job.state = JobState.RUNNING
-                if span is not None:
-                    span.add_event(
-                        "dispatch", chip=worker.chip_id,
-                        attempt=job.attempts + 1,
-                    )
+                self._note_start(job, worker.chip_id)
             self.telemetry.count("leased")
+            span = self._job_spans.get(job.job_id)
             if span is not None:
                 span.add_event(
                     "lease",
@@ -881,29 +512,41 @@ class ExecutionService:
                     cols=tenant_lease.cols,
                     guard=tenant_lease.guard,
                 )
-            attempts.append(
-                self._run_leased_attempt(
-                    job, worker, tenant_lease, tenant_offset, started_at
-                )
-            )
-            allocator.release(tenant_lease)
-        group_time = merged_group_time(
-            [a["duration"] for a in attempts],
-            [a["program_time"] for a in attempts],
-        )
+            attempts.append(self._run_tenant(
+                job, worker, tenant_lease, tenant_offset, started_at
+            ))
+            windows.allocator.release(tenant_lease)
+        group_time, ratio = group_cost(attempts)
         if group_time > 0.0:
             worker.session.backend.incubate(group_time)
         worker.busy_time += group_time
-        ratio = frame_merge_ratio([a["frames"] for a in attempts])
         self.telemetry.observe_tenancy(len(tenants), ratio)
         if len(tenants) > 1:
             self.telemetry.count("merged", len(tenants))
         lead_outcome = None
-        for (job, __, __offset), attempt in zip(tenants, attempts):
-            resolved = self._settle_tenant(
-                job, worker, attempt, started_at,
-                tenants=len(tenants), ratio=ratio, group_time=group_time,
-            )
+        for (job, __, __), attempt in zip(tenants, attempts):
+            worker.jobs_done += 1
+            span = self._job_spans.get(job.job_id)
+            if span is not None:
+                span.add_event(
+                    "frame_merge",
+                    chip=worker.chip_id,
+                    tenants=len(tenants),
+                    ratio=ratio,
+                    group_time=group_time,
+                )
+            error = attempt.error
+            self._account_chip_health(worker, error)
+            if error is not None and error.retryable:
+                # A fault (or timeout) inside one lease evicts only that
+                # tenant -- the rest of the group keeps its results.
+                self.telemetry.count("evicted")
+                if span is not None:
+                    span.add_event(
+                        "evict", chip=worker.chip_id, error=error.kind.value
+                    )
+            resolved = self._settle(job, worker.chip_id, attempt,
+                                    worker.elapsed)
             if resolved is None:
                 continue
             if job is lead:
@@ -912,203 +555,34 @@ class ExecutionService:
                 self._extra_results.append(resolved)
         return lead_outcome
 
-    def _settle_tenant(self, job, worker, attempt, started_at, tenants,
-                       ratio, group_time) -> JobResult | None:
-        """Account one tenant's attempt; terminal result or None (the
-        tenant was evicted and re-queued for retry)."""
-        error = attempt["error"]
-        worker.jobs_done += 1
-        span = self._job_spans.get(job.job_id)
-        if span is not None:
-            span.add_event(
-                "frame_merge",
-                chip=worker.chip_id,
-                tenants=tenants,
-                ratio=ratio,
-                group_time=group_time,
-            )
-        self._account_chip_health(worker, error)
-        evicted = error is not None and error.retryable
-        if evicted:
-            # A fault (or timeout) inside one lease evicts only that
-            # tenant -- the rest of the group keeps its results.
-            self.telemetry.count("evicted")
-            if span is not None:
-                span.add_event(
-                    "evict", chip=worker.chip_id, error=error.kind.value
-                )
-            if job.attempts < self.config.max_retries:
-                self._requeue_for_retry(job, worker, error)
-                return None
-        state = JobState.DONE if error is None else JobState.FAILED
-        job.state = state
-        self.telemetry.count("completed" if error is None else "failed")
-        result = JobResult(
-            job_id=job.job_id,
-            state=state,
-            protocol_name=getattr(job.protocol, "name", ""),
-            run=attempt["run"],
-            error=error,
-            chip_id=worker.chip_id,
-            cache_hit=attempt["cache_hit"],
-            submitted_at=job.submitted_at,
-            started_at=started_at,
-            finished_at=started_at + attempt["duration"],
-            attempts=job.attempts + 1,
-        )
-        self.telemetry.observe_served(result)
-        return self._resolve(job, result)
-
-    def _run_leased_attempt(self, job, worker, lease, offset, started_at):
+    def _run_tenant(self, job, worker, lease, offset, started_at):
         """One attempt of ``job`` inside its leased window.
 
-        The tenant runs on a region-clipped fresh view of the chip
+        The tenant runs on a fresh region-clipped view of the chip
         template (the worker's die faults re-attached, seeded per
-        tenant) through a coordinate-translating
-        :class:`~repro.service.tenancy.LeasedBackend`, so co-tenants
-        stay isolated while the caller charges the group's merged chip
-        time once.  Returns the attempt record; never raises.
+        tenant), so co-tenants stay isolated while the caller charges
+        the group's merged chip time once.
         """
-        view = self._template.spawn()
-        view.set_region(lease.origin, lease.rows, lease.cols)
-        inner = view
-        if self._fault_plan is not None:
-            grid = view.grid
-            model = self._fault_plan.model_for(
-                worker.chip_id, (grid.rows, grid.cols)
-            )
-            inner = FaultInjector(
-                view, model,
-                seed=(self._fault_plan.seed, worker.chip_id,
-                      worker.restarts, job.job_id),
-            )
-        leased = LeasedBackend(inner, offset=offset)
-        session = Session(leased, registry=self.registry)
-        run = None
-        error = None
-        cache_hit = False
-        handles = {}
-        with tracing.span(
-            "attempt",
-            parent=self._job_spans.get(job.job_id),
-            attributes={
-                "attempt": job.attempts + 1,
-                "chip": worker.chip_id,
-                "leased": True,
-            },
-            clock=lambda: started_at + leased.elapsed,
-        ) as attempt_span:
-            try:
-                program, cache_hit = worker.cache.get_or_compile(
-                    job.protocol, session, registry=self.registry,
-                    fingerprint=job.fingerprint,
-                )
-                run = session.run(program, handles=handles)
-            except BiochipError as exc:
-                error = classify_error(
-                    exc, chip_id=worker.chip_id, attempts=job.attempts + 1
-                )
-            except Exception as exc:  # noqa: BLE001 -- same contract as
-                # _run_attempt: any dispatch bug terminalises the job
-                error = JobError(
-                    kind=ErrorKind.PERMANENT,
-                    message=f"unexpected {type(exc).__name__}: {exc}",
-                    cause=exc,
-                    chip_id=worker.chip_id,
-                    attempts=job.attempts + 1,
-                )
-            finally:
-                sweep_handles(leased, handles)
-            duration = leased.elapsed
-            if (error is None
-                    and self.config.job_timeout is not None
-                    and duration > self.config.job_timeout):
-                error = JobError(
-                    kind=ErrorKind.TIMEOUT,
-                    message=(
-                        f"attempt took {duration:.3f}s, over the "
-                        f"{self.config.job_timeout:.3f}s job timeout"
-                    ),
-                    chip_id=worker.chip_id,
-                    attempts=job.attempts + 1,
-                )
-                run = None  # past-budget results are discarded
-                self.telemetry.count("timeout")
-            if attempt_span.recording:
-                attempt_span.set_attribute("cache_hit", cache_hit)
-                if error is not None:
-                    error.trace_id = attempt_span.trace_id
-                    error.span_id = attempt_span.span_id
-                    attempt_span.set_attribute("error.kind", error.kind.value)
-                    attempt_span.set_error(error.message)
+        view, injector = chip_backend(
+            self._template.spawn(), self._fault_plan, worker.chip_id,
+            (worker.restarts, job.job_id), lease, offset,
+        )
+        attempt = run_attempt(
+            job, worker.chip_id, Session(view, registry=self.registry),
+            worker.cache, lambda: started_at + view.elapsed,
+            registry=self.registry, parent=self._job_spans.get(job.job_id),
+            lease=lease, budget=self.config.job_timeout,
+        )
+        attempt.program_time, attempt.frames = view.program_time, view.frames
         totals = getattr(view, "routing_totals", None)
         if totals is not None:
             # the view is fresh, so its totals ARE the attempt's delta
             self.telemetry.observe_routing(totals)
-        if inner is not view:
+        if injector is not None:
             # the tenant view's injector dies with the view; bank its
             # counters like any other retired injector's
-            for name, value in inner.counters.items():
-                self._retired_faults[name] = (
-                    self._retired_faults.get(name, 0) + value
-                )
-        return {
-            "run": run,
-            "error": error,
-            "cache_hit": cache_hit,
-            "duration": duration,
-            "program_time": leased.program_time,
-            "frames": leased.frames,
-        }
-
-    def _run_attempt(self, job, worker):
-        """One guarded execution of ``job`` on ``worker``'s chip.
-
-        Returns ``(run, error, cache_hit)``; never raises -- every
-        failure mode is folded into a structured :class:`JobError`.
-        """
-        run = None
-        error = None
-        cache_hit = False
-        handles = {}
-        try:
-            program, cache_hit = worker.cache.get_or_compile(
-                job.protocol, worker.session, registry=self.registry,
-                fingerprint=job.fingerprint,
-            )
-            run = worker.session.run(program, handles=handles)
-        except BiochipError as exc:
-            error = classify_error(
-                exc, chip_id=worker.chip_id, attempts=job.attempts + 1
-            )
-        except Exception as exc:  # noqa: BLE001 -- the service must
-            # survive *any* dispatch bug: an unclassified exception
-            # still terminalises the job (PERMANENT -- retrying a
-            # software bug elsewhere is pointless) instead of escaping
-            # with the job stuck RUNNING and its cages leaked.
-            error = JobError(
-                kind=ErrorKind.PERMANENT,
-                message=f"unexpected {type(exc).__name__}: {exc}",
-                cause=exc,
-                chip_id=worker.chip_id,
-                attempts=job.attempts + 1,
-            )
-        finally:
-            # The sweep must run no matter how dispatch failed --
-            # leftover cages would poison the chip for every later job.
-            self._sweep(worker, handles)
-        return run, error, cache_hit
-
-    @staticmethod
-    def _sweep(worker, handles):
-        """Release cages a job left on its chip.
-
-        Service jobs are independent: whether a protocol failed mid-run
-        or simply never released its cages, leftover cages would poison
-        the chip for every later job routed there.  The sweep is
-        charged to the job's chip time, like a cleanup flush.
-        """
-        sweep_handles(worker.session.backend, handles)
+            add_counts(self._retired_faults, injector.counters)
+        return attempt
 
     # -- observability ------------------------------------------------------
 
@@ -1118,8 +592,7 @@ class ExecutionService:
         for worker in self.fleet.workers:
             backend = worker.session.backend
             if isinstance(backend, FaultInjector):
-                for name, value in backend.counters.items():
-                    totals[name] = totals.get(name, 0) + value
+                add_counts(totals, backend.counters)
         return totals
 
     def snapshot(self) -> dict:

@@ -59,6 +59,33 @@ class TestAssayGraph:
         graph = AssayGraph()
         with pytest.raises(ValueError):
             graph.add(Operation("b", OpType.MOVE, 1.0), after=["nope"])
+        assert len(graph) == 0 and "b" not in graph
+
+    def test_self_dependency_rejected_without_partial_node(self):
+        graph = self.build_diamond()
+        with pytest.raises(ValueError, match="itself"):
+            graph.add(Operation("e", OpType.MOVE, 1.0), after=["d", "e"])
+        assert len(graph) == 4 and "e" not in graph
+        assert graph.edge_count() == 4
+        assert graph.validate()
+
+    def test_chain_build_skips_whole_graph_check(self, monkeypatch):
+        import networkx as nx
+
+        def whole_graph_check(graph):
+            raise AssertionError("whole-graph acyclicity check on insert")
+
+        monkeypatch.setattr(nx, "is_directed_acyclic_graph",
+                            whole_graph_check)
+        graph = AssayGraph("chain")
+        graph.add(Operation("op0", OpType.TRAP, 1.0))
+        for i in range(1, 200):
+            graph.add(Operation(f"op{i}", OpType.MOVE, 1.0),
+                      after=[f"op{i - 1}"])
+        assert len(graph) == 200 and graph.edge_count() == 199
+        assert [op.op_id for op in graph.operations()] == [
+            f"op{i}" for i in range(200)
+        ]
 
     def test_topological_order(self):
         graph = self.build_diamond()

@@ -1,0 +1,190 @@
+"""Serving semantics both tiers share through ``repro.service.core``.
+
+The attempt body, admission bound and settlement path exist once; these
+tests pin their contract on every tier and occupancy mode that runs
+them: the virtual-clock and the thread tier, exclusive and leased
+attempts.
+"""
+
+import time
+
+import pytest
+
+from repro import (
+    Biochip,
+    ConcurrentConfig,
+    ConcurrentExecutionService,
+    ErrorKind,
+    ExecutionService,
+    JobState,
+    Protocol,
+    ServiceConfig,
+)
+from repro.core.backend import DryRunBackend
+from repro.faults import FaultModel, FleetFaultPlan
+
+GRID = Biochip.small_chip().grid
+SHAPE = (GRID.rows, GRID.cols)
+
+
+def tiny_protocol(name, row=2, sense=False):
+    protocol = Protocol(name).trap("p", (row, 2)).move("p", (row, 10))
+    if sense:
+        protocol = protocol.sense("p", samples=10)
+    return protocol.release("p")
+
+
+def blocker_protocol():
+    return Protocol("blocker").trap("b", (40, 40)).incubate("b", 30.0) \
+        .release("b")
+
+
+def wait_for(predicate, timeout=30.0):
+    end = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > end:
+            raise AssertionError("condition not reached in time")
+        time.sleep(0.005)
+
+
+@pytest.fixture
+def broken_sense(monkeypatch):
+    """Make every dry-run chip's ``sense`` raise a non-BiochipError
+    after the job's traps ran; returns the backends it was called on."""
+    sensed = []
+
+    def bad_sense(self, cage_id, n_samples=1000):
+        sensed.append(self)
+        raise RuntimeError("sense amplifier bug")
+
+    monkeypatch.setattr(DryRunBackend, "sense", bad_sense)
+    return sensed
+
+
+def serve(tier, leased, protocols):
+    """Serve ``protocols`` on one chip; returns (results, counters)."""
+    tenants = 4 if leased else 1
+    if tier == "virtual":
+        service = ExecutionService.dry_run(
+            ServiceConfig(n_chips=1, max_tenants=tenants, max_retries=3),
+            grid=GRID,
+        )
+        handles = service.submit_many(protocols)
+        service.drain()
+        return [h.result() for h in handles], service.snapshot()["counters"]
+    config = ConcurrentConfig(
+        n_workers=1, max_tenants=tenants, max_retries=3,
+        time_scale=0.01 if leased else None, poll_interval=0.005,
+    )
+    with ConcurrentExecutionService.dry_run(config, grid=GRID) as service:
+        if leased:
+            # Hold the worker on a paced job until the whole group sits
+            # in its lane, so the group is pulled (and leased) at once.
+            blocker = service.submit(blocker_protocol())
+            wait_for(lambda: blocker.state is not JobState.QUEUED)
+        handles = service.submit_many(protocols)
+        service.drain(timeout=60.0)
+        counters = service.snapshot()["counters"]
+    return [h.result() for h in handles], counters
+
+
+@pytest.mark.parametrize("leased", [False, True], ids=["exclusive", "leased"])
+@pytest.mark.parametrize("tier", ["virtual", "thread"])
+def test_unexpected_exception_fails_once_and_sweeps(tier, leased,
+                                                    broken_sense):
+    protocols = [tiny_protocol("bad", sense=True)]
+    if leased:
+        protocols += [tiny_protocol(f"co{i}", row=2) for i in range(3)]
+    results, counters = serve(tier, leased, protocols)
+
+    bad = results[0]
+    assert bad.state is JobState.FAILED
+    assert bad.error.kind is ErrorKind.PERMANENT
+    assert "unexpected RuntimeError: sense amplifier bug" in str(bad.error)
+    assert bad.attempts == 1
+    assert counters["retried"] == 0
+    # the trapped cage was swept off whatever chip or view ran the job
+    assert broken_sense
+    assert all(backend.cage_count == 0 for backend in broken_sense)
+    if leased:
+        assert counters["leased"] >= len(protocols)
+        assert [r.state for r in results[1:]] == [JobState.DONE] * 3
+
+
+def retrying_thread_service(admission):
+    """One worker whose first op faults, a long backoff, and room for
+    one queued job."""
+    return ConcurrentExecutionService.dry_run(
+        ConcurrentConfig(
+            n_workers=1, max_queue_depth=1, admission=admission,
+            retry_backoff=2.0, quarantine_after=None, poll_interval=0.005,
+        ),
+        faults=FleetFaultPlan(
+            models={0: FaultModel(shape=SHAPE, transient_ops={0})}
+        ),
+        grid=GRID,
+    )
+
+
+def backing_off(handle):
+    return any(e["kind"] == "retrying" for e in handle.events())
+
+
+def test_thread_admission_bound_counts_retries_in_backoff():
+    service = retrying_thread_service("reject")
+    try:
+        first = service.submit(tiny_protocol("a"))
+        wait_for(lambda: backing_off(first))
+        assert service.queue_depth == 1
+        second = service.submit(tiny_protocol("b"))
+        third = service.submit(tiny_protocol("c"))
+        assert second.state is JobState.REJECTED
+        assert third.state is JobState.REJECTED
+        assert service.queue_depth == 1
+    finally:
+        service.close(drain=False)
+
+
+def test_thread_shed_lowest_sheds_a_retry_in_backoff():
+    service = retrying_thread_service("shed-lowest")
+    try:
+        victim = service.submit(tiny_protocol("victim"), priority=0)
+        wait_for(lambda: backing_off(victim))
+        hot = service.submit(tiny_protocol("hot"), priority=9)
+        assert victim.state is JobState.SHED
+        shed = victim.result(timeout=5.0)
+        assert shed.error.kind is ErrorKind.REJECTED
+        assert shed.attempts == 1  # the burned attempt is recorded
+        assert hot.result(timeout=30.0).ok
+        service.drain(timeout=30.0)
+        pool = service.snapshot()["pool"]
+        assert pool["queue_depth"] == 0 and pool["delayed"] == 0
+        assert pool["outstanding"] == 0 and service.queue_depth == 0
+    finally:
+        service.close(drain=False)
+
+
+def test_thread_quarantine_hands_queued_lane_work_to_other_workers():
+    """A worker that benches itself stops pulling: jobs already waiting
+    in its lane move to the healthy worker instead of sitting out the
+    cooldown."""
+    config = ConcurrentConfig(
+        n_workers=2, max_retries=3, retry_backoff=0.01,
+        quarantine_after=1, restart_cooldown=60.0,
+        time_scale=0.02, poll_interval=0.005,
+    )
+    faults = FleetFaultPlan(models={
+        0: FaultModel(shape=SHAPE, transient_ops={1}),
+        1: FaultModel.none(SHAPE),
+    })
+    with ConcurrentExecutionService.dry_run(
+            config, faults=faults, grid=GRID) as service:
+        handles = service.submit_many(
+            tiny_protocol(f"j{i}") for i in range(6)
+        )
+        service.drain(timeout=20.0)
+        assert all(h.result().ok for h in handles)
+        counters = service.snapshot()["counters"]
+        assert counters["quarantined"] == 1
+        assert counters["restarted"] == 0
+        service.restart_worker(0)  # so close() need not wait it out
