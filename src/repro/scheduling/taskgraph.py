@@ -9,16 +9,14 @@ is the classic CAD problem the DATE audience would recognise; the few
 academic DMFB tools that exist (MFSim, the UCR framework) are built
 around exactly this abstraction.
 
-The graph is a thin layer over :mod:`networkx` with typed operations
-and duration models.
+The graph is a pair of adjacency dicts with typed operations and
+duration models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-
-import networkx as nx
 
 
 class OpType(Enum):
@@ -115,11 +113,18 @@ class DurationModel:
 
 
 class AssayGraph:
-    """A DAG of :class:`Operation` nodes with dependency edges."""
+    """A DAG of :class:`Operation` nodes with dependency edges.
+
+    Stored as adjacency dicts: ``_ops`` maps each id to its operation
+    in insertion order, ``_preds``/``_succs`` map it to its dependency
+    and dependant ids, each in edge-insertion order.
+    """
 
     def __init__(self, name="assay"):
         self.name = name
-        self._graph = nx.DiGraph()
+        self._ops = {}
+        self._preds = {}
+        self._succs = {}
 
     # -- construction ------------------------------------------------------
 
@@ -131,47 +136,94 @@ class AssayGraph:
         which is rejected up front.  Nothing is added on error.
         """
         op_id = operation.op_id
-        if op_id in self._graph:
+        if op_id in self._ops:
             raise ValueError(f"duplicate operation id {op_id}")
         if op_id in after:
             raise ValueError(f"operation {op_id} cannot depend on itself")
         for dep in after:
-            if dep not in self._graph:
+            if dep not in self._ops:
                 raise ValueError(f"dependency {dep} not in graph")
-        self._graph.add_node(op_id, op=operation)
-        self._graph.add_edges_from((dep, op_id) for dep in after)
+        self._ops[op_id] = operation
+        self._preds[op_id] = {}
+        self._succs[op_id] = {}
+        for dep in after:
+            self._link(dep, op_id)
         return operation
+
+    def add_dependency(self, op_id, dep):
+        """Make existing operation ``op_id`` also depend on ``dep``.
+
+        Raises ValueError when either id is missing or the edge would
+        close a cycle (``op_id`` already reaches ``dep``).
+        """
+        for node in (op_id, dep):
+            if node not in self._ops:
+                raise ValueError(f"operation {node} not in graph")
+        reached = {op_id}
+        frontier = [op_id]
+        while frontier:
+            for succ in self._succs[frontier.pop()]:
+                if succ not in reached:
+                    reached.add(succ)
+                    frontier.append(succ)
+        if dep in reached:
+            raise ValueError(
+                f"dependency {dep} -> {op_id} would close a cycle"
+            )
+        self._link(dep, op_id)
+
+    def _link(self, dep, op_id):
+        self._succs[dep][op_id] = None
+        self._preds[op_id][dep] = None
 
     # -- queries -----------------------------------------------------------
 
     def __len__(self):
-        return self._graph.number_of_nodes()
+        return len(self._ops)
 
     def __contains__(self, op_id):
-        return op_id in self._graph
+        return op_id in self._ops
 
     def operation(self, op_id) -> Operation:
         try:
-            return self._graph.nodes[op_id]["op"]
+            return self._ops[op_id]
         except KeyError:
             raise KeyError(f"no operation {op_id!r} in graph {self.name!r}") from None
 
+    def _order(self):
+        """Operation ids in topological order: Kahn generations, each
+        listed in the order its members were discovered (the roots in
+        insertion order)."""
+        pending = {op_id: len(preds) for op_id, preds in self._preds.items()}
+        generation = [op_id for op_id, count in pending.items() if not count]
+        order = []
+        while generation:
+            order += generation
+            following = []
+            for op_id in generation:
+                for succ in self._succs[op_id]:
+                    pending[succ] -= 1
+                    if not pending[succ]:
+                        following.append(succ)
+            generation = following
+        return order
+
     def operations(self):
-        """All operations in insertion-stable topological order."""
-        return [self.operation(op_id) for op_id in nx.topological_sort(self._graph)]
+        """All operations in topological order (see :meth:`_order`)."""
+        return [self._ops[op_id] for op_id in self._order()]
 
     def predecessors(self, op_id):
-        return sorted(self._graph.predecessors(op_id))
+        return sorted(self._preds[op_id])
 
     def successors(self, op_id):
-        return sorted(self._graph.successors(op_id))
+        return sorted(self._succs[op_id])
 
     def roots(self):
         """Operations with no dependencies."""
-        return sorted(n for n in self._graph if self._graph.in_degree(n) == 0)
+        return sorted(op_id for op_id, preds in self._preds.items() if not preds)
 
     def edge_count(self) -> int:
-        return self._graph.number_of_edges()
+        return sum(len(succs) for succs in self._succs.values())
 
     def total_work(self) -> float:
         """Sum of all operation durations [s]."""
@@ -180,25 +232,27 @@ class AssayGraph:
     def critical_path_length(self) -> float:
         """Longest dependency chain duration [s] -- the makespan lower bound."""
         longest = {}
-        for op_id in nx.topological_sort(self._graph):
-            duration = self.operation(op_id).duration
-            preds = list(self._graph.predecessors(op_id))
-            longest[op_id] = duration + (max(longest[p] for p in preds) if preds else 0.0)
+        for op_id in self._order():
+            preds = self._preds[op_id]
+            longest[op_id] = self._ops[op_id].duration + (
+                max(longest[p] for p in preds) if preds else 0.0
+            )
         return max(longest.values(), default=0.0)
 
     def bottom_levels(self):
         """Map op_id -> critical-path-to-exit length [s] (list-sched priority)."""
         levels = {}
-        for op_id in reversed(list(nx.topological_sort(self._graph))):
-            duration = self.operation(op_id).duration
-            succs = list(self._graph.successors(op_id))
-            levels[op_id] = duration + (max(levels[s] for s in succs) if succs else 0.0)
+        for op_id in reversed(self._order()):
+            succs = self._succs[op_id]
+            levels[op_id] = self._ops[op_id].duration + (
+                max(levels[s] for s in succs) if succs else 0.0
+            )
         return levels
 
     def validate(self):
         """Raise ValueError on structural problems (cycles are prevented at
         construction; this re-checks and verifies durations)."""
-        if not nx.is_directed_acyclic_graph(self._graph):
+        if len(self._order()) != len(self._ops):
             raise ValueError("assay graph has a cycle")
         for op in self.operations():
             if op.duration < 0.0:

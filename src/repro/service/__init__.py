@@ -63,8 +63,6 @@ from .fleet import (
     DispatchPolicy,
     Fleet,
     LeastLoadedPolicy,
-    RegionLease,
-    RegionLeaseAllocator,
     RoundRobinPolicy,
     make_policy,
 )
@@ -83,6 +81,8 @@ from .telemetry import Counter, Histogram, Telemetry
 from .tenancy import (
     Footprint,
     LeasedBackend,
+    RegionLease,
+    RegionLeaseAllocator,
     frame_merge_ratio,
     merged_group_time,
     protocol_footprint,

@@ -44,20 +44,16 @@ import time
 from dataclasses import dataclass
 
 from ...core.errors import ServiceError
-from ...core.session import Session
 from ...observability import tracing
-from ..cache import ProgramCache
 from ..core import (
     Attempt,
     CoreConfig,
     LeaseWindows,
+    ServedChip,
     ServingCore,
     add_counts,
     can_lease,
-    chip_backend,
     enforce_timeout,
-    group_cost,
-    run_attempt,
 )
 from ..jobs import ErrorKind, JobError, JobResult, JobState, JobView
 from .syncbridge import SenseTap, WallClock
@@ -129,14 +125,14 @@ class ConcurrentConfig(CoreConfig):
 class _WorkerRuntime:
     """One chip worker's execution loop -- shared by both modes.
 
-    Owns the spawned backend (wrapped in a fault injector when a plan
-    is active, and always in a :class:`SenseTap` so sense outcomes
-    stream to the coordinator), the worker's program cache, and the
-    worker-local health state: the consecutive-retryable-failure
-    streak, self-quarantine, cooldown sleep and restart all happen
-    *inside* the worker, which is what makes the semantics identical
-    for threads and processes -- no control channel beyond the
-    per-worker restart event is needed.
+    Owns the worker's :class:`~repro.service.core.ServedChip` (built
+    inside :meth:`run`, every backend behind a :class:`SenseTap` so
+    sense outcomes stream to the coordinator) and acts on its health:
+    the failure streak, self-quarantine, cooldown sleep and restart all
+    happen *inside* the worker, which is what makes the semantics
+    identical for threads and processes -- no control channel beyond
+    the per-worker restart event is needed.  Every message home carries
+    the chip's cumulative fault counters.
     """
 
     def __init__(self, worker_id, template, registry, plan, config,
@@ -153,76 +149,41 @@ class _WorkerRuntime:
         self.stop_event = stop_event
         self.restart_event = restart_event
         self.strip_cause = strip_cause
-        self.session = None
-        self.cache = ProgramCache(capacity=config.cache_capacity)
-        self.injector = None
-        self.restarts = 0
-        self.streak = 0
-        self._current_job_id = None
-        # Faults injected into leased per-tenant views (their injectors
-        # are discarded with the views, so the tallies live here).
-        self._leased_faults = {}
+        self.chip = None
         self._can_lease = can_lease(template, config)
         # Process mode only: the local tracer's in-memory exporter;
         # finished span dicts are drained into each outcome message so
         # the coordinator can ingest them into the parent trace.
         self.span_buffer = None
 
-    # -- chip lifecycle -----------------------------------------------------
-
-    def _build_session(self):
-        """Spawn a fresh chip and wrap it (faults, sense tap)."""
-        backend, self.injector = chip_backend(
-            self.template.spawn(), self.plan, self.worker_id,
-            (self.restarts,),
-        )
-        self.session = Session(
-            SenseTap(backend, self._on_sense), registry=self.registry
-        )
-
-    def _fault_counters(self) -> dict:
-        totals = dict(self._leased_faults)
-        if self.injector is not None:
-            add_counts(totals, self.injector.counters)
-        return totals
-
-    def _restart(self) -> dict:
-        """Power-cycle this worker's chip; returns the retired fault
-        counters of the old incarnation."""
-        retired = self._fault_counters()
-        self._leased_faults = {}
-        self.restarts += 1
-        self.streak = 0
-        self.cache.clear()  # chip memory is wiped with the chip
-        self._build_session()
-        return retired
-
     def _on_sense(self, sense_result):
-        if self._current_job_id is not None:
-            self._send(
-                ("sense", self.worker_id, self._current_job_id, sense_result)
-            )
+        if self.chip.job_id is not None:
+            self._send("sense", self.chip.job_id, sense_result)
 
-    def _send(self, message):
-        self.done_q.put(message)
+    def _send(self, kind, *payload):
+        faults = self.chip.fault_counters() if self.chip is not None else {}
+        self.done_q.put((kind, self.worker_id, faults, *payload))
 
     # -- the worker loop ----------------------------------------------------
 
     def run(self):
         try:
-            self._build_session()
+            self.chip = ServedChip(
+                self.worker_id, self.template, registry=self.registry,
+                plan=self.plan, cache_capacity=self.config.cache_capacity,
+                quarantine_after=self.config.quarantine_after,
+                tap=lambda backend: SenseTap(backend, self._on_sense),
+            )
         except Exception as exc:  # noqa: BLE001 -- a worker that cannot
             # even spawn must report and die, not hang the pool
-            self._send(("worker_error", self.worker_id, repr(exc)))
+            self._send("worker_error", repr(exc))
             return
         poll = self.config.poll_interval
         while not self.stop_event.is_set():
             if self.restart_event.is_set():
                 self.restart_event.clear()
-                retired = self._restart()
-                self._send(
-                    ("restarted", self.worker_id, self.clock.now(), retired)
-                )
+                self.chip.restart()
+                self._send("restarted", self.clock.now())
             try:
                 item = self.ready_q.get(timeout=poll)
             except queue.Empty:
@@ -249,11 +210,11 @@ class _WorkerRuntime:
                 # coordinator (which bounds bounces), so another worker
                 # picks it up.
                 if allow_bounce and self.worker_id in job.tried_chips:
-                    self._send(("bounced", self.worker_id, job.job_id))
+                    self._send("bounced", job.job_id)
                     continue
                 if (job.deadline is not None and
                         self.clock.now() - job.submitted_at > job.deadline):
-                    self._send(("expired", self.worker_id, job.job_id))
+                    self._send("expired", job.job_id)
                     continue
                 runnable.append(job)
             leased, solo = [], runnable
@@ -276,37 +237,18 @@ class _WorkerRuntime:
             if leased:
                 self._run_group(leased)
             for job in solo:
-                self._send(
-                    ("started", self.worker_id, job.job_id, self.clock.now())
-                )
-                attempt = self._attempt(
-                    job, self.session, budget=self.config.job_timeout,
+                self._send("started", job.job_id, self.clock.now())
+                # The attempt span's domain clock is the SHARED wall
+                # clock (chip clocks reset per worker spawn); its
+                # chip-local seconds ride along as an attribute.
+                attempt = self.chip.attempt(
+                    job, self.clock.now, budget=self.config.job_timeout,
                     pace=self._pace,
                 )
                 self._report([(job, attempt)])
             if stop_after:
                 break
-        self._send(("stopped", self.worker_id, self._fault_counters()))
-
-    def _attempt(self, job, session, **options) -> Attempt:
-        """Run one attempt of ``job``, streaming its sense outcomes.
-
-        The attempt span is parented on the job's root span by its
-        shipped ids (a remote tuple): threads share the coordinator's
-        tracer, process workers run a local one and ship span dicts
-        back in the outcome.  Chip clocks reset per worker spawn, so
-        the span's domain clock is the SHARED wall clock and the
-        chip-local seconds ride along as an attribute.
-        """
-        self._current_job_id = job.job_id
-        try:
-            return run_attempt(
-                job, self.worker_id, session, self.cache, self.clock.now,
-                registry=self.registry,
-                parent=(job.trace_id, job.root_span_id), **options,
-            )
-        finally:
-            self._current_job_id = None
+        self._send("stopped")
 
     def _pace(self, started, chip_seconds):
         """Device pacing: on real hardware the attempt *takes* its chip
@@ -318,28 +260,20 @@ class _WorkerRuntime:
                 time.sleep(remaining)
 
     def _report(self, outcomes):
-        """Ship ``(job, attempt)`` outcomes home, update the failure
-        streak, and self-quarantine when it reaches the threshold."""
+        """Ship ``(job, attempt)`` outcomes home and self-quarantine
+        when the chip's failure streak reaches the threshold."""
         for job, attempt in outcomes:
-            error = attempt.error
-            if error is None:
-                self.streak = 0
-            elif error.retryable:
-                self.streak += 1
-            if error is not None and self.strip_cause:
+            benched = self.chip.record(attempt.error)
+            if attempt.error is not None and self.strip_cause:
                 # exception objects are not reliably picklable across
                 # the process boundary; the structured JobError is
-                error.cause = None
+                attempt.error.cause = None
             spans = (
                 self.span_buffer.drain()
                 if self.span_buffer is not None else None
             )
-            self._send((
-                "outcome", self.worker_id, job.job_id, attempt,
-                self._fault_counters(), spans,
-            ))
-        threshold = self.config.quarantine_after
-        if threshold is not None and self.streak >= threshold:
+            self._send("outcome", job.job_id, attempt, spans)
+        if benched:
             self._quarantine_and_recover()
 
     # -- multi-tenant lanes --------------------------------------------------
@@ -351,44 +285,23 @@ class _WorkerRuntime:
         is what multi-tenancy buys."""
         group_started = self.clock.now()
         for job, __, __ in leased:
-            self._send(
-                ("started", self.worker_id, job.job_id, group_started)
-            )
-        outcomes = []
-        for job, lease, offset in leased:
-            view, injector = chip_backend(
-                self.template.spawn(), self.plan, self.worker_id,
-                (self.restarts, job.job_id), lease, offset,
-            )
-            session = Session(
-                SenseTap(view, self._on_sense), registry=self.registry
-            )
-            attempt = self._attempt(job, session, lease=lease)
-            attempt.program_time, attempt.frames = (
-                view.program_time, view.frames
-            )
-            if injector is not None:
-                add_counts(self._leased_faults, injector.counters)
-            outcomes.append((job, attempt))
-        attempts = [attempt for __, attempt in outcomes]
-        group_time, ratio = group_cost(attempts)
-        self._pace(group_started, group_time)
+            self._send("started", job.job_id, group_started)
+        attempts = self.chip.lease_group(leased, lambda view: self.clock.now)
+        self._pace(group_started, attempts[0].group_time)
         finished = self.clock.now()
-        self._send(
-            ("merged", self.worker_id, len(outcomes), ratio, group_time)
-        )
-        for job, attempt in outcomes:
+        outcomes = []
+        for (job, __, __), attempt in zip(leased, attempts):
             attempt.started_at, attempt.finished_at = group_started, finished
-            attempt.tenants = len(outcomes)
             enforce_timeout(
                 attempt, job, self.worker_id, self.config.job_timeout
             )
+            outcomes.append((job, attempt))
         self._report(outcomes)
 
     def _quarantine_and_recover(self):
         """Self-quarantine: stop pulling, wait out the cooldown (or a
         manual restart), then power-cycle and rejoin the pool."""
-        self._send(("quarantined", self.worker_id, self.clock.now()))
+        self._send("quarantined", self.clock.now())
         cooldown = self.config.restart_cooldown
         deadline = (
             self.clock.now() + cooldown if cooldown is not None else None
@@ -402,8 +315,8 @@ class _WorkerRuntime:
             time.sleep(self.config.poll_interval)
         if self.stop_event.is_set():
             return
-        retired = self._restart()
-        self._send(("restarted", self.worker_id, self.clock.now(), retired))
+        self.chip.restart()
+        self._send("restarted", self.clock.now())
 
 
 def _process_worker_main(worker_id, template, registry, plan, config,
@@ -523,21 +436,13 @@ class _WorkerSlot:
         self.busy_time = 0.0      # wall seconds across attempts
         self.restarts = 0
         self.quarantined_at = None
-        self.current_faults = {}
-        self.retired_faults = {}
+        self.faults = {}            # the chip's cumulative fault counters
         self.current_job_ids = set()  # started but not yet resolved
         self.dead_strikes = 0       # consecutive liveness-check misses
 
     @property
     def accepting(self) -> bool:
         return self.health == "healthy"
-
-    def retire_faults(self, counters):
-        add_counts(self.retired_faults, counters)
-        self.current_faults = {}
-
-    def fault_totals(self) -> dict:
-        return add_counts(dict(self.retired_faults), self.current_faults)
 
 
 class ConcurrentExecutionService(ServingCore):
@@ -999,19 +904,22 @@ class ConcurrentExecutionService(ServingCore):
             heapq.heappush(self._queue, (job.sort_key(), job))
 
     def _handle_message(self, message):
-        kind = message[0]
-        self._workers[message[1]].dead_strikes = 0  # it just spoke
+        kind, worker_id, faults = message[:3]
+        payload = message[3:]
+        slot = self._workers[worker_id]
+        slot.dead_strikes = 0  # it just spoke
+        slot.faults = faults
         if kind == "started":
-            __, worker_id, job_id, t = message
+            job_id, t = payload
             job = self._inflight.get(job_id)
             handle = self._handles.get(job_id)
-            self._workers[worker_id].current_job_ids.add(job_id)
+            slot.current_job_ids.add(job_id)
             if job is not None:
                 self._note_start(job, worker_id)
             if handle is not None:
                 handle._emit({"kind": "started", "worker": worker_id, "t": t})
         elif kind == "sense":
-            __, worker_id, job_id, sense_result = message
+            job_id, sense_result = payload
             handle = self._handles.get(job_id)
             if handle is not None:
                 handle._emit({
@@ -1019,32 +927,21 @@ class ConcurrentExecutionService(ServingCore):
                     "sense": sense_result, "t": self.clock.now(),
                 })
         elif kind == "bounced":
-            __, worker_id, job_id = message
+            job_id, = payload
             job = self._inflight.pop(job_id, None)
             if job is not None:
                 self._bounces[job_id] = self._bounces.get(job_id, 0) + 1
                 self._push(job)
         elif kind == "outcome":
-            __, worker_id, job_id, attempt, faults, spans = message
-            self._handle_outcome(worker_id, job_id, attempt, faults, spans)
+            job_id, attempt, spans = payload
+            self._handle_outcome(worker_id, job_id, attempt, spans)
         elif kind == "expired":
-            __, worker_id, job_id = message
+            job_id, = payload
             job = self._inflight.pop(job_id, None)
             if job is not None:
                 self._finish_unserved(job, JobState.EXPIRED, "expired")
-        elif kind == "merged":
-            __, worker_id, tenants, ratio, group_time = message
-            self.telemetry.observe_tenancy(tenants, ratio)
-            self.telemetry.count("leased", tenants)
-            if tenants > 1:
-                self.telemetry.count("merged", tenants)
-            log.debug(
-                "worker %d merged %d tenants (ratio %.2f, %.3fs chip)",
-                worker_id, tenants, ratio, group_time,
-            )
         elif kind == "quarantined":
-            __, worker_id, t = message
-            slot = self._workers[worker_id]
+            t, = payload
             slot.health = "quarantined"
             slot.quarantined_at = t
             self._reclaim_lane(worker_id)
@@ -1053,10 +950,8 @@ class ConcurrentExecutionService(ServingCore):
                 self._last_errors.get(worker_id),
             )
         elif kind == "restarted":
-            __, worker_id, t, retired = message
-            slot = self._workers[worker_id]
+            t, = payload
             self._warm[worker_id].clear()  # the restart wiped its cache
-            slot.retire_faults(retired)
             slot.health = "healthy"
             slot.restarts += 1
             slot.quarantined_at = None
@@ -1066,17 +961,13 @@ class ConcurrentExecutionService(ServingCore):
                 worker_id, t, slot.restarts,
             )
         elif kind == "stopped":
-            __, worker_id, counters = message
-            slot = self._workers[worker_id]
-            slot.current_faults = counters
             slot.health = "stopped"
             self._warm[worker_id].clear()
         elif kind == "worker_error":
-            __, worker_id, detail = message
+            detail, = payload
             self._mark_worker_dead(worker_id, detail)
 
-    def _handle_outcome(self, worker_id, job_id, attempt, faults=None,
-                        spans=None):
+    def _handle_outcome(self, worker_id, job_id, attempt, spans=None):
         tracer = tracing.get_tracer()
         if tracer is not None:
             # Process workers ship their finished span dicts (attempt +
@@ -1089,8 +980,6 @@ class ConcurrentExecutionService(ServingCore):
             return
         slot = self._workers[worker_id]
         slot.current_job_ids.discard(job_id)
-        if faults:
-            slot.current_faults = faults
         slot.jobs_done += 1
         # A merged group occupied the chip once; split the wall time
         # across its tenants so utilization reflects chip occupancy.
@@ -1128,7 +1017,7 @@ class ConcurrentExecutionService(ServingCore):
         with self._lock:
             totals = {}
             for slot in self._workers.values():
-                add_counts(totals, slot.fault_totals())
+                add_counts(totals, slot.faults)
             return totals
 
     def snapshot(self) -> dict:

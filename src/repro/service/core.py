@@ -8,19 +8,26 @@ two tiers compute the same way lives here, once:
 
 * :class:`CoreConfig` -- the shared knobs and their validation;
 * :func:`run_attempt` -- one guarded attempt: compile or cache hit,
-  run, error classification, the cage sweep, the timeout check and the
-  attempt span;
+  run, error classification, the cage sweep, the timeout check, the
+  routing-planner delta and the attempt span;
 * :func:`chip_backend` -- a spawned chip wrapped for serving: clipped
   to a tenant's leased window, behind its fault injector;
+* :class:`ServedChip` -- one chip's lifecycle: its session, program
+  cache and fault injector, restarts, the quarantine streak, banked
+  fault counters, and the lease-group runner that puts co-tenants on
+  leased views of the chip;
 * :class:`LeaseWindows` and :func:`group_cost` -- lease-window sizing
   and the merged chip time of a tenant group;
 * :class:`ServingCore` -- admission, the job root span, retry
-  bookkeeping, settlement and terminal :class:`JobResult`\\ s.
+  bookkeeping, settlement and terminal :class:`JobResult`\\ s, and the
+  meters every attempt settles: routing, lease-group telemetry and
+  the ``lease``/``frame_merge``/``evict`` span events.
 
 A tier keeps only what really differs: where a job is placed, when a
-queued job is ready, who owns chip quarantine, and how jobs reach the
-chips.  Time is whatever the tier's clock reads -- fleet virtual
-seconds or wall seconds.
+queued job is ready, who acts on a chip's quarantine, and how jobs and
+their outcomes travel between the service and the chips.  Time is
+whatever the tier's clock reads -- fleet virtual seconds or wall
+seconds.
 """
 
 from __future__ import annotations
@@ -32,14 +39,15 @@ from dataclasses import dataclass
 from ..core.backend import Backend, DryRunBackend, SimulatorBackend
 from ..core.errors import BiochipError
 from ..core.platform import Biochip
-from ..core.session import sweep_handles
+from ..core.session import Session, sweep_handles
 from ..faults import FaultInjector, FaultModel, FleetFaultPlan
 from ..observability import tracing
-from .fleet import RegionLeaseAllocator
+from .cache import ProgramCache
 from .jobs import ErrorKind, Job, JobError, JobResult, JobState, classify_error
 from .telemetry import Telemetry
 from .tenancy import (
     LeasedBackend,
+    RegionLeaseAllocator,
     frame_merge_ratio,
     merged_group_time,
     protocol_footprint,
@@ -158,9 +166,14 @@ class Attempt:
     """What one attempt of a job produced, as both tiers settle it.
 
     ``started_at``/``finished_at`` are on the clock the attempt ran on;
-    ``chip_seconds`` is the chip time it accounted.  Leased attempts
-    also carry the frame-merge inputs (``program_time``, ``frames``)
-    and the size of their tenant group (``tenants``; 1 = exclusive).
+    ``chip_seconds`` is the chip time it accounted and ``routing`` the
+    batch planner's cost across it (None on chips without a planner).
+    A leased attempt also carries its ``lease``, its frame-merge inputs
+    (``program_time``, ``frames``) and its lease group: the group's
+    size (``tenants``; 1 = exclusive), its merged chip time
+    (``group_time``) and frame-merge ratio (``merge_ratio``), and the
+    attempt's place in it (``tenant``; the group is metered with its
+    first tenant).
     """
 
     run: object = None
@@ -169,9 +182,14 @@ class Attempt:
     started_at: float = 0.0
     finished_at: float = 0.0
     chip_seconds: float = 0.0
+    routing: dict | None = None
+    lease: object = None
     program_time: float = 0.0
     frames: int = 0
     tenants: int = 1
+    tenant: int = 0
+    group_time: float = 0.0
+    merge_ratio: float = 1.0
 
 
 def enforce_timeout(attempt, job, chip_id, budget):
@@ -192,7 +210,7 @@ def enforce_timeout(attempt, job, chip_id, budget):
 
 
 def run_attempt(job, chip_id, session, cache, clock, *, registry=None,
-                parent=None, lease=None, budget=None, pace=None) -> Attempt:
+                lease=None, budget=None, pace=None) -> Attempt:
     """One guarded execution of ``job`` on ``session``'s chip.
 
     Compiles the protocol or reuses ``cache``'s program, runs it, and
@@ -202,18 +220,20 @@ def run_attempt(job, chip_id, session, cache, clock, *, registry=None,
     escaping with it stuck RUNNING.  Cages the job left on the chip are
     swept whatever happened.  ``pace(started_at, chip_seconds)``, when
     given, runs before the finish is stamped; ``budget`` is the timeout
-    check.  The ``attempt`` span runs on ``clock`` under ``parent`` (a
-    span, or a shipped ``(trace_id, span_id)`` pair).  Never raises.
+    check.  The ``attempt`` span runs on ``clock`` under the job's root
+    span, named by the ids the job carries.  Never raises.
     """
     backend = session.backend
     chip_before = backend.elapsed
-    attempt = Attempt(started_at=clock())
+    routing_before = getattr(backend, "routing_totals", None)
+    attempt = Attempt(started_at=clock(), lease=lease)
     attributes = {"attempt": job.attempts + 1, "chip": chip_id}
     if lease is not None:
         attributes["leased"] = True
     handles = {}
     with tracing.span(
-        "attempt", parent=parent, attributes=attributes, clock=clock,
+        "attempt", parent=(job.trace_id, job.root_span_id),
+        attributes=attributes, clock=clock,
     ) as span:
         if lease is not None and span.recording:
             span.set_attribute(
@@ -241,6 +261,12 @@ def run_attempt(job, chip_id, session, cache, clock, *, registry=None,
             # leftover cages would poison the chip for every later job
             sweep_handles(backend, handles)
         attempt.chip_seconds = backend.elapsed - chip_before
+        if routing_before is not None:
+            routing_after = backend.routing_totals
+            attempt.routing = {
+                key: routing_after[key] - routing_before[key]
+                for key in routing_after
+            }
         if pace is not None:
             pace(attempt.started_at, attempt.chip_seconds)
         attempt.finished_at = clock()
@@ -353,6 +379,136 @@ def group_cost(attempts):
         ),
         frame_merge_ratio([a.frames for a in attempts]),
     )
+
+
+# -- one chip's lifecycle ---------------------------------------------------
+
+
+class ServedChip:
+    """One chip's serving lifecycle, the same on both tiers.
+
+    Holds the :class:`~repro.core.session.Session` over the chip
+    :func:`chip_backend` built (``session``), its program ``cache``,
+    the live fault ``injector`` (None without a fault plan), the
+    ``restarts`` count and the chip-attributable failure streak
+    (``consecutive_failures``).  The fault counters of retired
+    incarnations and of discarded tenant views are banked, so
+    :meth:`fault_counters` is cumulative across restarts.  ``tap``, when
+    given, wraps every backend a session is opened on (the wall tier's
+    sense stream); ``job_id`` names the job whose attempt is running.
+    """
+
+    def __init__(self, chip_id, template, *, registry=None, plan=None,
+                 cache_capacity=None, quarantine_after=None, tap=None):
+        self.chip_id = chip_id
+        self.template = template
+        self.registry = registry
+        self.plan = plan
+        self.quarantine_after = quarantine_after
+        self.tap = tap
+        self.cache = ProgramCache(capacity=cache_capacity)
+        self.restarts = 0
+        self.consecutive_failures = 0
+        self.job_id = None
+        self._banked = {}
+        self._power_up()
+
+    def _power_up(self):
+        backend, self.injector = chip_backend(
+            self.template.spawn(), self.plan, self.chip_id, (self.restarts,)
+        )
+        self.session = self._open(backend)
+
+    def _open(self, backend) -> Session:
+        if self.tap is not None:
+            backend = self.tap(backend)
+        return Session(backend, registry=self.registry)
+
+    def _bank(self, injector):
+        if injector is not None:
+            add_counts(self._banked, injector.counters)
+
+    @property
+    def elapsed(self) -> float:
+        """This chip's accounted clock [s]."""
+        return self.session.backend.elapsed
+
+    def restart(self):
+        """Power-cycle the chip: a fresh spawn with the same defect map
+        and a re-seeded transient stream, the program cache wiped with
+        the chip's memory, the failure streak cleared."""
+        self._bank(self.injector)
+        self.restarts += 1
+        self.consecutive_failures = 0
+        self.cache.clear()
+        self._power_up()
+
+    def record(self, error) -> bool:
+        """Fold one attempt's ``error`` (None = success) into the
+        failure streak; True when the streak has reached
+        ``quarantine_after``.
+
+        Only chip-attributable (retryable) errors extend the streak: a
+        PERMANENT error is the job's own fault and says nothing about
+        the chip.
+        """
+        if error is None:
+            self.consecutive_failures = 0
+        elif error.retryable:
+            self.consecutive_failures += 1
+        threshold = self.quarantine_after
+        return threshold is not None and self.consecutive_failures >= threshold
+
+    def fault_counters(self) -> dict:
+        """Faults injected into this chip, every incarnation and tenant
+        view included."""
+        totals = dict(self._banked)
+        if self.injector is not None:
+            add_counts(totals, self.injector.counters)
+        return totals
+
+    def attempt(self, job, clock, session=None, **options) -> Attempt:
+        """:func:`run_attempt` of ``job`` on this chip, or on
+        ``session`` (a tenant view of it)."""
+        self.job_id = job.job_id
+        try:
+            return run_attempt(
+                job, self.chip_id,
+                self.session if session is None else session,
+                self.cache, clock, registry=self.registry, **options,
+            )
+        finally:
+            self.job_id = None
+
+    def lease_group(self, tenants, clock, **options) -> list:
+        """Run a lease group: one attempt per ``(job, lease, offset)``
+        tenant, each on a fresh view of the chip clipped to its lease
+        (the chip's faults re-attached, seeded per tenant), so
+        co-tenants stay isolated while the group is charged its merged
+        chip time once.  ``clock(view)`` is a tenant's attempt clock;
+        ``options`` go to :func:`run_attempt`.  Returns the attempts in
+        tenant order, each carrying the group's cost (see
+        :func:`group_cost`)."""
+        attempts = []
+        for job, lease, offset in tenants:
+            view, injector = chip_backend(
+                self.template.spawn(), self.plan, self.chip_id,
+                (self.restarts, job.job_id), lease, offset,
+            )
+            attempt = self.attempt(
+                job, clock(view), self._open(view), lease=lease, **options
+            )
+            attempt.program_time, attempt.frames = (
+                view.program_time, view.frames
+            )
+            # the view's injector dies with the view
+            self._bank(injector)
+            attempts.append(attempt)
+        group_time, ratio = group_cost(attempts)
+        for tenant, attempt in enumerate(attempts):
+            attempt.tenant, attempt.tenants = tenant, len(attempts)
+            attempt.group_time, attempt.merge_ratio = group_time, ratio
+        return attempts
 
 
 # -- admission and settlement -----------------------------------------------
@@ -544,6 +700,9 @@ class ServingCore:
         anything else resolves it DONE or FAILED and returns its
         :class:`JobResult`.
         """
+        self.telemetry.observe_routing(attempt.routing)
+        if attempt.lease is not None:
+            self._settle_tenant(job, chip_id, attempt)
         error = attempt.error
         if error is not None and error.kind is ErrorKind.TIMEOUT:
             self.telemetry.count("timeout")
@@ -586,6 +745,37 @@ class ServingCore:
         )
         self.telemetry.observe_served(result)
         return self._resolve(job, result)
+
+    def _settle_tenant(self, job, chip_id, attempt):
+        """Meter one leased attempt; its lease group's own meters are
+        taken once, with the group's first tenant."""
+        telemetry = self.telemetry
+        if attempt.tenant == 0:
+            telemetry.observe_tenancy(attempt.tenants, attempt.merge_ratio)
+        telemetry.count("leased")
+        if attempt.tenants > 1:
+            telemetry.count("merged")
+        error = attempt.error
+        # A fault (or timeout) inside one lease evicts only that tenant
+        # -- the rest of the group keeps its results.
+        evicted = error is not None and error.retryable
+        if evicted:
+            telemetry.count("evicted")
+        span = self._job_spans.get(job.job_id)
+        if span is not None:
+            lease = attempt.lease
+            span.add_event(
+                "lease", chip=chip_id, origin=lease.origin,
+                rows=lease.rows, cols=lease.cols, guard=lease.guard,
+            )
+            span.add_event(
+                "frame_merge", chip=chip_id, tenants=attempt.tenants,
+                ratio=attempt.merge_ratio, group_time=attempt.group_time,
+            )
+            if evicted:
+                span.add_event(
+                    "evict", chip=chip_id, error=error.kind.value
+                )
 
     def _requeue(self, job, error):
         """Put a job whose attempt failed retryably back in line."""

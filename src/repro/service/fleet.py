@@ -22,12 +22,9 @@ Which chip gets the next job is a pluggable :class:`DispatchPolicy`:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..core.session import Session
-from .cache import CacheStats, ProgramCache
+from .cache import CacheStats
+from .core import ServedChip
 
 
 class ChipHealth(enum.Enum):
@@ -46,24 +43,17 @@ class ChipHealth(enum.Enum):
     QUARANTINED = "quarantined"
 
 
-@dataclass
-class ChipWorker:
-    """One chip of the fleet: a session plus its cache and load meters."""
+class ChipWorker(ServedChip):
+    """One chip of the fleet: its serving lifecycle (see
+    :class:`~repro.service.core.ServedChip`) plus health and load
+    meters."""
 
-    chip_id: int
-    session: Session
-    cache: ProgramCache = field(default_factory=ProgramCache)
-    jobs_done: int = 0
-    busy_time: float = 0.0  # accumulated chip seconds across jobs
-    health: ChipHealth = ChipHealth.HEALTHY
-    consecutive_failures: int = 0   # chip-attributable failure streak
-    quarantined_at: float | None = None  # fleet time of quarantine
-    restarts: int = 0
-
-    @property
-    def elapsed(self) -> float:
-        """This chip's accounted clock [s]."""
-        return self.session.backend.elapsed
+    def __init__(self, chip_id, template, **options):
+        super().__init__(chip_id, template, **options)
+        self.jobs_done = 0
+        self.busy_time = 0.0  # accumulated chip seconds across jobs
+        self.health = ChipHealth.HEALTHY
+        self.quarantined_at = None  # fleet time of quarantine
 
     @property
     def load(self) -> float:
@@ -185,100 +175,6 @@ class AffinityPolicy(DispatchPolicy):
         return worker
 
 
-@dataclass(frozen=True)
-class RegionLease:
-    """A tenant's rectangular window of one chip.
-
-    ``origin``/``rows``/``cols`` describe the *interior* the tenant may
-    address; the allocator additionally reserved a ``guard``-wide band
-    around it (clipped at the array border) so two tenants' cages can
-    never violate the routing separation across a lease boundary.
-    """
-
-    chip_id: int
-    origin: tuple
-    rows: int
-    cols: int
-    guard: int
-
-    @property
-    def window(self) -> tuple:
-        """Interior as ``(row0, col0, row1, col1)`` (half-open)."""
-        r0, c0 = self.origin
-        return (r0, c0, r0 + self.rows, c0 + self.cols)
-
-
-class RegionLeaseAllocator:
-    """First-fit rectangle allocator for disjoint chip windows.
-
-    Tracks a boolean used-mask of one chip; :meth:`allocate` reserves
-    the first (row-major) window whose guard-band inflation touches no
-    reserved pixel and returns a :class:`RegionLease`, or None when
-    nothing fits.  Deterministic by construction: no randomness, the
-    same allocate/release sequence always yields the same leases.
-    """
-
-    def __init__(self, rows, cols, guard=2, chip_id=0):
-        if rows < 1 or cols < 1:
-            raise ValueError(f"array must be >= 1x1, got {rows}x{cols}")
-        if guard < 0:
-            raise ValueError(f"guard must be >= 0, got {guard}")
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.guard = int(guard)
-        self.chip_id = chip_id
-        self._used = np.zeros((self.rows, self.cols), dtype=bool)
-        self._live: dict = {}  # lease -> inflated (r0, c0, r1, c1)
-
-    def _inflated(self, r0, c0, rows, cols) -> tuple:
-        g = self.guard
-        return (
-            max(0, r0 - g),
-            max(0, c0 - g),
-            min(self.rows, r0 + rows + g),
-            min(self.cols, c0 + cols + g),
-        )
-
-    def allocate(self, rows, cols) -> RegionLease | None:
-        """The first free ``rows x cols`` window, guard-band inflated;
-        None when no such window exists."""
-        if rows < 1 or cols < 1:
-            raise ValueError(f"window must be >= 1x1, got {rows}x{cols}")
-        if rows > self.rows or cols > self.cols:
-            return None
-        for r0 in range(self.rows - rows + 1):
-            for c0 in range(self.cols - cols + 1):
-                a, b, c, d = self._inflated(r0, c0, rows, cols)
-                if not self._used[a:c, b:d].any():
-                    self._used[a:c, b:d] = True
-                    lease = RegionLease(
-                        chip_id=self.chip_id, origin=(r0, c0),
-                        rows=rows, cols=cols, guard=self.guard,
-                    )
-                    self._live[lease] = (a, b, c, d)
-                    return lease
-        return None
-
-    def release(self, lease: RegionLease):
-        """Return ``lease``'s window (guard band included) to the pool."""
-        try:
-            a, b, c, d = self._live.pop(lease)
-        except KeyError:
-            raise ValueError(
-                f"lease {lease} is not live on chip {self.chip_id}"
-            ) from None
-        self._used[a:c, b:d] = False
-
-    @property
-    def live_leases(self) -> list:
-        return list(self._live)
-
-    @property
-    def free_cells(self) -> int:
-        """Unreserved pixels (guard bands count as reserved)."""
-        return int((~self._used).sum())
-
-
 #: Policy names accepted by :class:`ServiceConfig`.
 POLICIES = {
     "round-robin": RoundRobinPolicy,
@@ -310,16 +206,17 @@ class Fleet:
 
     @classmethod
     def spawn(cls, template_backend, n_chips, registry=None,
-              cache_capacity=None) -> "Fleet":
-        """``n_chips`` fresh backends spawned from ``template_backend``,
-        each wrapped in its own session and program cache."""
+              cache_capacity=None, **chip_options) -> "Fleet":
+        """``n_chips`` fresh chips spawned from ``template_backend``,
+        each with its own session and program cache; ``chip_options``
+        (fault ``plan``, ``quarantine_after``) go to every
+        :class:`ChipWorker`."""
         if n_chips < 1:
             raise ValueError(f"n_chips must be >= 1, got {n_chips}")
         return cls(
             ChipWorker(
-                chip_id=i,
-                session=Session(template_backend.spawn(), registry=registry),
-                cache=ProgramCache(capacity=cache_capacity),
+                i, template_backend, registry=registry,
+                cache_capacity=cache_capacity, **chip_options,
             )
             for i in range(n_chips)
         )

@@ -7,9 +7,10 @@ them (bounded queue, reject or shed-lowest-priority policies), orders
 the queue by priority, dispatches each job to a chip through the
 configured policy, reuses cached compiled programs, and meters
 everything through :class:`~repro.service.telemetry.Telemetry`.
-Admission, the attempt body and settlement are the serving core's
+Admission, the attempt body, each chip's lifecycle, the lease-group
+runner and settlement are the serving core's
 (:mod:`repro.service.core`); this module owns placement, retry
-readiness and the fleet's chip health.
+readiness and acting on chip quarantine.
 
 The service is synchronous: chips are simulated, so "waiting" on a
 handle drives the drain loop instead of blocking a thread.  Time is
@@ -38,20 +39,8 @@ from dataclasses import dataclass
 
 from ..core.backend import DryRunBackend
 from ..core.errors import ServiceError
-from ..core.session import Session
-from ..faults import FaultInjector
-from ..observability import tracing
 from .concurrent.syncbridge import FleetClock
-from .core import (
-    CoreConfig,
-    LeaseWindows,
-    ServingCore,
-    add_counts,
-    can_lease,
-    chip_backend,
-    group_cost,
-    run_attempt,
-)
+from .core import CoreConfig, LeaseWindows, ServingCore, add_counts, can_lease
 from .fleet import ChipHealth, Fleet, make_policy
 from .jobs import JobHandle, JobResult, JobState
 
@@ -99,6 +88,8 @@ class ExecutionService(ServingCore):
             self.config.n_chips,
             registry=registry,
             cache_capacity=self.config.cache_capacity,
+            plan=self._fault_plan,
+            quarantine_after=self.config.quarantine_after,
         )
         # Every *fleet-global* time read goes through this clock (see
         # the audit note on `now`); defaults to fleet virtual time.
@@ -108,21 +99,6 @@ class ExecutionService(ServingCore):
         # Terminal results of co-tenants that finished alongside another
         # job's dispatch; later step() calls return them one at a time.
         self._extra_results = deque()
-        # Injectors wrap each chip's backend per the fault plan;
-        # counters from restarted (discarded) injectors are accumulated
-        # in _retired_faults so telemetry never loses them.
-        self._retired_faults = {}
-        if self._fault_plan is not None:
-            for worker in self.fleet.workers:
-                self._wrap_chip(worker, worker.session.backend)
-
-    def _wrap_chip(self, worker, backend):
-        """Serve ``worker``'s chip from ``backend``, behind its fault
-        injector when a plan is active."""
-        backend, __ = chip_backend(
-            backend, self._fault_plan, worker.chip_id, (worker.restarts,)
-        )
-        worker.session = Session(backend, registry=self.registry)
 
     def _make_handle(self, job):
         return JobHandle(job=job, _service=self)
@@ -295,8 +271,8 @@ class ExecutionService(ServingCore):
         """Bench a chip: no new dispatches until it is restarted.
 
         ``error`` is the :class:`JobError` that tripped the streak (when
-        quarantine came from :meth:`_account_chip_health`); its span ids
-        make the log line greppable back to the span tree in the trace.
+        quarantine came from :meth:`_close_attempt`); its span ids make
+        the log line greppable back to the span tree in the trace.
         """
         worker = self.fleet.worker(chip_id)
         if worker.health is ChipHealth.QUARANTINED:
@@ -338,16 +314,10 @@ class ExecutionService(ServingCore):
         cooldown = self.config.restart_cooldown
         if worker.quarantined_at is not None and cooldown is not None:
             online_at = max(online_at, worker.quarantined_at + cooldown)
-        old_backend = worker.session.backend
-        if isinstance(old_backend, FaultInjector):
-            add_counts(self._retired_faults, old_backend.counters)
-        worker.cache.clear()
-        worker.restarts += 1
-        self._wrap_chip(worker, self._template.spawn())
+        worker.restart()
         if online_at > 0.0:
             worker.session.backend.incubate(online_at)
         worker.health = ChipHealth.HEALTHY
-        worker.consecutive_failures = 0
         worker.quarantined_at = None
         self.telemetry.count("restarted")
         log.info(
@@ -355,24 +325,14 @@ class ExecutionService(ServingCore):
             chip_id, worker.restarts, online_at,
         )
 
-    def _account_chip_health(self, worker, error):
-        """Update a chip's failure streak from one attempt's outcome.
-
-        Only chip-attributable (retryable) errors count toward the
-        streak: a PERMANENT error is the job's own fault and says
-        nothing about the chip.
-        """
-        if error is None:
-            worker.consecutive_failures = 0
-            return
-        if not error.retryable:
-            return
-        worker.consecutive_failures += 1
-        threshold = self.config.quarantine_after
-        if (threshold is not None
-                and worker.health is ChipHealth.HEALTHY
-                and worker.consecutive_failures >= threshold):
-            self.quarantine_chip(worker.chip_id, error=error)
+    def _close_attempt(self, job, worker, attempt) -> JobResult | None:
+        """Account ``attempt`` of ``job`` to ``worker`` -- its failure
+        streak may bench the chip -- then settle it."""
+        worker.jobs_done += 1
+        if (worker.record(attempt.error)
+                and worker.health is ChipHealth.HEALTHY):
+            self.quarantine_chip(worker.chip_id, error=attempt.error)
+        return self._settle(job, worker.chip_id, attempt, worker.elapsed)
 
     # -- dispatch -----------------------------------------------------------
 
@@ -418,31 +378,13 @@ class ExecutionService(ServingCore):
                 return self._dispatch_leased(
                     job, worker, windows, *fit, started_at
                 )
-        routing_before = getattr(
-            worker.session.backend, "routing_totals", None
-        )
         # The attempt span runs on the WORKER's chip clock (per-attempt
-        # chip seconds), while the job root span runs on the fleet
-        # clock; the span is parented explicitly because the root span
-        # is never made ambient (submit returns before any chip runs).
-        attempt = run_attempt(
-            job, worker.chip_id, worker.session, worker.cache,
-            lambda: worker.elapsed, registry=self.registry,
-            parent=self._job_spans.get(job.job_id),
-            budget=self.config.job_timeout,
+        # chip seconds), while the job root span runs on the fleet clock.
+        attempt = worker.attempt(
+            job, lambda: worker.elapsed, budget=self.config.job_timeout
         )
-        if routing_before is not None:
-            # per-job planner cost = the chip's cumulative routing
-            # totals across the attempt (retries observe each attempt)
-            routing_after = worker.session.backend.routing_totals
-            self.telemetry.observe_routing({
-                key: routing_after[key] - routing_before[key]
-                for key in routing_after
-            })
-        worker.jobs_done += 1
         worker.busy_time += attempt.finished_at - attempt.started_at
-        self._account_chip_health(worker, attempt.error)
-        return self._settle(job, worker.chip_id, attempt, worker.elapsed)
+        return self._close_attempt(job, worker, attempt)
 
     # -- multi-tenant dispatch ----------------------------------------------
 
@@ -489,64 +431,27 @@ class ExecutionService(ServingCore):
         """Run ``lead`` plus any ready co-tenants in disjoint leased
         windows of ``worker``'s chip, frames merged.
 
-        Every tenant executes on its own region-clipped view, then the
-        group's chip time is charged ONCE (see
-        :func:`~repro.service.core.group_cost`).  Returns the lead's
-        terminal result (None when it re-queued for retry); co-tenant
-        results land in the extra-results buffer.
+        Every tenant executes on its own region-clipped view, on a
+        clock that starts with the group; the group's chip time is then
+        charged ONCE (see :meth:`~repro.service.core.ServedChip.lease_group`).
+        Returns the lead's terminal result (None when it re-queued for
+        retry); co-tenant results land in the extra-results buffer.
         """
         tenants = [(lead, lease, offset)]
         tenants += self._collect_tenants(worker, started_at, windows)
-        attempts = []
-        for job, tenant_lease, tenant_offset in tenants:
-            if job is not lead:
-                self._note_start(job, worker.chip_id)
-            self.telemetry.count("leased")
-            span = self._job_spans.get(job.job_id)
-            if span is not None:
-                span.add_event(
-                    "lease",
-                    chip=worker.chip_id,
-                    origin=tenant_lease.origin,
-                    rows=tenant_lease.rows,
-                    cols=tenant_lease.cols,
-                    guard=tenant_lease.guard,
-                )
-            attempts.append(self._run_tenant(
-                job, worker, tenant_lease, tenant_offset, started_at
-            ))
-            windows.allocator.release(tenant_lease)
-        group_time, ratio = group_cost(attempts)
+        for job, __, __ in tenants[1:]:
+            self._note_start(job, worker.chip_id)
+        attempts = worker.lease_group(
+            tenants, lambda view: lambda: started_at + view.elapsed,
+            budget=self.config.job_timeout,
+        )
+        group_time = attempts[0].group_time
         if group_time > 0.0:
             worker.session.backend.incubate(group_time)
         worker.busy_time += group_time
-        self.telemetry.observe_tenancy(len(tenants), ratio)
-        if len(tenants) > 1:
-            self.telemetry.count("merged", len(tenants))
         lead_outcome = None
         for (job, __, __), attempt in zip(tenants, attempts):
-            worker.jobs_done += 1
-            span = self._job_spans.get(job.job_id)
-            if span is not None:
-                span.add_event(
-                    "frame_merge",
-                    chip=worker.chip_id,
-                    tenants=len(tenants),
-                    ratio=ratio,
-                    group_time=group_time,
-                )
-            error = attempt.error
-            self._account_chip_health(worker, error)
-            if error is not None and error.retryable:
-                # A fault (or timeout) inside one lease evicts only that
-                # tenant -- the rest of the group keeps its results.
-                self.telemetry.count("evicted")
-                if span is not None:
-                    span.add_event(
-                        "evict", chip=worker.chip_id, error=error.kind.value
-                    )
-            resolved = self._settle(job, worker.chip_id, attempt,
-                                    worker.elapsed)
+            resolved = self._close_attempt(job, worker, attempt)
             if resolved is None:
                 continue
             if job is lead:
@@ -555,44 +460,13 @@ class ExecutionService(ServingCore):
                 self._extra_results.append(resolved)
         return lead_outcome
 
-    def _run_tenant(self, job, worker, lease, offset, started_at):
-        """One attempt of ``job`` inside its leased window.
-
-        The tenant runs on a fresh region-clipped view of the chip
-        template (the worker's die faults re-attached, seeded per
-        tenant), so co-tenants stay isolated while the caller charges
-        the group's merged chip time once.
-        """
-        view, injector = chip_backend(
-            self._template.spawn(), self._fault_plan, worker.chip_id,
-            (worker.restarts, job.job_id), lease, offset,
-        )
-        attempt = run_attempt(
-            job, worker.chip_id, Session(view, registry=self.registry),
-            worker.cache, lambda: started_at + view.elapsed,
-            registry=self.registry, parent=self._job_spans.get(job.job_id),
-            lease=lease, budget=self.config.job_timeout,
-        )
-        attempt.program_time, attempt.frames = view.program_time, view.frames
-        totals = getattr(view, "routing_totals", None)
-        if totals is not None:
-            # the view is fresh, so its totals ARE the attempt's delta
-            self.telemetry.observe_routing(totals)
-        if injector is not None:
-            # the tenant view's injector dies with the view; bank its
-            # counters like any other retired injector's
-            add_counts(self._retired_faults, injector.counters)
-        return attempt
-
     # -- observability ------------------------------------------------------
 
     def fault_counters(self) -> dict:
         """Faults injected fleet-wide, including restarted injectors."""
-        totals = dict(self._retired_faults)
+        totals = {}
         for worker in self.fleet.workers:
-            backend = worker.session.backend
-            if isinstance(backend, FaultInjector):
-                add_counts(totals, backend.counters)
+            add_counts(totals, worker.fault_counters())
         return totals
 
     def snapshot(self) -> dict:

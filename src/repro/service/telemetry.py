@@ -255,15 +255,9 @@ class Telemetry:
                     w.chip_id: w.jobs_done for w in fleet.workers
                 },
                 "health": {
-                    w.chip_id: getattr(
-                        getattr(w, "health", None), "value", "healthy"
-                    )
-                    for w in fleet.workers
+                    w.chip_id: w.health.value for w in fleet.workers
                 },
-                "restarts": {
-                    w.chip_id: getattr(w, "restarts", 0)
-                    for w in fleet.workers
-                },
+                "restarts": {w.chip_id: w.restarts for w in fleet.workers},
             }
         return snap
 

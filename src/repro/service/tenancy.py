@@ -3,9 +3,11 @@
 The paper's device is one active array where a single frame reprogram
 actuates *every* cage simultaneously -- yet exclusive serving grants each
 job the whole chip, idling ~99.9% of the pixels for a protocol that
-touches 30 cages.  This module provides the two primitives the
+touches 30 cages.  This module provides the primitives the
 multi-tenant mode is built from:
 
+* :class:`RegionLeaseAllocator` -- first-fit, guard-banded
+  :class:`RegionLease` windows of one chip;
 * :func:`protocol_footprint` -- the static bounding box of every site a
   protocol addresses, so the scheduler knows how small a window the job
   can live in;
@@ -37,6 +39,8 @@ each merged frame (1.0 = no merging, k = perfect k-way merge).
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..array.addressing import RowColumnAddresser
 from ..core.backend import Backend
@@ -214,3 +218,97 @@ class LeasedBackend(Backend):
 
     def release(self, cage_id):
         return self.inner.release(cage_id)
+
+
+@dataclass(frozen=True)
+class RegionLease:
+    """A tenant's rectangular window of one chip.
+
+    ``origin``/``rows``/``cols`` describe the *interior* the tenant may
+    address; the allocator additionally reserved a ``guard``-wide band
+    around it (clipped at the array border) so two tenants' cages can
+    never violate the routing separation across a lease boundary.
+    """
+
+    chip_id: int
+    origin: tuple
+    rows: int
+    cols: int
+    guard: int
+
+    @property
+    def window(self) -> tuple:
+        """Interior as ``(row0, col0, row1, col1)`` (half-open)."""
+        r0, c0 = self.origin
+        return (r0, c0, r0 + self.rows, c0 + self.cols)
+
+
+class RegionLeaseAllocator:
+    """First-fit rectangle allocator for disjoint chip windows.
+
+    Tracks a boolean used-mask of one chip; :meth:`allocate` reserves
+    the first (row-major) window whose guard-band inflation touches no
+    reserved pixel and returns a :class:`RegionLease`, or None when
+    nothing fits.  Deterministic by construction: no randomness, the
+    same allocate/release sequence always yields the same leases.
+    """
+
+    def __init__(self, rows, cols, guard=2, chip_id=0):
+        if rows < 1 or cols < 1:
+            raise ValueError(f"array must be >= 1x1, got {rows}x{cols}")
+        if guard < 0:
+            raise ValueError(f"guard must be >= 0, got {guard}")
+        self.rows = int(rows)
+        self.cols = int(cols)
+        self.guard = int(guard)
+        self.chip_id = chip_id
+        self._used = np.zeros((self.rows, self.cols), dtype=bool)
+        self._live: dict = {}  # lease -> inflated (r0, c0, r1, c1)
+
+    def _inflated(self, r0, c0, rows, cols) -> tuple:
+        g = self.guard
+        return (
+            max(0, r0 - g),
+            max(0, c0 - g),
+            min(self.rows, r0 + rows + g),
+            min(self.cols, c0 + cols + g),
+        )
+
+    def allocate(self, rows, cols) -> RegionLease | None:
+        """The first free ``rows x cols`` window, guard-band inflated;
+        None when no such window exists."""
+        if rows < 1 or cols < 1:
+            raise ValueError(f"window must be >= 1x1, got {rows}x{cols}")
+        if rows > self.rows or cols > self.cols:
+            return None
+        for r0 in range(self.rows - rows + 1):
+            for c0 in range(self.cols - cols + 1):
+                a, b, c, d = self._inflated(r0, c0, rows, cols)
+                if not self._used[a:c, b:d].any():
+                    self._used[a:c, b:d] = True
+                    lease = RegionLease(
+                        chip_id=self.chip_id, origin=(r0, c0),
+                        rows=rows, cols=cols, guard=self.guard,
+                    )
+                    self._live[lease] = (a, b, c, d)
+                    return lease
+        return None
+
+    def release(self, lease: RegionLease):
+        """Return ``lease``'s window (guard band included) to the pool."""
+        try:
+            a, b, c, d = self._live.pop(lease)
+        except KeyError:
+            raise ValueError(
+                f"lease {lease} is not live on chip {self.chip_id}"
+            ) from None
+        self._used[a:c, b:d] = False
+
+    @property
+    def live_leases(self) -> list:
+        return list(self._live)
+
+    @property
+    def free_cells(self) -> int:
+        """Unreserved pixels (guard bands count as reserved)."""
+        return int((~self._used).sum())

@@ -91,7 +91,7 @@ def random_assay(
             pre_sense = graph.predecessors(sense_id)
             graph.add(incubate, after=pre_sense)
             # re-point: sense additionally depends on incubation
-            graph._graph.add_edge(incubate.op_id, sense_id)
+            graph.add_dependency(sense_id, incubate.op_id)
     # optional merges between adjacent chains
     for i in range(0, n_chains - 1, 2):
         if rng.random() < merge_fraction:

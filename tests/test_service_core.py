@@ -22,6 +22,7 @@ from repro import (
 )
 from repro.core.backend import DryRunBackend
 from repro.faults import FaultModel, FleetFaultPlan
+from repro.observability import tracing
 
 GRID = Biochip.small_chip().grid
 SHAPE = (GRID.rows, GRID.cols)
@@ -61,13 +62,14 @@ def broken_sense(monkeypatch):
     return sensed
 
 
-def serve(tier, leased, protocols):
-    """Serve ``protocols`` on one chip; returns (results, counters)."""
+def serve(tier, leased, protocols, faults=None):
+    """Serve ``protocols`` on one chip, under the fault plan ``faults``
+    if given; returns (results, counters)."""
     tenants = 4 if leased else 1
     if tier == "virtual":
         service = ExecutionService.dry_run(
             ServiceConfig(n_chips=1, max_tenants=tenants, max_retries=3),
-            grid=GRID,
+            faults=faults, grid=GRID,
         )
         handles = service.submit_many(protocols)
         service.drain()
@@ -76,7 +78,8 @@ def serve(tier, leased, protocols):
         n_workers=1, max_tenants=tenants, max_retries=3,
         time_scale=0.01 if leased else None, poll_interval=0.005,
     )
-    with ConcurrentExecutionService.dry_run(config, grid=GRID) as service:
+    with ConcurrentExecutionService.dry_run(
+            config, faults=faults, grid=GRID) as service:
         if leased:
             # Hold the worker on a paced job until the whole group sits
             # in its lane, so the group is pulled (and leased) at once.
@@ -109,6 +112,99 @@ def test_unexpected_exception_fails_once_and_sweeps(tier, leased,
     if leased:
         assert counters["leased"] >= len(protocols)
         assert [r.state for r in results[1:]] == [JobState.DONE] * 3
+
+
+@pytest.mark.parametrize("tier", ["virtual", "thread"])
+def test_faulted_tenant_is_evicted_and_traced(tier):
+    """Lease-group meters and span events settle in the core, so both
+    tiers count the eviction and put lease, frame merge and evict on
+    the job spans."""
+    faulty = (Protocol("faulty").trap("p", (2, 2)).move("p", (2, 10))
+              .move("p", (2, 6)).release("p"))
+    protocols = [faulty] + [tiny_protocol(f"co{i}") for i in range(3)]
+    # Each tenant view rolls its own fault stream from op 0: only the
+    # faulty tenant runs a third rolling operation (its second move).
+    faults = FleetFaultPlan(
+        models={0: FaultModel(shape=SHAPE, transient_ops={2})}
+    )
+    with tracing.capture() as tracer:
+        results, counters = serve(tier, True, protocols, faults=faults)
+    assert counters["evicted"] >= 1
+    assert [r.state for r in results[1:]] == [JobState.DONE] * 3
+    events = {
+        span["attributes"]["protocol"]: {e["name"] for e in span["events"]}
+        for span in tracer.finished_spans if span["name"] == "job"
+    }
+    assert {"lease", "frame_merge", "evict"} <= events["faulty"]
+    for i in range(3):
+        assert {"lease", "frame_merge"} <= events[f"co{i}"]
+        assert "evict" not in events[f"co{i}"]
+
+
+def test_thread_tier_meters_batch_routing():
+    routed = (
+        Protocol("routed")
+        .trap("a", (2, 2))
+        .trap("b", (2, 8))
+        .move_many({"a": (8, 2), "b": (8, 8)})
+        .release("a")
+        .release("b")
+    )
+    with ConcurrentExecutionService.simulator(
+            ConcurrentConfig(n_workers=1, poll_interval=0.005)) as service:
+        assert service.submit(routed).result(timeout=60.0).ok
+        assert service.snapshot()["routing"]["plans"] >= 1
+        assert "batch routing" in service.report()
+
+
+@pytest.mark.parametrize("leased", [False, True], ids=["exclusive", "leased"])
+@pytest.mark.parametrize("tier", ["virtual", "thread"])
+def test_fault_totals_survive_a_chip_restart(tier, leased):
+    """Chip 0 faults every operation but its first (on the thread tier
+    that one trap lets a blocker hold the worker while the lease group
+    gathers).  Counters of a retired chip incarnation and of its
+    discarded tenant views are banked, so a restart keeps the total."""
+    faults = FleetFaultPlan(
+        models={0: FaultModel(shape=SHAPE, transient_ops=range(1, 64))}
+    )
+    tenants = 4 if leased else 1
+    protocols = [tiny_protocol(f"j{i}") for i in range(tenants)]
+    if tier == "virtual":
+        service = ExecutionService.dry_run(
+            ServiceConfig(
+                n_chips=1, max_tenants=tenants, max_retries=0,
+                quarantine_after=1, restart_cooldown=None,
+            ),
+            faults=faults, grid=GRID,
+        )
+        service.submit_many(protocols)
+        service.drain()
+        before = service.fault_counters()["transient"]
+        service.restart_chip(0)
+        after = service.fault_counters()["transient"]
+    else:
+        config = ConcurrentConfig(
+            n_workers=1, max_tenants=tenants, max_retries=0,
+            quarantine_after=1, restart_cooldown=None,
+            time_scale=0.01 if leased else None, poll_interval=0.005,
+        )
+        with ConcurrentExecutionService.dry_run(
+                config, faults=faults, grid=GRID) as service:
+            if leased:
+                blocker = service.submit(blocker_protocol())
+                wait_for(lambda: blocker.state is not JobState.QUEUED)
+            service.submit_many(protocols)
+            service.drain(timeout=60.0)
+            def counted(name):
+                return service.snapshot()["counters"][name] == 1
+
+            wait_for(lambda: counted("quarantined"))
+            before = service.fault_counters()["transient"]
+            service.restart_worker(0)
+            wait_for(lambda: counted("restarted"))
+            after = service.fault_counters()["transient"]
+    assert before >= len(protocols)
+    assert after == before
 
 
 def retrying_thread_service(admission):
