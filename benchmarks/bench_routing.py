@@ -10,8 +10,9 @@ Two layers:
   sample is small because the reference needs ~1.5 s *per cage* there,
   which is precisely why the wavefront engine exists.  Results are
   reported as planner cages/s, us/cage, and routed-frames/s
-  (plan + execute through :meth:`CageManager.step_arrays`), and
-  persisted under the ``routing`` key of ``BENCH_array.json``.
+  (plan + execute the whole plan through
+  :meth:`CageManager.run_plan`), and persisted under the ``routing``
+  key of ``BENCH_array.json``.
 
 * Experiment X1 (batch planner vs the uncoordinated greedy baseline)
   stays as the behavioural comparison: completion rate and makespan on
@@ -78,8 +79,8 @@ def shift_workload(grid, n_cages, shift=(8, 8), separation=2, seed=0):
 
 
 def _plan_and_step(router, grid, requests):
-    """Plan with ``router`` and execute every frame through the cage
-    manager's array path; returns the metrics dict."""
+    """Plan with ``router`` and execute the plan on a cage manager in
+    one validated pass; returns the metrics dict."""
     started = time.perf_counter()
     plan = router.plan(requests)
     plan_seconds = time.perf_counter() - started
@@ -88,9 +89,7 @@ def _plan_and_step(router, grid, requests):
     for request in requests:  # cage ids are 0..n-1 in request order
         manager.create(request.start)
     started = time.perf_counter()
-    for step in range(plan.makespan):
-        ids, deltas = plan.moves_arrays_at(step)
-        manager.step_arrays(ids, deltas)
+    manager.run_plan(plan.cage_ids, plan.deltas)
     step_seconds = time.perf_counter() - started
 
     n = len(requests)

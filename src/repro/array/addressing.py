@@ -70,7 +70,6 @@ class RowColumnAddresser:
 
     def row_write_cycles(self) -> int:
         """Clock cycles to write one full row of pixel memories."""
-        words = math.ceil(self.grid.cols * self.bits_per_pixel / (self.word_width * self.bits_per_pixel))
         # The bus carries word_width pixels worth of phase code per cycle.
         words = math.ceil(self.grid.cols / self.word_width)
         return words + self.row_overhead_cycles

@@ -16,7 +16,15 @@ Since the vectorization refactor the geometry bookkeeping lives in a
 :class:`~repro.array.state.ArrayState` (numpy occupancy + cage-id
 grids): a frame step validates only the movers' dirty neighbourhoods
 with gather-indexed array ops, so stepping K cages out of the paper's
-tens of thousands costs O(K), not O(population).  The original dict
+tens of thousands costs O(K), not O(population).
+
+A whole multi-frame plan executes through :meth:`CageManager.run_plan`:
+one vectorised pass runs every frame's checks, commits the valid frames
+in one update and reports each frame's dirty rows (the rows the
+addressing layer rewrites) without building any
+:class:`~repro.array.patterns.ArrayFrame`.  :meth:`CageManager.step`
+and :meth:`CageManager.step_arrays` remain the one-frame entry points
+and the reference the plan executor must match.  The original dict
 implementation survives as
 :class:`~repro.array.legacy.LegacyCageManager` for the equivalence
 suite and the before/after benchmark.
@@ -25,6 +33,7 @@ suite and the before/after benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -32,6 +41,38 @@ import numpy as np
 from .grid import ElectrodeGrid
 from .patterns import ArrayFrame
 from .state import NO_CAGE, ArrayState, separation_offsets
+
+
+#: Plans of at most this many single-cage moves run frame by frame
+#: through :meth:`CageManager.step`: for a couple of cages over a few
+#: frames the whole-plan pass's fixed numpy cost exceeds the per-frame
+#: scalar steps it replaces.
+SMALL_PLAN_MOVES = 24
+
+#: Scratch bounds of one chunk of the whole-plan pass: the padded uint8
+#: cage-count canvas (one plane per frame, at least two planes) and the
+#: dense (cages, frames) site arrays.  Long plans on large arrays run
+#: in several chunks.
+CHUNK_CANVAS_BYTES = 1 << 20
+CHUNK_CAGE_FRAMES = 1 << 15
+
+
+def _either(flags):
+    """``flags.any(axis=-1)`` for a contiguous bool (..., 2) array, read
+    as one uint16 per pair: numpy reduces a length-2 axis slowly."""
+    return flags.view(np.uint16)[..., 0] != 0
+
+
+@lru_cache(maxsize=None)
+def _window_offsets(radius, width):
+    """Flat offsets of a Chebyshev-``radius`` window, centre included,
+    on a canvas rows ``width`` wide."""
+    return np.array(
+        [dr * width + dc
+         for dr in range(-radius, radius + 1)
+         for dc in range(-radius, radius + 1)],
+        dtype=np.int64,
+    )
 
 
 class CageError(Exception):
@@ -241,10 +282,11 @@ class CageManager:
     def step_arrays(self, ids, deltas):
         """Array-native :meth:`step`: movers as ``(ids, deltas)`` arrays.
 
-        This is the zero-conversion execution path for array-backed
-        routing plans (:meth:`BatchPlan.moves_arrays_at
+        One frame of an array-backed routing plan
+        (:meth:`BatchPlan.moves_arrays_at
         <repro.routing.multi.BatchPlan.moves_arrays_at>` emits exactly
-        this shape): ``ids`` int (movers,), ``deltas`` int (movers, 2).
+        this shape): ``ids`` int (movers,), ``deltas`` int (movers, 2);
+        whole plans execute through :meth:`run_plan`.
         ``ids`` must be unique -- plans guarantee it, and the dict form
         of :meth:`step` cannot even express a duplicate.  Validation,
         error priorities, and atomicity match :meth:`step` exactly.
@@ -260,6 +302,194 @@ class CageManager:
             }
             return self._step_scalar(moves)
         return self._step_vector(ids, deltas)
+
+    def run_plan(self, ids, deltas):
+        """Execute a multi-frame plan; returns each frame's dirty rows.
+
+        Parameters
+        ----------
+        ids:
+            Unique cage ids, int (cages,).
+        deltas:
+            int (cages, frames, 2): frame ``t`` steps cage ``ids[i]`` by
+            ``deltas[i, t]``, a zero delta being a wait -- the shape of
+            :attr:`BatchPlan.deltas
+            <repro.routing.multi.BatchPlan.deltas>`.
+
+        Frame ``t`` is exactly :meth:`step_arrays` over that frame's
+        non-waiting cages (frames without movers are skipped): the same
+        checks, errors and atomicity.  When a frame fails, the frames
+        before it stay committed and the failing frame's error
+        propagates, so the state is the one a per-frame loop leaves.
+
+        Returns one int per frame: how many array rows change phase,
+        i.e. ``len(new_frame.dirty_rows(old_frame))`` -- the rows an
+        incremental reprogram rewrites -- without building any frame.
+
+        One vectorised pass checks a chunk of frames at a time against
+        every cage, plan and non-plan, and commits the valid frames in
+        one update; a flagged frame is re-run through :meth:`step`
+        (the same validation as :meth:`step_arrays`), which raises its
+        exact error.  Plans of at most :data:`SMALL_PLAN_MOVES` moves
+        run frame by frame through :meth:`step` directly.
+        """
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        deltas = np.asarray(deltas, dtype=np.int64)
+        if deltas.ndim != 3 or deltas.shape[0] != ids.size or deltas.shape[2] != 2:
+            raise ValueError(
+                f"deltas must be (cages, frames, 2) for {ids.size} cages, "
+                f"got {deltas.shape}"
+            )
+        moving = _either(deltas != 0)
+        frames = deltas.shape[1]
+        if np.count_nonzero(moving) <= SMALL_PLAN_MOVES:
+            by_frame = [{} for __ in range(frames)]
+            frame, cage = np.nonzero(moving.T)
+            for t, cage_id, step in zip(
+                frame.tolist(), ids[cage].tolist(),
+                deltas[cage, frame].tolist(),
+            ):
+                by_frame[t][cage_id] = step
+            return [self._step_dirty(moves) for moves in by_frame]
+
+        state = self._state
+        rows, cols = self.grid.rows, self.grid.cols
+        # Sites are flat indices on a canvas padded by the separation
+        # window and by at least one ring: a one-electrode step off the
+        # array lands on the ring instead of wrapping to the next row.
+        pad = max(self.min_separation - 1, 1)
+        width = cols + 2 * pad
+        plane = (rows + 2 * pad) * width
+        alive = state.alive_mask(ids)
+        live = ids[alive]
+        # A frame that moves an unknown cage or steps further than one
+        # electrode fails whatever the geometry.
+        failing = (moving & ~alive[:, None]).any(axis=0) | _either(
+            np.abs(deltas) > 1
+        ).any(axis=0)
+        # No mover may end on the ring or on a dead electrode.
+        forbidden = np.ones((rows + 2 * pad, width), dtype=bool)
+        forbidden[pad : pad + rows, pad : pad + cols] = state.dead
+        # Cages outside the plan hold still: one padded occupancy plane.
+        static = None
+        if live.size < len(self._cages):
+            static = np.zeros((rows + 2 * pad, width), dtype=np.uint8)
+            static[pad : pad + rows, pad : pad + cols] = state.occupancy
+            live_r, live_c = state.sites_of(live)
+            static[live_r + pad, live_c + pad] = 0
+        live_deltas, live_moving = deltas[alive], moving[alive]
+        steps = live_deltas[..., 0] * width + live_deltas[..., 1]
+        chunk = max(1, min(CHUNK_CANVAS_BYTES // plane - 1,
+                           CHUNK_CAGE_FRAMES // max(1, live.size)))
+        dirty = [0] * frames
+        start = 0
+        while start < frames:
+            stop = min(frames, start + chunk)
+            counts = self._run_chunk(
+                live, steps[:, start:stop], live_moving[:, start:stop],
+                failing[start:stop], forbidden.reshape(-1), static, pad,
+            )
+            dirty[start : start + len(counts)] = counts
+            start += len(counts)
+            if start < stop:
+                # The pass flagged this frame: step raises its error,
+                # with every frame before it committed.
+                mask = moving[:, start]
+                dirty[start] = self._step_dirty(dict(zip(
+                    ids[mask].tolist(), deltas[mask, start].tolist()
+                )))
+                start += 1
+        return dirty
+
+    def _step_dirty(self, moves):
+        """:meth:`step` one frame; returns its dirty row count."""
+        if not moves:
+            return 0
+        self.step(moves)
+        site_r, site_c = self._state._site_r, self._state._site_c
+        dests = set()
+        origins = set()
+        for cage_id, (drow, dcol) in moves.items():
+            row, col = site_r.item(cage_id), site_c.item(cage_id)
+            dests.add((row, col))
+            origins.add((row - drow, col - dcol))
+        return len({row for row, __ in dests ^ origins})
+
+    def _run_chunk(self, ids, steps, moving, failing, forbidden, static, pad):
+        """Check a chunk of plan frames against the current state and
+        commit its valid prefix.
+
+        ``ids`` are the plan's live cages, ``steps`` their flat
+        per-frame steps and ``moving`` their non-wait mask, both
+        (cages, frames); ``failing`` flags the frames already known to
+        fail, ``forbidden`` the padded sites no mover may take and
+        ``static`` the padded occupancy of the cages outside the plan
+        (or None).  Returns the dirty row counts of the frames
+        committed, which stop before the first frame that fails.
+        """
+        state = self._state
+        rows, cols = self.grid.rows, self.grid.cols
+        width = cols + 2 * pad
+        plane = (rows + 2 * pad) * width
+        frames = moving.shape[1]
+        start_r, start_c = state.sites_of(ids)
+        start = (start_r + pad) * width + (start_c + pad)
+        # Sites after each frame.  Sites past a failing frame mean
+        # nothing; clipping only keeps them on the plane.
+        sites = np.cumsum(steps, axis=1)
+        sites += start[:, None]
+        np.maximum(sites, 0, out=sites)
+        np.minimum(sites, plane - 1, out=sites)
+        failing = failing | (forbidden[sites] & moving).any(axis=0)
+        # Cages per site, one plane per state: plane 0 before the chunk,
+        # plane t + 1 after frame t, and a tail so a window around any
+        # site of the last plane stays on the canvas.
+        radius = self.min_separation - 1
+        canvas = np.zeros((frames + 1) * plane + radius * (width + 1), np.uint8)
+        planes = canvas[: (frames + 1) * plane].reshape(frames + 1, -1, width)
+        post = sites + np.arange(plane, (frames + 1) * plane, plane)
+        # (a numpy uint8 increment: add.at casts a Python int slowly)
+        np.add.at(canvas, start, np.uint8(1))
+        np.add.at(canvas, post, np.uint8(1))
+        if static is not None:
+            planes += static
+        cage, frame = np.nonzero(moving)
+        dest = post[cage, frame]
+        # Every mover's window after its frame must hold exactly one
+        # cage, itself: this catches two movers claiming one site, a
+        # mover landing on a cage that stays, and any separation
+        # violation against the post-frame state of every cage.
+        window = canvas[dest[:, None] + _window_offsets(radius, width)]
+        failing[frame[window.sum(axis=1) != 1]] = True
+        if radius == 0:
+            # At separation 1 a swap leaves a legal post-state, but the
+            # two cages pass through each other mid-frame.  Two movers
+            # sharing an unordered (origin, destination) pair in one
+            # frame are exactly a swap.
+            dest = sites[cage, frame]
+            origin = dest - steps[cage, frame]
+            edges = np.sort(
+                (frame * plane + np.minimum(origin, dest)) * plane
+                + np.maximum(origin, dest)
+            )
+            failing[edges[1:][edges[1:] == edges[:-1]] // (plane * plane)] = True
+        good = int(np.argmax(failing)) if failing.any() else frames
+        if good == 0:
+            return []
+        # A frame's dirty rows are the rows whose occupancy it changes.
+        changed = np.flatnonzero(planes[1 : good + 1] != planes[:good]) // width
+        dirty_rows = np.zeros(good * planes.shape[1], dtype=bool)
+        dirty_rows[changed] = True
+        counts = np.bincount(
+            np.flatnonzero(dirty_rows) // planes.shape[1], minlength=good
+        )
+        end = sites[:, good - 1]
+        moved = end != start
+        end_r, end_c = np.divmod(end[moved], width)
+        state.move_cages(
+            start_r[moved], start_c[moved], end_r - pad, end_c - pad, ids[moved]
+        )
+        return counts.tolist()
 
     def _step_vector(self, ids, deltas):
         state = self._state
@@ -311,12 +541,14 @@ class CageManager:
             )
         # Collisions (b): a mover's destination holds a non-mover.  A
         # pre-state occupant that IS a mover is a legal chain (it vacates
-        # this frame) -- unless it swaps with us, handled below.
+        # this frame) -- unless it swaps with us, handled below.  The
+        # occupant is a mover exactly when the destination is some
+        # mover's origin; the lookup is O(movers), never sized by the
+        # id-indexed site table (which grows with every cage ever made).
         occupant = state.cage_ids[dest_r, dest_c]
         occupied = occupant != NO_CAGE
-        is_mover = np.zeros(state._site_r.size, dtype=bool)
-        is_mover[ids] = True
-        stationary_hit = occupied & ~is_mover[np.where(occupied, occupant, 0)]
+        source = state.origin_movers(orig_r, orig_c, dest_r, dest_c)
+        stationary_hit = occupied & (source < 0)
         if stationary_hit.any():
             index = int(np.argmax(stationary_hit))
             raise CageError(
@@ -326,15 +558,11 @@ class CageManager:
         # Swaps: mover m lands on mover o's origin while o lands on m's
         # origin -- the cages would pass through each other mid-frame,
         # which physically merges them.
-        chained = occupied & (occupant != ids)
+        chained = (source >= 0) & (source != np.arange(source.size))
         if chained.any():
-            dest_of_r = np.full(state._site_r.size, -1, dtype=np.int64)
-            dest_of_c = np.full(state._site_r.size, -1, dtype=np.int64)
-            dest_of_r[ids] = dest_r
-            dest_of_c[ids] = dest_c
-            others = occupant[chained]
-            swap = (dest_of_r[others] == orig_r[chained]) & (
-                dest_of_c[others] == orig_c[chained]
+            others = source[chained]
+            swap = (dest_r[others] == orig_r[chained]) & (
+                dest_c[others] == orig_c[chained]
             )
             if swap.any():
                 index = int(np.nonzero(chained)[0][np.argmax(swap)])

@@ -159,8 +159,10 @@ class ArrayState:
         # chips pay nothing per step.
         self.dead = np.zeros((grid.rows, grid.cols), dtype=bool)
         self.has_dead = False
-        # scratch buffer for post_move_conflict, reused across frames
+        # scratch buffers for post_move_conflict and origin_movers,
+        # allocated on first use and reused across frames
         self._conflict_canvas = None
+        self._index_canvas = None
 
     def set_dead_mask(self, mask):
         """Install a dead-electrode mask (bool, grid-shaped).
@@ -299,6 +301,25 @@ class ArrayState:
         self._site_c[ids] = dests_c
 
     # -- batch validation ------------------------------------------------
+
+    def origin_movers(self, origins_r, origins_c, dests_r, dests_c):
+        """For each destination, the index of the mover whose origin it
+        is, or -1.
+
+        Mover indices are written into a grid-shaped scratch buffer at
+        the origins, gathered at the destinations and wiped again: O(K)
+        work for K movers, whatever the cage ids.
+        """
+        canvas = self._index_canvas
+        if canvas is None:
+            canvas = self._index_canvas = np.full(
+                self.occupancy.shape, -1, dtype=np.int32
+            )
+        canvas[origins_r, origins_c] = np.arange(origins_r.size)
+        try:
+            return canvas[dests_r, dests_c]
+        finally:
+            canvas[origins_r, origins_c] = -1
 
     def post_move_conflict(self, origins_r, origins_c, dests_r, dests_c, separation):
         """First separation conflict in the post-move state, or None.

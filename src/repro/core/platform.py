@@ -446,15 +446,16 @@ class Biochip:
             path = astar_route(self.grid, cage.site, goal, obstacles)
         except RoutingError as exc:
             raise ExecutionError(str(exc)) from exc
-        previous_frame = self.cages.frame()
+        moves = path_moves(path)
+        dirty = self.cages.run_plan(
+            [cage_id], np.array(moves, dtype=np.int64).reshape(1, -1, 2)
+        )
+        row_time = self.addresser.row_write_time()
         total_time = 0.0
-        for delta in path_moves(path):
-            self.cages.step({cage_id: delta})
-            frame = self.cages.frame()
-            program = self.addresser.incremental_program_time(previous_frame, frame)
+        for delta, rows in zip(moves, dirty):
+            program = rows * row_time
             dwell = math.hypot(*delta) * self.grid.pitch / self.cage_speed
             total_time += program + dwell
-            previous_frame = frame
         self._log(
             "move",
             {"cage": cage_id, "from": path[0], "to": path[-1], "steps": len(path) - 1},
@@ -469,9 +470,11 @@ class Biochip:
         a conflict-free synchronous plan is computed for the whole group
         (:class:`~repro.routing.multi.WavefrontRouter`, with every
         stationary cage held as an obstacle), then each plan step is one
-        :meth:`CageManager.step_arrays` frame update -- K cages advance
-        per reprogram, straight from the plan's delta arrays, instead of
-        K independently routed moves.
+        frame update -- K cages advance per reprogram instead of K
+        independently routed moves.  The whole plan executes in one
+        validated pass (:meth:`CageManager.run_plan`), which returns
+        each frame's dirty rows; every frame is then charged its row
+        rewrites and its dwell in frame order.
 
         Parameters
         ----------
@@ -543,31 +546,26 @@ class Biochip:
         for key in ("fast_path_hits", "greedy_walk_hits", "frontier_steps",
                     "expansions", "replans"):
             totals[key] += plan.stats.get(key, 0)
-        previous_frame = self.cages.frame()
-        program_time = 0.0
-        dwell_time = 0.0
-        total_moves = 0
+        dirty = self.cages.run_plan(plan.cage_ids, plan.deltas)
+        row_time = self.addresser.row_write_time()
+        drow, dcol = plan.deltas[..., 0], plan.deltas[..., 1]
+        active = (drow | dcol).any(axis=0).tolist()
+        # frame dwell is set by the longest single-cage hop: pitch, or
+        # pitch*sqrt(2) if any mover goes diagonally
+        diagonal = (drow * dcol).any(axis=0).tolist()
         diagonal_dwell = math.sqrt(2.0) * self.grid.pitch / self.cage_speed
         straight_dwell = self.grid.pitch / self.cage_speed
+        program_time = 0.0
+        dwell_time = 0.0
         for step in range(plan.makespan):
-            ids, deltas = plan.moves_arrays_at(step)
-            if ids.size == 0:
+            if not active[step]:
                 continue
-            self.cages.step_arrays(ids, deltas)
-            frame = self.cages.frame()
-            program_time += self.addresser.incremental_program_time(
-                previous_frame, frame
-            )
-            # frame dwell is set by the longest single-cage hop: pitch,
-            # or pitch*sqrt(2) if any mover goes diagonally
-            any_diagonal = bool((deltas != 0).all(axis=1).any())
-            dwell_time += diagonal_dwell if any_diagonal else straight_dwell
-            total_moves += int(ids.size)
-            previous_frame = frame
+            program_time += dirty[step] * row_time
+            dwell_time += diagonal_dwell if diagonal[step] else straight_dwell
         report = {
             "cages": len(goals),
             "frames": plan.makespan,
-            "moves": total_moves,
+            "moves": plan.total_moves(),
             "program_time": program_time,
             "dwell_time": dwell_time,
             "plan_seconds": plan.stats.get("plan_seconds", 0.0),
@@ -699,25 +697,18 @@ class Biochip:
             )
         quarantine.rescans += 1
         cage_id = cage.cage_id
-        extra = 0.0
+        row_time = self.addresser.row_write_time()
         step_dwell = math.hypot(*delta) * self.grid.pitch / self.cage_speed
-        for move in (delta, (-delta[0], -delta[1])):
-            previous_frame = self.cages.frame()
-            if move is delta:
-                self.cages.step({cage_id: move})
-                extra += self.addresser.incremental_program_time(
-                    previous_frame, self.cages.frame()
-                ) + step_dwell
-                result = self._sense_reading(
-                    cage, n_samples,
-                    n_samples * self.readout.time_per_sample(self.addresser),
-                )
-                extra += result.duration
-            else:
-                self.cages.step({cage_id: move})
-                extra += self.addresser.incremental_program_time(
-                    previous_frame, self.cages.frame()
-                ) + step_dwell
+        # step over, read there, step back: two one-frame plans
+        (rows,) = self.cages.run_plan([cage_id], [[delta]])
+        extra = rows * row_time + step_dwell
+        result = self._sense_reading(
+            cage, n_samples,
+            n_samples * self.readout.time_per_sample(self.addresser),
+        )
+        extra += result.duration
+        (rows,) = self.cages.run_plan([cage_id], [[(-delta[0], -delta[1])]])
+        extra += rows * row_time + step_dwell
         result.rescanned = True
         return result, extra
 

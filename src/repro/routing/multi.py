@@ -118,6 +118,14 @@ class BatchPlan:
             }
         return self._paths
 
+    @property
+    def deltas(self):
+        """Per-frame steps, int32 (cages, makespan, 2); a zero row is a
+        wait.  :meth:`CageManager.run_plan
+        <repro.array.cages.CageManager.run_plan>` executes the whole plan
+        from this array and :attr:`cage_ids`."""
+        return self._deltas
+
     def moves_at(self, step) -> dict:
         """Move dict {cage_id: (drow, dcol)} for frame ``step`` (0-based)."""
         ids, deltas = self.moves_arrays_at(step)
@@ -130,9 +138,11 @@ class BatchPlan:
         """Vectorized movers of frame ``step``: (ids, deltas) arrays.
 
         ``ids`` is int64 (movers,), ``deltas`` int32 (movers, 2); waits
-        are already filtered out.  This is the zero-copy-ish path the
-        execution layer feeds straight to
-        :meth:`~repro.array.cages.CageManager.step_arrays`.
+        are already filtered out.  This is one frame in the shape
+        :meth:`~repro.array.cages.CageManager.step_arrays` takes; the
+        chip executes whole plans through
+        :meth:`~repro.array.cages.CageManager.run_plan` on
+        :attr:`deltas` instead.
         """
         if not 0 <= step < self.makespan:
             raise IndexError("step outside plan horizon")

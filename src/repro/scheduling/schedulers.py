@@ -9,6 +9,7 @@ head-to-head on makespan and utilisation.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .binder import Binder
@@ -112,39 +113,70 @@ class _ResourceState:
     occupancy stays below capacity for an entire operation duration --
     candidate starts are the ready time and every interval end after it
     (occupancy only decreases at interval ends).
+
+    The occupancy is kept as a step function, and the stretches where
+    it is at capacity as sorted, disjoint ``[start, end)`` runs.  A
+    candidate fits exactly when its window meets no run; when it meets
+    one, every candidate before that run's end fails too, and the run's
+    end is itself a candidate.  A query is therefore one bisection per
+    run it skips, not a scan over every interval per candidate.
     """
 
     def __init__(self, resource):
         self.resource = resource
-        self.intervals = []  # list of (start, end)
-
-    def _occupancy_below_capacity(self, start, end):
-        # count max overlap within [start, end): evaluate at candidate
-        # instants = start and every interval start inside the window.
-        probes = [start] + [
-            t0 for t0, __ in self.intervals if start < t0 < end
-        ]
-        for probe in probes:
-            count = sum(1 for t0, t1 in self.intervals if t0 <= probe < t1)
-            if count >= self.resource.capacity:
-                return False
-        return True
+        self._times = []  # step-function breakpoints, sorted
+        self._levels = []  # occupancy on [times[i], times[i + 1])
+        self._full_starts = []  # runs at capacity, sorted and disjoint
+        self._full_ends = []
 
     def earliest_slot(self, ready_time, duration):
         """Earliest start >= ready_time with capacity for ``duration``."""
         if duration <= 0.0:
             duration = 1e-12  # degenerate ops still occupy an instant
-        candidates = sorted(
-            {ready_time} | {end for __, end in self.intervals if end > ready_time}
-        )
-        for candidate in candidates:
-            if self._occupancy_below_capacity(candidate, candidate + duration):
+        candidate = ready_time
+        while True:
+            # the first run ending after the candidate is the only one
+            # its window can meet: at the candidate itself, or at a
+            # start inside the window (a tiny duration can round the
+            # window end back onto the candidate)
+            run = bisect_right(self._full_ends, candidate)
+            if run == len(self._full_ends):
                 return candidate
-        # all intervals end before the last candidate; that one must fit
-        return candidates[-1]
+            start = self._full_starts[run]
+            if start > candidate and start >= candidate + duration:
+                return candidate
+            candidate = self._full_ends[run]
 
     def commit(self, start, end):
-        self.intervals.append((start, end))
+        if end <= start:
+            return  # an empty interval never adds to the occupancy
+        first = self._breakpoint(start)
+        last = self._breakpoint(end)
+        levels = self._levels
+        for index in range(first, last):
+            levels[index] += 1
+            if levels[index] == self.resource.capacity:
+                self._mark_full(self._times[index], self._times[index + 1])
+
+    def _breakpoint(self, instant):
+        """Index of the step-function segment starting at ``instant``,
+        splitting the segment that holds it if needed."""
+        index = bisect_left(self._times, instant)
+        if index == len(self._times) or self._times[index] != instant:
+            self._times.insert(index, instant)
+            self._levels.insert(index, self._levels[index - 1] if index else 0)
+        return index
+
+    def _mark_full(self, start, end):
+        """Merge ``[start, end)`` into the runs at capacity."""
+        starts, ends = self._full_starts, self._full_ends
+        lo = bisect_left(ends, start)  # first run reaching start
+        hi = bisect_right(starts, end)  # past the last run starting by end
+        if lo < hi:
+            start = min(start, starts[lo])
+            end = max(end, ends[hi - 1])
+        starts[lo:hi] = [start]
+        ends[lo:hi] = [end]
 
 
 @dataclass

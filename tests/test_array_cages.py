@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.array import CageError, CageManager, ElectrodeGrid, tile_cages
+from repro.array.cages import DeadElectrodeError
 from repro.physics.constants import um
 
 
@@ -250,3 +251,272 @@ class TestSeparationInvariant:
             for i, a in enumerate(sites):
                 for b in sites[i + 1 :]:
                     assert max(abs(a[0] - b[0]), abs(a[1] - b[1])) >= 2
+
+
+# -- whole-plan execution ----------------------------------------------------
+
+
+def _per_frame(manager, ids, deltas):
+    """The reference for :meth:`CageManager.run_plan`: every frame through
+    ``step_arrays`` (frames without movers skipped), dirty rows by
+    diffing the frames before and after."""
+    import numpy as np
+
+    moving = (np.asarray(deltas) != 0).any(axis=2)
+    dirty = []
+    for t in range(moving.shape[1]):
+        mask = moving[:, t]
+        if not mask.any():
+            dirty.append(0)
+            continue
+        before = manager.frame()
+        manager.step_arrays(ids[mask], deltas[mask, t])
+        dirty.append(len(manager.frame().dirty_rows(before)))
+    return dirty
+
+
+def _outcome(run, manager, ids, deltas):
+    """(result or (error type, message), state arrays) of one run."""
+    try:
+        result = run(manager, ids, deltas)
+    except CageError as exc:
+        result = (type(exc), str(exc))
+    state = manager.state
+    arrays = (state.occupancy, state.cage_ids, state._site_r, state._site_c)
+    return result, [a.copy() for a in arrays]
+
+
+def _assert_same(build, ids, deltas):
+    """run_plan and the per-frame reference agree on error, state and
+    dirty rows, from two identically built managers."""
+    import numpy as np
+
+    got, got_state = _outcome(
+        lambda m, i, d: m.run_plan(i, d), build(), ids, deltas)
+    want, want_state = _outcome(_per_frame, build(), ids, deltas)
+    assert got == want
+    for a, b in zip(got_state, want_state):
+        np.testing.assert_array_equal(a, b)
+    return want
+
+
+def _random_case(seed, sep, dead, fault):
+    """A random manager recipe and a plan over it: valid frames built
+    by dropping movers until ``step_arrays`` accepts the frame, then
+    (with ``fault``) one frame broken in a chosen way."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(8, 21)), int(rng.integers(8, 21))
+    dead_mask = rng.random((rows, cols)) < 0.04 if dead else None
+    n_cages = int(rng.integers(6, 40))
+    attempts = [
+        (int(r), int(c))
+        for r, c in zip(rng.integers(0, rows, 300), rng.integers(0, cols, 300))
+    ]
+
+    def build():
+        manager = make_manager(rows, cols, sep)
+        if dead_mask is not None:
+            manager.set_dead_mask(dead_mask)
+        for site in attempts:
+            if len(manager) == n_cages:
+                break
+            try:
+                manager.create(site)
+            except CageError:
+                pass
+        return manager
+
+    sim = build()
+    all_ids = np.array([c.cage_id for c in sim.cages], dtype=np.int64)
+    # a few cages stay outside the plan: they must still block movers
+    ids = all_ids[rng.random(all_ids.size) < 0.85]
+    frames = int(rng.integers(2, 12))
+    deltas = np.zeros((ids.size, frames, 2), dtype=np.int64)
+    for t in range(frames):
+        step = rng.integers(-1, 2, size=(ids.size, 2))
+        step[rng.random(ids.size) < 0.3] = 0
+        # keep each move on the array and off dead electrodes, then drop
+        # movers until the frame's conflicts are gone
+        row, col = (a + s for a, s in zip(sim.state.sites_of(ids), step.T))
+        off = (row < 0) | (row >= rows) | (col < 0) | (col >= cols)
+        off |= sim.state.dead[row.clip(0, rows - 1), col.clip(0, cols - 1)]
+        step[off] = 0
+        while True:
+            mask = step.any(axis=1)
+            try:
+                sim.step_arrays(ids[mask], step[mask])
+                break
+            except CageError:
+                step[rng.choice(np.flatnonzero(mask))] = 0
+        deltas[:, t] = step
+    if fault is not None and ids.size:
+        t = int(rng.integers(frames))
+        cage = rng.integers(ids.size, size=int(rng.integers(1, 4)))
+        if fault == "oversize":
+            deltas[cage[0], t] = (0, 2)
+        elif fault == "unknown":
+            ids = np.append(ids, 10_000)
+            deltas = np.concatenate([deltas, np.zeros((1, frames, 2), np.int64)])
+            deltas[-1, t] = (1, 0)
+        else:  # a few cages step at random: collisions, swaps, bounds...
+            deltas[cage, t] = rng.integers(-1, 2, size=(cage.size, 2))
+    return build, ids, deltas
+
+
+class TestRunPlan:
+    """:meth:`CageManager.run_plan` is per-frame ``step_arrays`` plus
+    ``ArrayFrame.dirty_rows``: same errors, same state, same rows."""
+
+    @given(
+        seed=st.integers(0, 10**6),
+        sep=st.integers(1, 3),
+        dead=st.booleans(),
+        fault=st.sampled_from([None, None, "oversize", "unknown", "scramble"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_frame_step_arrays(self, seed, sep, dead, fault):
+        build, ids, deltas = _random_case(seed, sep, dead, fault)
+        _assert_same(build, ids, deltas)
+
+    def lattice(self, sep=2, rows=16, cols=24, dead=None, spacing=None):
+        """Factory of managers holding a 4x6 lattice of cages
+        ``spacing`` apart (default ``sep + 1``), ids in row-major order."""
+        spacing = spacing or sep + 1
+
+        def build():
+            manager = make_manager(rows, cols, sep)
+            if dead is not None:
+                manager.set_dead_mask(dead)
+            for r in range(4):
+                for c in range(6):
+                    manager.create((2 + r * spacing, 2 + c * spacing))
+            return manager
+
+        return build
+
+    def shift_plan(self, n_cages, frames, step=(0, 1)):
+        """Every cage steps by ``step`` in every frame."""
+        import numpy as np
+
+        deltas = np.zeros((n_cages, frames, 2), dtype=np.int64)
+        deltas[:, :] = step
+        return np.arange(n_cages), deltas
+
+    def test_valid_plan_commits_every_frame(self):
+        build = self.lattice()
+        ids, deltas = self.shift_plan(24, 3)
+        assert _assert_same(build, ids, deltas) == [4, 4, 4]
+        manager = build()
+        manager.run_plan(ids, deltas)
+        assert manager.cage(0).site == (2, 5)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("oversize", "step larger than one electrode"),
+        ("unknown", "no cage with id 999"),
+        ("bounds", "out of bounds"),
+        ("dead", "dead electrode"),
+        ("collide", "collide"),
+        ("separation", "separation violated"),
+    ])
+    def test_failing_frame_raises_step_arrays_error(self, fault, message):
+        """Every check fails frame 3 on the vectorised path, with the
+        error step_arrays raises and frames 0..2 committed."""
+        import numpy as np
+
+        dead = None
+        if fault == "dead":
+            dead = np.zeros((16, 24), dtype=bool)
+            dead[2, 21] = True  # cage 5 reaches it in frame 3
+        build = self.lattice(
+            dead=dead, cols=21 if fault == "bounds" else 24,
+            spacing=2 if fault == "collide" else None,
+        )
+        ids, deltas = self.shift_plan(24, 5)
+        if fault == "oversize":
+            deltas[7, 3] = (2, 0)
+        elif fault == "unknown":
+            ids = np.append(ids, 999)
+            deltas = np.concatenate([deltas, np.zeros_like(deltas[:1])])
+            deltas[24, 3] = (1, 0)
+        elif fault == "collide":
+            deltas[1, 3] = (0, -1)  # cages 0 and 1 meet between them
+        elif fault == "separation":
+            deltas[1, 3] = (0, -1)
+        assert np.count_nonzero(deltas.any(axis=2)) > 24  # vectorised path
+        result = _assert_same(build, ids, deltas)
+        assert result[0] in (CageError, DeadElectrodeError)
+        assert message in result[1]
+        manager = build()
+        with pytest.raises(CageError):
+            manager.run_plan(ids, deltas)
+        assert manager.cage(0).site[1] == 5
+
+    def test_swap_detected_at_separation_one(self):
+        build = self.lattice(sep=1, spacing=1)
+        ids, deltas = self.shift_plan(24, 4, step=(1, 0))
+        deltas[:2, 2] = [(0, 1), (0, -1)]  # cages 0 and 1 trade sites
+        result = _assert_same(build, ids, deltas)
+        assert result[0] is CageError and "swap" in result[1]
+
+    def test_bystanders_outside_the_plan_block_movers(self):
+        import numpy as np
+
+        build = self.lattice()
+        ids, deltas = self.shift_plan(18, 5, step=(0, 0))
+        deltas[12:18] = (1, 0)  # row 2 walks into row 3, outside the plan
+        assert np.count_nonzero(deltas.any(axis=2)) > 24  # vectorised path
+        result = _assert_same(build, ids, deltas)
+        assert "separation violated" in result[1]
+
+    def test_small_plan_runs_frame_by_frame(self):
+        import numpy as np
+
+        build = self.lattice()
+        __, deltas = self.shift_plan(2, 4)
+        ids = np.array([5, 11])  # the last column of rows 0 and 1
+        assert _assert_same(build, ids, deltas) == [2, 2, 2, 2]
+
+    def test_waiting_frames_cost_nothing(self):
+        build = self.lattice()
+        ids, deltas = self.shift_plan(24, 4)
+        deltas[:, 1] = 0
+        assert _assert_same(build, ids, deltas) == [4, 0, 4, 4]
+
+    def test_long_plan_spans_several_chunks(self):
+        """Frames beyond one chunk's canvas budget commit chunk by chunk."""
+        from repro.array.cages import CHUNK_CANVAS_BYTES
+
+        build = self.lattice(rows=160, cols=160)
+        frames = 60
+        assert frames * 162 * 162 > CHUNK_CANVAS_BYTES
+        ids, deltas = self.shift_plan(24, frames)
+        assert _assert_same(build, ids, deltas) == [4] * frames
+        deltas[:, 30:] = (1, 0)
+        deltas[4, 55:57] = (1, 1)  # cage 4 closes in on cage 5
+        result = _assert_same(build, ids, deltas)
+        assert "separation violated" in result[1]
+
+    def test_step_and_plan_allocations_ignore_the_id_table(self):
+        """A frame step's scratch is O(movers): nothing is sized by the
+        id-indexed site table, which grows with every cage ever made."""
+        import tracemalloc
+
+        import numpy as np
+
+        manager = make_manager(rows=40, cols=40, sep=1)
+        manager._next_id = 10**6
+        cages = [manager.create((5, c)) for c in range(12)]
+        ids = np.array([c.cage_id for c in cages])
+        shift = np.tile([0, 1], (len(cages), 1))
+        manager.step_arrays(ids[::-1], shift)  # a chain, scratch warmed up
+        tracemalloc.start()
+        try:
+            manager.step_arrays(ids[::-1], shift)
+            manager.run_plan(ids, np.tile(shift[:, None], (1, 3, 1)))
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cages[0].site == (5, 5)
+        assert peak < 256 * 1024

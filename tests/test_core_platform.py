@@ -227,3 +227,112 @@ class TestProtocolExecution:
         )
         result = Session.simulator(chip).run(protocol)
         assert 0.2 < result.wall_time / result.predicted_makespan < 5.0
+
+
+class TestMoveManyFrameAccounting:
+    """``move_many`` executes its plan in one pass; its report and the
+    chip clock equal the per-frame loop it replaced, bit for bit."""
+
+    @staticmethod
+    def per_frame(chip, plan):
+        """The former execution loop: one ``step_arrays`` per frame, row
+        rewrites from diffing the frames before and after."""
+        import math
+
+        previous_frame = chip.cages.frame()
+        program_time = 0.0
+        dwell_time = 0.0
+        total_moves = 0
+        diagonal_dwell = math.sqrt(2.0) * chip.grid.pitch / chip.cage_speed
+        straight_dwell = chip.grid.pitch / chip.cage_speed
+        for step in range(plan.makespan):
+            ids, deltas = plan.moves_arrays_at(step)
+            if ids.size == 0:
+                continue
+            chip.cages.step_arrays(ids, deltas)
+            frame = chip.cages.frame()
+            program_time += chip.addresser.incremental_program_time(
+                previous_frame, frame
+            )
+            any_diagonal = bool((deltas != 0).all(axis=1).any())
+            dwell_time += diagonal_dwell if any_diagonal else straight_dwell
+            total_moves += int(ids.size)
+            previous_frame = frame
+        return plan.makespan, total_moves, program_time, dwell_time
+
+    def check(self, make_chip, requests, monkeypatch):
+        from repro.routing import WavefrontRouter
+
+        plans = []
+        plan = WavefrontRouter.plan
+
+        def recording(router, *args, **kwargs):
+            plans.append(plan(router, *args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(WavefrontRouter, "plan", recording)
+        chip, twin = make_chip(), make_chip()
+        for c in (chip, twin):
+            handles = {r.cage_id: c.trap(r.start).cage_id for r in requests}
+        report = chip.move_many({handles[r.cage_id]: r.goal for r in requests})
+        frames, moves, program, dwell = self.per_frame(twin, plans[-1])
+        assert (report["frames"], report["moves"]) == (frames, moves)
+        assert report["program_time"] == program
+        assert report["dwell_time"] == dwell
+        assert chip.elapsed == twin.elapsed + (program + dwell)
+        assert chip.cages.sites() == twin.cages.sites()
+        return report
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_permutations(self, seed, monkeypatch):
+        from repro.workloads import random_permutation_workload
+
+        def make_chip():
+            return Biochip.small_chip(rows=48, cols=48)
+
+        requests = random_permutation_workload(
+            make_chip().grid, 24, seed=seed)
+        report = self.check(make_chip, requests, monkeypatch)
+        assert report["moves"] > 24  # the vectorised plan pass
+
+    def test_dead_electrodes(self, monkeypatch):
+        from repro.faults import FaultModel
+        from repro.workloads import random_permutation_workload
+
+        model = FaultModel.random((48, 48), dead_pixel_fraction=0.02, seed=5)
+
+        def make_chip():
+            chip = Biochip.small_chip(rows=48, cols=48)
+            chip.apply_faults(model)
+            return chip
+
+        requests = [
+            r for r in random_permutation_workload(make_chip().grid, 30, seed=3)
+            if not (model.is_dead_site(r.start) or model.is_dead_site(r.goal))
+        ]
+        self.check(make_chip, requests, monkeypatch)
+
+    def test_leased_region(self, monkeypatch):
+        from repro.array import ElectrodeGrid
+        from repro.routing.multi import RoutingRequest
+        from repro.workloads import random_permutation_workload
+
+        origin = (8, 12)
+
+        def make_chip():
+            chip = Biochip.small_chip(rows=48, cols=48)
+            chip.trap((2, 2))  # a tenant outside the lease stays put
+            chip.set_region(origin, 24, 24)
+            return chip
+
+        window = random_permutation_workload(
+            ElectrodeGrid(24, 24, um(20)), 12, seed=4)
+        requests = [
+            RoutingRequest(
+                r.cage_id,
+                (r.start[0] + origin[0], r.start[1] + origin[1]),
+                (r.goal[0] + origin[0], r.goal[1] + origin[1]),
+            )
+            for r in window
+        ]
+        self.check(make_chip, requests, monkeypatch)
