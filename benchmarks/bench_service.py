@@ -446,7 +446,7 @@ def _run_wall_clock(jobs, n_workers):
         "queue_wait_p99": snap["queue_wait"]["p99"],
         "service_time_p50": snap["service_time"]["p50"],
         "service_time_p99": snap["service_time"]["p99"],
-        "utilization_min": min(snap["pool"]["utilization"].values()),
+        "utilization_min": min(snap["fleet"]["utilization"].values()),
         "cache_hit_rate": snap["cache"]["hit_rate"],
     }
 

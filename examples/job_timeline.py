@@ -80,7 +80,7 @@ def main():
 
     # 3. the metrics side: Prometheus text exposition.
     print("\n--- telemetry (Prometheus text format, excerpt) ---")
-    text = service.telemetry.to_prometheus(fleet=service.fleet)
+    text = service.to_prometheus()
     for line in text.splitlines():
         if "jobs_total" in line or "chip_health" in line:
             print(line)

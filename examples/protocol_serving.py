@@ -72,11 +72,12 @@ def wall_clock_demo(grid):
         service.submit_many(mixed_priority_traffic(grid, 20, seed=1))
         results = service.drain()
         served = sum(r.state is JobState.DONE for r in results)
-        pool = service.snapshot()["pool"]
+        snap = service.snapshot()
+        fleet = snap["fleet"]
         print(f"  {served}/{len(results)} jobs served by "
-              f"{pool['n_workers']} {pool['mode']} workers in "
-              f"{pool['wall_time']:.2f} wall seconds "
-              f"({pool['throughput']:.1f} jobs/s)")
+              f"{fleet['n_chips']} {snap['pool']['mode']} workers in "
+              f"{fleet['makespan']:.2f} wall seconds "
+              f"({fleet['throughput']:.1f} jobs/s)")
 
 
 async def asyncio_demo(grid):

@@ -29,9 +29,11 @@ Quickstart::
     # or, for production runs: REPRO_TRACE=trace.jsonl <your program>
     tracing.configure_from_env()
 
-Metrics exposition lives on the telemetry object itself:
-``service.telemetry.to_prometheus()`` renders every counter, latency
-summary and fleet gauge in the Prometheus text format.
+Metrics exposition lives on the service itself, the same on both
+serving tiers: ``service.to_prometheus()`` renders every counter,
+latency summary and per-chip health, utilization and restart gauge in
+the Prometheus text format (``service.snapshot()`` and
+``service.report()`` show the same state as a dict and as tables).
 """
 
 from .exporters import FlightRecorder, InMemorySpanExporter, JsonlSpanExporter

@@ -38,9 +38,12 @@ streaming job handles and queue backpressure.
 
 Both tiers are traced end to end when a tracer is installed (see
 :mod:`repro.observability`): every job carries a span tree from admit
-through dispatch, retries and migration to its terminal state, and
-``service.telemetry.to_prometheus()`` renders the counters, latency
-summaries and fleet gauges in the Prometheus text exposition format.
+through dispatch, retries and migration to its terminal state.  Both
+tiers share one observation surface, rendered by the serving core from
+one :class:`ChipRecord` per chip: ``service.snapshot()``,
+``service.report()`` and ``service.to_prometheus()`` (counters,
+latency summaries and per-chip health, utilization and restart gauges
+in the Prometheus text exposition format).
 """
 
 from .cache import CacheStats, ProgramCache, program_key, rebind_program
@@ -75,7 +78,7 @@ from .jobs import (
     JobState,
     classify_error,
 )
-from .core import ADMISSION_POLICIES
+from .core import ADMISSION_POLICIES, ChipRecord
 from .scheduler import ExecutionService, ServiceConfig
 from .telemetry import Counter, Histogram, Telemetry
 from .tenancy import (
@@ -98,6 +101,7 @@ __all__ = [
     "AsyncJobHandle",
     "CacheStats",
     "ChipHealth",
+    "ChipRecord",
     "ChipWorker",
     "Clock",
     "ConcurrentConfig",

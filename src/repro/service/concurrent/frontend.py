@@ -190,3 +190,6 @@ class AsyncExecutionService:
 
     def report(self) -> str:
         return self.service.report()
+
+    def to_prometheus(self, namespace="repro") -> str:
+        return self.service.to_prometheus(namespace)

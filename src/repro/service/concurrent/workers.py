@@ -8,7 +8,9 @@ when a plan is active) plus its compiled-program cache, pull jobs from
 a shared queue and push attempt outcomes to a completion queue; a
 coordinator thread applies the serving core's semantics (see
 :mod:`repro.service.core`: admission bounds, retry backoff,
-settlement, telemetry) on a monotonic wall clock.
+settlement, chip health transitions, telemetry and the observation
+surface) on a monotonic wall clock, keeping one
+:class:`~repro.service.core.ChipRecord` per worker.
 
 Workers come in two flavours:
 
@@ -37,28 +39,28 @@ map and re-seeds the transient stream.
 from __future__ import annotations
 
 import heapq
-import logging
 import queue
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from ...analysis import ascii_table
 from ...core.errors import ServiceError
 from ...observability import tracing
+from ..cache import CacheStats
 from ..core import (
     Attempt,
+    ChipHealth,
+    ChipRecord,
     CoreConfig,
     LeaseWindows,
     ServedChip,
     ServingCore,
-    add_counts,
     can_lease,
     enforce_timeout,
 )
 from ..jobs import ErrorKind, JobError, JobResult, JobState, JobView
 from .syncbridge import SenseTap, WallClock
-
-log = logging.getLogger("repro.service")
 
 #: Worker execution modes.
 WORKER_MODES = ("thread", "process")
@@ -132,7 +134,7 @@ class _WorkerRuntime:
     happen *inside* the worker, which is what makes the semantics
     identical for threads and processes -- no control channel beyond
     the per-worker restart event is needed.  Every message home carries
-    the chip's cumulative fault counters.
+    the chip's cumulative fault counters and program-cache stats.
     """
 
     def __init__(self, worker_id, template, registry, plan, config,
@@ -161,8 +163,13 @@ class _WorkerRuntime:
             self._send("sense", self.chip.job_id, sense_result)
 
     def _send(self, kind, *payload):
-        faults = self.chip.fault_counters() if self.chip is not None else {}
-        self.done_q.put((kind, self.worker_id, faults, *payload))
+        chip = self.chip
+        if chip is None:
+            faults, stats = {}, CacheStats()
+        else:
+            faults = chip.fault_counters()
+            stats = replace(chip.cache_stats)
+        self.done_q.put((kind, self.worker_id, faults, stats, *payload))
 
     # -- the worker loop ----------------------------------------------------
 
@@ -182,8 +189,7 @@ class _WorkerRuntime:
         while not self.stop_event.is_set():
             if self.restart_event.is_set():
                 self.restart_event.clear()
-                self.chip.restart()
-                self._send("restarted", self.clock.now())
+                self._restart()
             try:
                 item = self.ready_q.get(timeout=poll)
             except queue.Empty:
@@ -274,7 +280,7 @@ class _WorkerRuntime:
             )
             self._send("outcome", job.job_id, attempt, spans)
         if benched:
-            self._quarantine_and_recover()
+            self._quarantine_and_recover(attempt.error)
 
     # -- multi-tenant lanes --------------------------------------------------
 
@@ -298,10 +304,14 @@ class _WorkerRuntime:
             outcomes.append((job, attempt))
         self._report(outcomes)
 
-    def _quarantine_and_recover(self):
-        """Self-quarantine: stop pulling, wait out the cooldown (or a
-        manual restart), then power-cycle and rejoin the pool."""
-        self._send("quarantined", self.clock.now())
+    def _quarantine_and_recover(self, error):
+        """Self-quarantine on ``error``: stop pulling, wait out the
+        cooldown (or a manual restart), then power-cycle and rejoin the
+        pool."""
+        self._send(
+            "quarantined", self.clock.now(), self.chip.consecutive_failures,
+            error,
+        )
         cooldown = self.config.restart_cooldown
         deadline = (
             self.clock.now() + cooldown if cooldown is not None else None
@@ -315,8 +325,11 @@ class _WorkerRuntime:
             time.sleep(self.config.poll_interval)
         if self.stop_event.is_set():
             return
+        self._restart()
+
+    def _restart(self):
         self.chip.restart()
-        self._send("restarted", self.clock.now())
+        self._send("restarted", self.clock.now(), self.chip.restarts)
 
 
 def _process_worker_main(worker_id, template, registry, plan, config,
@@ -425,24 +438,14 @@ class ConcurrentJobHandle(JobView):
 
 
 class _WorkerSlot:
-    """Coordinator-side view of one worker: handle + health + meters."""
+    """Coordinator-side transport of one worker; its chip's serving
+    state is the service's :class:`~repro.service.core.ChipRecord`."""
 
-    def __init__(self, worker_id, runner, restart_event):
-        self.worker_id = worker_id
+    def __init__(self, runner, restart_event):
         self.runner = runner  # Thread or Process
         self.restart_event = restart_event
-        self.health = "healthy"   # healthy | quarantined | stopped | dead
-        self.jobs_done = 0
-        self.busy_time = 0.0      # wall seconds across attempts
-        self.restarts = 0
-        self.quarantined_at = None
-        self.faults = {}            # the chip's cumulative fault counters
         self.current_job_ids = set()  # started but not yet resolved
         self.dead_strikes = 0       # consecutive liveness-check misses
-
-    @property
-    def accepting(self) -> bool:
-        return self.health == "healthy"
 
 
 class ConcurrentExecutionService(ServingCore):
@@ -478,12 +481,9 @@ class ConcurrentExecutionService(ServingCore):
         self._terminal = threading.Condition(self._lock)
         self._delayed = []       # (not_before, job_id, Job) backoff heap
         self._inflight = {}      # job_id -> Job handed to the pool
-        self._last_errors = {}   # worker_id -> last JobError it reported
         self._results = []       # terminal results pending drain()
         self._outstanding = 0    # submitted jobs not yet terminal
         self._bounces = {}       # job_id -> steering bounces so far
-        self._cache_hits = 0
-        self._cache_misses = 0
         self._closed = False
         self._pump_stop = False
         # -- the pool --
@@ -494,6 +494,8 @@ class ConcurrentExecutionService(ServingCore):
         # whole co-residency group at once.
         n = self.config.n_workers
         lane_depth = max(1, self.config.max_tenants)
+        # busy_time is wall seconds; counters mirror the workers' own
+        self._records = [ChipRecord(i) for i in range(n)]
         self._warm = {i: set() for i in range(n)}  # fingerprints per chip
         if self.config.mode == "process":
             import multiprocessing
@@ -542,7 +544,7 @@ class ConcurrentExecutionService(ServingCore):
                 for runtime in self._runtimes
             ]
         self._workers = {
-            i: _WorkerSlot(i, runners[i], restart_events[i]) for i in range(n)
+            i: _WorkerSlot(runners[i], restart_events[i]) for i in range(n)
         }
         for runner in runners:
             runner.start()
@@ -739,8 +741,9 @@ class ConcurrentExecutionService(ServingCore):
         and the drain() waiters don't hang.  Two consecutive misses
         with no message in between are required -- a worker's final
         messages can still be in flight when it exits."""
-        for slot in self._workers.values():
-            if slot.health in ("stopped", "dead"):
+        for worker_id, slot in self._workers.items():
+            if self._records[worker_id].health in (
+                    ChipHealth.STOPPED, ChipHealth.DEAD):
                 continue
             if slot.runner.is_alive():
                 slot.dead_strikes = 0
@@ -748,14 +751,14 @@ class ConcurrentExecutionService(ServingCore):
             slot.dead_strikes += 1
             if slot.dead_strikes >= 2:
                 self._mark_worker_dead(
-                    slot.worker_id, "worker exited unexpectedly"
+                    worker_id, "worker exited unexpectedly"
                 )
 
     def _mark_worker_dead(self, worker_id, detail):
         """Terminal bookkeeping for a worker that will never serve
         again (caller holds the lock)."""
         slot = self._workers[worker_id]
-        slot.health = "dead"
+        self._records[worker_id].health = ChipHealth.DEAD
         self._warm[worker_id].clear()
         self._reclaim_lane(worker_id)
         job_ids = sorted(slot.current_job_ids)
@@ -776,7 +779,7 @@ class ConcurrentExecutionService(ServingCore):
                 started_at=now,
                 finished_at=now,
             ))
-        if self._accepting_count() == 0:
+        if not self._accepting():
             # No worker will ever serve again: fail everything the
             # coordinator holds instead of letting waiters hang.
             stranded = self._drop_queued_jobs()
@@ -811,14 +814,18 @@ class ConcurrentExecutionService(ServingCore):
             __, __, job = heapq.heappop(self._delayed)
             self._push(job)
 
-    def _accepting_count(self) -> int:
-        return sum(1 for slot in self._workers.values() if slot.accepting)
+    def _accepting(self) -> list:
+        """Ids of the workers taking new jobs."""
+        return [
+            record.chip_id for record in self._records
+            if record.health is ChipHealth.HEALTHY
+        ]
 
     def _select_worker(self, job, require_warm):
-        """Steer ``job`` to the best chip with lane capacity: fresh
-        hardware first (never failed this job), then a warm program
-        cache for its fingerprint, then the shortest backlog and the
-        least-busy chip.  None when no lane qualifies.
+        """The id of the best chip with lane capacity for ``job``:
+        fresh hardware first (never failed this job), then a warm
+        program cache for its fingerprint, then the shortest backlog
+        and the least-busy chip.  None when no lane qualifies.
 
         With ``require_warm``, a job whose fingerprint is warm on some
         accepting chip is only placed on a warm one -- if all its warm
@@ -829,30 +836,28 @@ class ConcurrentExecutionService(ServingCore):
         fresh hardware even when its only warm cache is the chip that
         just burned it -- fault isolation beats locality.
         """
+        accepting = self._accepting()
         warm_anywhere = any(
-            job.fingerprint in self._warm[slot.worker_id]
-            for slot in self._workers.values()
-            if slot.accepting
+            job.fingerprint in self._warm[worker_id]
+            for worker_id in accepting
         )
         hold_for_warm = require_warm and warm_anywhere and not job.tried_chips
         best = None
         best_key = None
-        for slot in self._workers.values():
-            if not slot.accepting:
-                continue
-            ready_q = self._ready_qs[slot.worker_id]
+        for worker_id in accepting:
+            ready_q = self._ready_qs[worker_id]
             if ready_q.full():
                 continue
-            fresh = slot.worker_id not in job.tried_chips
-            warm = job.fingerprint in self._warm[slot.worker_id]
+            fresh = worker_id not in job.tried_chips
+            warm = job.fingerprint in self._warm[worker_id]
             if hold_for_warm and not warm:
                 continue
             key = (
                 not fresh, not warm, ready_q.qsize(),
-                slot.busy_time, slot.worker_id,
+                self._records[worker_id].busy_time, worker_id,
             )
             if best_key is None or key < best_key:
-                best, best_key = slot, key
+                best, best_key = worker_id, key
         return best
 
     def _refill(self):
@@ -868,18 +873,15 @@ class ConcurrentExecutionService(ServingCore):
         self._refill_pass(require_warm=False)
 
     def _refill_pass(self, require_warm):
-        if not any(
-            slot.accepting and not self._ready_qs[slot.worker_id].full()
-            for slot in self._workers.values()
-        ):
+        if all(self._ready_qs[i].full() for i in self._accepting()):
             return
         skipped = []
         while self._queue:
             __, job = heapq.heappop(self._queue)
             if job.state is not JobState.QUEUED:
                 continue  # shed after enqueue
-            slot = self._select_worker(job, require_warm)
-            if slot is None:
+            worker_id = self._select_worker(job, require_warm)
+            if worker_id is None:
                 skipped.append(job)
                 if require_warm:
                     continue  # held for its warm chip; try the next job
@@ -887,10 +889,10 @@ class ConcurrentExecutionService(ServingCore):
             allow_bounce = bool(
                 job.tried_chips
                 and self._bounces.get(job.job_id, 0) < len(self._workers)
-                and self._accepting_count() > 1
+                and len(self._accepting()) > 1
             )
             try:
-                self._ready_qs[slot.worker_id].put_nowait((job, allow_bounce))
+                self._ready_qs[worker_id].put_nowait((job, allow_bounce))
             except queue.Full:
                 skipped.append(job)
                 break
@@ -898,17 +900,18 @@ class ConcurrentExecutionService(ServingCore):
             self._inflight[job.job_id] = job
             # Optimistic: the worker will compile (or already holds)
             # this fingerprint; cleared if the chip restarts or dies.
-            self._warm[slot.worker_id].add(job.fingerprint)
+            self._warm[worker_id].add(job.fingerprint)
             self._capacity.notify_all()
         for job in skipped:
             heapq.heappush(self._queue, (job.sort_key(), job))
 
     def _handle_message(self, message):
-        kind, worker_id, faults = message[:3]
-        payload = message[3:]
+        kind, worker_id, faults, cache_stats = message[:4]
+        payload = message[4:]
         slot = self._workers[worker_id]
         slot.dead_strikes = 0  # it just spoke
-        slot.faults = faults
+        record = self._records[worker_id]
+        record.faults, record.cache_stats = faults, cache_stats
         if kind == "started":
             job_id, t = payload
             job = self._inflight.get(job_id)
@@ -941,27 +944,16 @@ class ConcurrentExecutionService(ServingCore):
             if job is not None:
                 self._finish_unserved(job, JobState.EXPIRED, "expired")
         elif kind == "quarantined":
-            t, = payload
-            slot.health = "quarantined"
-            slot.quarantined_at = t
+            t, streak, error = payload
             self._reclaim_lane(worker_id)
-            self._note_quarantine(
-                "worker", worker_id, "itself at t=%.3f" % t,
-                self._last_errors.get(worker_id),
-            )
+            self._mark_quarantined(record, t, streak, error)
         elif kind == "restarted":
-            t, = payload
+            t, restarts = payload
+            record.restarts = restarts
             self._warm[worker_id].clear()  # the restart wiped its cache
-            slot.health = "healthy"
-            slot.restarts += 1
-            slot.quarantined_at = None
-            self.telemetry.count("restarted")
-            log.info(
-                "worker %d restarted at t=%.3f (restart #%d)",
-                worker_id, t, slot.restarts,
-            )
+            self._mark_restarted(record, t)
         elif kind == "stopped":
-            slot.health = "stopped"
+            record.health = ChipHealth.STOPPED
             self._warm[worker_id].clear()
         elif kind == "worker_error":
             detail, = payload
@@ -978,19 +970,14 @@ class ConcurrentExecutionService(ServingCore):
         job = self._inflight.pop(job_id, None)
         if job is None:
             return
-        slot = self._workers[worker_id]
-        slot.current_job_ids.discard(job_id)
-        slot.jobs_done += 1
+        self._workers[worker_id].current_job_ids.discard(job_id)
+        record = self._records[worker_id]
+        record.jobs_done += 1
         # A merged group occupied the chip once; split the wall time
         # across its tenants so utilization reflects chip occupancy.
-        slot.busy_time += (
+        record.busy_time += (
             (attempt.finished_at - attempt.started_at) / attempt.tenants
         )
-        if attempt.cache_hit:
-            self._cache_hits += 1
-        else:
-            self._cache_misses += 1
-        self._last_errors[worker_id] = attempt.error
         self._note_migration(job, worker_id)
         self._settle(job, worker_id, attempt, self.clock.now())
 
@@ -1013,88 +1000,42 @@ class ConcurrentExecutionService(ServingCore):
     # -- observability ------------------------------------------------------
 
     def fault_counters(self) -> dict:
-        """Faults injected pool-wide, including restarted workers."""
         with self._lock:
-            totals = {}
-            for slot in self._workers.values():
-                add_counts(totals, slot.faults)
-            return totals
+            return super().fault_counters()
 
     def snapshot(self) -> dict:
-        """JSON-ready dict of counters, wall latencies, and the pool."""
-        snap = self.telemetry.snapshot()
-        now = self.clock.now()
+        """The serving core's snapshot plus ``pool``: the coordinator's
+        own gauges (worker mode, lanes' warm fingerprints, the queue,
+        backoff heap and in-flight set)."""
         with self._lock:
-            served = self.telemetry.served
-            hits, misses = self._cache_hits, self._cache_misses
-            snap["cache"] = {
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-            }
+            snap = super().snapshot()
             snap["pool"] = {
                 "mode": self.config.mode,
-                "n_workers": len(self._workers),
                 "max_tenants": self.config.max_tenants,
                 "warm_fingerprints": {
                     worker_id: len(warm)
                     for worker_id, warm in self._warm.items()
                 },
-                "wall_time": now,
-                "throughput": served / now if now > 0.0 else 0.0,
                 "queue_depth": self._queued_count,
                 "delayed": len(self._delayed),
                 "inflight": len(self._inflight),
                 "outstanding": self._outstanding,
-                "utilization": {
-                    slot.worker_id: (
-                        slot.busy_time / now if now > 0.0 else 0.0
-                    )
-                    for slot in self._workers.values()
-                },
-                "jobs_per_worker": {
-                    slot.worker_id: slot.jobs_done
-                    for slot in self._workers.values()
-                },
-                "health": {
-                    slot.worker_id: slot.health
-                    for slot in self._workers.values()
-                },
-                "restarts": {
-                    slot.worker_id: slot.restarts
-                    for slot in self._workers.values()
-                },
             }
-            if self._fault_plan is not None:
-                snap["faults"] = self.fault_counters()
         return snap
 
-    def report(self) -> str:
-        """Human-readable pool telemetry."""
-        from ...analysis import ascii_table, format_seconds
-
-        snap = self.snapshot()
+    def _report_tables(self, snap) -> list:
         pool = snap["pool"]
-        sections = [self.telemetry.report()]
-        sections.append(
+        return super()._report_tables(snap) + [
             ascii_table(
-                ["worker", "jobs", "utilization", "health", "restarts"],
-                [
-                    [str(worker_id),
-                     str(pool["jobs_per_worker"][worker_id]),
-                     f"{pool['utilization'][worker_id]:.0%}",
-                     pool["health"][worker_id],
-                     str(pool["restarts"][worker_id])]
-                    for worker_id in sorted(pool["utilization"])
-                ],
+                ["worker", "warm fingerprints"],
+                [[str(worker_id), str(warm)] for worker_id, warm in
+                 pool["warm_fingerprints"].items()],
                 title=(
-                    f"pool: {pool['n_workers']} {pool['mode']} workers, "
-                    f"{pool['throughput']:.2f} jobs/s over "
-                    f"{format_seconds(pool['wall_time'])} wall; "
-                    f"cache hit rate {snap['cache']['hit_rate']:.0%} "
-                    f"({snap['cache']['hits']}/"
-                    f"{snap['cache']['hits'] + snap['cache']['misses']})"
+                    f"pool: {pool['mode']} workers, up to "
+                    f"{pool['max_tenants']} tenants each; "
+                    f"{pool['queue_depth']} queued, {pool['delayed']} "
+                    f"in backoff, {pool['inflight']} in flight, "
+                    f"{pool['outstanding']} outstanding"
                 ),
             )
-        )
-        return "\n\n".join(sections)
+        ]

@@ -12,39 +12,52 @@ two tiers compute the same way lives here, once:
   routing-planner delta and the attempt span;
 * :func:`chip_backend` -- a spawned chip wrapped for serving: clipped
   to a tenant's leased window, behind its fault injector;
-* :class:`ServedChip` -- one chip's lifecycle: its session, program
-  cache and fault injector, restarts, the quarantine streak, banked
-  fault counters, and the lease-group runner that puts co-tenants on
-  leased views of the chip;
+* :class:`ChipHealth` and :class:`ChipRecord` -- one chip's serving
+  state: health, load, restarts, fault counters and cache stats;
+* :class:`ServedChip` -- one chip's lifecycle, itself a record: its
+  session, program cache and fault injector, restarts, the quarantine
+  streak, banked fault counters, and the lease-group runner that puts
+  co-tenants on leased views of the chip;
 * :class:`LeaseWindows` and :func:`group_cost` -- lease-window sizing
   and the merged chip time of a tenant group;
 * :class:`ServingCore` -- admission, the job root span, retry
-  bookkeeping, settlement and terminal :class:`JobResult`\\ s, and the
-  meters every attempt settles: routing, lease-group telemetry and
-  the ``lease``/``frame_merge``/``evict`` span events.
+  bookkeeping, settlement and terminal :class:`JobResult`\\ s, the
+  meters every attempt settles (routing, lease-group telemetry and the
+  ``lease``/``frame_merge``/``evict`` span events), a chip record's
+  quarantine and restart transitions, and the one observation surface
+  rendered from the records: ``fault_counters()``, ``snapshot()``,
+  ``report()`` and ``to_prometheus()``.
 
 A tier keeps only what really differs: where a job is placed, when a
-queued job is ready, who acts on a chip's quarantine, and how jobs and
-their outcomes travel between the service and the chips.  Time is
-whatever the tier's clock reads -- fleet virtual seconds or wall
+queued job is ready, who decides that a chip is benched or restarted,
+how jobs, outcomes and each chip's counters travel between the service
+and the chips, and the wall tier's coordinator-only pool gauges.  Time
+is whatever the tier's clock reads -- fleet virtual seconds or wall
 seconds.
 """
 
 from __future__ import annotations
 
+import enum
 import heapq
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
+from ..analysis import ascii_table, format_seconds
 from ..core.backend import Backend, DryRunBackend, SimulatorBackend
 from ..core.errors import BiochipError
 from ..core.platform import Biochip
 from ..core.session import Session, sweep_handles
 from ..faults import FaultInjector, FaultModel, FleetFaultPlan
 from ..observability import tracing
-from .cache import ProgramCache
+from .cache import CacheStats, ProgramCache
 from .jobs import ErrorKind, Job, JobError, JobResult, JobState, classify_error
-from .telemetry import Telemetry
+from .telemetry import (
+    Telemetry,
+    metric_family,
+    prometheus_lines,
+    report_tables,
+)
 from .tenancy import (
     LeasedBackend,
     RegionLeaseAllocator,
@@ -381,36 +394,86 @@ def group_cost(attempts):
     )
 
 
-# -- one chip's lifecycle ---------------------------------------------------
+# -- one chip's record and lifecycle ----------------------------------------
 
 
-class ServedChip:
+class ChipHealth(enum.Enum):
+    """Dispatchability of one chip.
+
+    * HEALTHY -- accepts new jobs.
+    * DRAINING -- takes nothing new: the operator took it out of
+      rotation (graceful maintenance) with its state intact; only an
+      explicit restart brings it back.
+    * QUARANTINED -- the self-healing loop benched it after K
+      consecutive chip-attributable failures; new jobs go to the other
+      chips until it is restarted.
+    * STOPPED -- the wall tier's worker exited at shutdown.
+    * DEAD -- the wall tier's worker died (crashed, or could not spawn
+      its chip) and never serves again.
+    """
+
+    HEALTHY = "healthy"
+    DRAINING = "draining"
+    QUARANTINED = "quarantined"
+    STOPPED = "stopped"
+    DEAD = "dead"
+
+
+@dataclass(eq=False)
+class ChipRecord:
+    """One chip's serving state as the service sees it.
+
+    ``jobs_done`` counts the attempts closed on the chip and
+    ``busy_time`` the time they occupied it, on the tier's clock;
+    ``quarantined_at`` is the service clock's stamp of the current
+    quarantine (None when not benched).  ``faults`` and
+    ``cache_stats`` are the chip's cumulative fault counters and
+    program-cache stats.  On the virtual tier each chip is its own
+    record (:class:`ServedChip` is one); the wall tier's coordinator
+    keeps one per worker and copies in the counters every worker
+    message carries.
+    """
+
+    chip_id: int
+    health: ChipHealth = ChipHealth.HEALTHY
+    jobs_done: int = 0
+    busy_time: float = 0.0
+    restarts: int = 0
+    quarantined_at: float | None = None
+    faults: dict = field(default_factory=dict)
+    cache_stats: CacheStats = field(default_factory=CacheStats)
+
+    def fault_counters(self) -> dict:
+        """The chip's cumulative fault counters (a copy)."""
+        return dict(self.faults)
+
+
+class ServedChip(ChipRecord):
     """One chip's serving lifecycle, the same on both tiers.
 
     Holds the :class:`~repro.core.session.Session` over the chip
-    :func:`chip_backend` built (``session``), its program ``cache``,
-    the live fault ``injector`` (None without a fault plan), the
-    ``restarts`` count and the chip-attributable failure streak
-    (``consecutive_failures``).  The fault counters of retired
-    incarnations and of discarded tenant views are banked, so
-    :meth:`fault_counters` is cumulative across restarts.  ``tap``, when
-    given, wraps every backend a session is opened on (the wall tier's
-    sense stream); ``job_id`` names the job whose attempt is running.
+    :func:`chip_backend` built (``session``), its program ``cache``
+    (whose stats are the record's ``cache_stats``), the live fault
+    ``injector`` (None without a fault plan) and the chip-attributable
+    failure streak (``consecutive_failures``).  The record's
+    ``faults`` bank the counters of retired incarnations and discarded
+    tenant views, so :meth:`fault_counters` is cumulative across
+    restarts.  ``tap``, when given, wraps every backend a session is
+    opened on (the wall tier's sense stream); ``job_id`` names the job
+    whose attempt is running.
     """
 
     def __init__(self, chip_id, template, *, registry=None, plan=None,
                  cache_capacity=None, quarantine_after=None, tap=None):
-        self.chip_id = chip_id
+        self.cache = ProgramCache(capacity=cache_capacity)
+        super().__init__(chip_id, cache_stats=self.cache.stats)
         self.template = template
         self.registry = registry
         self.plan = plan
         self.quarantine_after = quarantine_after
         self.tap = tap
-        self.cache = ProgramCache(capacity=cache_capacity)
-        self.restarts = 0
         self.consecutive_failures = 0
         self.job_id = None
-        self._banked = {}
         self._power_up()
 
     def _power_up(self):
@@ -426,7 +489,7 @@ class ServedChip:
 
     def _bank(self, injector):
         if injector is not None:
-            add_counts(self._banked, injector.counters)
+            add_counts(self.faults, injector.counters)
 
     @property
     def elapsed(self) -> float:
@@ -462,7 +525,7 @@ class ServedChip:
     def fault_counters(self) -> dict:
         """Faults injected into this chip, every incarnation and tenant
         view included."""
-        totals = dict(self._banked)
+        totals = dict(self.faults)
         if self.injector is not None:
             add_counts(totals, self.injector.counters)
         return totals
@@ -515,13 +578,14 @@ class ServedChip:
 
 
 class ServingCore:
-    """Admission and settlement for one serving tier.
+    """Admission, settlement and observation for one serving tier.
 
     Owns the chip template and fault plan, the priority queue
     (``_queue``, a heap of ``(sort_key, Job)`` that may still hold shed
     entries, with ``_queued_count`` counting its QUEUED ones), the live
     handles and root spans, and the path every attempt ends on.  A
-    tier sets ``clock`` and ``_tier`` (the root span's tier attribute)
+    tier sets ``clock``, ``_tier`` (the root span's tier attribute) and
+    ``_records`` (one :class:`ChipRecord` per chip, in chip-id order)
     and implements ``_make_handle(job)``; it overrides
     ``queue_depth``, ``_waiting``, ``_unqueue`` and ``_requeue`` when
     retries wait somewhere other than the queue.
@@ -669,18 +733,44 @@ class ServingCore:
         if span is not None:
             span.add_event("dispatch", chip=chip_id, attempt=job.attempts + 1)
 
-    def _note_quarantine(self, what, chip_id, detail, error):
-        """Count, log and flight-dump a quarantine.  ``error`` is the
-        :class:`JobError` that tripped it, if known; its span ids make
-        the log line greppable back to the span tree in the trace."""
+    # -- chip health transitions --------------------------------------------
+
+    def _mark_quarantined(self, record, at, streak=0, error=None):
+        """Bench ``record``'s chip at time ``at``: stamp, count, log and
+        flight-dump the quarantine.  Only a HEALTHY chip is benched --
+        an operator's drain wins over the self-healing loop.
+
+        ``streak`` is the failure streak that tripped it (0 for an
+        operator's request); ``error`` is the :class:`JobError` that
+        did, if known -- its span ids make the log line greppable back
+        to the span tree in the trace.
+        """
+        if record.health is not ChipHealth.HEALTHY:
+            return
+        record.health = ChipHealth.QUARANTINED
+        record.quarantined_at = at
         self.telemetry.count("quarantined")
         log.warning(
-            "%s %d quarantined %s (trace_id=%s span_id=%s)",
-            what, chip_id, detail,
+            "chip %d quarantined at t=%.3f %s (trace_id=%s span_id=%s)",
+            record.chip_id, at,
+            "after %d consecutive retryable failures" % streak
+            if streak else "on request",
             error.trace_id if error is not None else "",
             error.span_id if error is not None else "",
         )
-        tracing.dump_flight("%s %d quarantined" % (what, chip_id))
+        tracing.dump_flight("chip %d quarantined" % record.chip_id)
+
+    def _mark_restarted(self, record, at):
+        """Put ``record``'s freshly power-cycled chip back in rotation
+        at time ``at``: health, stamp, count and log.  The tier has
+        already bumped ``record.restarts``."""
+        record.health = ChipHealth.HEALTHY
+        record.quarantined_at = None
+        self.telemetry.count("restarted")
+        log.info(
+            "chip %d restarted at t=%.3f (restart #%d)",
+            record.chip_id, at, record.restarts,
+        )
 
     def _note_migration(self, job, chip_id):
         """Count and trace a retry that moved to other hardware."""
@@ -832,3 +922,102 @@ class ServingCore:
                 )
         handle._resolve(result)
         return result
+
+    # -- observation --------------------------------------------------------
+
+    def fault_counters(self) -> dict:
+        """Faults injected into every chip, restarts and tenant views
+        included."""
+        totals = {}
+        for record in self._records:
+            add_counts(totals, record.fault_counters())
+        return totals
+
+    def snapshot(self) -> dict:
+        """One JSON-ready dict: the telemetry meters, the pooled
+        ``cache`` stats, the per-chip ``fleet`` gauges over the
+        service clock's makespan, and ``faults`` under a fault plan."""
+        snap = self.telemetry.snapshot()
+        now = self.clock.now()
+        records = self._records
+        stats = CacheStats()
+        for record in records:
+            stats = stats.merge(record.cache_stats)
+        snap["cache"] = {**asdict(stats), "hit_rate": stats.hit_rate}
+        snap["fleet"] = {
+            "n_chips": len(records),
+            "makespan": now,
+            "throughput": self.telemetry.throughput(now),
+            "utilization": {
+                r.chip_id: (r.busy_time / now if now > 0.0 else 0.0)
+                for r in records
+            },
+            "jobs_per_chip": {r.chip_id: r.jobs_done for r in records},
+            "health": {r.chip_id: r.health.value for r in records},
+            "restarts": {r.chip_id: r.restarts for r in records},
+        }
+        if self._fault_plan is not None:
+            snap["faults"] = self.fault_counters()
+        return snap
+
+    def report(self) -> str:
+        """Human-readable tables of one :meth:`snapshot`."""
+        return "\n\n".join(self._report_tables(self.snapshot()))
+
+    def _report_tables(self, snap) -> list:
+        cache, fleet = snap["cache"], snap["fleet"]
+        return report_tables(snap) + [
+            ascii_table(
+                ["chip", "jobs", "utilization", "health"],
+                [
+                    [str(chip_id), str(fleet["jobs_per_chip"][chip_id]),
+                     f"{fraction:.0%}", fleet["health"][chip_id]]
+                    for chip_id, fraction in fleet["utilization"].items()
+                ],
+                title=(
+                    f"fleet: {fleet['n_chips']} chips, "
+                    f"{fleet['throughput']:.2f} jobs/s over "
+                    f"{format_seconds(fleet['makespan'])}; "
+                    f"cache hit rate {cache['hit_rate']:.0%} "
+                    f"({cache['hits']}/{cache['hits'] + cache['misses']})"
+                ),
+            )
+        ]
+
+    def to_prometheus(self, namespace="repro") -> str:
+        """One :meth:`snapshot` in the Prometheus text exposition
+        format: the telemetry families (see
+        :func:`~repro.service.telemetry.prometheus_lines`), then the
+        cache events, the fleet throughput and the per-chip
+        utilization, health and restart gauges."""
+        snap = self.snapshot()
+        cache, fleet = snap["cache"], snap["fleet"]
+        ns = namespace
+        lines = prometheus_lines(snap, ns)
+        lines += metric_family(
+            f"{ns}_cache_events_total", "counter", "Program cache.",
+            [(f'{{event="{event}"}}', cache[event])
+             for event in ("hits", "misses", "evictions")],
+        )
+        lines += metric_family(
+            f"{ns}_fleet_throughput_jobs_per_second", "gauge",
+            "Served jobs per fleet second.",
+            [("", f"{fleet['throughput']:.9g}")],
+        )
+        lines += metric_family(
+            f"{ns}_chip_utilization", "gauge", "Busy fraction per chip.",
+            [(f'{{chip="{chip_id}"}}', f"{fraction:.9g}")
+             for chip_id, fraction in fleet["utilization"].items()],
+        )
+        lines += metric_family(
+            f"{ns}_chip_health", "gauge",
+            "Chip health (1 = in the labelled state).",
+            [(f'{{chip="{chip_id}",state="{health}"}}', 1)
+             for chip_id, health in fleet["health"].items()],
+        )
+        lines += metric_family(
+            f"{ns}_chip_restarts_total", "counter", "Power cycles per chip.",
+            [(f'{{chip="{chip_id}"}}', restarts)
+             for chip_id, restarts in fleet["restarts"].items()],
+        )
+        return "\n".join(lines) + "\n"

@@ -21,48 +21,13 @@ Which chip gets the next job is a pluggable :class:`DispatchPolicy`:
 
 from __future__ import annotations
 
-import enum
-
 from .cache import CacheStats
-from .core import ServedChip
+from .core import ChipHealth, ServedChip
 
-
-class ChipHealth(enum.Enum):
-    """Dispatchability of one chip of the fleet.
-
-    * HEALTHY -- accepts new jobs.
-    * DRAINING -- finishes nothing new; operator took it out of rotation
-      (graceful maintenance) but its state is intact.
-    * QUARANTINED -- the self-healing loop benched it after K
-      consecutive chip-attributable failures; new jobs migrate to the
-      rest of the fleet until the chip is restarted.
-    """
-
-    HEALTHY = "healthy"
-    DRAINING = "draining"
-    QUARANTINED = "quarantined"
-
-
-class ChipWorker(ServedChip):
-    """One chip of the fleet: its serving lifecycle (see
-    :class:`~repro.service.core.ServedChip`) plus health and load
-    meters."""
-
-    def __init__(self, chip_id, template, **options):
-        super().__init__(chip_id, template, **options)
-        self.jobs_done = 0
-        self.busy_time = 0.0  # accumulated chip seconds across jobs
-        self.health = ChipHealth.HEALTHY
-        self.quarantined_at = None  # fleet time of quarantine
-
-    @property
-    def load(self) -> float:
-        """Dispatch load metric: chip seconds already committed."""
-        return self.busy_time
-
-    @property
-    def dispatchable(self) -> bool:
-        return self.health is ChipHealth.HEALTHY
+#: One chip of the fleet: its serving lifecycle and, being a
+#: :class:`~repro.service.core.ChipRecord`, its health and load meters
+#: (``busy_time`` is the dispatch load: chip seconds already committed).
+ChipWorker = ServedChip
 
 
 class DispatchPolicy:
@@ -93,7 +58,7 @@ class LeastLoadedPolicy(DispatchPolicy):
     """Send each job to the chip with the least committed chip time."""
 
     def select(self, workers, fingerprint) -> ChipWorker:
-        return min(workers, key=lambda w: (w.load, w.chip_id))
+        return min(workers, key=lambda w: (w.busy_time, w.chip_id))
 
 
 class AffinityPolicy(DispatchPolicy):
@@ -135,8 +100,8 @@ class AffinityPolicy(DispatchPolicy):
     def _within_bound(self, worker, workers) -> bool:
         if self.load_factor is None:
             return True
-        average = sum(w.load for w in workers) / len(workers)
-        return worker.load <= self.load_factor * average
+        average = sum(w.busy_time for w in workers) / len(workers)
+        return worker.busy_time <= self.load_factor * average
 
     def _live_homes(self, workers, fingerprint):
         """Home chips that still hold the fingerprint's program,
@@ -161,7 +126,7 @@ class AffinityPolicy(DispatchPolicy):
     def select(self, workers, fingerprint) -> ChipWorker:
         homes = self._live_homes(workers, fingerprint)
         if homes:
-            home = min(homes, key=lambda w: (w.load, w.chip_id))
+            home = min(homes, key=lambda w: (w.busy_time, w.chip_id))
             if len(homes) == len(workers) or self._within_bound(home, workers):
                 return home
         worker = self.inner.select(workers, fingerprint)
@@ -253,7 +218,7 @@ class Fleet:
     @property
     def healthy_workers(self) -> list:
         """Chips currently accepting new jobs."""
-        return [w for w in self.workers if w.dispatchable]
+        return [w for w in self.workers if w.health is ChipHealth.HEALTHY]
 
     def worker(self, chip_id) -> ChipWorker:
         """Look up one chip by id (ValueError when absent)."""
@@ -268,11 +233,3 @@ class Fleet:
         for worker in self.workers:
             stats = stats.merge(worker.cache.stats)
         return stats
-
-    def utilization(self) -> dict:
-        """Per-chip busy fraction of the fleet makespan (0..1)."""
-        makespan = self.now
-        return {
-            w.chip_id: (w.busy_time / makespan if makespan > 0.0 else 0.0)
-            for w in self.workers
-        }

@@ -7,10 +7,12 @@ them (bounded queue, reject or shed-lowest-priority policies), orders
 the queue by priority, dispatches each job to a chip through the
 configured policy, reuses cached compiled programs, and meters
 everything through :class:`~repro.service.telemetry.Telemetry`.
-Admission, the attempt body, each chip's lifecycle, the lease-group
-runner and settlement are the serving core's
-(:mod:`repro.service.core`); this module owns placement, retry
-readiness and acting on chip quarantine.
+Admission, the attempt body, each chip's lifecycle and record, the
+lease-group runner, settlement, the health transitions and the
+observation surface (``snapshot``/``report``/``to_prometheus``) are
+the serving core's (:mod:`repro.service.core`); this module owns
+placement, retry readiness and deciding when a chip is benched,
+drained or restarted.
 
 The service is synchronous: chips are simulated, so "waiting" on a
 handle drives the drain loop instead of blocking a thread.  Time is
@@ -33,18 +35,15 @@ corruption.
 from __future__ import annotations
 
 import heapq
-import logging
 from collections import deque
 from dataclasses import dataclass
 
 from ..core.backend import DryRunBackend
 from ..core.errors import ServiceError
 from .concurrent.syncbridge import FleetClock
-from .core import CoreConfig, LeaseWindows, ServingCore, add_counts, can_lease
-from .fleet import ChipHealth, Fleet, make_policy
+from .core import ChipHealth, CoreConfig, LeaseWindows, ServingCore, can_lease
+from .fleet import Fleet, make_policy
 from .jobs import JobHandle, JobResult, JobState
-
-log = logging.getLogger("repro.service")
 
 
 @dataclass
@@ -94,6 +93,7 @@ class ExecutionService(ServingCore):
         # Every *fleet-global* time read goes through this clock (see
         # the audit note on `now`); defaults to fleet virtual time.
         self.clock = clock if clock is not None else FleetClock(self.fleet)
+        self._records = self.fleet.workers
         self.policy = make_policy(self.config.policy)
         self._can_lease = can_lease(template_backend, config)
         # Terminal results of co-tenants that finished alongside another
@@ -270,27 +270,23 @@ class ExecutionService(ServingCore):
     def quarantine_chip(self, chip_id, error=None):
         """Bench a chip: no new dispatches until it is restarted.
 
-        ``error`` is the :class:`JobError` that tripped the streak (when
-        quarantine came from :meth:`_close_attempt`); its span ids make
-        the log line greppable back to the span tree in the trace.
+        Only a healthy chip is benched: a draining or already
+        quarantined one is left as it is.  ``error`` is a
+        :class:`JobError` to name in the log line; its span ids make it
+        greppable back to the span tree in the trace.
         """
-        worker = self.fleet.worker(chip_id)
-        if worker.health is ChipHealth.QUARANTINED:
-            return
-        worker.health = ChipHealth.QUARANTINED
-        worker.quarantined_at = self.clock.now()
-        self._note_quarantine(
-            "chip", chip_id,
-            "after %d consecutive retryable failures"
-            % worker.consecutive_failures,
-            error,
+        self._mark_quarantined(
+            self.fleet.worker(chip_id), self.clock.now(), error=error
         )
 
     def drain_chip(self, chip_id):
-        """Gracefully take a chip out of rotation (state intact)."""
-        worker = self.fleet.worker(chip_id)
-        if worker.health is not ChipHealth.QUARANTINED:
-            worker.health = ChipHealth.DRAINING
+        """Gracefully take a chip out of rotation (state intact).
+
+        Drain wins: a quarantined chip drained is no longer restarted
+        at the end of its cooldown; only :meth:`restart_chip` brings it
+        back.
+        """
+        self.fleet.worker(chip_id).health = ChipHealth.DRAINING
 
     def restart_chip(self, chip_id):
         """Power-cycle a chip: fresh backend spawn, cleared program
@@ -317,21 +313,17 @@ class ExecutionService(ServingCore):
         worker.restart()
         if online_at > 0.0:
             worker.session.backend.incubate(online_at)
-        worker.health = ChipHealth.HEALTHY
-        worker.quarantined_at = None
-        self.telemetry.count("restarted")
-        log.info(
-            "chip %d restarted (restart #%d, online_at=%.3f)",
-            chip_id, worker.restarts, online_at,
-        )
+        self._mark_restarted(worker, online_at)
 
     def _close_attempt(self, job, worker, attempt) -> JobResult | None:
         """Account ``attempt`` of ``job`` to ``worker`` -- its failure
         streak may bench the chip -- then settle it."""
         worker.jobs_done += 1
-        if (worker.record(attempt.error)
-                and worker.health is ChipHealth.HEALTHY):
-            self.quarantine_chip(worker.chip_id, error=attempt.error)
+        if worker.record(attempt.error):
+            self._mark_quarantined(
+                worker, self.clock.now(), worker.consecutive_failures,
+                attempt.error,
+            )
         return self._settle(job, worker.chip_id, attempt, worker.elapsed)
 
     # -- dispatch -----------------------------------------------------------
@@ -459,23 +451,3 @@ class ExecutionService(ServingCore):
             else:
                 self._extra_results.append(resolved)
         return lead_outcome
-
-    # -- observability ------------------------------------------------------
-
-    def fault_counters(self) -> dict:
-        """Faults injected fleet-wide, including restarted injectors."""
-        totals = {}
-        for worker in self.fleet.workers:
-            add_counts(totals, worker.fault_counters())
-        return totals
-
-    def snapshot(self) -> dict:
-        """JSON-ready dict of counters, latencies, cache and fleet."""
-        snap = self.telemetry.snapshot(fleet=self.fleet)
-        if self._fault_plan is not None:
-            snap["faults"] = self.fault_counters()
-        return snap
-
-    def report(self) -> str:
-        """Human-readable service telemetry."""
-        return self.telemetry.report(fleet=self.fleet)

@@ -3,11 +3,14 @@
 Minimal in-process observability for the fleet execution service --
 monotonic counters for job lifecycle events, sample-keeping histograms
 for the two halves of job latency (submit->start queue wait and
-start->done service time), and a ``snapshot()`` dict / ``report()``
-table for benchmarks and dashboards.  On the virtual-clock tier all
-durations are fleet virtual seconds, so every number is deterministic
-for a given workload; the wall-clock tier meters real seconds through
-the same classes.
+start->done service time), the batch-planner and multi-tenancy meters,
+and their ``snapshot()`` dict, Prometheus lines and report tables.  The
+per-chip health, load and cache gauges are not here: they live in each
+chip's record and are rendered, with these meters, by the serving
+core's one observation surface (:mod:`repro.service.core`).  On the
+virtual-clock tier all durations are fleet virtual seconds, so every
+number is deterministic for a given workload; the wall-clock tier
+meters real seconds through the same classes.
 
 Every meter is thread-safe with its own lock (lock-sharded: two
 threads bumping *different* counters never contend), because the
@@ -137,7 +140,7 @@ COUNTER_NAMES = (
 
 @dataclass
 class Telemetry:
-    """All the meters of one :class:`ExecutionService`."""
+    """The job, latency, routing and tenancy meters of one service."""
 
     counters: dict = field(
         default_factory=lambda: {n: Counter(n) for n in COUNTER_NAMES}
@@ -213,18 +216,14 @@ class Telemetry:
         return self.counters["completed"].value + self.counters["failed"].value
 
     def throughput(self, makespan) -> float:
-        """Served jobs per fleet virtual second over ``makespan``."""
+        """Served jobs per second of the tier's clock over ``makespan``."""
         return self.served / makespan if makespan > 0.0 else 0.0
 
-    def snapshot(self, fleet=None) -> dict:
-        """One JSON-ready dict of every meter.
-
-        With ``fleet`` given, adds cache hit rate, per-chip utilization
-        and fleet throughput over the current virtual makespan.
-        """
+    def snapshot(self) -> dict:
+        """One JSON-ready dict of every meter."""
         with self._routing_lock:
             routing = dict(self.routing_totals)
-        snap = {
+        return {
             "counters": {n: c.value for n, c in self.counters.items()},
             "queue_wait": self.queue_wait.summary(),
             "service_time": self.service_time.summary(),
@@ -238,230 +237,150 @@ class Telemetry:
                 "frame_merge_ratio": self.frame_merge_ratio.summary(),
             },
         }
-        if fleet is not None:
-            stats = fleet.cache_stats()
-            snap["cache"] = {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "evictions": stats.evictions,
-                "hit_rate": stats.hit_rate,
-            }
-            snap["fleet"] = {
-                "n_chips": len(fleet),
-                "makespan": fleet.now,
-                "throughput": self.throughput(fleet.now),
-                "utilization": fleet.utilization(),
-                "jobs_per_chip": {
-                    w.chip_id: w.jobs_done for w in fleet.workers
-                },
-                "health": {
-                    w.chip_id: w.health.value for w in fleet.workers
-                },
-                "restarts": {w.chip_id: w.restarts for w in fleet.workers},
-            }
-        return snap
 
-    def to_prometheus(self, fleet=None, namespace="repro") -> str:
-        """Render every meter in the Prometheus text exposition format.
+    def to_prometheus(self, namespace="repro") -> str:
+        """Every meter in the Prometheus text exposition format (see
+        :func:`prometheus_lines`)."""
+        return "\n".join(prometheus_lines(self.snapshot(), namespace)) + "\n"
 
-        Counters become one labelled ``{namespace}_jobs_total`` family
-        (``event="submitted"`` ...); the latency histograms export as
-        summaries (``quantile`` labels plus ``_sum``/``_count``);
-        routing totals and -- with ``fleet`` given -- per-chip
-        utilization/health/restart gauges follow.  Safe on a fresh
-        service: empty histograms render zero-valued summaries instead
-        of dividing by zero.
-        """
-        snap = self.snapshot(fleet=fleet)
-        lines = [
-            f"# HELP {namespace}_jobs_total Job lifecycle events.",
-            f"# TYPE {namespace}_jobs_total counter",
-        ]
-        for name, value in snap["counters"].items():
-            lines.append(f'{namespace}_jobs_total{{event="{name}"}} {value}')
-        lines += [
-            f"# HELP {namespace}_latency_seconds Job latency by stage.",
-            f"# TYPE {namespace}_latency_seconds summary",
-        ]
-        stages = [
-            ("queue_wait", snap["queue_wait"]),
-            ("service_time", snap["service_time"]),
-            ("routing_plan", snap["routing"]["plan_time"]),
-        ]
-        for stage, summary in stages:
-            for quantile, key in (("0.5", "p50"), ("0.9", "p90"),
-                                  ("0.99", "p99")):
-                lines.append(
-                    f'{namespace}_latency_seconds{{stage="{stage}",'
-                    f'quantile="{quantile}"}} {summary[key]:.9g}'
-                )
-            total = summary["mean"] * summary["count"]
-            lines.append(
-                f'{namespace}_latency_seconds_sum{{stage="{stage}"}} '
-                f"{total:.9g}"
-            )
-            lines.append(
-                f'{namespace}_latency_seconds_count{{stage="{stage}"}} '
-                f"{summary['count']}"
-            )
-        lines += [
-            f"# HELP {namespace}_routing_total Batch-planner work done.",
-            f"# TYPE {namespace}_routing_total counter",
-        ]
-        for metric, value in snap["routing"].items():
-            if metric == "plan_time":
-                continue
-            lines.append(
-                f'{namespace}_routing_total{{metric="{metric}"}} {value:.9g}'
-            )
-        tenancy = snap["tenancy"]
-        lines += [
-            f"# HELP {namespace}_tenancy_groups_total Lease group "
-            f"dispatches.",
-            f"# TYPE {namespace}_tenancy_groups_total counter",
-            f"{namespace}_tenancy_groups_total {tenancy['groups']}",
-            f"# HELP {namespace}_tenancy_co_residency Mean co-resident "
-            f"tenants per lease group.",
-            f"# TYPE {namespace}_tenancy_co_residency gauge",
-            f"{namespace}_tenancy_co_residency "
-            f"{tenancy['co_residency']['mean']:.9g}",
-            f"# HELP {namespace}_tenancy_frame_merge_ratio Mean "
-            f"per-tenant frames over merged frames.",
-            f"# TYPE {namespace}_tenancy_frame_merge_ratio gauge",
-            f"{namespace}_tenancy_frame_merge_ratio "
-            f"{tenancy['frame_merge_ratio']['mean']:.9g}",
-        ]
-        if fleet is not None:
-            cache = snap["cache"]
-            fleet_snap = snap["fleet"]
-            lines += [
-                f"# HELP {namespace}_cache_events_total Program cache.",
-                f"# TYPE {namespace}_cache_events_total counter",
-            ]
-            for event in ("hits", "misses", "evictions"):
-                lines.append(
-                    f'{namespace}_cache_events_total{{event="{event}"}} '
-                    f"{cache[event]}"
-                )
-            lines += [
-                f"# HELP {namespace}_fleet_throughput_jobs_per_second "
-                f"Served jobs per fleet second.",
-                f"# TYPE {namespace}_fleet_throughput_jobs_per_second gauge",
-                f"{namespace}_fleet_throughput_jobs_per_second "
-                f"{fleet_snap['throughput']:.9g}",
-                f"# HELP {namespace}_chip_utilization Busy fraction per "
-                f"chip.",
-                f"# TYPE {namespace}_chip_utilization gauge",
-            ]
-            for chip_id, fraction in fleet_snap["utilization"].items():
-                lines.append(
-                    f'{namespace}_chip_utilization{{chip="{chip_id}"}} '
-                    f"{fraction:.9g}"
-                )
-            lines += [
-                f"# HELP {namespace}_chip_health Chip health "
-                f"(1 = in the labelled state).",
-                f"# TYPE {namespace}_chip_health gauge",
-            ]
-            for chip_id, health in fleet_snap["health"].items():
-                lines.append(
-                    f'{namespace}_chip_health{{chip="{chip_id}",'
-                    f'state="{health}"}} 1'
-                )
-            lines += [
-                f"# HELP {namespace}_chip_restarts_total Power cycles "
-                f"per chip.",
-                f"# TYPE {namespace}_chip_restarts_total counter",
-            ]
-            for chip_id, restarts in fleet_snap["restarts"].items():
-                lines.append(
-                    f'{namespace}_chip_restarts_total{{chip="{chip_id}"}} '
-                    f"{restarts}"
-                )
-        return "\n".join(lines) + "\n"
+    def report(self) -> str:
+        """Human-readable telemetry tables (see :func:`report_tables`)."""
+        return "\n\n".join(report_tables(self.snapshot()))
 
-    def report(self, fleet=None) -> str:
-        """Human-readable telemetry tables."""
-        snap = self.snapshot(fleet=fleet)
-        sections = [
-            ascii_table(
-                ["counter", "value"],
-                [[name, str(value)] for name, value in
-                 snap["counters"].items()],
-                title="job lifecycle",
+
+def metric_family(name, kind, help_text, samples) -> list:
+    """Prometheus text lines of one metric family: its HELP and TYPE
+    lines, then ``name{labels} value`` per ``(labels, value)`` sample
+    (``labels`` rendered, e.g. ``'{chip="0"}'``, or ``""``)."""
+    return [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"] + [
+        f"{name}{labels} {value}" for labels, value in samples
+    ]
+
+
+def prometheus_lines(snap, namespace="repro") -> list:
+    """A :meth:`Telemetry.snapshot`'s meters as Prometheus text lines.
+
+    Counters become one labelled ``{namespace}_jobs_total`` family
+    (``event="submitted"`` ...); the latency histograms export as
+    summaries (``quantile`` labels plus ``_sum``/``_count``); the
+    routing totals and tenancy gauges follow.  Safe on a fresh
+    service: empty histograms render zero-valued summaries instead of
+    dividing by zero.
+    """
+    lines = metric_family(
+        f"{namespace}_jobs_total", "counter", "Job lifecycle events.",
+        [(f'{{event="{name}"}}', value)
+         for name, value in snap["counters"].items()],
+    )
+    lines += [
+        f"# HELP {namespace}_latency_seconds Job latency by stage.",
+        f"# TYPE {namespace}_latency_seconds summary",
+    ]
+    stages = [
+        ("queue_wait", snap["queue_wait"]),
+        ("service_time", snap["service_time"]),
+        ("routing_plan", snap["routing"]["plan_time"]),
+    ]
+    for stage, summary in stages:
+        for quantile, key in (("0.5", "p50"), ("0.9", "p90"),
+                              ("0.99", "p99")):
+            lines.append(
+                f'{namespace}_latency_seconds{{stage="{stage}",'
+                f'quantile="{quantile}"}} {summary[key]:.9g}'
             )
-        ]
-        latency_rows = []
-        for label in ("queue_wait", "service_time"):
-            s = snap[label]
-            latency_rows.append([
-                label, str(s["count"]), format_seconds(s["mean"]),
-                format_seconds(s["p50"]), format_seconds(s["p99"]),
-                format_seconds(s["max"]),
-            ])
+        total = summary["mean"] * summary["count"]
+        lines.append(
+            f'{namespace}_latency_seconds_sum{{stage="{stage}"}} '
+            f"{total:.9g}"
+        )
+        lines.append(
+            f'{namespace}_latency_seconds_count{{stage="{stage}"}} '
+            f"{summary['count']}"
+        )
+    lines += metric_family(
+        f"{namespace}_routing_total", "counter", "Batch-planner work done.",
+        [(f'{{metric="{metric}"}}', f"{value:.9g}")
+         for metric, value in snap["routing"].items()
+         if metric != "plan_time"],
+    )
+    tenancy = snap["tenancy"]
+    lines += metric_family(
+        f"{namespace}_tenancy_groups_total", "counter",
+        "Lease group dispatches.", [("", tenancy["groups"])],
+    )
+    lines += metric_family(
+        f"{namespace}_tenancy_co_residency", "gauge",
+        "Mean co-resident tenants per lease group.",
+        [("", f"{tenancy['co_residency']['mean']:.9g}")],
+    )
+    lines += metric_family(
+        f"{namespace}_tenancy_frame_merge_ratio", "gauge",
+        "Mean per-tenant frames over merged frames.",
+        [("", f"{tenancy['frame_merge_ratio']['mean']:.9g}")],
+    )
+    return lines
+
+
+def report_tables(snap) -> list:
+    """A :meth:`Telemetry.snapshot`'s meters as text tables: the job
+    lifecycle and latency, plus batch routing and multi-tenancy when
+    any job used them."""
+    sections = [
+        ascii_table(
+            ["counter", "value"],
+            [[name, str(value)] for name, value in
+             snap["counters"].items()],
+            title="job lifecycle",
+        )
+    ]
+    latency_rows = []
+    for label in ("queue_wait", "service_time"):
+        s = snap[label]
+        latency_rows.append([
+            label, str(s["count"]), format_seconds(s["mean"]),
+            format_seconds(s["p50"]), format_seconds(s["p99"]),
+            format_seconds(s["max"]),
+        ])
+    sections.append(
+        ascii_table(
+            ["latency", "count", "mean", "p50", "p99", "max"],
+            latency_rows,
+            title="latency (fleet virtual time)",
+        )
+    )
+    routing = snap["routing"]
+    if routing["plans"]:
+        plan_time = routing["plan_time"]
         sections.append(
             ascii_table(
-                ["latency", "count", "mean", "p50", "p99", "max"],
-                latency_rows,
-                title="latency (fleet virtual time)",
+                ["metric", "value"],
+                [
+                    ["plans", str(routing["plans"])],
+                    ["cages planned", str(routing["cages_planned"])],
+                    ["planner host time", format_seconds(routing["plan_seconds"])],
+                    ["plan time p99", format_seconds(plan_time["p99"])],
+                    ["fast-path hits", str(routing["fast_path_hits"])],
+                    ["greedy-walk hits", str(routing["greedy_walk_hits"])],
+                    ["frontier steps", str(routing["frontier_steps"])],
+                    ["replans", str(routing["replans"])],
+                ],
+                title="batch routing (host time)",
             )
         )
-        routing = snap["routing"]
-        if routing["plans"]:
-            plan_time = routing["plan_time"]
-            sections.append(
-                ascii_table(
-                    ["metric", "value"],
-                    [
-                        ["plans", str(routing["plans"])],
-                        ["cages planned", str(routing["cages_planned"])],
-                        ["planner host time", format_seconds(routing["plan_seconds"])],
-                        ["plan time p99", format_seconds(plan_time["p99"])],
-                        ["fast-path hits", str(routing["fast_path_hits"])],
-                        ["greedy-walk hits", str(routing["greedy_walk_hits"])],
-                        ["frontier steps", str(routing["frontier_steps"])],
-                        ["replans", str(routing["replans"])],
-                    ],
-                    title="batch routing (host time)",
-                )
+    tenancy = snap["tenancy"]
+    if tenancy["groups"]:
+        co = tenancy["co_residency"]
+        ratio = tenancy["frame_merge_ratio"]
+        sections.append(
+            ascii_table(
+                ["metric", "mean", "p50", "max"],
+                [
+                    ["co-residency", f"{co['mean']:.2f}",
+                     f"{co['p50']:.0f}", f"{co['max']:.0f}"],
+                    ["frame-merge ratio", f"{ratio['mean']:.2f}",
+                     f"{ratio['p50']:.2f}", f"{ratio['max']:.2f}"],
+                ],
+                title=f"multi-tenancy ({tenancy['groups']} lease groups)",
             )
-        tenancy = snap["tenancy"]
-        if tenancy["groups"]:
-            co = tenancy["co_residency"]
-            ratio = tenancy["frame_merge_ratio"]
-            sections.append(
-                ascii_table(
-                    ["metric", "mean", "p50", "max"],
-                    [
-                        ["co-residency", f"{co['mean']:.2f}",
-                         f"{co['p50']:.0f}", f"{co['max']:.0f}"],
-                        ["frame-merge ratio", f"{ratio['mean']:.2f}",
-                         f"{ratio['p50']:.2f}", f"{ratio['max']:.2f}"],
-                    ],
-                    title=f"multi-tenancy ({tenancy['groups']} lease groups)",
-                )
-            )
-        if fleet is not None:
-            cache = snap["cache"]
-            fleet_snap = snap["fleet"]
-            sections.append(
-                ascii_table(
-                    ["chip", "jobs", "utilization", "health"],
-                    [
-                        [str(chip_id),
-                         str(fleet_snap["jobs_per_chip"][chip_id]),
-                         f"{fraction:.0%}",
-                         fleet_snap["health"][chip_id]]
-                        for chip_id, fraction in
-                        fleet_snap["utilization"].items()
-                    ],
-                    title=(
-                        f"fleet: {fleet_snap['n_chips']} chips, "
-                        f"{fleet_snap['throughput']:.2f} jobs/s over "
-                        f"{format_seconds(fleet_snap['makespan'])}; "
-                        f"cache hit rate {cache['hit_rate']:.0%} "
-                        f"({cache['hits']}/{cache['hits'] + cache['misses']})"
-                    ),
-                )
-            )
-        return "\n\n".join(sections)
+        )
+    return sections

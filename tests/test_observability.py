@@ -261,7 +261,7 @@ class TestTelemetry:
         service = ExecutionService.simulator(ServiceConfig(n_chips=2))
         service.submit(one_protocol())
         service.drain()
-        text = service.telemetry.to_prometheus(fleet=service.fleet)
+        text = service.to_prometheus()
         assert "repro_fleet_throughput_jobs_per_second" in text
         assert 'repro_chip_health{chip="0",state="healthy"} 1' in text
         assert 'repro_chip_utilization{chip="1"}' in text

@@ -315,7 +315,7 @@ def test_quarantine_cooldown_and_manual_restart_in_wall_time():
         assert counters["quarantined"].value == 1
         assert counters["restarted"].value == 0  # cooldown far away
         snap = service.snapshot()
-        assert snap["pool"]["health"][0] == "quarantined"
+        assert snap["fleet"]["health"][0] == "quarantined"
         assert snap["faults"]["transient"] >= 1
         service.restart_worker(0)
         deadline = time.monotonic() + 10.0
@@ -323,7 +323,7 @@ def test_quarantine_cooldown_and_manual_restart_in_wall_time():
                 and time.monotonic() < deadline):
             time.sleep(0.01)
         assert service.telemetry.counters["restarted"].value == 1
-        assert service.snapshot()["pool"]["health"][0] == "healthy"
+        assert service.snapshot()["fleet"]["health"][0] == "healthy"
 
 
 def test_snapshot_exposes_pool_gauges():
@@ -335,11 +335,11 @@ def test_snapshot_exposes_pool_gauges():
         service.drain(timeout=60.0)
         snap = service.snapshot()
         report = service.report()
-    pool = snap["pool"]
-    assert pool["n_workers"] == 2
-    assert set(pool["utilization"]) == {0, 1}
-    assert all(0.0 <= u <= 1.0 for u in pool["utilization"].values())
-    assert sum(pool["jobs_per_worker"].values()) >= 4
+    pool, fleet = snap["pool"], snap["fleet"]
+    assert fleet["n_chips"] == 2
+    assert set(fleet["utilization"]) == {0, 1}
+    assert all(0.0 <= u <= 1.0 for u in fleet["utilization"].values())
+    assert sum(fleet["jobs_per_chip"].values()) >= 4
     assert pool["queue_depth"] == 0 and pool["outstanding"] == 0
     assert snap["cache"]["hits"] + snap["cache"]["misses"] >= 4
     assert "pool:" in report and "worker" in report

@@ -284,3 +284,56 @@ def test_thread_quarantine_hands_queued_lane_work_to_other_workers():
         assert counters["quarantined"] == 1
         assert counters["restarted"] == 0
         service.restart_worker(0)  # so close() need not wait it out
+
+
+# -- one observation surface --------------------------------------------------
+
+
+def observe(tier, protocols):
+    """Serve ``protocols`` in FIFO order on one chip with a two-program
+    cache, under a clean fault plan; returns ``(snapshot, Prometheus
+    text)`` taken while the chip still serves."""
+    faults = FleetFaultPlan(models={0: FaultModel.none(SHAPE)})
+    if tier == "virtual":
+        service = ExecutionService.dry_run(
+            ServiceConfig(n_chips=1, cache_capacity=2),
+            faults=faults, grid=GRID,
+        )
+        service.submit_many(protocols)
+        service.drain()
+        return service.snapshot(), service.to_prometheus()
+    config = ConcurrentConfig(
+        n_workers=1, cache_capacity=2, poll_interval=0.005
+    )
+    with ConcurrentExecutionService.dry_run(
+            config, faults=faults, grid=GRID) as service:
+        service.submit_many(protocols)
+        service.drain(timeout=60.0)
+        return service.snapshot(), service.to_prometheus()
+
+
+def test_both_tiers_render_one_observation_surface():
+    """Both tiers render the same snapshot schema and Prometheus chip
+    gauges from their chip records, and count cache hits, misses and
+    evictions alike on the same FIFO traffic."""
+    protocols = [
+        tiny_protocol(f"j{i}", row=row)
+        for i, row in enumerate([2, 2, 3, 4, 2, 3, 3, 4, 2])
+    ]
+    (virtual, virtual_text), (thread, thread_text) = (
+        observe("virtual", protocols), observe("thread", protocols)
+    )
+    for key in ("cache", "fleet", "faults"):
+        assert set(virtual[key]) == set(thread[key])
+    for text in (virtual_text, thread_text):
+        assert 'repro_chip_health{chip="0",state="healthy"} 1' in text
+        assert 'repro_chip_utilization{chip="0"}' in text
+        assert 'repro_chip_restarts_total{chip="0"} 0' in text
+        assert 'repro_cache_events_total{event="evictions"}' in text
+
+    def cache_events(snap):
+        return [snap["cache"][k] for k in ("hits", "misses", "evictions")]
+
+    assert cache_events(virtual) == cache_events(thread)
+    hits, misses, evictions = cache_events(virtual)
+    assert hits > 0 and evictions > 0 and hits + misses == len(protocols)

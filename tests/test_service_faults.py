@@ -186,6 +186,26 @@ class TestQuarantine:
                    for i in range(3)]
         assert all(r.chip_id == 1 for r in results)
 
+    def test_drain_wins_over_quarantine(self, caplog):
+        """Regression: draining a quarantined chip used to be a no-op,
+        so the cooldown restart put it back in rotation.  The drain
+        holds until an explicit restart, and the operator's quarantine
+        logs no failure streak."""
+        service = faulted_service(
+            {0: clean(), 1: clean()}, restart_cooldown=0.0
+        )
+        with caplog.at_level("WARNING", logger="repro.service"):
+            service.quarantine_chip(0)
+        service.drain_chip(0)
+        results = [service.submit(tiny_protocol(f"p{i}")).wait()
+                   for i in range(4)]
+        assert [r.chip_id for r in results] == [1, 1, 1, 1]
+        assert service.fleet.worker(0).health is ChipHealth.DRAINING
+        message, = (r.getMessage() for r in caplog.records)
+        assert "chip 0" in message and "consecutive" not in message
+        service.restart_chip(0)
+        assert service.fleet.worker(0).health is ChipHealth.HEALTHY
+
 
 class TestTimeout:
     def test_slow_attempt_times_out_and_is_discarded(self):
