@@ -137,8 +137,12 @@ class SimulatorBackend(Backend):
 
     def spawn(self) -> "SimulatorBackend":
         # dataclasses.replace re-runs Biochip.__post_init__, giving a
-        # pristine chip (fresh cages, clock, RNG) with identical config.
-        return SimulatorBackend(dataclasses.replace(self.chip))
+        # pristine chip (fresh cages, clock, RNG) with identical config;
+        # identical config means identical cage physics, so the spawn
+        # shares the template's levitation cache and solves nothing anew.
+        chip = dataclasses.replace(self.chip)
+        chip._levitation_cache = self.chip._levitation_cache
+        return SimulatorBackend(chip)
 
     def set_region(self, origin=None, rows=None, cols=None):
         self.chip.set_region(origin, rows, cols)

@@ -108,6 +108,11 @@ class Biochip:
         self._sensor_quarantine = None
         self._region = None         # (r0, c0, r1, c1) lease window
         self._region_block = None   # bool mask, True outside the lease
+        # particle key -> levitation height [m]; shared with every chip
+        # spawned from this one (see _levitation_height)
+        self._levitation_cache = {}
+        self._signal_cache = {}          # particle key -> signal [V]
+        self._payload_signal_cache = {}  # payload id -> (payload, signal)
         self._routing_totals = {
             "plans": 0,
             "cages_planned": 0,
@@ -269,8 +274,14 @@ class Biochip:
         )
 
     def verify_speed(self, particle) -> bool:
-        """Whether the configured cage speed is physically holdable."""
-        return self.dep_cage(particle).max_drag_speed() >= self.cage_speed
+        """Whether the configured cage speed is physically holdable.
+
+        False when the cage cannot levitate ``particle`` at all.
+        """
+        height = self._levitation_height(particle)
+        if height is None:
+            return False
+        return self.dep_cage(particle).max_drag_speed(z=height) >= self.cage_speed
 
     def _particle_key(self, particle):
         """Cache key for per-particle-type quantities (see below)."""
@@ -289,11 +300,20 @@ class Biochip:
         of the same type/size levitate at the same height, so cache on
         (name, radius, density) -- invalidated implicitly by keying on
         the drive settings too.
+
+        There is one cache per chip template: :meth:`SimulatorBackend.spawn
+        <repro.core.backend.SimulatorBackend.spawn>` hands every chip it
+        spawns (fleet chips, restarts, tenant views) the template's dict,
+        and a spawned chip copies the template's pitch, chamber, medium
+        and drive, so the key still names one solve.  The cache is not
+        process-wide: the key leaves out the geometry and the medium,
+        which differ between templates, and a chip set up in a process
+        that had built others before would time a warm cache instead of
+        the solve (the repository benchmark builds several set-ups in
+        one process).
         """
         key = self._particle_key(particle)
-        cache = getattr(self, "_levitation_cache", None)
-        if cache is None:
-            cache = self._levitation_cache = {}
+        cache = self._levitation_cache
         if key not in cache:
             cache[key] = self.dep_cage(particle).levitation_height()
         return cache[key]
@@ -308,9 +328,7 @@ class Biochip:
         one Clausius-Mossotti evaluation each.
         """
         key = self._particle_key(particle)
-        cache = getattr(self, "_signal_cache", None)
-        if cache is None:
-            cache = self._signal_cache = {}
+        cache = self._signal_cache
         if key not in cache:
             height = self._levitation_height(particle)
             cache[key] = self.readout.signal_voltage(particle, height)
@@ -337,10 +355,8 @@ class Biochip:
             # recompute through the per-type cache), so long-lived
             # service chips cannot accumulate pinned payloads forever.
             key = (id(payload), self.drive_voltage, self.drive_frequency)
-            cache = getattr(self, "_payload_signal_cache", None)
-            if cache is None:
-                cache = self._payload_signal_cache = {}
-            elif len(cache) > 65536:
+            cache = self._payload_signal_cache
+            if len(cache) > 65536:
                 cache.clear()
             hit = cache.get(key)
             if hit is None:

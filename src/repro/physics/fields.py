@@ -21,6 +21,17 @@ order of the electrode pitch.
 
 The quantity DEP cares about is ``grad |E_rms|^2``; we expose both the
 potential/field and a numerically differentiated ``grad_e2``.
+
+Evaluation is vectorised over patches, lid images and points at once:
+:meth:`ArrayFieldModel.potential` computes every (patch, image, point)
+solid angle in one broadcast call per block of patches, and
+:meth:`ArrayFieldModel.field` evaluates its six central-difference
+points in one stacked ``potential`` call.  The superposition is still
+summed in a fixed order -- each patch's direct term, then its images
+1..R, patch by patch, one term at a time -- because floating-point
+addition is not associative: a pairwise or blocked reduction would move
+the last bits of every field, and with them the levitation heights and
+sensed values that the rest of the simulator pins.
 """
 
 from __future__ import annotations
@@ -28,6 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+#: (patch, image, point) terms per broadcast block in
+#: :meth:`ArrayFieldModel.potential`; a block holds at least one patch.
+_BLOCK_TERMS = 8192
 
 
 def rectangle_solid_angle(dx1, dx2, dy1, dy2, z):
@@ -98,49 +113,117 @@ class ArrayFieldModel:
 
         ``x, y, z`` are broadcastable arrays; ``z`` must be positive
         (inside the liquid).
+
+        Patches are evaluated in blocks of at most ``_BLOCK_TERMS``
+        (patch, image, point) terms: one broadcast
+        :func:`rectangle_solid_angle` call per block covers its patches,
+        their lid images and every point, so peak memory stays bounded
+        however many patches the frame has.
+        Each term is ``amp * omega / two_pi`` (direct) or
+        ``sign * amp * omega_img / two_pi`` (image), and the terms are
+        added one at a time in patch order, direct term first, by a
+        sequential ``cumsum`` seeded with the running sum.  That is the
+        exact arithmetic of a plain per-patch loop over the points.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
+        return self._potential(x, y, z, scalar=np.broadcast(x, y, z).shape == ())
+
+    def _potential(self, x, y, z, scalar):
+        """:meth:`potential` of float arrays.  ``scalar`` says that each
+        point stands for a scalar evaluation, whose complex terms numpy
+        computes with scalar arithmetic: its complex division is exact,
+        where the array loop multiplies by the reciprocal."""
         if np.any(z <= 0.0):
             raise ValueError("observation points must satisfy z > 0 (inside liquid)")
-        phi = np.zeros(np.broadcast(x, y, z).shape, dtype=complex)
-        two_pi = 2.0 * np.pi
-        for patch in self.patches:
-            if patch.amplitude == 0.0:
-                continue
-            omega = rectangle_solid_angle(
-                patch.x_min - x, patch.x_max - x, patch.y_min - y, patch.y_max - y, z
-            )
-            phi = phi + patch.amplitude * omega / two_pi
-            if self.lid_height is not None:
-                for n in range(1, self.reflections + 1):
-                    # Odd images about the lid plane enforce phi=lid value
-                    # there; alternating sign mirrors about z = n * 2h.
-                    z_img = 2.0 * n * self.lid_height - z if n % 2 else z - 2.0 * n * self.lid_height
-                    z_img = np.abs(z_img)
-                    omega_img = rectangle_solid_angle(
-                        patch.x_min - x,
-                        patch.x_max - x,
-                        patch.y_min - y,
-                        patch.y_max - y,
-                        z_img,
-                    )
-                    sign = -1.0 if n % 2 else 1.0
-                    phi = phi + sign * patch.amplitude * omega_img / two_pi
+        shape = np.broadcast(x, y, z).shape
+        phi = np.zeros(shape, dtype=complex)
+        live = [patch for patch in self.patches if patch.amplitude != 0.0]
+        if live:
+            phi = self._patch_sum(live, x, y, z, shape, scalar)
         if self.lid_height is not None and self.lid_amplitude != 0.0:
             phi = phi + self.lid_amplitude * (z / self.lid_height)
         return phi
 
+    def _patch_sum(self, live, x, y, z, shape, scalar):
+        """Superposition of the ``live`` patches and their lid images."""
+        two_pi = 2.0 * np.pi
+        xs = np.broadcast_to(x, shape).ravel()
+        ys = np.broadcast_to(y, shape).ravel()
+        zs = np.broadcast_to(z, shape).ravel()
+        # Row 0 is the direct term, rows 1..R the lid images.  Odd images
+        # about the lid plane enforce phi=lid value there; alternating
+        # sign mirrors about z = n * 2h.
+        images = range(1, self.reflections + 1) if self.lid_height is not None else ()
+        heights = [zs]
+        signs = []
+        for n in images:
+            z_img = 2.0 * n * self.lid_height - zs if n % 2 else zs - 2.0 * n * self.lid_height
+            heights.append(np.abs(z_img))
+            signs.append(-1.0 if n % 2 else 1.0)
+        heights = np.stack(heights)[None]
+        phi = np.zeros(zs.size, dtype=complex)
+        per_block = max(1, _BLOCK_TERMS // heights.size)
+        for start in range(0, len(live), per_block):
+            block = live[start:start + per_block]
+            bounds = np.array(
+                [(p.x_min, p.x_max, p.y_min, p.y_max) for p in block], dtype=float
+            )[:, :, None, None]
+            omega = rectangle_solid_angle(
+                bounds[:, 0] - xs, bounds[:, 1] - xs,
+                bounds[:, 2] - ys, bounds[:, 3] - ys,
+                heights,
+            )
+            # Row 0 of ``acc`` seeds the sum; the terms follow in patch
+            # order, each in the arithmetic a per-patch loop gives it:
+            # real amplitudes in float, complex ones in complex.
+            acc = np.empty((1 + omega.shape[0] * omega.shape[1], zs.size), dtype=complex)
+            acc[0] = phi
+            terms = acc[1:].reshape(omega.shape)
+            coefs = [[p.amplitude] + [sign * p.amplitude for sign in signs] for p in block]
+            is_complex = [np.iscomplexobj(p.amplitude) for p in block]
+            if not any(is_complex):
+                # amp * omega / two_pi, in place (float products commute)
+                omega *= np.array(coefs, dtype=float)[:, :, None]
+                omega /= two_pi
+                terms[...] = omega
+            else:
+                for out, amps, rows, cx in zip(terms, coefs, omega, is_complex):
+                    if not cx:
+                        out[...] = np.array(amps, dtype=float)[:, None] * rows / two_pi
+                    elif scalar:
+                        out[...] = [[amp * w / two_pi for w in row] for amp, row in zip(amps, rows)]
+                    else:
+                        out[...] = np.array(amps, dtype=complex)[:, None] * rows / two_pi
+            phi = np.cumsum(acc, axis=0, out=acc)[-1]
+        phi = phi.reshape(shape)
+        return phi if shape else phi[()]
+
     def field(self, x, y, z, step=None):
-        """Complex field phasor (Ex, Ey, Ez) by central differences [V/m]."""
+        """Complex field phasor (Ex, Ey, Ez) by central differences [V/m].
+
+        The six stencil points go through one stacked potential
+        evaluation.
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
         h = self._step(z, step)
-        ex = -(self.potential(x + h, y, z) - self.potential(x - h, y, z)) / (2.0 * h)
-        ey = -(self.potential(x, y + h, z) - self.potential(x, y - h, z)) / (2.0 * h)
-        ez = -(self.potential(x, y, z + h) - self.potential(x, y, z - h)) / (2.0 * h)
+        shape = np.broadcast_shapes(x.shape, y.shape, z.shape, np.shape(h))
+
+        def stack(*coords):
+            return np.stack([np.broadcast_to(c, shape) for c in coords])
+
+        phi = self._potential(
+            stack(x + h, x - h, x, x, x, x),
+            stack(y, y, y + h, y - h, y, y),
+            stack(z, z, z, z, z + h, z - h),
+            scalar=shape == (),
+        )
+        ex = -(phi[0] - phi[1]) / (2.0 * h)
+        ey = -(phi[2] - phi[3]) / (2.0 * h)
+        ez = -(phi[4] - phi[5]) / (2.0 * h)
         return ex, ey, ez
 
     def e_squared(self, x, y, z, step=None):

@@ -122,6 +122,24 @@ class TestBiochipOperations:
         chip = Biochip.small_chip()
         assert chip.verify_speed(polystyrene_bead(um(5)))
 
+    def test_verify_speed_reuses_the_cached_height(self, monkeypatch):
+        from repro.physics.dep import DepCage
+
+        solves = []
+        solve = DepCage.levitation_height
+
+        def counted(cage):
+            solves.append(cage)
+            return solve(cage)
+
+        monkeypatch.setattr(DepCage, "levitation_height", counted)
+        chip = Biochip.small_chip()
+        bead = polystyrene_bead(um(5))
+        assert chip.verify_speed(bead)
+        first = len(solves)
+        assert chip.verify_speed(bead)
+        assert len(solves) == first
+
     def test_history_grows(self):
         chip = Biochip.small_chip()
         cage = chip.trap((5, 5))

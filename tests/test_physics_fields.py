@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.physics.constants import um
 from repro.physics.fields import (
@@ -137,3 +139,182 @@ class TestCagePattern:
         g_high = cage_field_model(pitch, 2.0, um(100)).grad_e2(um(5), 0.0, z)
         ratio = g_high[0] / g_low[0]
         assert ratio == pytest.approx(4.0, rel=1e-6)
+
+
+# -- bit-identity against the per-patch loop --------------------------------
+
+
+def reference_potential(model, x, y, z):
+    """The per-patch, per-image loop ``potential`` was written as: the
+    summation order and arithmetic the vectorised version must keep."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if np.any(z <= 0.0):
+        raise ValueError("observation points must satisfy z > 0 (inside liquid)")
+    phi = np.zeros(np.broadcast(x, y, z).shape, dtype=complex)
+    two_pi = 2.0 * np.pi
+    for patch in model.patches:
+        if patch.amplitude == 0.0:
+            continue
+        omega = rectangle_solid_angle(
+            patch.x_min - x, patch.x_max - x, patch.y_min - y, patch.y_max - y, z
+        )
+        phi = phi + patch.amplitude * omega / two_pi
+        if model.lid_height is not None:
+            for n in range(1, model.reflections + 1):
+                z_img = 2.0 * n * model.lid_height - z if n % 2 else z - 2.0 * n * model.lid_height
+                z_img = np.abs(z_img)
+                omega_img = rectangle_solid_angle(
+                    patch.x_min - x,
+                    patch.x_max - x,
+                    patch.y_min - y,
+                    patch.y_max - y,
+                    z_img,
+                )
+                sign = -1.0 if n % 2 else 1.0
+                phi = phi + sign * patch.amplitude * omega_img / two_pi
+    if model.lid_height is not None and model.lid_amplitude != 0.0:
+        phi = phi + model.lid_amplitude * (z / model.lid_height)
+    return phi
+
+
+def reference_step(z, step):
+    if step is not None:
+        return step
+    return max(float(np.min(z)) * 0.02, 1e-9)
+
+
+def reference_field(model, x, y, z, step=None):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    h = reference_step(z, step)
+    phi = lambda *p: reference_potential(model, *p)  # noqa: E731
+    ex = -(phi(x + h, y, z) - phi(x - h, y, z)) / (2.0 * h)
+    ey = -(phi(x, y + h, z) - phi(x, y - h, z)) / (2.0 * h)
+    ez = -(phi(x, y, z + h) - phi(x, y, z - h)) / (2.0 * h)
+    return ex, ey, ez
+
+
+def reference_e_squared(model, x, y, z, step=None):
+    ex, ey, ez = reference_field(model, x, y, z, step=step)
+    return (np.abs(ex) ** 2 + np.abs(ey) ** 2 + np.abs(ez) ** 2).real
+
+
+def reference_grad_e2(model, x, y, z, step=None):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    h = reference_step(z, step)
+    e2 = lambda *p: reference_e_squared(model, *p, step)  # noqa: E731
+    gx = (e2(x + h, y, z) - e2(x - h, y, z)) / (2.0 * h)
+    gy = (e2(x, y + h, z) - e2(x, y - h, z)) / (2.0 * h)
+    gz = (e2(x, y, z + h) - e2(x, y, z - h)) / (2.0 * h)
+    return gx, gy, gz
+
+
+def assert_bit_identical(got, expected):
+    if isinstance(expected, tuple):
+        assert isinstance(got, tuple) and len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert_bit_identical(g, e)
+        return
+    assert type(got) is type(expected)
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+_coord = st.floats(-40.0, 40.0, allow_nan=False)
+_amplitude = st.one_of(
+    st.just(0.0),
+    st.floats(-5.0, 5.0, allow_nan=False),
+    st.integers(-3, 3),
+    st.builds(complex, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+)
+
+
+@st.composite
+def field_models(draw):
+    patches = []
+    for __ in range(draw(st.integers(0, 8))):
+        x0, y0 = draw(_coord), draw(_coord)
+        w = draw(st.floats(1.0, 30.0))
+        h = draw(st.floats(1.0, 30.0))
+        patches.append(
+            ElectrodePatch(um(x0), um(x0 + w), um(y0), um(y0 + h), draw(_amplitude))
+        )
+    lid = draw(st.one_of(st.none(), st.floats(60.0, 200.0)))
+    return ArrayFieldModel(
+        patches=patches,
+        lid_height=None if lid is None else um(lid),
+        lid_amplitude=draw(st.sampled_from([0.0, 0.7, 0.25 - 0.5j])),
+        reflections=draw(st.integers(0, 3)),
+    )
+
+
+@st.composite
+def observation_points(draw):
+    """Scalar, 1-D, 2-D and mutually broadcast (x, y, z) in metres."""
+    kind = draw(st.sampled_from(["scalar", "1d", "2d", "broadcast"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def xy(shape):
+        return um(rng.uniform(-40.0, 40.0, shape))
+
+    def z(shape):
+        return um(rng.uniform(3.0, 50.0, shape))
+
+    if kind == "scalar":
+        return float(xy(())), float(xy(())), float(z(()))
+    if kind == "1d":
+        n = draw(st.integers(1, 12))
+        return xy(n), xy(n), z(n)
+    if kind == "2d":
+        shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        return xy(shape), xy(shape), z(shape)
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return xy((rows, 1)), 0.0, z((1, cols))
+
+
+class TestVectorisedBitIdentity:
+    """The vectorised potential and the stacked stencil give exactly the
+    bits of the per-patch loop, for every point shape."""
+
+    @given(model=field_models(), points=observation_points())
+    @settings(max_examples=60, deadline=None)
+    def test_potential(self, model, points):
+        assert_bit_identical(model.potential(*points), reference_potential(model, *points))
+
+    @given(model=field_models(), points=observation_points())
+    @settings(max_examples=60, deadline=None)
+    def test_field(self, model, points):
+        assert_bit_identical(model.field(*points), reference_field(model, *points))
+
+    @given(model=field_models(), points=observation_points())
+    @settings(max_examples=40, deadline=None)
+    def test_grad_e2(self, model, points):
+        assert_bit_identical(model.grad_e2(*points), reference_grad_e2(model, *points))
+
+    def test_blocks_do_not_move_bits(self):
+        """A frame big enough to split into several patch blocks still
+        sums in plain loop order."""
+        patches = checkerboard_cage_patches(um(20), 3.3, radius_cells=20)
+        model = ArrayFieldModel(patches=patches, lid_height=um(100))
+        xs = np.linspace(-um(30), um(30), 40)
+        zs = np.full_like(xs, um(20))
+        assert_bit_identical(model.potential(xs, 0.0, zs), reference_potential(model, xs, 0.0, zs))
+
+    def test_bead_levitation_pinned(self):
+        """The bead's cage on the small chip: height, stiffness and
+        holding force pinned to the per-patch loop's values."""
+        from repro import Biochip
+        from repro.bio import polystyrene_bead
+
+        cage = Biochip.small_chip(48, 48).dep_cage(polystyrene_bead())
+        height = cage.levitation_height()
+        assert height == 2.336113311703224e-05
+        assert cage.lateral_stiffness(height) == 2.198299025555834e-06
+        assert cage.max_lateral_force(height) == 2.6853062691144308e-11
