@@ -14,6 +14,12 @@ Two layers:
   :meth:`CageManager.run_plan`), and persisted under the ``routing``
   key of ``BENCH_array.json``.
 
+* A repeated batch: one chip plans the ``perm_320`` batch, then the
+  same batch again under new cage ids, which its plan memo serves
+  (:meth:`Biochip.move_many <repro.core.platform.Biochip.move_many>`).
+  The miss and hit planner seconds go under ``routing`` ->
+  ``repeated_batch``, and the hit must reproduce the miss bit for bit.
+
 * Experiment X1 (batch planner vs the uncoordinated greedy baseline)
   stays as the behavioural comparison: completion rate and makespan on
   permutation and converging traffic.
@@ -28,6 +34,7 @@ from pathlib import Path
 
 from conftest import report
 
+from repro import Biochip
 from repro.analysis import ascii_table
 from repro.array import CageManager, ElectrodeGrid
 from repro.physics.constants import um
@@ -133,6 +140,37 @@ def _scenarios():
     ]
 
 
+def _repeated_batch(name, grid, requests):
+    """Move one batch twice on one chip, releasing and re-trapping its
+    cages (under new ids) in between: the first plan is a memo miss,
+    the second a hit.  Asserts the hit's report and final sites equal
+    the miss's, and returns both planner times."""
+    chip = Biochip(grid=grid)
+    runs = []
+    for __ in range(2):
+        ids = [chip.trap(request.start).cage_id for request in requests]
+        report = chip.move_many(
+            {cage_id: r.goal for cage_id, r in zip(ids, requests)})
+        runs.append((report, chip.cages.sites()))
+        for cage_id in ids:
+            chip.release(cage_id)
+    (miss, miss_sites), (hit, hit_sites) = runs
+    totals = chip.routing_totals
+    assert (totals["memo_misses"], totals["memo_hits"]) == (1, 1)
+    # bit-identical: everything but the planner's own wall-clock time
+    assert {k: v for k, v in hit.items() if k != "plan_seconds"} == {
+        k: v for k, v in miss.items() if k != "plan_seconds"}
+    assert hit_sites == miss_sites
+    return {
+        "scenario": name,
+        "cages": len(requests),
+        "makespan": miss["frames"],
+        "miss_plan_seconds": miss["plan_seconds"],
+        "hit_plan_seconds": hit["plan_seconds"],
+        "hit_speedup": miss["plan_seconds"] / hit["plan_seconds"],
+    }
+
+
 def _astar_reference():
     """The A* reference on the full-scale grid, on a sample small
     enough to finish: ~1.5 s/cage at 320x320 is the planner ceiling
@@ -166,7 +204,10 @@ def test_wavefront_scale(benchmark):
     results = benchmark.pedantic(run_all, iterations=1, rounds=1)
     reference = _astar_reference()
 
-    full_perm = results["perm_48" if SMOKE else "perm_320"]
+    perm_name = "perm_48" if SMOKE else "perm_320"
+    full_perm = results[perm_name]
+    repeated = _repeated_batch(*next(
+        scenario for scenario in scenarios if scenario[0] == perm_name))
     speedup = full_perm["cages_per_s"] / reference["cages_per_s"]
     payload = {
         "planner": "wavefront",
@@ -174,6 +215,7 @@ def test_wavefront_scale(benchmark):
         "scenarios": results,
         "astar_reference": reference,
         "speedup_vs_astar": speedup,
+        "repeated_batch": repeated,
     }
     _merge_json("routing", payload)
 
@@ -199,6 +241,18 @@ def test_wavefront_scale(benchmark):
             f"{reference['us_per_cage']:.0f}",
             "-",
             f"exp={reference['expansions']:,}",
+            "-",
+        ]
+    )
+    table_rows.append(
+        [
+            f"{repeated['scenario']} repeated (memo hit)",
+            f"{repeated['cages']:,}",
+            f"{repeated['makespan']}",
+            f"{repeated['cages'] / repeated['hit_plan_seconds']:.0f}",
+            f"{repeated['hit_plan_seconds'] / repeated['cages'] * 1e6:.1f}",
+            "-",
+            f"miss {repeated['miss_plan_seconds'] * 1e3:.1f} ms",
             "-",
         ]
     )

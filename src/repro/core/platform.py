@@ -11,6 +11,8 @@ layer (:mod:`repro.core.protocol`).
 from __future__ import annotations
 
 import math
+import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +27,32 @@ from ..physics.constants import um
 from ..physics.dep import DepCage
 from ..physics.dielectrics import water_medium
 from ..routing.astar import ObstacleMap, RoutingError, astar_route, path_moves
-from ..routing.multi import RoutingRequest, WavefrontRouter
+from ..routing.multi import BatchPlan, RoutingRequest, WavefrontRouter
 from ..sensing.capacitive import CapacitiveSensor
 from ..sensing.quarantine import ReadingBounds, SensorQuarantine
 from ..sensing.readout import CapacitiveReadoutChain
 from ..technology.nodes import PAPER_NODE, TechnologyNode
 from .errors import ChipFault, ExecutionError
+
+#: The counters of :attr:`Biochip.routing_totals`, in report order.  The
+#: chip's totals, its per-plan fold and the service's routing meters are
+#: all built from this one list, so a new counter reaches every snapshot.
+ROUTING_COUNTERS = (
+    "plans",
+    "cages_planned",
+    "plan_seconds",
+    "fast_path_hits",
+    "greedy_walk_hits",
+    "frontier_steps",
+    "expansions",
+    "replans",
+    "memo_hits",
+    "memo_misses",
+)
+
+#: How many distinct batch plans one chip remembers (least recently
+#: used first out; see :meth:`Biochip.move_many`).
+_PLAN_MEMO_SIZE = 64
 
 
 @dataclass
@@ -108,29 +130,27 @@ class Biochip:
         self._sensor_quarantine = None
         self._region = None         # (r0, c0, r1, c1) lease window
         self._region_block = None   # bool mask, True outside the lease
+        self._region_version = 0    # bumped by every set_region
         # particle key -> levitation height [m]; shared with every chip
         # spawned from this one (see _levitation_height)
         self._levitation_cache = {}
         self._signal_cache = {}          # particle key -> signal [V]
         self._payload_signal_cache = {}  # payload id -> (payload, signal)
         self._routing_totals = {
-            "plans": 0,
-            "cages_planned": 0,
-            "plan_seconds": 0.0,
-            "fast_path_hits": 0,
-            "greedy_walk_hits": 0,
-            "frontier_steps": 0,
-            "expansions": 0,
-            "replans": 0,
+            **dict.fromkeys(ROUTING_COUNTERS, 0), "plan_seconds": 0.0,
         }
+        # memo key -> (request ids, row ids, sites, makespan, stats) of
+        # the plan that filled it; see move_many
+        self._plan_memo = OrderedDict()
 
     @property
     def routing_totals(self) -> dict:
         """Cumulative batch-planner cost on this chip (see
         :attr:`BatchPlan.stats <repro.routing.multi.BatchPlan.stats>`):
-        plans run, cages planned, planner wall-clock, and the fast-path
-        / frontier / replan counters.  Service telemetry snapshots the
-        per-job deltas of this dict."""
+        plans run, cages planned, planner wall-clock, the fast-path
+        / frontier / replan counters, and the batch-plan memo's hits and
+        misses (every key of :data:`ROUTING_COUNTERS`).  Service
+        telemetry snapshots the per-job deltas of this dict."""
         return dict(self._routing_totals)
 
     # -- construction helpers ---------------------------------------------
@@ -213,8 +233,10 @@ class Biochip:
         whole-array access.  Addressing a site outside the lease is the
         *job's* bug (a placement/footprint error), so it raises
         :class:`~repro.core.errors.ExecutionError`, not a retryable
-        :class:`~repro.core.errors.ChipFault`.
+        :class:`~repro.core.errors.ChipFault`.  Every call bumps the
+        region version that keys the batch-plan memo.
         """
+        self._region_version += 1
         if origin is None:
             self._region = None
             self._region_block = None
@@ -492,6 +514,30 @@ class Biochip:
         each frame's dirty rows; every frame is then charged its row
         rewrites and its dwell in frame order.
 
+        Repeated batches reuse their plan.  A plan is a function of the
+        grid, ``min_separation``, the blocked mask and the *ordered*
+        (start, goal, moving) requests alone; cage ids reach the router
+        only as labels, through ``moving`` membership and the promotion
+        order of a replan, and both follow request positions.  So each
+        chip keeps a bounded LRU memo keyed on ``(min_separation, dead
+        mask version, region version, requests)`` -- the two versions
+        are bumped by every dead-mask install and every
+        :meth:`set_region` -- that stores the plan's sites, makespan and
+        stats with the cage ids it was planned under.  A hit renames
+        each plan row to the cage now at that row's request position
+        (the same protocol re-traps its cages under new ids), so its
+        frames, report and clock charge are bit-identical to a fresh
+        plan's.  A hit
+        skips the router's validation, because that outcome is a
+        function of the key too, and a batch the router rejects is never
+        stored; the bounds, region and dead-goal checks here still run
+        on every call.  The memo is per chip and is not handed to
+        spawned chips: its versions count this chip's own mask and
+        region changes, and restarts and tenant views install their own.
+        Hits and misses are counted in :attr:`routing_totals`; a hit
+        counts as a plan whose ``plan_seconds`` is the lookup time and
+        whose planner counters are zero.
+
         Parameters
         ----------
         goals:
@@ -518,7 +564,8 @@ class Biochip:
     def _move_many(self, goals):
         """The untraced :meth:`move_many` body."""
         dead = self._dead_mask()
-        requests = []
+        ids = []
+        requests = []  # (start, goal, moving) per cage of ``ids``
         for cage_id, goal in goals.items():
             cage = self.cages.cage(cage_id)
             goal = tuple(goal)
@@ -529,7 +576,8 @@ class Biochip:
                 raise ChipFault(
                     f"cage {cage_id}: goal {goal} is a dead electrode"
                 )
-            requests.append(RoutingRequest(cage_id, cage.site, goal))
+            ids.append(cage_id)
+            requests.append((cage.site, goal, True))
         # Stationary cages participate as zero-length requests so the
         # router treats them as parked obstacles for the whole horizon.
         # They must be planned FIRST: planned-last they would be routed
@@ -538,30 +586,20 @@ class Biochip:
         moving = set(goals)
         for cage in self.cages.cages:
             if cage.cage_id not in moving:
-                requests.append(RoutingRequest(cage.cage_id, cage.site, cage.site))
-
-        def priority(request):
-            distance = max(
-                abs(request.start[0] - request.goal[0]),
-                abs(request.start[1] - request.goal[1]),
-            )
-            return (request.cage_id in moving, -distance)
-
-        router = WavefrontRouter(
-            self.grid, min_separation=self.min_separation,
-            blocked=self._blocked_mask(),
-        )
-        try:
-            plan = router.plan(requests, priority=priority)
-        except RoutingError as exc:
-            raise ExecutionError(str(exc)) from exc
+                site = cage.site
+                ids.append(cage.cage_id)
+                requests.append((site, site, False))
+        plan, hit = self._plan_batch(ids, requests, moving)
+        counts = {
+            **plan.stats,
+            "plans": 1,
+            "cages_planned": plan.stats["cages"],
+            "memo_hits": int(hit),
+            "memo_misses": int(not hit),
+        }
         totals = self._routing_totals
-        totals["plans"] += 1
-        totals["cages_planned"] += plan.stats.get("cages", 0)
-        totals["plan_seconds"] += plan.stats.get("plan_seconds", 0.0)
-        for key in ("fast_path_hits", "greedy_walk_hits", "frontier_steps",
-                    "expansions", "replans"):
-            totals[key] += plan.stats.get(key, 0)
+        for key in ROUTING_COUNTERS:
+            totals[key] += counts[key]
         dirty = self.cages.run_plan(plan.cage_ids, plan.deltas)
         row_time = self.addresser.row_write_time()
         drow, dcol = plan.deltas[..., 0], plan.deltas[..., 1]
@@ -584,10 +622,71 @@ class Biochip:
             "moves": plan.total_moves(),
             "program_time": program_time,
             "dwell_time": dwell_time,
-            "plan_seconds": plan.stats.get("plan_seconds", 0.0),
+            "plan_seconds": plan.stats["plan_seconds"],
         }
         self._log("move_many", dict(report), program_time + dwell_time)
         return report
+
+    def _plan_batch(self, ids, requests, moving):
+        """The batch plan for ``requests`` (one ``(start, goal,
+        moving)`` per cage of ``ids``; ``moving`` is the set of moving
+        ids), from this chip's memo when the same batch was planned
+        before (see :meth:`move_many`).  Returns ``(plan, hit)``."""
+        started = time.perf_counter()
+        key = (
+            self.min_separation,
+            self.cages.state.dead_version,
+            self._region_version,
+            tuple(requests),
+        )
+        memo = self._plan_memo
+        entry = memo.get(key)
+        if entry is not None:
+            memo.move_to_end(key)
+            planned_ids, planned_order, sites, makespan, stats = entry
+            # the stored rows name the cages at each request position
+            # when the batch was planned; rename them to today's cages
+            rename = dict(zip(planned_ids, ids))
+            # a hit does none of the planner's counted work
+            stats = {name: 0 if name in ROUTING_COUNTERS else value
+                     for name, value in stats.items()}
+            with tracing.span("routing.plan",
+                              attributes={"memo": "hit"}) as span:
+                cage_ids = [rename[cage_id]
+                            for cage_id in planned_order.tolist()]
+                stats["plan_seconds"] = time.perf_counter() - started
+                plan = BatchPlan(cage_ids=cage_ids, sites=sites,
+                                 makespan=makespan, stats=stats)
+                if span.recording:
+                    span.set_attributes(dict(stats))
+            return plan, True
+
+        def priority(request):
+            distance = max(
+                abs(request.start[0] - request.goal[0]),
+                abs(request.start[1] - request.goal[1]),
+            )
+            return (request.cage_id in moving, -distance)
+
+        router = WavefrontRouter(
+            self.grid, min_separation=self.min_separation,
+            blocked=self._blocked_mask(),
+        )
+        try:
+            plan = router.plan(
+                [RoutingRequest(cage_id, start, goal)
+                 for cage_id, (start, goal, __) in zip(ids, requests)],
+                priority=priority,
+                attributes={"memo": "miss"},
+            )
+        except RoutingError as exc:
+            raise ExecutionError(str(exc)) from exc
+        plan.sites.flags.writeable = False  # shared with every hit
+        memo[key] = (ids, plan.cage_ids, plan.sites, plan.makespan,
+                     plan.stats)
+        if len(memo) > _PLAN_MEMO_SIZE:
+            memo.popitem(last=False)
+        return plan, False
 
     def merge(self, cage_id_a, cage_id_b):
         """Bring cage b next to cage a and fuse them.

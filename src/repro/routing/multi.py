@@ -358,7 +358,7 @@ class BatchRouter:
         self._blocked_arr = None
         self._counters = {}
 
-    def plan(self, requests, priority=None):
+    def plan(self, requests, priority=None, attributes=None):
         """Plan all requests; returns a :class:`BatchPlan`.
 
         Parameters
@@ -371,6 +371,9 @@ class BatchRouter:
         priority:
             Optional ordering key over requests; default plans longer
             jobs first (they are the hardest to fit).
+        attributes:
+            Optional extra attributes for the ``routing.plan`` span
+            (the chip tags its plans with their memo outcome).
 
         Raises
         ------
@@ -380,7 +383,7 @@ class BatchRouter:
         # Planning is host work, not chip time: the span is wall-only
         # (no domain clock) and carries the plan's own stats --
         # makespan, expansions, and the tier-escalation counters.
-        with tracing.span("routing.plan") as span:
+        with tracing.span("routing.plan", attributes=attributes) as span:
             plan = self._plan(requests, priority=priority)
             if span.recording:
                 span.set_attributes(dict(plan.stats))

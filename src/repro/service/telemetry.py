@@ -26,6 +26,7 @@ import threading
 from dataclasses import dataclass, field
 
 from ..analysis import ascii_table, format_seconds
+from ..core.platform import ROUTING_COUNTERS
 
 
 class Counter:
@@ -162,14 +163,7 @@ class Telemetry:
     )
     routing_totals: dict = field(
         default_factory=lambda: {
-            "plans": 0,
-            "cages_planned": 0,
-            "plan_seconds": 0.0,
-            "fast_path_hits": 0,
-            "greedy_walk_hits": 0,
-            "frontier_steps": 0,
-            "expansions": 0,
-            "replans": 0,
+            **dict.fromkeys(ROUTING_COUNTERS, 0), "plan_seconds": 0.0,
         }
     )
     # routing_totals is the one multi-field meter, so its merges need a
@@ -191,16 +185,17 @@ class Telemetry:
 
         ``delta`` is the difference of the executing chip's
         ``routing_totals`` across the job (host wall-clock seconds and
-        counters; routing cost is host work, not chip virtual time).
-        Jobs that never planned a batch (``plans == 0``) are skipped so
-        the plan-time histogram stays a per-planning-job distribution.
+        counters; routing cost is host work, not chip virtual time),
+        keyed by :data:`~repro.core.platform.ROUTING_COUNTERS`; a key the
+        delta lacks adds zero.  Jobs that never planned a batch
+        (``plans == 0``) are skipped so the plan-time histogram stays a
+        per-planning-job distribution.
         """
         if not delta or not delta.get("plans"):
             return
         with self._routing_lock:
-            for key, value in delta.items():
-                if key in self.routing_totals:
-                    self.routing_totals[key] += value
+            for key in ROUTING_COUNTERS:
+                self.routing_totals[key] += delta.get(key, 0)
         self.routing_plan_time.observe(delta.get("plan_seconds", 0.0))
 
     def observe_tenancy(self, tenants, merge_ratio):
@@ -363,6 +358,8 @@ def report_tables(snap) -> list:
                     ["greedy-walk hits", str(routing["greedy_walk_hits"])],
                     ["frontier steps", str(routing["frontier_steps"])],
                     ["replans", str(routing["replans"])],
+                    ["memo hits", str(routing["memo_hits"])],
+                    ["memo misses", str(routing["memo_misses"])],
                 ],
                 title="batch routing (host time)",
             )

@@ -1,9 +1,16 @@
 """Unit tests for the Biochip platform façade and protocol execution."""
 
+import contextlib
+import re
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import Biochip, ExecutionError, Protocol, Session
 from repro.bio import Sample, cells_per_ml, mammalian_cell, polystyrene_bead
+from repro.faults import FaultModel
 from repro.physics.constants import ul, um
 
 
@@ -354,3 +361,275 @@ class TestMoveManyFrameAccounting:
             for r in window
         ]
         self.check(make_chip, requests, monkeypatch)
+
+
+# -- the per-chip batch-plan memo ---------------------------------------------
+
+
+def _without_plan_seconds(detail):
+    """A move_many report or history detail minus its host wall-clock
+    planner time, the one field two identical plans never share."""
+    return {k: v for k, v in detail.items() if k != "plan_seconds"}
+
+
+def _history(chip):
+    return [
+        (t, kind, _without_plan_seconds(detail) if kind == "move_many"
+         else detail)
+        for t, kind, detail in chip.history
+    ]
+
+
+@contextlib.contextmanager
+def _recorded_plans():
+    """Record every (chip, plan, memo hit) that ``move_many`` plans."""
+    plans = []
+    original = Biochip._plan_batch
+
+    def recording(chip, *args):
+        plan, hit = original(chip, *args)
+        plans.append((chip, plan, hit))
+        return plan, hit
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Biochip, "_plan_batch", recording)
+        yield plans
+
+
+@st.composite
+def memo_batches(draw):
+    """A batch on a 16-24 grid: moving and stationary cages on a
+    2-pitch lattice, the movers in any goal-dict order, plus an optional
+    dead mask and lease window."""
+    side = draw(st.integers(16, 24))
+    lattice = [(r, c) for r in range(1, side - 1, 2)
+               for c in range(1, side - 1, 2)]
+    sites = draw(st.permutations(lattice))
+    n_moving = draw(st.integers(1, 12))
+    n_stationary = draw(st.integers(0, 8))
+    starts = sites[:n_moving]
+    stationary = sites[n_moving:n_moving + n_stationary]
+    free = [s for s in draw(st.permutations(lattice)) if s not in stationary]
+    goals = free[:n_moving]
+    # the order of the movers in the goals dict, which need not be
+    # their trap (cage id) order
+    order = draw(st.permutations(range(n_moving)))
+    used = set(starts) | set(stationary) | set(goals)
+    dead = None
+    if draw(st.booleans()):
+        cells = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
+        dead = np.zeros((side, side), dtype=bool)
+        for cell in draw(st.lists(cells, max_size=12)):
+            if cell not in used:
+                dead[cell] = True
+    region = None
+    if draw(st.booleans()):
+        rows = [s[0] for s in used]
+        cols = [s[1] for s in used]
+        margin = draw(st.integers(0, 3))
+        r0, c0 = max(0, min(rows) - margin), max(0, min(cols) - margin)
+        r1 = min(side, max(rows) + margin + 1)
+        c1 = min(side, max(cols) + margin + 1)
+        region = ((r0, c0), r1 - r0, c1 - c0)
+    return side, starts, goals, stationary, dead, region, order
+
+
+#: A crowded 16x16 batch whose first planning pass seals a cage in, so
+#: the router replans with it promoted: a hit must remap that promotion
+#: order to the new cage ids.
+REPLANNED_BATCH = (
+    16,
+    [(9, 1), (11, 1), (3, 11), (7, 13), (13, 9), (1, 11), (13, 13),
+     (11, 3), (13, 3), (13, 5), (13, 1), (7, 9), (9, 11), (9, 9)],
+    [(11, 9), (11, 1), (5, 5), (7, 7), (7, 13), (9, 5), (5, 7), (13, 5),
+     (7, 9), (3, 11), (1, 7), (13, 1), (11, 3), (7, 5)],
+    [(3, 13), (11, 5), (5, 11), (1, 5), (5, 9), (11, 7), (1, 3), (7, 11),
+     (9, 3), (3, 7), (11, 11), (3, 3), (13, 11), (1, 13), (3, 1), (9, 7),
+     (7, 1), (3, 9), (11, 13), (1, 9)],
+    None,
+    None,
+    range(14),
+)
+
+
+class TestBatchPlanMemo:
+    """A repeated batch reuses its memoised plan, and the result is bit
+    for bit the result of planning it afresh."""
+
+    @staticmethod
+    def make_chip(side, dead=None, region=None):
+        chip = Biochip.small_chip(rows=side, cols=side)
+        if dead is not None:
+            chip.apply_faults(FaultModel(shape=(side, side),
+                                         dead_electrodes=dead))
+        if region is not None:
+            chip.set_region(*region)
+        return chip
+
+    @staticmethod
+    def trap_all(chip, starts, stationary):
+        return [chip.trap(site).cage_id for site in starts + stationary]
+
+    @staticmethod
+    def release_all(chip):
+        for cage in chip.cages.cages:
+            chip.release(cage.cage_id)
+
+    @given(batch=memo_batches())
+    @example(batch=REPLANNED_BATCH)
+    @settings(max_examples=60, deadline=None)
+    def test_hit_is_bit_identical_to_a_fresh_plan(self, batch):
+        side, starts, goals, stationary, dead, region, order = batch
+
+        def batch_moves(ids):
+            return {ids[i]: goals[i] for i in order}
+
+        chip = self.make_chip(side, dead, region)
+        previous_ids = set()
+        with _recorded_plans() as plans:
+            for run in range(2):
+                # the reference: a freshly built chip with no memo,
+                # taken through the same operations from the start
+                fresh = self.make_chip(side, dead, region)
+                for __ in range(run):
+                    fresh.move_many(batch_moves(
+                        self.trap_all(fresh, starts, stationary)))
+                    self.release_all(fresh)
+                    fresh._plan_memo.clear()
+                ids = self.trap_all(chip, starts, stationary)
+                fresh_ids = self.trap_all(fresh, starts, stationary)
+                assert ids == fresh_ids
+                assert previous_ids.isdisjoint(ids)  # renamed cages
+                previous_ids = set(ids)
+                moves = batch_moves(ids)
+                del plans[:]
+                try:
+                    expected = fresh.move_many(moves)
+                except ExecutionError as exc:
+                    # a rejected batch is rejected again, never memoised
+                    with pytest.raises(ExecutionError,
+                                       match=re.escape(str(exc))):
+                        chip.move_many(moves)
+                    assert len(chip._plan_memo) == 0
+                    return
+                report = chip.move_many(moves)
+                (__, reference, fresh_hit), (__, plan, hit) = plans
+                assert not fresh_hit
+                assert hit == (run == 1)
+                assert np.array_equal(plan.cage_ids, reference.cage_ids)
+                assert np.array_equal(plan.sites, reference.sites)
+                assert plan.makespan == reference.makespan
+                assert (_without_plan_seconds(report)
+                        == _without_plan_seconds(expected))
+                assert chip.elapsed == fresh.elapsed
+                assert _history(chip) == _history(fresh)
+                assert chip.cages.sites() == fresh.cages.sites()
+                self.release_all(chip)
+        totals = chip.routing_totals
+        assert (totals["memo_hits"], totals["memo_misses"]) == (1, 1)
+        assert totals["plans"] == 2
+        assert totals["cages_planned"] == 2 * len(starts + stationary)
+
+    def test_the_replanned_example_replans(self):
+        side, starts, goals, stationary, __, __, __ = REPLANNED_BATCH
+        chip = self.make_chip(side)
+        chip.move_many(dict(zip(self.trap_all(chip, starts, stationary),
+                                goals)))
+        assert chip.routing_totals["replans"] >= 1
+
+    def run_batch(self, chip, starts, goals, stationary=()):
+        """Trap, move and release one batch; returns (report, plan, hit)."""
+        ids = self.trap_all(chip, list(starts), list(stationary))
+        with _recorded_plans() as plans:
+            report = chip.move_many(dict(zip(ids, goals)))
+        self.release_all(chip)
+        (__, plan, hit), = plans
+        return report, plan, hit
+
+    def test_a_fault_on_a_memoised_path_forces_a_replan(self):
+        starts, goals = [(4, 4)], [(4, 16)]
+        chip = self.make_chip(24)
+        __, plan, hit = self.run_batch(chip, starts, goals)
+        assert not hit
+        path = [tuple(site) for site in plan.sites[0].tolist()]
+        assert (4, 10) in path
+        dead = np.zeros((24, 24), dtype=bool)
+        dead[3:6, 10] = True
+        chip.apply_faults(FaultModel(shape=(24, 24), dead_electrodes=dead))
+        report, plan, hit = self.run_batch(chip, starts, goals)
+        assert not hit
+        assert not dead[tuple(plan.sites[0].T)].any()  # routed around
+        expected, reference, __ = self.run_batch(
+            self.make_chip(24, dead), starts, goals)
+        assert np.array_equal(plan.sites, reference.sites)
+        assert (_without_plan_seconds(report)
+                == _without_plan_seconds(expected))
+        totals = chip.routing_totals
+        assert (totals["memo_hits"], totals["memo_misses"]) == (0, 2)
+        # clearing the faults is a mask change too
+        chip.apply_faults(None)
+        assert not self.run_batch(chip, starts, goals)[2]
+
+    def test_a_new_region_forces_a_miss(self):
+        starts, goals = [(4, 4), (8, 4)], [(4, 12), (8, 12)]
+        chip = self.make_chip(24)
+        assert not self.run_batch(chip, starts, goals)[2]
+        assert self.run_batch(chip, starts, goals)[2]
+        chip.set_region((2, 2), 12, 14)
+        assert not self.run_batch(chip, starts, goals)[2]
+        assert self.run_batch(chip, starts, goals)[2]
+        chip.set_region((0, 0), 16, 16)
+        assert not self.run_batch(chip, starts, goals)[2]
+        totals = chip.routing_totals
+        assert (totals["memo_hits"], totals["memo_misses"]) == (2, 3)
+
+    @pytest.mark.parametrize("case", ["goals too close", "walled in"])
+    def test_a_rejected_batch_is_never_stored(self, case):
+        dead = None
+        if case == "goals too close":
+            starts, goals = [(4, 4), (4, 10)], [(12, 6), (12, 7)]
+        else:
+            starts, goals = [(6, 6)], [(16, 16)]
+            dead = np.zeros((24, 24), dtype=bool)
+            dead[4:9, 4:9] = True
+            dead[5:8, 5:8] = False
+        chip = self.make_chip(24, dead)
+        for __ in range(3):
+            ids = self.trap_all(chip, starts, [])
+            with pytest.raises(ExecutionError):
+                chip.move_many(dict(zip(ids, goals)))
+            self.release_all(chip)
+            assert len(chip._plan_memo) == 0
+        totals = chip.routing_totals
+        assert (totals["plans"], totals["memo_hits"],
+                totals["memo_misses"]) == (0, 0, 0)
+
+    def test_the_memo_is_bounded(self):
+        from repro.core import platform
+
+        bound = platform._PLAN_MEMO_SIZE
+        chip = self.make_chip(24)
+        goals = [(r, c) for r in range(2, 22, 2) for c in range(2, 22, 2)]
+        assert len(goals) > bound + 1
+        # one cage from (2, 2) to each goal in turn: all batches distinct
+        for goal in goals[1:]:
+            self.run_batch(chip, [(2, 2)], [goal])
+            assert len(chip._plan_memo) <= bound
+        assert len(chip._plan_memo) == bound
+        totals = chip.routing_totals
+        assert (totals["memo_hits"], totals["memo_misses"]) == (
+            0, len(goals) - 1)
+        # least recently used out: the newest batch is still there, the
+        # first one is gone
+        assert self.run_batch(chip, [(2, 2)], [goals[-1]])[2]
+        assert not self.run_batch(chip, [(2, 2)], [goals[1]])[2]
+
+    def test_the_memo_is_not_shared_with_spawned_chips(self):
+        from repro.core.backend import SimulatorBackend
+
+        starts, goals = [(4, 4)], [(4, 16)]
+        template = SimulatorBackend(self.make_chip(24))
+        self.run_batch(template.chip, starts, goals)
+        spawned = template.spawn().chip
+        assert len(spawned._plan_memo) == 0
+        assert not self.run_batch(spawned, starts, goals)[2]

@@ -91,6 +91,17 @@ def canonical_tree(spans, job_id):
     }
 
 
+def routed_protocol():
+    """Two cages moved as one batch: every repeat is a memo hit on a
+    chip that planned it once."""
+    return (
+        Protocol("routed")
+        .trap("a", (2, 2)).trap("b", (2, 8))
+        .move_many({"a": (8, 2), "b": (8, 8)})
+        .release("a").release("b")
+    )
+
+
 # -- tracing core -------------------------------------------------------------
 
 
@@ -267,6 +278,45 @@ class TestTelemetry:
         assert 'repro_chip_utilization{chip="1"}' in text
 
 
+    @pytest.mark.parametrize("tier", ["virtual", "thread"])
+    def test_memo_hits_and_misses_reach_every_surface(self, tier):
+        """Three runs of one batch on one chip: one planned, two served
+        from the chip's plan memo -- on the wall-clock tier through the
+        worker's per-attempt routing delta."""
+        if tier == "virtual":
+            service = ExecutionService.simulator(ServiceConfig(n_chips=1))
+            for __ in range(3):
+                assert service.submit(routed_protocol()).wait().ok
+        else:
+            service = ConcurrentExecutionService.simulator(
+                config=ConcurrentConfig(n_workers=1))
+            with service:
+                for __ in range(3):
+                    assert service.submit(routed_protocol()).wait(
+                        timeout=120).ok
+        routing = service.snapshot()["routing"]
+        assert (routing["plans"], routing["memo_hits"],
+                routing["memo_misses"]) == (3, 2, 1)
+        assert routing["cages_planned"] == 6
+        text = service.to_prometheus()
+        assert 'repro_routing_total{metric="memo_hits"} 2' in text
+        assert 'repro_routing_total{metric="memo_misses"} 1' in text
+        report = service.report()
+        assert "memo hits" in report and "memo misses" in report
+
+    def test_observe_routing_folds_every_counter(self):
+        from repro.core.platform import ROUTING_COUNTERS
+
+        telemetry = Telemetry()
+        delta = dict.fromkeys(ROUTING_COUNTERS, 1)
+        telemetry.observe_routing(delta)
+        telemetry.observe_routing({"plans": 1, "memo_hits": 1})
+        routing = telemetry.snapshot()["routing"]
+        assert routing["plans"] == 2
+        assert routing["memo_hits"] == 2
+        assert all(routing[key] >= 1 for key in ROUTING_COUNTERS)
+
+
 # -- instrumentation: core seams ----------------------------------------------
 
 
@@ -292,6 +342,31 @@ class TestCoreInstrumentation:
         assert plan["attributes"]["makespan"] >= 1
         # planning is host work: wall-only span
         assert plan["start_chip"] is None
+
+    def test_routing_plan_span_carries_the_memo_outcome(self):
+        session = Session.simulator()
+        with tracing.capture() as tracer:
+            for __ in range(2):
+                session.run(routed_protocol())
+        assert_trace_integrity(tracer)
+        moves = {s["span_id"] for s in tracer.finished_spans
+                 if s["name"] == "chip.move_many"}
+        miss, hit = (s for s in tracer.finished_spans
+                     if s["name"] == "routing.plan")
+        assert miss["attributes"]["memo"] == "miss"
+        assert hit["attributes"]["memo"] == "hit"
+        for span in (miss, hit):
+            assert span["parent_id"] in moves
+            assert span["attributes"]["planner"] == "wavefront"
+            assert span["attributes"]["cages"] == 2
+            assert span["start_chip"] is None
+        assert miss["attributes"]["fast_path_hits"] == 2
+        # a hit does none of the planner's work
+        for counter in ("fast_path_hits", "greedy_walk_hits",
+                        "frontier_steps", "expansions", "replans"):
+            assert hit["attributes"][counter] == 0
+        assert (hit["attributes"]["makespan"]
+                == miss["attributes"]["makespan"])
 
     def test_sense_all_span(self):
         protocol = (
