@@ -24,8 +24,15 @@ in one update and reports each frame's dirty rows (the rows the
 addressing layer rewrites) without building any
 :class:`~repro.array.patterns.ArrayFrame`.  :meth:`CageManager.step`
 and :meth:`CageManager.step_arrays` remain the one-frame entry points
-and the reference the plan executor must match.  The original dict
-implementation survives as
+and the reference the plan executor must match.
+
+The vectorised checks -- the one-frame pass in :meth:`CageManager.step`
+and the whole-plan pass -- only decide whether a frame is legal.  A
+frame they reject is re-run through the scalar step, the one place that
+builds a step's :class:`CageError`, so a failing frame reports the same
+error whatever its size and whichever entry point ran it.
+
+The original dict implementation survives as
 :class:`~repro.array.legacy.LegacyCageManager` for the equivalence
 suite and the before/after benchmark.
 """
@@ -256,19 +263,20 @@ class CageManager:
 
         One call corresponds to one array-frame update: this is the
         granularity at which the addressing layer reprograms rows and
-        the physics layer drags particles.  Validation is a dirty-region
-        pass over the movers only (only pairs involving a mover can
-        newly collide, swap, or violate separation), as vectorized
-        gathers on the :class:`~repro.array.state.ArrayState` grids.
+        the physics layer drags particles.  Up to 8 movers are checked
+        and committed by the scalar step; larger frames by a
+        dirty-region pass over the movers only (only pairs involving a
+        mover can newly collide, swap, or violate separation), as
+        vectorized gathers on the :class:`~repro.array.state.ArrayState`
+        grids.  The vectorized pass only decides legality: a frame it
+        rejects is re-run through the scalar step, which raises the
+        error, so every frame size reports the same error.
         """
-        if not moves:
-            return
         k = len(moves)
         if k <= 8:
-            # Scalar fast path: for a handful of movers (single-cage
-            # routing steps, small protocols) the numpy conversion and
-            # gather setup costs more than it saves.  Same grids, same
-            # checks, same error priorities.
+            # For a handful of movers (single-cage routing steps, small
+            # protocols) the numpy conversion and gather setup costs
+            # more than it saves.
             return self._step_scalar(moves)
         ids = np.fromiter(moves.keys(), dtype=np.int64, count=k)
         # Flattened scalar fromiter is ~3x faster than the (int64, 2)
@@ -277,7 +285,8 @@ class CageManager:
         deltas = np.fromiter(
             chain.from_iterable(moves.values()), dtype=np.int64, count=2 * k
         ).reshape(k, 2)
-        return self._step_vector(ids, deltas)
+        if not self._step_vector(ids, deltas):
+            self._step_scalar(moves)
 
     def step_arrays(self, ids, deltas):
         """Array-native :meth:`step`: movers as ``(ids, deltas)`` arrays.
@@ -288,20 +297,12 @@ class CageManager:
         this shape): ``ids`` int (movers,), ``deltas`` int (movers, 2);
         whole plans execute through :meth:`run_plan`.
         ``ids`` must be unique -- plans guarantee it, and the dict form
-        of :meth:`step` cannot even express a duplicate.  Validation,
-        error priorities, and atomicity match :meth:`step` exactly.
+        of :meth:`step` cannot even express a duplicate.  The frame runs
+        through :meth:`step`: the same validation, errors and atomicity.
         """
-        ids = np.asarray(ids, dtype=np.int64)
-        deltas = np.asarray(deltas, dtype=np.int64).reshape(-1, 2)
-        if ids.size == 0:
-            return
-        if ids.size <= 8:
-            moves = {
-                int(cage_id): (int(dr), int(dc))
-                for cage_id, (dr, dc) in zip(ids, deltas)
-            }
-            return self._step_scalar(moves)
-        return self._step_vector(ids, deltas)
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1).tolist()
+        deltas = np.asarray(deltas, dtype=np.int64).reshape(-1, 2).tolist()
+        self.step({cage_id: tuple(delta) for cage_id, delta in zip(ids, deltas)})
 
     def run_plan(self, ids, deltas):
         """Execute a multi-frame plan; returns each frame's dirty rows.
@@ -492,102 +493,57 @@ class CageManager:
         return counts.tolist()
 
     def _step_vector(self, ids, deltas):
+        """Check one frame with vectorized gathers and commit it when it
+        is legal.  Returns whether it was: an illegal frame changes
+        nothing and :meth:`_step_scalar` names its error."""
         state = self._state
-        # Per-mover validity (vectorized, reported in the legacy
-        # per-mover priority: oversize delta, then unknown cage, then
-        # destination bounds -- for the first bad mover in moves order).
-        bad_delta = (np.abs(deltas) > 1).any(axis=1)
-        alive = state.alive_mask(ids)
-        clipped = np.clip(ids, 0, state._site_r.size - 1)
-        orig_r, orig_c = state.sites_of(clipped)
+        rows, cols = self.grid.rows, self.grid.cols
+        if (np.abs(deltas) > 1).any() or not state.alive_mask(ids).all():
+            return False
+        orig_r, orig_c = state.sites_of(ids)
         dest_r = orig_r + deltas[:, 0]
         dest_c = orig_c + deltas[:, 1]
-        bad_bounds = (
-            (dest_r < 0)
-            | (dest_r >= self.grid.rows)
-            | (dest_c < 0)
-            | (dest_c >= self.grid.cols)
-        )
-        bad = bad_delta | ~alive | bad_bounds
-        if bad.any():
-            index = int(np.argmax(bad))
-            cage_id = int(ids[index])
-            if bad_delta[index]:
-                raise CageError(f"cage {cage_id}: step larger than one electrode")
-            if not alive[index]:
-                raise CageError(f"no cage with id {cage_id}")
-            dest = (int(dest_r[index]), int(dest_c[index]))
-            raise CageError(f"cage {cage_id}: destination {dest} out of bounds")
-        if state.has_dead:
-            on_dead = state.dead[dest_r, dest_c]
-            if on_dead.any():
-                index = int(np.argmax(on_dead))
-                dest = (int(dest_r[index]), int(dest_c[index]))
-                raise DeadElectrodeError(
-                    f"cage {int(ids[index])}: destination {dest} is a "
-                    f"dead electrode"
-                )
-
+        off = (dest_r < 0) | (dest_r >= rows) | (dest_c < 0) | (dest_c >= cols)
+        if off.any():
+            return False
+        if state.has_dead and state.dead[dest_r, dest_c].any():
+            return False
         # Collisions (a): two movers claiming the same destination.
-        dest_keys = dest_r * self.grid.cols + dest_c
-        order = np.argsort(dest_keys, kind="stable")
-        sorted_keys = dest_keys[order]
-        dup = np.nonzero(sorted_keys[1:] == sorted_keys[:-1])[0]
-        if dup.size:
-            i, j = int(order[dup[0]]), int(order[dup[0] + 1])
-            raise CageError(
-                f"cages {int(ids[i])} and {int(ids[j])} collide at "
-                f"{(int(dest_r[j]), int(dest_c[j]))}"
-            )
+        dest_keys = np.sort(dest_r * cols + dest_c)
+        if (dest_keys[1:] == dest_keys[:-1]).any():
+            return False
         # Collisions (b): a mover's destination holds a non-mover.  A
         # pre-state occupant that IS a mover is a legal chain (it vacates
-        # this frame) -- unless it swaps with us, handled below.  The
+        # this frame) -- unless it swaps with us, checked below.  The
         # occupant is a mover exactly when the destination is some
         # mover's origin; the lookup is O(movers), never sized by the
         # id-indexed site table (which grows with every cage ever made).
-        occupant = state.cage_ids[dest_r, dest_c]
-        occupied = occupant != NO_CAGE
+        occupied = state.cage_ids[dest_r, dest_c] != NO_CAGE
         source = state.origin_movers(orig_r, orig_c, dest_r, dest_c)
-        stationary_hit = occupied & (source < 0)
-        if stationary_hit.any():
-            index = int(np.argmax(stationary_hit))
-            raise CageError(
-                f"cages {int(occupant[index])} and {int(ids[index])} "
-                f"collide at {(int(dest_r[index]), int(dest_c[index]))}"
-            )
+        if (occupied & (source < 0)).any():
+            return False
         # Swaps: mover m lands on mover o's origin while o lands on m's
         # origin -- the cages would pass through each other mid-frame,
         # which physically merges them.
         chained = (source >= 0) & (source != np.arange(source.size))
-        if chained.any():
-            others = source[chained]
-            swap = (dest_r[others] == orig_r[chained]) & (
-                dest_c[others] == orig_c[chained]
-            )
-            if swap.any():
-                index = int(np.nonzero(chained)[0][np.argmax(swap)])
-                raise CageError(
-                    f"cages {int(ids[index])} and {int(occupant[index])} "
-                    f"swap sites {(int(dest_r[index]), int(dest_c[index]))}"
-                )
+        others = source[chained]
+        if ((dest_r[others] == orig_r[chained])
+                & (dest_c[others] == orig_c[chained])).any():
+            return False
         # Separation: check only the movers' post-state neighbourhoods.
-        conflict = state.post_move_conflict(
+        if state.post_move_conflict(
             orig_r, orig_c, dest_r, dest_c, self.min_separation
-        )
-        if conflict is not None:
-            index, site, other = conflict
-            raise CageError(
-                f"separation violated between cages {int(ids[index])} "
-                f"and {other} at {site}"
-            )
+        ):
+            return False
         # Commit: grids and the id-indexed site table update in one
         # vectorized pass; Cage.site reads the table, so no per-cage
         # Python update is needed.
         state.move_cages(orig_r, orig_c, dest_r, dest_c, ids)
+        return True
 
     def _step_scalar(self, moves):
-        """Scalar step for small mover counts (same semantics as the
-        vectorized path, on the same :class:`ArrayState` grids).
+        """Scalar step: the small-frame path and the one source of step
+        errors (the vectorized check re-runs a frame it rejects here).
 
         Grid reads go through ``ndarray.item`` on flat indices -- the
         cheapest scalar access numpy offers -- since a one-mover step

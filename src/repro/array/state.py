@@ -327,18 +327,14 @@ class ArrayState:
             canvas[origins_r, origins_c] = -1
 
     def post_move_conflict(self, origins_r, origins_c, dests_r, dests_c, separation):
-        """First separation conflict in the post-move state, or None.
+        """Whether the post-move state violates separation.
 
         Builds the post-move occupancy (origins cleared, destinations
         set) and checks every mover's Chebyshev-(separation-1) window
-        with per-offset gathers: ``(2s-1)^2 - 1`` vectorized reads of
-        the mover count, instead of re-validating every live cage.
-        Only pairs involving a mover can newly violate the rule, so the
-        dirty-region check is exhaustive.
-
-        Returns ``(mover_index, (row, col), other_id)`` for the first
-        offending mover, where ``other_id`` is the conflicting cage's id
-        in the post state (movers report their post-move id).
+        with per-offset gathers: at most ``(2s-1)^2 - 1`` vectorized
+        reads of the mover count, instead of re-validating every live
+        cage.  Only pairs involving a mover can newly violate the rule,
+        so the dirty-region check is exhaustive.
         """
         radius = separation - 1
         rows, cols = self.occupancy.shape
@@ -360,42 +356,11 @@ class ArrayState:
         occ[flat_orig] = False
         occ[flat_dest] = True
         try:
-            return self._scan_conflicts(
-                occ, flat_dest, dests_r, dests_c, origins_r, origins_c,
-                separation, width,
+            return any(
+                occ[flat_dest + (dr * width + dc)].any()
+                for dr, dc in separation_offsets(separation)
             )
         finally:
             # restore the shared canvas to all-False for the next call
             # (every write above lands inside the interior window)
             canvas[radius : radius + rows, radius : radius + cols] = False
-
-    def _scan_conflicts(
-        self, occ, flat_dest, dests_r, dests_c, origins_r, origins_c,
-        separation, width,
-    ):
-        # Mover-major selection: when several movers violate at once,
-        # report the earliest mover in batch order and its first
-        # offending offset -- the same pair the scalar small-batch path
-        # names, so a step's error message does not depend on which side
-        # of the batch-size threshold it lands.
-        best = None  # (mover_index, dr, dc)
-        for dr, dc in separation_offsets(separation):
-            hit = occ[flat_dest + (dr * width + dc)]
-            if hit.any():
-                index = int(np.argmax(hit))
-                if best is None or index < best[0]:
-                    best = (index, dr, dc)
-        if best is None:
-            return None
-        index, dr, dc = best
-        site = (int(dests_r[index]) + dr, int(dests_c[index]) + dc)
-        # Rebuild the post-state id at the offending site only on this
-        # failure path.
-        ids = self.cage_ids.copy()
-        ids[origins_r, origins_c] = NO_CAGE
-        ids[dests_r, dests_c] = self.cage_ids[origins_r, origins_c]
-        return (
-            index,
-            (int(dests_r[index]), int(dests_c[index])),
-            int(ids[site[0], site[1]]),
-        )

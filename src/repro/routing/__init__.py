@@ -1,4 +1,4 @@
-"""Cage routing CAD: A*, batch space-time router, greedy baseline, planner."""
+"""Cage routing CAD: A*, batch space-time router, greedy baseline."""
 
 from .astar import (
     MOVES_8,
@@ -13,6 +13,5 @@ from .astar import (
 )
 from .greedy import GreedyRouter, make_requests
 from .multi import BatchPlan, BatchRouter, RoutingRequest, WavefrontRouter
-from .planner import ExecutedStep, MotionPlanner
 
 __all__ = [name for name in dir() if not name.startswith("_")]

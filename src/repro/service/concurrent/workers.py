@@ -65,6 +65,11 @@ from .syncbridge import SenseTap, WallClock
 #: Worker execution modes.
 WORKER_MODES = ("thread", "process")
 
+#: ``multiprocessing`` start method of ``mode="process"``: the only one
+#: that is safe while the coordinator's threads run (a fork would copy
+#: their locks in whatever state they held).
+MP_CONTEXT = "spawn"
+
 
 @dataclass
 class ConcurrentConfig(CoreConfig):
@@ -88,7 +93,8 @@ class ConcurrentConfig(CoreConfig):
         backend plus its own compiled-program cache.
     mode:
         ``"thread"`` (default) or ``"process"`` (multiprocessing
-        spawn; the chip template is pickled once per worker).
+        :data:`MP_CONTEXT` start; the chip template is pickled once per
+        worker).
     time_scale:
         Device-latency emulation: each attempt is paced to
         ``accounted chip seconds * time_scale`` of real time (the
@@ -98,8 +104,6 @@ class ConcurrentConfig(CoreConfig):
     poll_interval:
         Queue-poll granularity [s] for workers and the coordinator;
         bounds shutdown/quarantine responsiveness.
-    mp_context:
-        ``multiprocessing`` start method for ``mode="process"``.
     """
 
     n_workers: int = 4
@@ -108,7 +112,6 @@ class ConcurrentConfig(CoreConfig):
     restart_cooldown: float | None = 1.0
     time_scale: float | None = None
     poll_interval: float = 0.02
-    mp_context: str = "spawn"
 
     def __post_init__(self):
         if self.n_workers < 1:
@@ -225,9 +228,7 @@ class _WorkerRuntime:
                 runnable.append(job)
             leased, solo = [], runnable
             if len(runnable) > 1:
-                windows = LeaseWindows(
-                    self.template, self.worker_id, self.config.lease_margin
-                )
+                windows = LeaseWindows(self.template, self.worker_id)
                 leased, solo = [], []
                 for job in runnable:
                     fit = windows.fit(job.protocol)
@@ -500,7 +501,7 @@ class ConcurrentExecutionService(ServingCore):
         if self.config.mode == "process":
             import multiprocessing
 
-            ctx = multiprocessing.get_context(self.config.mp_context)
+            ctx = multiprocessing.get_context(MP_CONTEXT)
             self._ready_qs = {
                 i: ctx.Queue(maxsize=lane_depth) for i in range(n)
             }

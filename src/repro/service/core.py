@@ -72,6 +72,13 @@ log = logging.getLogger("repro.service")
 #: Admission behaviours when the queue is at ``max_queue_depth``.
 ADMISSION_POLICIES = ("reject", "shed-lowest")
 
+#: Free electrodes added on every side of a tenant's protocol footprint
+#: inside its lease -- routing slack for merge approaches and detours.
+#: The allocator additionally inflates each window by the
+#: routing-separation guard band, so adjacent tenants can never violate
+#: separation across a boundary.
+LEASE_MARGIN = 3
+
 
 @dataclass
 class CoreConfig:
@@ -117,13 +124,8 @@ class CoreConfig:
         in disjoint leased windows, their concurrent moves merged into
         shared frames.  1 (the default) is exclusive occupancy; > 1
         enables region-leased co-scheduling for jobs with a static
-        footprint (whole-array protocols still run exclusively).
-    lease_margin:
-        Free electrodes added on every side of a tenant's protocol
-        footprint inside its lease -- routing slack for merge
-        approaches and detours.  The allocator additionally inflates
-        each window by the routing-separation guard band, so adjacent
-        tenants can never violate separation across a boundary.
+        footprint (whole-array protocols still run exclusively); each
+        lease pads the footprint by :data:`LEASE_MARGIN`.
     """
 
     max_queue_depth: int | None = None
@@ -135,7 +137,6 @@ class CoreConfig:
     quarantine_after: int | None = 3
     restart_cooldown: float | None = 30.0
     max_tenants: int = 1
-    lease_margin: int = 3
 
     def __post_init__(self):
         if self.admission not in ADMISSION_POLICIES:
@@ -164,10 +165,6 @@ class CoreConfig:
         if self.max_tenants < 1:
             raise ValueError(
                 f"max_tenants must be >= 1, got {self.max_tenants}"
-            )
-        if self.lease_margin < 0:
-            raise ValueError(
-                f"lease_margin must be >= 0, got {self.lease_margin}"
             )
 
 
@@ -345,35 +342,33 @@ def can_lease(template, config) -> bool:
 class LeaseWindows:
     """Sizes tenants' leased windows on one chip for one lease group."""
 
-    def __init__(self, template, chip_id, margin):
+    def __init__(self, template, chip_id):
         grid = template.grid
         self.allocator = RegionLeaseAllocator(
             grid.rows, grid.cols,
             guard=routing_separation(template),
             chip_id=chip_id,
         )
-        self.margin = margin
 
     def fit(self, protocol):
         """``(lease, offset)`` for ``protocol``, or None when it has no
         static footprint or no window is left for it.
 
         ``offset`` maps the job's own (protocol) coordinates into its
-        lease interior: lease origin plus the margin, minus the
-        footprint origin.
+        lease interior: lease origin plus :data:`LEASE_MARGIN`, minus
+        the footprint origin.
         """
         footprint = protocol_footprint(protocol)
         if footprint is None:
             return None
-        margin = self.margin
         lease = self.allocator.allocate(
-            footprint.rows + 2 * margin, footprint.cols + 2 * margin
+            footprint.rows + 2 * LEASE_MARGIN, footprint.cols + 2 * LEASE_MARGIN
         )
         if lease is None:
             return None
         offset = (
-            lease.origin[0] + margin - footprint.row0,
-            lease.origin[1] + margin - footprint.col0,
+            lease.origin[0] + LEASE_MARGIN - footprint.row0,
+            lease.origin[1] + LEASE_MARGIN - footprint.col0,
         )
         return lease, offset
 

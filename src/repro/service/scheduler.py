@@ -362,9 +362,7 @@ class ExecutionService(ServingCore):
         started_at = worker.elapsed
         self._note_start(job, worker.chip_id)
         if self._can_lease:
-            windows = LeaseWindows(
-                self._template, worker.chip_id, self.config.lease_margin
-            )
+            windows = LeaseWindows(self._template, worker.chip_id)
             fit = windows.fit(job.protocol)
             if fit is not None:
                 return self._dispatch_leased(

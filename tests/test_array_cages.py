@@ -520,3 +520,162 @@ class TestRunPlan:
             tracemalloc.stop()
         assert cages[0].site == (5, 5)
         assert peak < 256 * 1024
+
+
+# -- one error source ----------------------------------------------------------
+
+
+def _scalar(manager, ids, deltas):
+    return manager._step_scalar(dict(zip(ids, deltas)))
+
+
+#: The public one-frame entry points, over a frame given as parallel
+#: lists of cage ids and (drow, dcol) steps.
+STEP_ENTRY_POINTS = {
+    "step": lambda m, ids, deltas: m.step(dict(zip(ids, deltas))),
+    "step_arrays": lambda m, ids, deltas: m.step_arrays(ids, deltas),
+}
+
+FRAME_FAULTS = (
+    "oversize", "unknown", "bounds", "dead", "collide", "swap", "separation",
+)
+
+
+def _pairs(manager, lo, hi):
+    """(a, b) cage pairs whose Chebyshev distance is in [lo, hi]."""
+    cages = manager.cages
+    return [
+        (a, b)
+        for i, a in enumerate(cages)
+        for b in cages[i + 1 :]
+        if lo <= max(abs(a.site[0] - b.site[0]), abs(a.site[1] - b.site[1])) <= hi
+    ]
+
+
+def _frame_case(seed, sep, dead, movers, faults):
+    """A random manager recipe and one frame over it.
+
+    Up to ``movers`` cages step at random; steps are zeroed (the cage
+    stays in the frame) until the frame is legal, then each of
+    ``faults`` is injected where the geometry allows it.  Cage 0 always
+    sits on the (0, 0) corner and, with a dead mask (always there for a
+    ``"dead"`` fault), (1, 1) is dead.
+    Returns ``(build, ids, deltas)``, the frame as lists in random mover
+    order.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(10, 25)), int(rng.integers(10, 25))
+    dead_mask = None
+    if dead or "dead" in faults:
+        dead_mask = rng.random((rows, cols)) < 0.04
+        dead_mask[0, 0], dead_mask[1, 1] = False, True
+    n_cages = movers + int(rng.integers(0, 20))
+    attempts = [(0, 0)] + [
+        (int(r), int(c))
+        for r, c in zip(rng.integers(0, rows, 600), rng.integers(0, cols, 600))
+    ]
+
+    def build():
+        manager = make_manager(rows, cols, sep)
+        if dead_mask is not None:
+            manager.set_dead_mask(dead_mask)
+        for site in attempts:
+            if len(manager) == n_cages:
+                break
+            try:
+                manager.create(site)
+            except CageError:
+                pass
+        return manager
+
+    probe = build()
+    ids = rng.permutation([c.cage_id for c in probe.cages])[:movers]
+    step = rng.integers(-1, 2, size=(ids.size, 2))
+    while True:
+        try:
+            _scalar(probe, ids.tolist(), [tuple(s) for s in step.tolist()])
+            break
+        except CageError:
+            step[rng.choice(np.flatnonzero(step.any(axis=1)))] = 0
+    frame = dict(zip(ids.tolist(), [tuple(s) for s in step.tolist()]))
+    manager = build()
+    for fault in faults:
+        if fault == "oversize":
+            frame[int(rng.choice(ids))] = (2, int(rng.integers(-1, 2)))
+        elif fault == "unknown":
+            frame[10_000] = (1, 0)
+        elif fault == "bounds":
+            frame[0] = (-1, int(rng.integers(-1, 2)))
+        elif fault == "dead":
+            frame[0] = (1, 1)
+        else:
+            # separation: a pair exactly ``sep`` apart, and at least 2 so
+            # that closing in does not collide
+            lo, hi = {
+                "collide": (1, 2), "swap": (1, 1), "separation": (max(sep, 2), sep),
+            }[fault]
+            pairs = _pairs(manager, lo, hi)
+            if not pairs:
+                continue
+            a, b = pairs[rng.integers(len(pairs))]
+            if fault == "collide":  # both step onto one site
+                dest = [p + (q - p) // 2 for p, q in zip(a.site, b.site)]
+                frame[a.cage_id] = (dest[0] - a.site[0], dest[1] - a.site[1])
+                frame[b.cage_id] = (dest[0] - b.site[0], dest[1] - b.site[1])
+            elif fault == "swap":
+                frame[a.cage_id] = (b.site[0] - a.site[0], b.site[1] - a.site[1])
+                frame[b.cage_id] = (a.site[0] - b.site[0], a.site[1] - b.site[1])
+            else:  # a closes in on b, which holds still
+                frame[a.cage_id] = tuple(
+                    int(np.sign(q - p)) for p, q in zip(a.site, b.site)
+                )
+                frame[b.cage_id] = (0, 0)
+    return build, list(frame), list(frame.values())
+
+
+class TestOneErrorSource:
+    """Every frame-step error comes from the scalar step: ``step`` and
+    ``step_arrays`` raise its type and message at every frame size and
+    commit the same state."""
+
+    @given(
+        seed=st.integers(0, 10**6),
+        sep=st.integers(1, 3),
+        dead=st.booleans(),
+        movers=st.integers(1, 40),
+        faults=st.lists(st.sampled_from(FRAME_FAULTS), max_size=2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_entry_points_match_scalar_step(self, seed, sep, dead, movers, faults):
+        import numpy as np
+
+        build, ids, deltas = _frame_case(seed, sep, dead, movers, faults)
+        want, want_state = _outcome(_scalar, build(), ids, deltas)
+        if want is not None:  # a failed step changes nothing
+            __, untouched = _outcome(lambda *args: None, build(), ids, deltas)
+            for a, b in zip(want_state, untouched):
+                np.testing.assert_array_equal(a, b)
+        for name, run in STEP_ENTRY_POINTS.items():
+            got, got_state = _outcome(run, build(), ids, deltas)
+            assert got == want, name
+            for a, b in zip(got_state, want_state):
+                np.testing.assert_array_equal(a, b)
+
+    def test_two_collisions_name_the_first_in_mover_order(self):
+        """Nine movers, two collisions: every entry point names the pair
+        the scalar step meets first in mover order, not the pair at the
+        lowest site."""
+        def build():
+            manager = make_manager(rows=8, cols=30, sep=1)
+            for col in range(30):
+                manager.create((5, col))
+            return manager
+
+        frame = {25: (1, 0), 26: (1, -1), 3: (1, 0), 4: (1, -1)}
+        frame.update({cage_id: (1, 0) for cage_id in range(10, 15)})
+        ids, deltas = list(frame), list(frame.values())
+        for run in (_scalar, *STEP_ENTRY_POINTS.values()):
+            result, __ = _outcome(run, build(), ids, deltas)
+            assert result == (CageError, "cages 25 and 26 collide at (6, 25)")

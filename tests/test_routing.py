@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.array import CageManager, ElectrodeGrid
-from repro.array.addressing import RowColumnAddresser
+from repro import Biochip
+from repro.array import ElectrodeGrid
 from repro.physics.constants import um
 from repro.routing import (
     BatchRouter,
     GreedyRouter,
-    MotionPlanner,
     ObstacleMap,
     RoutingError,
     RoutingRequest,
@@ -204,39 +203,25 @@ class TestGreedyRouter:
         assert len(failed) >= 1
 
 
-class TestMotionPlanner:
+class TestPlanExecution:
+    """A batch plan executed on a chip (:meth:`Biochip.move_many`)."""
+
     def test_execution_matches_plan(self):
-        g = ElectrodeGrid(20, 20, um(20))
-        manager = CageManager(g)
+        chip = Biochip.small_chip(rows=20, cols=20)
         requests = make_requests([((0, 0), (10, 10)), ((0, 10), (10, 0))])
-        for request in requests:
-            manager.create(request.start)
-        plan = BatchRouter(g).plan(requests)
-        planner = MotionPlanner(manager, RowColumnAddresser(g))
-        steps, frames = planner.execute(plan, record_frames=True)
-        assert len(steps) == plan.makespan
-        assert len(frames) == plan.makespan + 1
-        assert sorted(c.site for c in manager.cages) == sorted(
-            r.goal for r in requests
-        )
+        goals = {
+            chip.cages.create(r.start).cage_id: r.goal for r in requests
+        }
+        report = chip.move_many(goals)
+        assert report["frames"] >= 10
+        assert report["moves"] >= 20
+        assert {c.cage_id: c.site for c in chip.cages.cages} == goals
 
     def test_wall_clock_dominated_by_physics(self):
         """Claim C2 at system level: reprogramming is a vanishing
         fraction of the motion wall-clock."""
-        g = ElectrodeGrid(20, 20, um(20))
-        manager = CageManager(g)
-        requests = make_requests([((0, 0), (15, 15))])
-        manager.create(requests[0].start)
-        plan = BatchRouter(g).plan(requests)
-        planner = MotionPlanner(manager, RowColumnAddresser(g), cage_speed=50e-6)
-        planner.execute(plan)
-        assert planner.electronics_fraction() < 1e-3
-
-    def test_misaligned_start_raises(self):
-        g = ElectrodeGrid(20, 20, um(20))
-        manager = CageManager(g)
-        manager.create((5, 5))
-        plan = BatchRouter(g).plan(make_requests([((0, 0), (3, 3))]))
-        planner = MotionPlanner(manager, RowColumnAddresser(g))
-        with pytest.raises(ValueError):
-            planner.execute(plan)
+        chip = Biochip.small_chip(rows=20, cols=20)
+        cage = chip.cages.create((0, 0))
+        report = chip.move_many({cage.cage_id: (15, 15)})
+        wall = report["program_time"] + report["dwell_time"]
+        assert 0.0 < report["program_time"] / wall < 1e-3
