@@ -15,6 +15,7 @@ continuously to locate the crossover (experiment F1/F2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +60,10 @@ class ModelFidelity:
 
     def false_pass_probability(self, true_margin) -> float:
         """P(simulation says pass | design actually fails) at a margin < 0."""
-        from scipy.special import erf
-        import math
-
         if self.sigma == 0.0:
             return float(true_margin + self.bias > 0.0)
         z = (0.0 - (true_margin + self.bias)) / self.sigma
-        return 0.5 * (1.0 - erf(z / math.sqrt(2.0)))
+        return 0.5 * (1.0 - math.erf(z / math.sqrt(2.0)))
 
 
 def electronic_fidelity() -> ModelFidelity:

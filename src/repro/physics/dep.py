@@ -24,14 +24,93 @@ This module provides:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import EPSILON_0, GRAVITY, WATER_DENSITY
 from .dielectrics import clausius_mossotti
 from .fields import cage_field_model
+
+
+#: Brent solver tolerances and iteration cap: scipy's ``brentq`` defaults,
+#: fixed so that every levitation height matches a scipy solve bit for bit.
+_BRENT_XTOL = 2e-12
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _signbit(x):
+    return math.copysign(1.0, x) < 0.0
+
+
+def _brackets(fa, fb):
+    """Whether end values ``fa``, ``fb`` bracket a root for
+    :func:`_brentq`: one is zero or their sign bits differ."""
+    return fa == 0.0 or fb == 0.0 or _signbit(fa) != _signbit(fb)
+
+
+def _brentq(f, a, b):
+    """A root of ``f`` in ``[a, b]`` by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's ``brentq`` (``Zeros/brentq.c``) at
+    its default tolerances.  It performs the same IEEE double operations
+    in the same order, so it returns the same root bit for bit.  Raises
+    :class:`ValueError` when ``f(a)`` and ``f(b)`` do not bracket a root
+    or ``f`` returns NaN, and :class:`RuntimeError` when it has not
+    converged after ``_BRENT_MAXITER`` iterations.
+    """
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if not _brackets(fpre, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for __ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"failed to converge after {_BRENT_MAXITER} iterations")
 
 
 def dep_force(radius, medium_permittivity, real_cm_factor, grad_e2):
@@ -162,7 +241,19 @@ class DepCage:
         # A stable equilibrium has net force crossing + -> - as z grows.
         for i in range(len(zs) - 1):
             if net[i] > 0.0 >= net[i + 1]:
-                return float(brentq(self.net_vertical_force, zs[i], zs[i + 1]))
+                lo, hi = float(zs[i]), float(zs[i + 1])
+                ends = {lo: self.net_vertical_force(lo), hi: self.net_vertical_force(hi)}
+                if not _brackets(ends[lo], ends[hi]):
+                    # The scalar force differs from the scan's vectorised
+                    # one by up to ~1e-11 N, enough to flip the sign at
+                    # an end where the net force is that small: that end
+                    # is then the balance point.
+                    return min(ends, key=lambda z: abs(ends[z]))
+                return _brentq(
+                    lambda z: ends[z] if z in ends else self.net_vertical_force(z),
+                    lo,
+                    hi,
+                )
         return None
 
     def lateral_stiffness(self, z=None, probe=None):

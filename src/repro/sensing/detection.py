@@ -14,12 +14,35 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfinv
+
+_erf = np.vectorize(math.erf, otypes=[float])
+
+
+def _erfcinv(y):
+    """Inverse complementary error function for ``0 < y < 1``.
+
+    Newton's method on ``log(erfc(x)) = log(y)``, started from
+    ``sqrt(-log(y))``, which the Chernoff bound ``erfc(x) <= exp(-x^2)``
+    puts at or right of the root; ``log(erfc)`` is concave, so the
+    iterates then fall monotonically onto it, in at most six steps for
+    ``2e-15 <= y <= 0.9998``.  Solving against ``erfc`` rather than ``erf``
+    keeps the tail well conditioned: near ``erf(x) = 1`` a double has no
+    digits left to resolve ``x``.
+    """
+    log_y = math.log(y)
+    x = math.sqrt(-log_y)
+    for __ in range(16):
+        tail = math.erfc(x)
+        step = (math.log(tail) - log_y) * tail * (math.sqrt(math.pi) / 2.0) * math.exp(x * x)
+        x += step
+        if abs(step) <= 1e-14 * x:
+            break
+    return x
 
 
 def q_function(x):
     """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
-    return 0.5 * (1.0 - erf(np.asarray(x, dtype=float) / math.sqrt(2.0)))
+    return 0.5 * (1.0 - _erf(np.asarray(x, dtype=float) / math.sqrt(2.0)))
 
 
 def threshold_for_false_alarm(noise_rms, false_alarm_rate):
@@ -28,7 +51,7 @@ def threshold_for_false_alarm(noise_rms, false_alarm_rate):
         raise ValueError("false alarm rate must be in (0, 0.5)")
     if noise_rms <= 0.0:
         raise ValueError("noise must be positive")
-    return noise_rms * math.sqrt(2.0) * erfinv(1.0 - 2.0 * false_alarm_rate)
+    return noise_rms * math.sqrt(2.0) * _erfcinv(2.0 * false_alarm_rate)
 
 
 def detection_probability(signal, noise_rms, threshold):
