@@ -134,23 +134,44 @@ class NoiseGenerator:
         )
 
     def sample(self, n):
-        """Return ``n`` consecutive noise samples [same units as sigma]."""
+        """Return ``n`` consecutive noise samples [same units as sigma].
+
+        RNG stream: one size-``n`` white draw, then -- when flicker is
+        enabled -- one size-``n`` flicker-drive draw.
+
+        The flicker AR(1) recursion ``s[i] = rho*s[i-1] + drive[i]`` is
+        evaluated as a log-depth doubling scan (Hillis & Steele, CACM
+        1986) in place on the drive array ``x``: the carried state is
+        folded in with ``x[0] += rho*s0`` (the recursion's first step,
+        exactly), then for ``k = 1, 2, 4, ... < n`` each element adds
+        ``rho**k`` times the element ``k`` before it, after which
+        ``x[i]`` sums ``2k`` terms of the recursion.  That is
+        ``ceil(log2 n)`` numpy calls instead of ``n`` Python iterations.
+        The scan rounds in a different order from the sequential loop, so
+        trajectories -- and the carried ``_flicker_state`` -- may differ
+        from it by a few ulps (~1e-14 of ``flicker_sigma``).  Quantised readings do not
+        change: a sample would have to land within those few ulps of an
+        ADC code edge.
+        """
         if n < 1:
             raise ValueError("need n >= 1")
         white = self.rng.normal(0.0, self.white_sigma, size=n) if self.white_sigma else np.zeros(n)
         if self.flicker_sigma == 0.0:
             return white
         rho = self.flicker_correlation
-        drive = self.rng.normal(
+        # The drive draw, scanned in place into the flicker trajectory.
+        flicker = self.rng.normal(
             0.0, self.flicker_sigma * math.sqrt(1.0 - rho**2), size=n
         )
-        flicker = np.empty(n)
-        state = self._flicker_state
-        for i in range(n):
-            state = rho * state + drive[i]
-            flicker[i] = state
-        self._flicker_state = state
-        return white + flicker
+        flicker[0] += rho * self._flicker_state
+        k, rho_k = 1, rho
+        while k < n:
+            flicker[k:] += rho_k * flicker[:-k]
+            k *= 2
+            rho_k *= rho_k
+        self._flicker_state = float(flicker[-1])
+        white += flicker
+        return white
 
     def sample_block(self, n_rows, n):
         """Return an ``(n_rows, n)`` block of noise trajectories.
@@ -169,6 +190,15 @@ class NoiseGenerator:
         row's final state.  The per-sample distribution is identical to
         sequential :meth:`sample` calls -- the flicker process is
         stationary -- but the draws are not bit-identical to them.
+
+        The flicker recursion stays a loop over samples here, each step
+        one vector op across all rows, rather than the doubling scan of
+        :meth:`sample`: the scan does ``n log n`` work instead of ``n``,
+        which only pays when the per-step Python overhead dominates, as
+        it does for one row.  Measured on a shared 2-vCPU host, the scan
+        made ``sample_block(11449, 50)`` 8-16% slower (~19 -> ~21.5 ms)
+        and a 64-sample ``sense_all`` of 11,449 cages on a 320x320 chip
+        7% slower (50.9 -> 54.3 ms).
         """
         if n_rows < 1 or n < 1:
             raise ValueError("need n_rows >= 1 and n >= 1")

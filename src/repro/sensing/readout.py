@@ -74,11 +74,22 @@ class AnalogToDigital:
         return self.full_scale / (2**self.bits)
 
     def quantise(self, voltages):
-        """Quantise voltages to code centres, clipping at the rails."""
-        v = np.clip(np.asarray(voltages, dtype=float), 0.0, self.full_scale)
-        codes = np.floor(v / self.lsb)
-        codes = np.clip(codes, 0, 2**self.bits - 1)
-        return (codes + 0.5) * self.lsb
+        """Quantise voltages to code centres, clipping at the rails.
+
+        Works in place on one private copy of the input, so the caller's
+        array is never touched; a scalar input gives a numpy scalar.
+        Clamping the code to ``[0, 2**bits - 1]`` also clamps the voltage
+        to the rails: ``full_scale / lsb`` is exactly ``2**bits``.
+        """
+        lsb = self.lsb
+        v = np.array(voltages, dtype=float)
+        v /= lsb
+        np.floor(v, out=v)
+        np.maximum(v, 0.0, out=v)
+        np.minimum(v, 2**self.bits - 1, out=v)
+        v += 0.5
+        v *= lsb
+        return v if v.ndim else v[()]
 
     def quantisation_noise_rms(self) -> float:
         """RMS quantisation noise LSB/sqrt(12) [V]."""
@@ -152,19 +163,28 @@ class CapacitiveReadoutChain:
         return self.adc.quantise(analog)
 
     def averaged_reading(self, particle=None, height=None, n_samples=1) -> float:
-        """Mean of ``n_samples`` digitised samples minus the pedestal [V]."""
-        return float(np.mean(self.sample_pixel(particle, height, n_samples))) - self.pedestal
+        """Mean of ``n_samples`` digitised samples minus the pedestal [V].
+
+        :meth:`averaged_reading_from_signal` for the particle's signal
+        voltage (zero for an empty pixel).
+        """
+        signal = self.signal_voltage(particle, height) if particle is not None else 0.0
+        return self.averaged_reading_from_signal(signal, n_samples)
 
     def averaged_reading_from_signal(self, signal, n_samples=1) -> float:
         """Averaged pedestal-removed reading for a known signal level [V].
 
-        Same chain as :meth:`averaged_reading` (identical RNG
-        consumption) but taking the noise-free signal voltage directly;
-        used for combined multi-particle cage signals, where the caller
-        sums the per-particle contributions.
+        The one single-pixel averaging chain: :meth:`averaged_reading`
+        calls it with one particle's signal, and the chip calls it with
+        combined multi-particle cage signals, where the caller sums the
+        per-particle contributions.  RNG use is one
+        :meth:`~repro.physics.noise.NoiseGenerator.sample` call.
         """
-        analog = self.pedestal + signal + self._noise.sample(n_samples)
-        return float(np.mean(self.adc.quantise(analog))) - self.pedestal
+        analog = self._noise.sample(n_samples)
+        analog += self.pedestal + signal
+        codes = self.adc.quantise(analog)
+        # np.mean's own pairwise sum and division, without its overhead.
+        return float(codes.sum()) / codes.size - self.pedestal
 
     def batch_readings(self, signals, n_samples=1, max_block=4_000_000):
         """Averaged pedestal-removed readings for many pixels at once [V].
