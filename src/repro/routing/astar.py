@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..array.grid import ElectrodeGrid
-from ..array.state import inflate_mask
+from ..array.state import dilate8_into, inflate_mask
 
 #: The eight king-move directions plus wait, in deterministic order.
 MOVES_8 = (
@@ -133,8 +133,6 @@ def distance_field(free, source, max_levels=None):
     equals the closed-form Chebyshev distance; its value is routing
     *around* dead pixels, where cages sharing a goal share one field.
     """
-    from ..array.state import dilate8_into
-
     free = np.asarray(free, dtype=bool)
     rows, cols = free.shape
     field = np.full((rows, cols), -1, dtype=np.int32)

@@ -311,6 +311,23 @@ class _VectorReservationTable:
         return self._latest_parked
 
 
+def _free_rectangle(blocked):
+    """``(row0, row1, col0, col1)`` (half-open) when the free mask
+    ``~blocked`` is exactly one non-empty rectangle, else None."""
+    if blocked is None:
+        return None
+    free = ~blocked
+    rows = np.flatnonzero(free.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(free.any(axis=0))
+    r0, r1 = int(rows[0]), int(rows[-1]) + 1
+    c0, c1 = int(cols[0]), int(cols[-1]) + 1
+    if np.count_nonzero(free) != (r1 - r0) * (c1 - c0):
+        return None
+    return (r0, r1, c0, c1)
+
+
 @dataclass
 class BatchRouter:
     """Prioritised space-time router for simultaneous cage motion.
@@ -585,8 +602,8 @@ class WavefrontRouter(BatchRouter):
     Two short-cuts keep typical batches far off the mask path:
 
     * direct-path probe -- the Chebyshev-optimal king path (detoured by
-      a cached per-goal static :func:`distance_field` when dead
-      electrodes are present) is validated against the reservation
+      a cached per-goal static distance field when dead electrodes or
+      a lease block part of the chip) is validated against the reservation
       planes as one vectorized gather; uncongested cages never build a
       frontier at all;
     * windowing -- the wavefront runs on the start/goal bounding box
@@ -604,6 +621,7 @@ class WavefrontRouter(BatchRouter):
     def __post_init__(self):
         super().__post_init__()
         self._field_cache = {}
+        self._free_box = None
         self._wave_buf = None
         self._scratch_buf = None
 
@@ -611,6 +629,8 @@ class WavefrontRouter(BatchRouter):
         if self.min_separation < 2:
             return super()._make_table(horizon)
         self._field_cache = {}
+        # static fields are closed-form in a clean lease
+        self._free_box = _free_rectangle(self._blocked_arr)
         return _VectorReservationTable(
             self.min_separation,
             (self.grid.rows, self.grid.cols),
@@ -670,10 +690,27 @@ class WavefrontRouter(BatchRouter):
 
     def _static_distance(self, goal):
         """Static distance-to-goal field, shared across cages with the
-        same goal (built only when a dead-electrode mask is present)."""
+        same goal (built only when a blocked mask is present).
+
+        When the free mask is exactly one rectangle -- a leased window
+        with no dead pixel inside it -- and the goal lies inside it,
+        the king-move BFS field is the Chebyshev distance to the goal
+        clipped to that rectangle (-1 outside), so it is written in
+        closed form.  Any other mask falls back to :func:`distance_field`.
+        """
         field = self._field_cache.get(goal)
         if field is None:
-            field = distance_field(~self._blocked_arr, goal)
+            box = self._free_box
+            if (box is not None and box[0] <= goal[0] < box[1]
+                    and box[2] <= goal[1] < box[3]):
+                r0, r1, c0, c1 = box
+                field = np.full(self._blocked_arr.shape, -1, dtype=np.int32)
+                field[r0:r1, c0:c1] = np.maximum(
+                    np.abs(np.arange(r0 - goal[0], r1 - goal[0]))[:, None],
+                    np.abs(np.arange(c0 - goal[1], c1 - goal[1])),
+                )
+            else:
+                field = distance_field(~self._blocked_arr, goal)
             self._field_cache[goal] = field
         return field
 

@@ -251,6 +251,20 @@ class RegionLeaseAllocator:
     reserved pixel and returns a :class:`RegionLease`, or None when
     nothing fits.  Deterministic by construction: no randomness, the
     same allocate/release sequence always yields the same leases.
+
+    Each attempt builds one summed-area table (Crow, SIGGRAPH 1984) of
+    the used-mask, zero-padded by the guard, and reads the
+    reserved-pixel count of every candidate's guard-inflated window
+    from it at once as four shifted slices; the padding makes a window
+    that overhangs the array border count exactly its clipped part.
+    The first zero count in row-major order is the window a raster
+    scan over origins would stop at, so an attempt costs a fixed
+    handful of numpy calls whatever the chip size (and one pass over
+    the live leases for their extent).  The table covers
+    only the origins that scan could reach: any origin right of or
+    below every live window is free, so on a sparse chip (a lease
+    group holds a few leases) it spans a strip of the first rows, and
+    only a crowded chip reads the whole used-mask.
     """
 
     def __init__(self, rows, cols, guard=2, chip_id=0):
@@ -281,18 +295,38 @@ class RegionLeaseAllocator:
             raise ValueError(f"window must be >= 1x1, got {rows}x{cols}")
         if rows > self.rows or cols > self.cols:
             return None
-        for r0 in range(self.rows - rows + 1):
-            for c0 in range(self.cols - cols + 1):
-                a, b, c, d = self._inflated(r0, c0, rows, cols)
-                if not self._used[a:c, b:d].any():
-                    self._used[a:c, b:d] = True
-                    lease = RegionLease(
-                        chip_id=self.chip_id, origin=(r0, c0),
-                        rows=rows, cols=cols, guard=self.guard,
-                    )
-                    self._live[lease] = (a, b, c, d)
-                    return lease
-        return None
+        # The live windows end by row ur and column uc, so any origin at
+        # column >= uc + g or row >= ur + g is free: the scan stops by
+        # origin (0, uc + g) when it fits, else by (ur + g, 0), and only
+        # the origins up to there are read.
+        g = self.guard
+        ur = max((window[2] for window in self._live.values()), default=0)
+        uc = max((window[3] for window in self._live.values()), default=0)
+        c_hi = min(self.cols - cols, uc + g)
+        r_hi = 0 if c_hi == uc + g else min(self.rows - rows, ur + g)
+        # Zero-padding the used-mask by the guard makes every inflated
+        # window full-size, and its sum equals the clipped window's.
+        h, w = rows + 2 * g, cols + 2 * g
+        nr = min(self.rows, r_hi + rows + g)
+        nc = min(self.cols, c_hi + cols + g)
+        table = np.zeros((r_hi + h + 1, c_hi + w + 1), dtype=np.int32)
+        table[g + 1:g + 1 + nr, g + 1:g + 1 + nc] = self._used[:nr, :nc]
+        table.cumsum(axis=0, out=table)
+        table.cumsum(axis=1, out=table)
+        sums = table[h:, w:] - table[:-h, w:] - table[h:, :-w] + table[:-h, :-w]
+        free = sums == 0
+        first = int(free.argmax())
+        if not free.flat[first]:
+            return None
+        r0, c0 = divmod(first, free.shape[1])
+        a, b, c, d = self._inflated(r0, c0, rows, cols)
+        self._used[a:c, b:d] = True
+        lease = RegionLease(
+            chip_id=self.chip_id, origin=(r0, c0),
+            rows=rows, cols=cols, guard=self.guard,
+        )
+        self._live[lease] = (a, b, c, d)
+        return lease
 
     def release(self, lease: RegionLease):
         """Return ``lease``'s window (guard band included) to the pool."""
