@@ -76,8 +76,9 @@ def dilate8_into(src, out, tmp):
     a vertical pass (``tmp`` -> ``out``) -- four shifted ORs total,
     each reading only the previous buffer (shifted ORs *in place* on
     overlapping views would smear values across the whole row).  This
-    is the inner kernel of the wavefront router's frontier expansion,
-    called once per BFS level instead of once per expanded node.
+    is the inner kernel of the routing BFS
+    (:func:`~repro.routing.astar.distance_field`), called once per BFS
+    level instead of once per expanded node.
     """
     np.copyto(tmp, src)
     tmp[:, :-1] |= src[:, 1:]

@@ -17,12 +17,13 @@ allowed, conflict-free synchronous plan guaranteed on success):
   ceiling.
 * :class:`WavefrontRouter` -- the vectorized engine: grid moves are
   unit-cost, so Dijkstra collapses to a level-synchronous BFS whose
-  frontiers are whole boolean-mask dilations over the occupancy
-  window, masked each timestep by the reservation table's pre-inflated
-  numpy planes.  One cage's plan is a handful of masked dilations (or
-  a single vectorized probe of the direct path) instead of ~10^5
-  ``site_free`` calls.  Same priority order, same separation
-  invariants, same per-cage earliest-arrival optimality.
+  frontiers are packed integer bit planes over the occupancy window
+  (a dilation is shifts and ORs), masked each timestep by the
+  reservation table's pre-inflated numpy planes, packed the same way.
+  One cage's plan is a handful of masked dilations (or a single
+  vectorized probe of the direct path) instead of ~10^5 ``site_free``
+  calls.  Same priority order, same separation invariants, same
+  per-cage earliest-arrival optimality.
 
 The greedy baseline in :mod:`repro.routing.greedy` shows why planning
 is needed at all.
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..array.grid import ElectrodeGrid
-from ..array.state import dilate8_into, first_pairwise_violation
+from ..array.state import first_pairwise_violation
 from ..observability import tracing
 from .astar import (
     MOVES_8,
@@ -47,6 +48,23 @@ from .astar import (
     distance_field,
     downhill_path,
 )
+
+#: Reservation planes packed into wavefront bit planes per numpy call.
+_PLANE_CHUNK = 16
+
+#: The backtrack's predecessor order (WAIT, then MOVES_8) with each
+#: offset's bit in a 3x3 neighbourhood read row by row.
+_BACKTRACK_ORDER = tuple(
+    (dr, dc, (dr + 1) * 3 + dc + 1) for dr, dc in (WAIT,) + MOVES_8
+)
+
+
+def _bits(mask):
+    """A bool ``(rows, width)`` mask as one int, bit ``r * stride + c``
+    for ``mask[r, c]`` (``stride`` = ``width`` rounded up to bytes)."""
+    return int.from_bytes(
+        np.packbits(mask, axis=-1, bitorder="little").tobytes(), "little"
+    )
 
 
 @dataclass
@@ -236,9 +254,9 @@ class _VectorReservationTable:
     ``(horizon + 2, rows, cols)`` array and ``parked_from`` an int
     grid, both padded by the inflation radius so window scatters and
     frontier slices never need bounds clipping.  ``reserve_path``
-    writes a whole path's windows as (2s-1)^2 vectorized scatters, and
-    the wavefront ANDs whole blocked planes into each frontier instead
-    of probing ``site_free`` per node.
+    writes a whole path's windows as one broadcast scatter, and the
+    wavefront ANDs whole blocked planes (packed into ints) into each
+    frontier instead of probing ``site_free`` per node.
 
     Edge (swap) conflicts are not tracked: with ``separation >= 2`` a
     swap is unreachable, because any site adjacent to a reserved
@@ -264,23 +282,22 @@ class _VectorReservationTable:
             (self.rows + pad, self.cols + pad), self._NEVER, dtype=np.int64
         )
         self._latest_parked = 0
-        radius = self.radius
-        self._offsets = [
-            (dr, dc)
-            for dr in range(-radius, radius + 1)
-            for dc in range(-radius, radius + 1)
-        ]
+        # window offsets, shifted into the padded frame
+        span = np.arange(2 * self.radius + 1)
+        self._window_rows = np.repeat(span, span.size)
+        self._window_cols = np.tile(span, span.size)
 
     def reserve_path(self, cage_id, path):
         arr = np.asarray(path, dtype=np.int64).reshape(-1, 2)
         from_t = len(arr) - 1
         radius = self.radius
         if from_t > 0:
-            t_index = np.arange(from_t)
-            rows = arr[:from_t, 0] + radius
-            cols = arr[:from_t, 1] + radius
-            for dr, dc in self._offsets:
-                self.blocked[t_index, rows + dr, cols + dc] = True
+            # every transient window of the path in one scatter
+            self.blocked[
+                np.arange(from_t)[:, None],
+                arr[:from_t, 0, None] + self._window_rows,
+                arr[:from_t, 1, None] + self._window_cols,
+            ] = True
         goal_r = int(arr[-1, 0]) + radius
         goal_c = int(arr[-1, 1]) + radius
         window = self.parked_from[
@@ -592,12 +609,13 @@ class WavefrontRouter(BatchRouter):
 
     Plans in the same prioritised order as :class:`BatchRouter`, but
     each cage's space-time search is a level-synchronous BFS: the set
-    of sites reachable at time ``t`` is one boolean mask, and the step
-    to ``t + 1`` is an 8-neighbour dilation ANDed with the static free
-    mask and the reservation table's time-``t+1`` blocked plane.  Grid
-    moves are unit cost, so this finds the same earliest arrival the
-    A* reference does, in O(frontier-levels) whole-window numpy ops
-    instead of O(nodes) heap expansions.
+    of sites reachable at time ``t`` is one packed integer bit plane,
+    and the step to ``t + 1`` is an 8-neighbour dilation (shifts and
+    ORs) ANDed with the static free mask and the reservation table's
+    time-``t+1`` blocked plane.  Grid moves are unit cost, so this
+    finds the same earliest arrival the A* reference does, in
+    O(frontier-levels) whole-window int ops instead of O(nodes) heap
+    expansions.
 
     Two short-cuts keep typical batches far off the mask path:
 
@@ -622,8 +640,6 @@ class WavefrontRouter(BatchRouter):
         super().__post_init__()
         self._field_cache = {}
         self._free_box = None
-        self._wave_buf = None
-        self._scratch_buf = None
 
     def _make_table(self, horizon):
         if self.min_separation < 2:
@@ -827,20 +843,16 @@ class WavefrontRouter(BatchRouter):
 
     # -- wavefront ---------------------------------------------------------
 
-    def _stack_for(self, levels, height, width):
-        need = levels * height * width
-        if self._wave_buf is None or self._wave_buf.size < need:
-            self._wave_buf = np.empty(max(need, 1), dtype=bool)
-        return self._wave_buf[:need].reshape(levels, height, width)
-
-    def _scratch_for(self, height, width):
-        need = height * width
-        if self._scratch_buf is None or self._scratch_buf.size < need:
-            self._scratch_buf = np.empty(max(need, 1), dtype=bool)
-        return self._scratch_buf[:need].reshape(height, width)
-
     def _wavefront(self, start, goal, min_arrival, table, horizon, bounds):
-        """Level-synchronous masked BFS inside ``bounds``.
+        """Level-synchronous masked BFS inside ``bounds``, on bit planes.
+
+        Each BFS level is one Python int: bit ``r * stride + c`` is the
+        padded-table site ``(row0 + radius + r, c)``, over full padded
+        rows, with ``stride`` the packed row width (a multiple of 8), so
+        ``np.packbits(..., bitorder="little")`` of table rows gives the
+        layout directly.  The padding ring keeps every window bit off
+        both row ends, so a one-bit column shift never wraps into the
+        next row, and a level step is shifts, ORs and ANDs.
 
         Returns ``(status, path)``: ``("found", path)`` on success, or
         ``(status, None)`` where ``"grow"`` means the reached set was
@@ -852,50 +864,75 @@ class WavefrontRouter(BatchRouter):
         row0, row1, col0, col1 = bounds
         height, width = row1 - row0 + 1, col1 - col0 + 1
         radius = table.radius
-        window = (slice(row0, row1 + 1), slice(col0, col1 + 1))
-        padded = (
-            slice(row0 + radius, row1 + 1 + radius),
-            slice(col0 + radius, col1 + 1 + radius),
+        stride = 8 * ((table.blocked.shape[2] + 7) // 8)
+        rows = slice(row0 + radius, row1 + 1 + radius)
+        pcol0, pcol1 = col0 + radius, col1 + radius
+        one_row = ((1 << width) - 1) << pcol0
+        column = ((1 << (height * stride)) - 1) // ((1 << stride) - 1)
+        border = (
+            one_row | one_row << ((height - 1) * stride)
+            | column << pcol0 | column << pcol1
         )
-        free = np.ones((height, width), dtype=bool)
-        if self._blocked_arr is not None:
-            np.logical_not(self._blocked_arr[window], out=free)
-        start_local = (start[0] - row0, start[1] - col0)
-        goal_local = (goal[0] - row0, goal[1] - col0)
+        if self._blocked_arr is None:
+            static = one_row * column
+        else:
+            free = np.zeros((height, stride), dtype=bool)
+            np.logical_not(
+                self._blocked_arr[row0 : row1 + 1, col0 : col1 + 1],
+                out=free[:, pcol0 : pcol1 + 1],
+            )
+            static = _bits(free)
+        start_r, start_c = start[0] - row0, start[1] + radius
+        current = 1 << (start_r * stride + start_c)
         # a cage may keep sitting on (or leave) an electrode that died
         # under it; only *entering* dead sites is forbidden
-        free[start_local] = True
-        parked = table.parked_from[padded]
-        stack = self._stack_for(horizon + 1, height, width)
-        scratch = self._scratch_for(height, width)
-        current = stack[0]
-        current[:] = False
-        current[start_local] = True
+        static |= current
+        goal_bit = 1 << ((goal[0] - row0) * stride + goal[1] + radius)
+        # parked windows join the static mask at their parked-from time;
+        # horizon + 1 ends the list past the last level
+        parked = table.parked_from[rows]
+        inside = parked[:, pcol0 : pcol1 + 1]
+        parked_times = sorted(set(inside[inside <= horizon].tolist()))
+        parked_times.append(horizon + 1)
+        next_parked = 0
+        blocked_rows = table.blocked[:, rows]
+        plane_bytes = height * stride // 8
+        planes = ()
+        chunk0 = chunk1 = 1
         settle = table.latest_parked_time()
         counters = self._counters
+        levels = [current]
         arrived = -1
         touched_border = False
         for t in range(1, horizon + 1):
-            frontier = stack[t]
-            dilate8_into(current, frontier, scratch)
-            frontier &= free
-            np.greater(parked, t, out=scratch)
-            frontier &= scratch
-            np.logical_not(table.blocked[t][padded], out=scratch)
-            frontier &= scratch
+            if t == chunk1:
+                chunk0, chunk1 = t, min(t + _PLANE_CHUNK, horizon + 1)
+                packed = np.packbits(
+                    blocked_rows[chunk0:chunk1], axis=-1, bitorder="little"
+                ).tobytes()
+                planes = [
+                    int.from_bytes(packed[i : i + plane_bytes], "little")
+                    for i in range(0, len(packed), plane_bytes)
+                ]
+            while parked_times[next_parked] <= t:
+                static &= ~_bits(parked == parked_times[next_parked])
+                next_parked += 1
+            frontier = current | current << 1 | current >> 1
+            frontier = (
+                (frontier | frontier << stride | frontier >> stride)
+                & static & ~planes[t - chunk0]
+            )
+            levels.append(frontier)
             counters["frontier_steps"] += 1
-            if t >= min_arrival and frontier[goal_local]:
+            if t >= min_arrival and frontier & goal_bit:
                 arrived = t
                 break
-            touched_border = touched_border or bool(
-                frontier[0].any() or frontier[-1].any()
-                or frontier[:, 0].any() or frontier[:, -1].any()
-            )
-            if not frontier.any():
+            touched_border = touched_border or bool(frontier & border)
+            if not frontier:
                 # the reached set died out entirely; unless it was ever
                 # clipped by the window, widening cannot revive it
                 return ("grow" if touched_border else "dead"), None
-            if t > settle and np.array_equal(frontier, current):
+            if t > settle and frontier == current:
                 # static world from here on and the reached set is a
                 # fixpoint that excludes the goal: genuinely stuck --
                 # and provably so in any window if it never touched
@@ -904,28 +941,32 @@ class WavefrontRouter(BatchRouter):
             current = frontier
         if arrived < 0:
             return "grow", None
-        # Backtrack through the stored frontiers: at each step pick the
+        # Backtrack through the stored levels: at each step pick the
         # predecessor closest to the start (ties prefer waiting, then
         # MOVES_8 order), which yields a direct, low-move path with the
-        # same arrival time the A* reference finds.
-        path = np.empty((arrived + 1, 2), dtype=np.int32)
-        path[arrived] = (goal[0], goal[1])
-        row, col = goal_local
+        # same arrival time the A* reference finds.  One shift brings a
+        # site's 3x3 neighbourhood down to the low bits of three rows.
+        row, col = goal[0] - row0, goal[1] + radius
+        path = [(goal[0], goal[1])]
         for t in range(arrived, 0, -1):
-            previous = stack[t - 1]
+            if row:
+                near = levels[t - 1] >> ((row - 1) * stride + col - 1)
+                nine = (
+                    (near & 7) | (near >> stride & 7) << 3
+                    | (near >> 2 * stride & 7) << 6
+                )
+            else:
+                near = levels[t - 1] >> (col - 1)
+                nine = (near & 7) << 3 | (near >> stride & 7) << 6
             best = None
             best_distance = None
-            for dr, dc in (WAIT,) + MOVES_8:
-                prow, pcol = row + dr, col + dc
-                if not (0 <= prow < height and 0 <= pcol < width):
-                    continue
-                if not previous[prow, pcol]:
-                    continue
-                d = max(
-                    abs(prow + row0 - start[0]), abs(pcol + col0 - start[1])
-                )
-                if best is None or d < best_distance:
-                    best, best_distance = (prow, pcol), d
+            for dr, dc, bit in _BACKTRACK_ORDER:
+                if nine >> bit & 1:
+                    prow, pcol = row + dr, col + dc
+                    d = max(abs(prow - start_r), abs(pcol - start_c))
+                    if best is None or d < best_distance:
+                        best, best_distance = (prow, pcol), d
             row, col = best
-            path[t - 1] = (row + row0, col + col0)
-        return "found", path
+            path.append((row + row0, col - radius))
+        path.reverse()
+        return "found", np.asarray(path, dtype=np.int32)
