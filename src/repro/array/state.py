@@ -19,6 +19,7 @@ probes.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -89,19 +90,41 @@ def dilate8_into(src, out, tmp):
     return out
 
 
+def _close_pair_by_rows(sites, separation):
+    """Whether any two of ``sites`` are closer than ``separation``
+    (Chebyshev): a sweep in row order that compares each site only
+    with the later ones less than ``separation`` rows below it."""
+    by_row = sorted(sites, key=itemgetter(0))
+    count = len(by_row)
+    for i in range(count - 1):
+        row, col = by_row[i][0], by_row[i][1]
+        below = row + separation
+        for j in range(i + 1, count):
+            other = by_row[j]
+            if other[0] >= below:
+                break
+            if abs(other[1] - col) < separation:
+                return True
+    return False
+
+
 def first_pairwise_violation(sites, separation, rows, cols):
     """First pair of sites closer than ``separation`` (Chebyshev), or None.
 
-    Vectorized replacement for the O(n^2) pairwise loop: scatter counts
-    onto the grid, box-sum them with an integral image, and only walk a
-    neighbourhood in Python on the (rare) failure path to name the pair.
+    The pair named is the first ``(i, j)``, ``i < j``, in input order.
+    Large batches scatter counts onto the grid, box-sum them with an
+    integral image, and only walk a neighbourhood in Python on the
+    (rare) failure path to name the pair.  Small batches, where
+    whole-grid arrays cost more than they save, run the row sweep of
+    :func:`_close_pair_by_rows`; on a hit, the O(n^2) pair loop names
+    the pair.
     """
     sites = list(sites)
     if len(sites) < 2:
         return None
     if len(sites) < 48:
-        # Small batches: the O(n^2) scan beats building whole-grid
-        # count/integral arrays.
+        if not _close_pair_by_rows(sites, separation):
+            return None
         for i, a in enumerate(sites):
             for b in sites[i + 1 :]:
                 if max(abs(a[0] - b[0]), abs(a[1] - b[1])) < separation:

@@ -20,10 +20,11 @@ allowed, conflict-free synchronous plan guaranteed on success):
   frontiers are packed integer bit planes over the occupancy window
   (a dilation is shifts and ORs), masked each timestep by the
   reservation table's pre-inflated numpy planes, packed the same way.
-  One cage's plan is a handful of masked dilations (or a single
-  vectorized probe of the direct path) instead of ~10^5 ``site_free``
-  calls.  Same priority order, same separation invariants, same
-  per-cage earliest-arrival optimality.
+  One cage's plan is a handful of masked dilations (or a site-by-site
+  probe of the direct path, or a greedy walk, read through flat views
+  of the same planes) instead of ~10^5 ``site_free`` calls.  Same
+  priority order, same separation invariants, same per-cage
+  earliest-arrival optimality.
 
 The greedy baseline in :mod:`repro.routing.greedy` shows why planning
 is needed at all.
@@ -57,6 +58,45 @@ _PLANE_CHUNK = 16
 _BACKTRACK_ORDER = tuple(
     (dr, dc, (dr + 1) * 3 + dc + 1) for dr, dc in (WAIT,) + MOVES_8
 )
+
+
+#: The greedy walk's candidate moves as ``(rank, drow, dcol)``: staying
+#: put, then MOVES_8; the rank breaks ties between equally close sites.
+_GREEDY_MOVES = tuple(
+    (rank, dr, dc) for rank, (dr, dc) in enumerate((WAIT,) + MOVES_8)
+)
+
+
+def _greedy_key(a, b):
+    """The class of goal offsets ``(a, b)`` that rank the greedy moves
+    alike: the offsets' signs and ``|a| - |b|`` clipped to [-2, 2].
+
+    A move changes ``|a|`` by ``sign(a) * drow`` (``|drow|`` when
+    ``a == 0``), and likewise ``|b|``, so its change of Chebyshev
+    distance depends on the signs and, while ``|a|`` and ``|b|`` are
+    within 2 of each other, on their difference; past 2 only the larger
+    counts.
+    """
+    skew = min(2, max(-2, abs(a) - abs(b)))
+    return (a > 0) - (a < 0), (b > 0) - (b < 0), skew
+
+
+def _greedy_ranking(a, b):
+    """The greedy moves from goal offset ``(a, b)`` as ``(change of
+    Chebyshev distance, rank, drow, dcol)``, closest first."""
+    distance = max(abs(a), abs(b))
+    return tuple(sorted(
+        (max(abs(a + dr), abs(b + dc)) - distance, rank, dr, dc)
+        for rank, dr, dc in _GREEDY_MOVES
+    ))
+
+
+#: Greedy move ranking per offset class (see :func:`_greedy_key`); every
+#: class occurs within offsets of 4.
+_GREEDY_RANKINGS = {
+    _greedy_key(a, b): _greedy_ranking(a, b)
+    for a in range(-4, 5) for b in range(-4, 5)
+}
 
 
 def _bits(mask):
@@ -258,6 +298,14 @@ class _VectorReservationTable:
     wavefront ANDs whole blocked planes (packed into ints) into each
     frontier instead of probing ``site_free`` per node.
 
+    The per-cage tiers (direct probe, greedy walk) read single sites,
+    and a numpy scalar read costs several times a list index.  So the
+    table also exposes ``blocked_flat`` and ``parked_flat``: zero-copy
+    flat ``memoryview`` objects over the same two buffers, indexed
+    ``t * plane_size + row * row_width + col`` and ``row * row_width +
+    col`` in padded coordinates.  They are views, not copies: every
+    write through the arrays shows in them at once.
+
     Edge (swap) conflicts are not tracked: with ``separation >= 2`` a
     swap is unreachable, because any site adjacent to a reserved
     cage's position is already inside its inflated window at that
@@ -281,6 +329,10 @@ class _VectorReservationTable:
         self.parked_from = np.full(
             (self.rows + pad, self.cols + pad), self._NEVER, dtype=np.int64
         )
+        self.row_width = self.cols + pad
+        self.plane_size = (self.rows + pad) * self.row_width
+        self.blocked_flat = memoryview(self.blocked.reshape(-1))
+        self.parked_flat = memoryview(self.parked_from.reshape(-1))
         self._latest_parked = 0
         # window offsets, shifted into the padded frame
         span = np.arange(2 * self.radius + 1)
@@ -309,12 +361,11 @@ class _VectorReservationTable:
 
     def site_free(self, site, t) -> bool:
         """Scalar probe (parity with the reference table, for tests)."""
-        row = site[0] + self.radius
-        col = site[1] + self.radius
-        if self.parked_from[row, col] <= t:
+        index = (site[0] + self.radius) * self.row_width + site[1] + self.radius
+        if self.parked_flat[index] <= t:
             return False
         if t < self.blocked.shape[0]:
-            return not self.blocked[t, row, col]
+            return not self.blocked_flat[t * self.plane_size + index]
         return True
 
     def edge_free(self, a, b, t) -> bool:
@@ -617,13 +668,16 @@ class WavefrontRouter(BatchRouter):
     O(frontier-levels) whole-window int ops instead of O(nodes) heap
     expansions.
 
-    Two short-cuts keep typical batches far off the mask path:
+    Three short-cuts keep typical batches far off the mask path:
 
     * direct-path probe -- the Chebyshev-optimal king path (detoured by
       a cached per-goal static distance field when dead electrodes or
-      a lease block part of the chip) is validated against the reservation
-      planes as one vectorized gather; uncongested cages never build a
-      frontier at all;
+      a lease block part of the chip) is validated against the
+      reservation planes site by site, through their flat views;
+      uncongested cages never build a frontier at all;
+    * greedy walk -- a congested cage steps to the closest free
+      neighbour that keeps its earliest arrival, and only falls
+      through to the wavefront when it gets stuck;
     * windowing -- the wavefront runs on the start/goal bounding box
       plus ``window_margin``, growing (to the full grid if needed)
       only when congestion forces a wide detour.
@@ -659,8 +713,8 @@ class WavefrontRouter(BatchRouter):
         start, goal = request.start, request.goal
         radius = table.radius
         settle = table.latest_parked_time()
-        goal_r, goal_c = goal[0] + radius, goal[1] + radius
-        if table.parked_from[goal_r, goal_c] <= settle:
+        goal_index = (goal[0] + radius) * table.row_width + goal[1] + radius
+        if table.parked_flat[goal_index] <= settle:
             # a parked window covers the goal and never clears
             raise RoutingError(
                 f"cage {request.cage_id}: no conflict-free route within "
@@ -668,10 +722,14 @@ class WavefrontRouter(BatchRouter):
             )
         # Earliest legal arrival: the goal must stay free from arrival
         # through the settle time (the A* reference's arrival_ok),
-        # which for transient blocks means "after the last one".
+        # which for transient blocks means "after the last one": the
+        # last set byte of the goal's strided column through the planes.
         upto = min(settle, table.blocked.shape[0] - 1)
-        transients = np.nonzero(table.blocked[: upto + 1, goal_r, goal_c])[0]
-        min_arrival = int(transients[-1]) + 1 if transients.size else 0
+        plane = table.plane_size
+        column = table.blocked_flat[
+            goal_index : goal_index + (upto + 1) * plane : plane
+        ]
+        min_arrival = column.tobytes().rfind(1) + 1
         path = self._direct_path(start, goal, min_arrival, table, horizon)
         if path is not None:
             self._counters["fast_path_hits"] += 1
@@ -731,51 +789,56 @@ class WavefrontRouter(BatchRouter):
         return field
 
     def _direct_path(self, start, goal, min_arrival, table, horizon):
-        """Probe the static-shortest path as one vectorized gather.
+        """Probe the static-shortest path site by site.
 
-        Builds the Chebyshev-optimal king path (via the shared
-        per-goal distance field when dead electrodes force a detour),
-        prepends start waits if the goal needs settling time, and
-        checks every (site, t) against the reservation planes at once.
-        Returns the path, or None when the probe fails and the full
-        wavefront must run.
+        The path is the Chebyshev-optimal king path (diagonal, then
+        straight), or the downhill walk of the shared per-goal distance
+        field when dead electrodes or a lease block part of the chip,
+        after start waits if the goal needs settling time.  Each
+        (site, t) is checked against the reservation planes' flat
+        views, stopping at the first conflict.  Returns the path, or
+        None when the probe fails and the greedy walk must try.
         """
         distance = chebyshev_heuristic(start, goal)
         if distance == 0:
             return np.asarray([start], dtype=np.int32) if min_arrival == 0 else None
-        if self._blocked_arr is None:
-            steps = np.arange(distance + 1)
-            dr, dc = goal[0] - start[0], goal[1] - start[1]
-            row_seq = start[0] + np.sign(dr) * np.minimum(steps, abs(dr))
-            col_seq = start[1] + np.sign(dc) * np.minimum(steps, abs(dc))
-        else:
+        walk = None
+        if self._blocked_arr is not None:
             fld = self._static_distance(goal)
             if fld[start] != distance:
                 # start unreachable statically, or a dead-pixel detour
                 # is needed: the wavefront handles both
                 return None
-            walk = np.asarray(downhill_path(fld, start), dtype=np.int64)
-            row_seq, col_seq = walk[:, 0], walk[:, 1]
+            walk = downhill_path(fld, start)
         arrival = max(distance, min_arrival)
         if arrival > horizon:
             return None
         waits = arrival - distance
+        if walk is None:
+            # diagonal first, then straight: each axis walks its span
+            # and then holds the goal's coordinate
+            span_r, span_c = abs(goal[0] - start[0]), abs(goal[1] - start[1])
+            step_r = 1 if goal[0] > start[0] else -1
+            step_c = 1 if goal[1] > start[1] else -1
+            rows = (list(range(start[0], goal[0], step_r))
+                    + [goal[0]] * (distance + 1 - span_r))
+            cols = (list(range(start[1], goal[1], step_c))
+                    + [goal[1]] * (distance + 1 - span_c))
+        else:
+            rows, cols = map(list, zip(*walk))
         if waits:
-            row_seq = np.concatenate(
-                [np.full(waits, start[0], dtype=np.int64), row_seq]
-            )
-            col_seq = np.concatenate(
-                [np.full(waits, start[1], dtype=np.int64), col_seq]
-            )
-        radius = table.radius
-        t_seq = np.arange(1, arrival + 1)
-        rows = row_seq[1:] + radius
-        cols = col_seq[1:] + radius
-        if (table.parked_from[rows, cols] <= t_seq).any():
-            return None
-        if table.blocked[t_seq, rows, cols].any():
-            return None
-        return np.column_stack([row_seq, col_seq]).astype(np.int32)
+            rows = [start[0]] * waits + rows
+            cols = [start[1]] * waits + cols
+        width = table.row_width
+        plane = table.plane_size
+        parked = table.parked_flat
+        blocked = table.blocked_flat
+        offset = table.radius * (width + 1)
+        for t in range(1, arrival + 1):
+            index = rows[t] * width + cols[t] + offset
+            if parked[index] <= t or blocked[t * plane + index]:
+                return None
+        return np.array((rows, cols), dtype=np.int32).T.copy()
 
     def _greedy_walk(self, start, goal, min_arrival, table, horizon):
         """Middle tier of the fast-path ladder: a scalar greedy walk.
@@ -787,58 +850,86 @@ class WavefrontRouter(BatchRouter):
         ground, the walk either arrives exactly at ``bound`` -- which
         is provably the same earliest arrival A* finds, so accepting it
         preserves equivalence -- or gets stuck and returns None for the
-        exact wavefront to take over.  Costs ~30 scalar probes per step
-        versus a whole-window mask op per wavefront level, and dodges
-        the single crossing tube that defeats the straight-line probe.
+        exact wavefront to take over.  It dodges the single crossing
+        tube that defeats the straight-line probe.
+
+        Each step takes the closest free neighbour that keeps the
+        invariant, ties to the earliest of staying put, then
+        :data:`MOVES_8`.  So it walks the moves in ``(remaining
+        distance, move index)`` order -- a precomputed ranking of the
+        goal offset's class on an open chip (:func:`_greedy_key`), the
+        sorted static-field values of the nine neighbours on a masked
+        one -- and probes the static mask and the reservation planes'
+        flat views only until the first free move.  A step costs a few
+        list-speed probes, against a whole-window bit-plane op per
+        wavefront level.
         """
         field = None
         if self._blocked_arr is None:
             static_dist = chebyshev_heuristic(start, goal)
         else:
-            field = self._static_distance(goal)
-            static_dist = int(field[start])
+            fld = self._static_distance(goal)
+            static_dist = int(fld[start])
             if static_dist < 0:
                 return None
+            field = memoryview(fld.reshape(-1))
         bound = max(static_dist, min_arrival)
         if bound > horizon:
             return None
-        radius = table.radius
-        parked = table.parked_from
-        blocked = table.blocked
-        blocked_flat = self._blocked_flat
+        goal_r, goal_c = goal
+        width = table.row_width
+        plane = table.plane_size
+        parked = table.parked_flat
+        blocked = table.blocked_flat
+        offset = table.radius * (width + 1)
+        dead = self._blocked_flat
+        rankings = _GREEDY_RANKINGS
         cols = self.grid.cols
         rows = self.grid.rows
-        site = start
+        row, col = start
         path = [start]
         for t in range(1, bound + 1):
-            slack = bound - t
-            best = None
-            for dr, dc in ((0, 0),) + MOVES_8:
-                nr, nc = site[0] + dr, site[1] + dc
+            # ``ranked`` holds (score, rank, drow, dcol), closest first;
+            # a move keeps the bound while its score is within ``limit``
+            if field is None:
+                # the score is the change of distance; _greedy_key inline
+                a, b = row - goal_r, col - goal_c
+                abs_a, abs_b = abs(a), abs(b)
+                skew = abs_a - abs_b
+                ranked = rankings[
+                    (a > 0) - (a < 0), (b > 0) - (b < 0),
+                    -2 if skew < -2 else 2 if skew > 2 else skew,
+                ]
+                limit = bound - t - (abs_a if skew > 0 else abs_b)
+            else:
+                # the score is the remaining static distance
+                ranked = []
+                for rank, dr, dc in _GREEDY_MOVES:
+                    nr, nc = row + dr, col + dc
+                    if 0 <= nr < rows and 0 <= nc < cols:
+                        remaining = field[nr * cols + nc]
+                        if remaining >= 0:
+                            ranked.append((remaining, rank, dr, dc))
+                ranked.sort()
+                limit = bound - t
+            at = t * plane
+            for score, __, dr, dc in ranked:
+                if score > limit:
+                    return None  # every later move loses the bound too
+                nr, nc = row + dr, col + dc
                 if not (0 <= nr < rows and 0 <= nc < cols):
                     continue
-                if field is not None:
-                    remaining = int(field[nr, nc])
-                    if remaining < 0:
-                        continue
-                else:
-                    remaining = max(abs(nr - goal[0]), abs(nc - goal[1]))
-                if remaining > slack:
-                    continue  # would lose the earliest-arrival bound
-                if (blocked_flat is not None
-                        and blocked_flat[nr * cols + nc]
+                if (dead is not None and dead[nr * cols + nc]
                         and (nr, nc) != start):
                     continue
-                if parked[nr + radius, nc + radius] <= t:
+                index = nr * width + nc + offset
+                if parked[index] <= t or blocked[at + index]:
                     continue
-                if blocked[t, nr + radius, nc + radius]:
-                    continue
-                if best is None or remaining < best[0]:
-                    best = (remaining, nr, nc)
-            if best is None:
+                break
+            else:
                 return None
-            site = (best[1], best[2])
-            path.append(site)
+            row, col = nr, nc
+            path.append((nr, nc))
         return np.asarray(path, dtype=np.int32)
 
     # -- wavefront ---------------------------------------------------------

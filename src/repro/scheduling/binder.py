@@ -79,6 +79,7 @@ class Binder:
         if len(names) != len(set(names)):
             raise ValueError("duplicate resource names")
         self._by_name = {r.name: r for r in self.resources}
+        self._by_type = {}  # op_type -> capable resources, found once
 
     def resource(self, name) -> Resource:
         try:
@@ -89,7 +90,9 @@ class Binder:
     def candidates(self, operation):
         """Resources that can run ``operation`` (respecting a pinned region).
 
-        Raises :class:`BindingError` when none exists.
+        Raises :class:`BindingError` when none exists.  The unpinned
+        list is found once per operation type and shared: callers must
+        not mutate it.
         """
         if operation.region is not None:
             resource = self.resource(operation.region)
@@ -99,11 +102,15 @@ class Binder:
                     f"which cannot run {operation.op_type}"
                 )
             return [resource]
-        found = [r for r in self.resources if r.supports(operation.op_type)]
-        if not found:
-            raise BindingError(
-                f"no resource supports {operation.op_type} (op {operation.op_id})"
-            )
+        found = self._by_type.get(operation.op_type)
+        if found is None:
+            found = [r for r in self.resources if r.supports(operation.op_type)]
+            if not found:
+                raise BindingError(
+                    f"no resource supports {operation.op_type} "
+                    f"(op {operation.op_id})"
+                )
+            self._by_type[operation.op_type] = found
         return found
 
     def validate_graph(self, graph):

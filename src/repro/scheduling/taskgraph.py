@@ -117,7 +117,8 @@ class AssayGraph:
 
     Stored as adjacency dicts: ``_ops`` maps each id to its operation
     in insertion order, ``_preds``/``_succs`` map it to its dependency
-    and dependant ids, each in edge-insertion order.
+    and dependant ids, each in edge-insertion order.  The topological
+    order is computed once and kept until the next mutation.
     """
 
     def __init__(self, name="assay"):
@@ -125,6 +126,7 @@ class AssayGraph:
         self._ops = {}
         self._preds = {}
         self._succs = {}
+        self._topo = None  # memoised _order(); any mutation clears it
 
     # -- construction ------------------------------------------------------
 
@@ -146,6 +148,7 @@ class AssayGraph:
         self._ops[op_id] = operation
         self._preds[op_id] = {}
         self._succs[op_id] = {}
+        self._topo = None
         for dep in after:
             self._link(dep, op_id)
         return operation
@@ -175,6 +178,7 @@ class AssayGraph:
     def _link(self, dep, op_id):
         self._succs[dep][op_id] = None
         self._preds[op_id][dep] = None
+        self._topo = None
 
     # -- queries -----------------------------------------------------------
 
@@ -191,9 +195,16 @@ class AssayGraph:
             raise KeyError(f"no operation {op_id!r} in graph {self.name!r}") from None
 
     def _order(self):
-        """Operation ids in topological order: Kahn generations, each
-        listed in the order its members were discovered (the roots in
-        insertion order)."""
+        """Operation ids in topological order (see :meth:`_kahn`),
+        memoised until the graph changes.  The list is shared: callers
+        must not mutate it."""
+        if self._topo is None:
+            self._topo = self._kahn()
+        return self._topo
+
+    def _kahn(self):
+        """Kahn's sort: generations, each listed in the order its
+        members were discovered (the roots in insertion order)."""
         pending = {op_id: len(preds) for op_id, preds in self._preds.items()}
         generation = [op_id for op_id, count in pending.items() if not count]
         order = []

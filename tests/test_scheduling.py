@@ -136,7 +136,79 @@ class TestAssayGraph:
             Operation("x", OpType.MOVE, -1.0)
 
 
+class TestMemoisedOrder:
+    """The topological order is computed once per graph state: a query
+    after ``add`` or ``add_dependency`` sees the new graph, and a
+    compile sorts its graph once."""
+
+    def order(self, graph):
+        return [op.op_id for op in graph.operations()]
+
+    def test_add_after_a_query_extends_the_order(self):
+        graph = TestAssayGraph().build_diamond()
+        assert self.order(graph) == ["a", "b", "c", "d"]
+        graph.add(Operation("e", OpType.TRAP, 1.0))
+        assert self.order(graph) == ["a", "e", "b", "c", "d"]
+        graph.add(Operation("f", OpType.SENSE, 4.0), after=["d"])
+        assert self.order(graph) == ["a", "e", "b", "c", "d", "f"]
+        assert graph.critical_path_length() == pytest.approx(9.0)
+
+    def test_add_dependency_after_a_query_reorders(self):
+        graph = TestAssayGraph().build_diamond()
+        graph.add(Operation("e", OpType.TRAP, 1.0))
+        assert self.order(graph) == ["a", "e", "b", "c", "d"]
+        assert graph.bottom_levels()["e"] == pytest.approx(1.0)
+        graph.add_dependency("e", "d")
+        assert self.order(graph) == ["a", "b", "c", "d", "e"]
+        assert graph.bottom_levels()["e"] == pytest.approx(1.0)
+        assert graph.bottom_levels()["a"] == pytest.approx(6.0)
+
+    def test_a_failed_add_keeps_the_order(self):
+        graph = TestAssayGraph().build_diamond()
+        before = self.order(graph)
+        with pytest.raises(ValueError):
+            graph.add(Operation("e", OpType.MOVE, 1.0), after=["nope"])
+        with pytest.raises(ValueError):
+            graph.add_dependency("a", "d")
+        assert self.order(graph) == before
+
+    def test_a_compile_sorts_once(self, monkeypatch):
+        from repro.array import ElectrodeGrid
+        from repro.core.compiler import compile_protocol
+        from repro.core.protocol import Protocol
+        from repro.physics.constants import um
+
+        calls = []
+        kahn = AssayGraph._kahn
+
+        def counted(graph):
+            calls.append(graph.name)
+            return kahn(graph)
+
+        monkeypatch.setattr(AssayGraph, "_kahn", counted)
+        protocol = Protocol("once")
+        for i in range(4):
+            protocol.trap(f"c{i}", (2 * i, 0))
+        protocol.move_many({f"c{i}": (2 * i, 10) for i in range(4)})
+        protocol.sense_all(samples=10)
+        for i in range(4):
+            protocol.release(f"c{i}")
+        program = compile_protocol(protocol, ElectrodeGrid(48, 48, um(20)))
+        program.ordered_commands()
+        assert calls == ["once"]
+
+
 class TestBinder:
+    def test_candidates_are_found_once_per_type(self):
+        binder = Binder()
+        for op_type in OpType:
+            first = binder.candidates(Operation("x", op_type, 1.0))
+            again = binder.candidates(Operation("y", op_type, 2.0))
+            assert again is first
+            assert first == [r for r in binder.resources if r.supports(op_type)]
+        pinned = Operation("z", OpType.MOVE, 1.0, region="zone2")
+        assert [r.name for r in binder.candidates(pinned)] == ["zone2"]
+
     def test_default_resources_cover_all_ops(self):
         binder = Binder()
         for op_type in OpType:
