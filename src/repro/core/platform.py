@@ -14,6 +14,7 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,44 @@ ROUTING_COUNTERS = (
 #: How many distinct batch plans one chip remembers (least recently
 #: used first out; see :meth:`Biochip.move_many`).
 _PLAN_MEMO_SIZE = 64
+
+
+class _Replay(NamedTuple):
+    """What running a memoised plan whole charged: the report's move
+    count and times (see :meth:`Biochip.move_many`)."""
+
+    moves: int
+    program_time: float
+    dwell_time: float
+
+
+class _MemoEntry:
+    """One batch of a chip's plan memo: the plan, the request ids it was
+    planned under, and -- once a run of it committed every frame -- its
+    :class:`_Replay`."""
+
+    __slots__ = ("ids", "order", "sites", "makespan", "stats", "replay",
+                 "_moved")
+
+    def __init__(self, ids, order, sites, makespan, stats):
+        self.ids = ids          # cage id per request position
+        self.order = order      # the plan's row ids, in planning order
+        self.sites = sites
+        self.makespan = makespan
+        self.stats = stats
+        self.replay = None
+        self._moved = None
+
+    def moved(self):
+        """``(rows, starts, ends)``: the plan rows whose final site
+        differs from their start, and those two sites as (n, 2) arrays.
+        Read off the sites on first use, so a batch that never repeats
+        pays nothing for it."""
+        if self._moved is None:
+            starts, ends = self.sites[:, 0], self.sites[:, -1]
+            rows = np.flatnonzero((starts != ends).any(axis=1))
+            self._moved = (rows, starts[rows], ends[rows])
+        return self._moved
 
 
 @dataclass
@@ -139,9 +178,10 @@ class Biochip:
         self._routing_totals = {
             **dict.fromkeys(ROUTING_COUNTERS, 0), "plan_seconds": 0.0,
         }
-        # memo key -> (request ids, row ids, sites, makespan, stats) of
-        # the plan that filled it; see move_many
+        # memo key -> _MemoEntry of the plan that filled it (and of the
+        # execution it committed); see move_many
         self._plan_memo = OrderedDict()
+        self._batch_entry = None  # the entry of _plan_batch's last plan
 
     @property
     def routing_totals(self) -> dict:
@@ -527,16 +567,34 @@ class Biochip:
         each plan row to the cage now at that row's request position
         (the same protocol re-traps its cages under new ids), so its
         frames, report and clock charge are bit-identical to a fresh
-        plan's.  A hit
-        skips the router's validation, because that outcome is a
-        function of the key too, and a batch the router rejects is never
-        stored; the bounds, region and dead-goal checks here still run
-        on every call.  The memo is per chip and is not handed to
-        spawned chips: its versions count this chip's own mask and
-        region changes, and restarts and tenant views install their own.
-        Hits and misses are counted in :attr:`routing_totals`; a hit
-        counts as a plan whose ``plan_seconds`` is the lookup time and
-        whose planner counters are zero.
+        plan's.  A hit skips the router's validation, because that
+        outcome is a function of the key too, and a batch the router
+        rejects is never stored; the bounds, region and dead-goal checks
+        here still run on every call.
+
+        A hit also skips executing the plan frame by frame.  Once
+        :meth:`CageManager.run_plan` has committed a stored plan whole,
+        the entry keeps the report's move count, ``program_time`` and
+        ``dwell_time``.  A hit commits the final sites of the rows that
+        end away from their start (read off the stored sites on the
+        first hit), renamed to today's cages, in one
+        :meth:`~repro.array.state.ArrayState.move_cages` call (origins
+        are cleared before destinations are written, so a cage moving
+        into a site another one vacates lands correctly) and charges the
+        stored times.  ``run_plan``'s verdict, its dirty rows and the
+        state it leaves are functions of the key as well: every cage on
+        the chip is a request (stationary ones with zero length),
+        ``min_separation`` is in the key and the dead mask is covered by
+        its version, the grid is fixed and each tenant view is a chip of
+        its own.  When ``run_plan`` raised, the entry keeps no record and
+        the next hit runs it again.
+
+        The memo is per chip and is not handed to spawned chips: its
+        versions count this chip's own mask and region changes, and
+        restarts and tenant views install their own.  Hits and misses
+        are counted in :attr:`routing_totals`; a hit counts as a plan
+        whose ``plan_seconds`` is the lookup time and whose planner
+        counters are zero.
 
         Parameters
         ----------
@@ -590,6 +648,7 @@ class Biochip:
                 ids.append(cage.cage_id)
                 requests.append((site, site, False))
         plan, hit = self._plan_batch(ids, requests, moving)
+        entry = self._batch_entry
         counts = {
             **plan.stats,
             "plans": 1,
@@ -600,6 +659,34 @@ class Biochip:
         totals = self._routing_totals
         for key in ROUTING_COUNTERS:
             totals[key] += counts[key]
+        replay = entry.replay
+        if replay is None:
+            replay = entry.replay = self._run_batch(plan)
+        else:
+            # this batch ran before from this very state: commit where
+            # its movers ended (origins are cleared first, so a cage
+            # taking a site another one vacated lands correctly)
+            rows, starts, ends = entry.moved()
+            self.cages.state.move_cages(
+                starts[:, 0], starts[:, 1], ends[:, 0], ends[:, 1],
+                plan.cage_ids[rows],
+            )
+        report = {
+            "cages": len(goals),
+            "frames": plan.makespan,
+            "moves": replay.moves,
+            "program_time": replay.program_time,
+            "dwell_time": replay.dwell_time,
+            "plan_seconds": plan.stats["plan_seconds"],
+        }
+        self._log("move_many", dict(report),
+                  replay.program_time + replay.dwell_time)
+        return report
+
+    def _run_batch(self, plan):
+        """Execute ``plan`` through :meth:`CageManager.run_plan`, charging
+        each frame its row rewrites and dwell; returns the
+        :class:`_Replay` of what it committed."""
         dirty = self.cages.run_plan(plan.cage_ids, plan.deltas)
         row_time = self.addresser.row_write_time()
         drow, dcol = plan.deltas[..., 0], plan.deltas[..., 1]
@@ -616,16 +703,7 @@ class Biochip:
                 continue
             program_time += dirty[step] * row_time
             dwell_time += diagonal_dwell if diagonal[step] else straight_dwell
-        report = {
-            "cages": len(goals),
-            "frames": plan.makespan,
-            "moves": plan.total_moves(),
-            "program_time": program_time,
-            "dwell_time": dwell_time,
-            "plan_seconds": plan.stats["plan_seconds"],
-        }
-        self._log("move_many", dict(report), program_time + dwell_time)
-        return report
+        return _Replay(plan.total_moves(), program_time, dwell_time)
 
     def _plan_batch(self, ids, requests, moving):
         """The batch plan for ``requests`` (one ``(start, goal,
@@ -640,23 +718,22 @@ class Biochip:
             tuple(requests),
         )
         memo = self._plan_memo
-        entry = memo.get(key)
+        entry = self._batch_entry = memo.get(key)
         if entry is not None:
             memo.move_to_end(key)
-            planned_ids, planned_order, sites, makespan, stats = entry
             # the stored rows name the cages at each request position
             # when the batch was planned; rename them to today's cages
-            rename = dict(zip(planned_ids, ids))
+            rename = dict(zip(entry.ids, ids))
             # a hit does none of the planner's counted work
             stats = {name: 0 if name in ROUTING_COUNTERS else value
-                     for name, value in stats.items()}
+                     for name, value in entry.stats.items()}
             with tracing.span("routing.plan",
                               attributes={"memo": "hit"}) as span:
                 cage_ids = [rename[cage_id]
-                            for cage_id in planned_order.tolist()]
+                            for cage_id in entry.order.tolist()]
                 stats["plan_seconds"] = time.perf_counter() - started
-                plan = BatchPlan(cage_ids=cage_ids, sites=sites,
-                                 makespan=makespan, stats=stats)
+                plan = BatchPlan(cage_ids=cage_ids, sites=entry.sites,
+                                 makespan=entry.makespan, stats=stats)
                 if span.recording:
                     span.set_attributes(dict(stats))
             return plan, True
@@ -682,8 +759,8 @@ class Biochip:
         except RoutingError as exc:
             raise ExecutionError(str(exc)) from exc
         plan.sites.flags.writeable = False  # shared with every hit
-        memo[key] = (ids, plan.cage_ids, plan.sites, plan.makespan,
-                     plan.stats)
+        memo[key] = self._batch_entry = _MemoEntry(
+            ids, plan.cage_ids, plan.sites, plan.makespan, plan.stats)
         if len(memo) > _PLAN_MEMO_SIZE:
             memo.popitem(last=False)
         return plan, False

@@ -294,9 +294,9 @@ class _VectorReservationTable:
     ``(horizon + 2, rows, cols)`` array and ``parked_from`` an int
     grid, both padded by the inflation radius so window scatters and
     frontier slices never need bounds clipping.  ``reserve_path``
-    writes a whole path's windows as one broadcast scatter, and the
-    wavefront ANDs whole blocked planes (packed into ints) into each
-    frontier instead of probing ``site_free`` per node.
+    writes a whole path's windows as one scatter of flat indices, and
+    the wavefront ANDs whole blocked planes (packed into ints) into
+    each frontier instead of probing ``site_free`` per node.
 
     The per-cage tiers (direct probe, greedy walk) read single sites,
     and a numpy scalar read costs several times a list index.  So the
@@ -334,22 +334,26 @@ class _VectorReservationTable:
         self.blocked_flat = memoryview(self.blocked.reshape(-1))
         self.parked_flat = memoryview(self.parked_from.reshape(-1))
         self._latest_parked = 0
-        # window offsets, shifted into the padded frame
+        # A site's window as flat offsets from its padded-frame corner:
+        # site (row, col) on plane t has its window's top-left cell at
+        # t * plane_size + row * row_width + col.
         span = np.arange(2 * self.radius + 1)
-        self._window_rows = np.repeat(span, span.size)
-        self._window_cols = np.tile(span, span.size)
+        self._window = (span[:, None] * self.row_width + span).reshape(-1)
+        self._corner_weights = np.array([self.row_width, 1])
+        self._plane_starts = np.arange(horizon + 2) * self.plane_size
+        self._blocked_1d = self.blocked.reshape(-1)
 
     def reserve_path(self, cage_id, path):
         arr = np.asarray(path, dtype=np.int64).reshape(-1, 2)
         from_t = len(arr) - 1
         radius = self.radius
         if from_t > 0:
-            # every transient window of the path in one scatter
-            self.blocked[
-                np.arange(from_t)[:, None],
-                arr[:from_t, 0, None] + self._window_rows,
-                arr[:from_t, 1, None] + self._window_cols,
-            ] = True
+            # every transient window of the path in one flat scatter;
+            # consecutive windows sit on different planes, so no cell
+            # is written twice
+            corners = (arr[:from_t] @ self._corner_weights
+                       + self._plane_starts[:from_t])
+            self._blocked_1d[corners[:, None] + self._window] = True
         goal_r = int(arr[-1, 0]) + radius
         goal_c = int(arr[-1, 1]) + radius
         window = self.parked_from[

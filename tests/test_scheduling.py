@@ -197,6 +197,21 @@ class TestMemoisedOrder:
         program.ordered_commands()
         assert calls == ["once"]
 
+    def test_neighbour_lists_follow_mutations_and_are_fresh(self):
+        graph = TestAssayGraph().build_diamond()
+        assert graph.predecessors("d") == ["b", "c"]
+        assert graph.successors("a") == ["b", "c"]
+        graph.add(Operation("a2", OpType.MOVE, 1.0), after=["a"])
+        graph.add(Operation("e", OpType.INCUBATE, 5.0))
+        graph.add_dependency("d", "e")
+        assert graph.successors("a") == ["a2", "b", "c"]
+        assert graph.predecessors("d") == ["b", "c", "e"]
+        # a caller may mutate what it gets (workloads.assays does)
+        graph.predecessors("d").append("z")
+        graph.successors("a").clear()
+        assert graph.predecessors("d") == ["b", "c", "e"]
+        assert graph.successors("a") == ["a2", "b", "c"]
+
 
 class TestBinder:
     def test_candidates_are_found_once_per_type(self):
