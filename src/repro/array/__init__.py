@@ -7,6 +7,6 @@ from .grid import ElectrodeGrid, paper_grid
 from .legacy import LegacyCageManager
 from .patterns import ArrayFrame, Phase, cage_frame, uniform_frame
 from .pixel import PixelDesign
-from .state import ArrayState, inflate_mask
+from .state import ArrayState
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,8 +9,8 @@ that ("one frame" means re-validating the whole population).
 * ``cage_ids``  -- int32 (rows, cols), the occupying cage id (-1 empty);
 
 plus the payload index kept by the owning manager.  Every layer that
-used to rebuild per-site Python structures (cage stepping, routing
-obstacle maps, frame emission, batched sensing) reads these grids
+used to rebuild per-site Python structures (cage stepping, the
+routing planner's parked sites, frame emission, batched sensing) reads these grids
 directly, so the per-frame cost is a handful of whole-array or
 gather-indexed numpy ops instead of ``O(cages * neighbourhood)`` dict
 probes.
@@ -40,31 +40,6 @@ def separation_offsets(separation):
         for dc in range(-radius, radius + 1)
         if not (dr == 0 and dc == 0)
     ]
-
-
-def inflate_mask(mask, radius):
-    """Chebyshev dilation of a boolean grid by ``radius`` sites.
-
-    The routing layer's obstacle inflation: a cage centre blocks every
-    site within Chebyshev distance < separation, i.e. radius
-    ``separation - 1``.  Implemented as shifted ORs -- ``(2r+1)^2``
-    whole-array ops instead of a Python loop over every blocked site.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if radius <= 0:
-        return mask.copy()
-    out = mask.copy()
-    rows, cols = mask.shape
-    for dr in range(-radius, radius + 1):
-        for dc in range(-radius, radius + 1):
-            if dr == 0 and dc == 0:
-                continue
-            src_r = slice(max(0, -dr), min(rows, rows - dr))
-            src_c = slice(max(0, -dc), min(cols, cols - dc))
-            dst_r = slice(max(0, dr), min(rows, rows + dr))
-            dst_c = slice(max(0, dc), min(cols, cols + dc))
-            out[dst_r, dst_c] |= mask[src_r, src_c]
-    return out
 
 
 def dilate8_into(src, out, tmp):
@@ -242,6 +217,12 @@ class ArrayState:
         """(rows, cols) int arrays for an array of live cage ids."""
         return self._site_r[ids], self._site_c[ids]
 
+    def live_ids(self, exclude):
+        """Every live cage id not in ``exclude``, sorted, as an int array."""
+        keep = self._site_r >= 0
+        keep[np.asarray(exclude, dtype=np.intp)] = False
+        return np.flatnonzero(keep)
+
     def alive_mask(self, ids):
         """Boolean mask of which ids in an int array are live cages."""
         ids = np.asarray(ids)
@@ -276,17 +257,6 @@ class ArrayState:
         if ignore_id is None:
             return bool((ids != NO_CAGE).any())
         return bool(((ids != NO_CAGE) & (ids != ignore_id)).any())
-
-    def obstacle_mask(self, exclude_site=None):
-        """Boolean occupancy copy, optionally with one site cleared.
-
-        The routing layer builds :class:`~repro.routing.astar.ObstacleMap`
-        straight from this instead of materialising per-call site sets.
-        """
-        mask = self.occupancy.copy()
-        if exclude_site is not None:
-            mask[exclude_site[0], exclude_site[1]] = False
-        return mask
 
     def frame_phases(self, background=1, counter=-1):
         """int8 phase grid realising the cage set (frame emission).

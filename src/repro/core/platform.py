@@ -27,7 +27,7 @@ from ..fluidics.chamber import Microchamber, chamber_for_grid
 from ..physics.constants import um
 from ..physics.dep import DepCage
 from ..physics.dielectrics import water_medium
-from ..routing.astar import ObstacleMap, RoutingError, astar_route, path_moves
+from ..routing.astar import RoutingError
 from ..routing.multi import BatchPlan, RoutingRequest, WavefrontRouter
 from ..sensing.capacitive import CapacitiveSensor
 from ..sensing.quarantine import ReadingBounds, SensorQuarantine
@@ -54,6 +54,9 @@ ROUTING_COUNTERS = (
 #: How many distinct batch plans one chip remembers (least recently
 #: used first out; see :meth:`Biochip.move_many`).
 _PLAN_MEMO_SIZE = 64
+
+#: The parked sites of a batch that moves every live cage.
+_NO_SITES = np.zeros((0, 2), dtype=np.int32)
 
 
 class _Replay(NamedTuple):
@@ -227,8 +230,8 @@ class Biochip:
         """Install a :class:`~repro.faults.model.FaultModel` on this chip.
 
         Dead electrodes propagate to the cage manager (placements and
-        steps onto them are rejected) and to both routers (paths go
-        around them); sensor faults corrupt readings at the flagged
+        steps onto them are rejected) and to the routing planner (paths
+        go around them); sensor faults corrupt readings at the flagged
         pixels, which the calibration-bounds quarantine then catches
         (:meth:`sense` re-scans from a healthy neighbour).  Passing
         None clears the model.
@@ -501,43 +504,18 @@ class Biochip:
     def move(self, cage_id, goal):
         """Route one cage to ``goal`` around all other cages.
 
-        Uses A* with the other cages (inflated by the separation rule)
-        as obstacles, then executes the path step by step, accounting
-        electronics (incremental reprogramming) and physical drag time.
-        Returns the path.  Raises ExecutionError when no route exists.
+        A batch of one: the same planner, memo and executor as
+        :meth:`move_many`, with every other cage parked as an obstacle.
+        Logs one ``move`` event, charges its row rewrites and drag time,
+        and returns the path as a list of sites.  Raises ExecutionError
+        when no route exists.
         """
-        cage = self.cages.cage(cage_id)
-        goal = tuple(goal)
-        self._check_region(goal, f"cage {cage_id}: goal")
-        dead = self._dead_mask()
-        if dead is not None and self.grid.in_bounds(*goal) and dead[goal]:
-            raise ChipFault(
-                f"cage {cage_id}: goal {goal} is a dead electrode"
-            )
-        obstacles = ObstacleMap.from_mask(
-            self.grid,
-            self.cages.state.obstacle_mask(exclude_site=cage.site),
-            separation=self.min_separation,
-            hard_mask=self._blocked_mask(),
-        )
-        try:
-            path = astar_route(self.grid, cage.site, goal, obstacles)
-        except RoutingError as exc:
-            raise ExecutionError(str(exc)) from exc
-        moves = path_moves(path)
-        dirty = self.cages.run_plan(
-            [cage_id], np.array(moves, dtype=np.int64).reshape(1, -1, 2)
-        )
-        row_time = self.addresser.row_write_time()
-        total_time = 0.0
-        for delta, rows in zip(moves, dirty):
-            program = rows * row_time
-            dwell = math.hypot(*delta) * self.grid.pitch / self.cage_speed
-            total_time += program + dwell
+        plan, replay = self._run_goals({cage_id: goal})
+        path = [tuple(site) for site in plan.sites[0].tolist()]
         self._log(
             "move",
             {"cage": cage_id, "from": path[0], "to": path[-1], "steps": len(path) - 1},
-            total_time,
+            replay.program_time + replay.dwell_time,
         )
         return path
 
@@ -546,23 +524,27 @@ class Biochip:
 
         This is the paper's massively parallel manipulation primitive:
         a conflict-free synchronous plan is computed for the whole group
-        (:class:`~repro.routing.multi.WavefrontRouter`, with every
-        stationary cage held as an obstacle), then each plan step is one
-        frame update -- K cages advance per reprogram instead of K
-        independently routed moves.  The whole plan executes in one
-        validated pass (:meth:`CageManager.run_plan`), which returns
-        each frame's dirty rows; every frame is then charged its row
-        rewrites and its dwell in frame order.
+        (:class:`~repro.routing.multi.WavefrontRouter`), then each plan
+        step is one frame update -- K cages advance per reprogram
+        instead of K independently routed moves.  Only the cages in
+        ``goals`` are requests; every other cage is passed to the
+        planner as ``parked``, an obstacle that never moves, so a cage
+        the caller left out is never routed, and the planner's work
+        follows the movers, not the population.  The whole plan executes
+        in one validated pass (:meth:`CageManager.run_plan`), which
+        returns each frame's dirty rows; every frame is then charged its
+        row rewrites and its dwell in frame order.
 
         Repeated batches reuse their plan.  A plan is a function of the
-        grid, ``min_separation``, the blocked mask and the *ordered*
-        (start, goal, moving) requests alone; cage ids reach the router
-        only as labels, through ``moving`` membership and the promotion
-        order of a replan, and both follow request positions.  So each
-        chip keeps a bounded LRU memo keyed on ``(min_separation, dead
-        mask version, region version, requests)`` -- the two versions
+        grid, ``min_separation``, the blocked mask, the *ordered*
+        (start, goal) requests and the parked sites alone; cage ids
+        reach the router only as labels, through the promotion order of
+        a replan, which follows request positions.  So each chip keeps a
+        bounded LRU memo keyed on ``(min_separation, dead mask version,
+        region version, requests, parked sites)`` -- the two versions
         are bumped by every dead-mask install and every
-        :meth:`set_region` -- that stores the plan's sites, makespan and
+        :meth:`set_region`, and the parked sites are one bytes blob in
+        cage-id order -- that stores the plan's sites, makespan and
         stats with the cage ids it was planned under.  A hit renames
         each plan row to the cage now at that row's request position
         (the same protocol re-traps its cages under new ids), so its
@@ -583,7 +565,7 @@ class Biochip:
         into a site another one vacates lands correctly) and charges the
         stored times.  ``run_plan``'s verdict, its dirty rows and the
         state it leaves are functions of the key as well: every cage on
-        the chip is a request (stationary ones with zero length),
+        the chip is either a request or parked at a site in the key,
         ``min_separation`` is in the key and the dead mask is covered by
         its version, the grid is fixed and each tenant view is a chip of
         its own.  When ``run_plan`` raised, the entry keeps no record and
@@ -621,9 +603,25 @@ class Biochip:
 
     def _move_many(self, goals):
         """The untraced :meth:`move_many` body."""
+        plan, replay = self._run_goals(goals)
+        report = {
+            "cages": len(goals),
+            "frames": plan.makespan,
+            "moves": replay.moves,
+            "program_time": replay.program_time,
+            "dwell_time": replay.dwell_time,
+            "plan_seconds": plan.stats["plan_seconds"],
+        }
+        self._log("move_many", dict(report),
+                  replay.program_time + replay.dwell_time)
+        return report
+
+    def _run_goals(self, goals):
+        """Plan ``goals`` with every other cage parked, and commit the
+        plan (replayed on a memo hit); returns ``(plan, replay)``."""
         dead = self._dead_mask()
         ids = []
-        requests = []  # (start, goal, moving) per cage of ``ids``
+        requests = []  # (start, goal) per cage of ``ids``
         for cage_id, goal in goals.items():
             cage = self.cages.cage(cage_id)
             goal = tuple(goal)
@@ -635,19 +633,13 @@ class Biochip:
                     f"cage {cage_id}: goal {goal} is a dead electrode"
                 )
             ids.append(cage_id)
-            requests.append((cage.site, goal, True))
-        # Stationary cages participate as zero-length requests so the
-        # router treats them as parked obstacles for the whole horizon.
-        # They must be planned FIRST: planned-last they would be routed
-        # around the movers' reservations -- physically dragging cages
-        # the caller asked to keep in place.
-        moving = set(goals)
-        for cage in self.cages.cages:
-            if cage.cage_id not in moving:
-                site = cage.site
-                ids.append(cage.cage_id)
-                requests.append((site, site, False))
-        plan, hit = self._plan_batch(ids, requests, moving)
+            requests.append((cage.site, goal))
+        # every cage not in ``goals`` is parked where it stands
+        parked = _NO_SITES
+        if len(ids) < len(self.cages):
+            state = self.cages.state
+            parked = np.column_stack(state.sites_of(state.live_ids(ids)))
+        plan, hit = self._plan_batch(ids, requests, parked)
         entry = self._batch_entry
         counts = {
             **plan.stats,
@@ -671,17 +663,7 @@ class Biochip:
                 starts[:, 0], starts[:, 1], ends[:, 0], ends[:, 1],
                 plan.cage_ids[rows],
             )
-        report = {
-            "cages": len(goals),
-            "frames": plan.makespan,
-            "moves": replay.moves,
-            "program_time": replay.program_time,
-            "dwell_time": replay.dwell_time,
-            "plan_seconds": plan.stats["plan_seconds"],
-        }
-        self._log("move_many", dict(report),
-                  replay.program_time + replay.dwell_time)
-        return report
+        return plan, replay
 
     def _run_batch(self, plan):
         """Execute ``plan`` through :meth:`CageManager.run_plan`, charging
@@ -705,17 +687,18 @@ class Biochip:
             dwell_time += diagonal_dwell if diagonal[step] else straight_dwell
         return _Replay(plan.total_moves(), program_time, dwell_time)
 
-    def _plan_batch(self, ids, requests, moving):
-        """The batch plan for ``requests`` (one ``(start, goal,
-        moving)`` per cage of ``ids``; ``moving`` is the set of moving
-        ids), from this chip's memo when the same batch was planned
-        before (see :meth:`move_many`).  Returns ``(plan, hit)``."""
+    def _plan_batch(self, ids, requests, parked):
+        """The batch plan for ``requests`` (one ``(start, goal)`` per
+        cage of ``ids``) among the ``parked`` (n, 2) sites, from this
+        chip's memo when the same batch was planned before (see
+        :meth:`move_many`).  Returns ``(plan, hit)``."""
         started = time.perf_counter()
         key = (
             self.min_separation,
             self.cages.state.dead_version,
             self._region_version,
             tuple(requests),
+            parked.tobytes(),
         )
         memo = self._plan_memo
         entry = self._batch_entry = memo.get(key)
@@ -737,14 +720,6 @@ class Biochip:
                 if span.recording:
                     span.set_attributes(dict(stats))
             return plan, True
-
-        def priority(request):
-            distance = max(
-                abs(request.start[0] - request.goal[0]),
-                abs(request.start[1] - request.goal[1]),
-            )
-            return (request.cage_id in moving, -distance)
-
         router = WavefrontRouter(
             self.grid, min_separation=self.min_separation,
             blocked=self._blocked_mask(),
@@ -752,9 +727,9 @@ class Biochip:
         try:
             plan = router.plan(
                 [RoutingRequest(cage_id, start, goal)
-                 for cage_id, (start, goal, __) in zip(ids, requests)],
-                priority=priority,
+                 for cage_id, (start, goal) in zip(ids, requests)],
                 attributes={"memo": "miss"},
+                parked=parked,
             )
         except RoutingError as exc:
             raise ExecutionError(str(exc)) from exc

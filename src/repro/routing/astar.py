@@ -1,22 +1,19 @@
-"""Single-cage A* routing on the electrode grid.
+"""Single-cage routing primitives on the electrode grid.
 
 A cage moves one electrode per actuation frame, in any of the eight
-directions (or waits).  Static obstacles are other cages' exclusion
-zones (their site inflated by the separation rule) plus any chip
-regions reserved by the scheduler.  This module provides the spatial
-A* used for isolated moves and as the cost-to-go heuristic of the
-space-time batch router.
+directions (or waits).  This module holds the move set, the Chebyshev
+cost-to-go heuristic of the batch routers' searches, and the static
+king-move distance field (with its downhill walk) that the wavefront
+router uses to detour around dead electrodes and lease borders.  Every
+cage motion, single moves included, is planned by
+:mod:`repro.routing.multi`.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ..array.grid import ElectrodeGrid
-from ..array.state import dilate8_into, inflate_mask
+from ..array.state import dilate8_into
 
 #: The eight king-move directions plus wait, in deterministic order.
 MOVES_8 = (
@@ -29,91 +26,6 @@ WAIT = (0, 0)
 
 class RoutingError(Exception):
     """No route satisfying the constraints exists (or search aborted)."""
-
-
-@dataclass
-class ObstacleMap:
-    """Static blocked-site set with separation inflation.
-
-    Parameters
-    ----------
-    grid:
-        Array geometry.
-    blocked:
-        Iterable of (row, col) sites that are occupied.
-    separation:
-        Chebyshev radius around each blocked site that a routed cage
-        centre must not enter (the cage spacing rule).
-    hard:
-        Optional bool mask of sites blocked *without* inflation -- dead
-        electrodes exclude only the cage centre itself (a neighbouring
-        live pixel still holds a cage at full separation from it).
-    """
-
-    grid: ElectrodeGrid
-    blocked: set = field(default_factory=set)
-    separation: int = 2
-    hard: object = None
-
-    def __post_init__(self):
-        if isinstance(self.blocked, np.ndarray):
-            mask = self.blocked.astype(bool)
-            # the Python site set is derived on demand (blocked_sites);
-            # eager conversion would cost O(population) per route call
-            self.blocked = None
-        else:
-            mask = np.zeros((self.grid.rows, self.grid.cols), dtype=bool)
-            self.blocked = set(map(tuple, self.blocked))
-            for row, col in self.blocked:
-                mask[row, col] = True
-        self._mask = mask
-        # Chebyshev dilation by (separation - 1) as shifted ORs -- a few
-        # whole-array ops instead of a Python loop over every blocked
-        # site times its (2s-1)^2 neighbourhood.
-        self._inflated = inflate_mask(mask, self.separation - 1)
-        if self.hard is not None:
-            self._inflated = self._inflated | np.asarray(self.hard, dtype=bool)
-        # A* probes is_free thousands of times per route; a flat Python
-        # list answers each probe several times faster than a numpy
-        # scalar read.
-        self._inflated_flat = self._inflated.ravel().tolist()
-        self._cols = self.grid.cols
-
-    @classmethod
-    def from_mask(cls, grid, mask, separation=2, hard_mask=None) -> "ObstacleMap":
-        """Build directly from a boolean occupancy grid.
-
-        This is the :class:`~repro.array.state.ArrayState` fast path:
-        the platform hands over ``state.obstacle_mask(...)`` without
-        materialising a per-call Python site set.  ``hard_mask`` adds
-        uninflated blocked sites (dead electrodes).
-        """
-        return cls(grid, np.asarray(mask, dtype=bool), separation,
-                   hard=hard_mask)
-
-    def blocked_sites(self):
-        """Set of blocked cage-centre sites (materialised on demand)."""
-        if self.blocked is None:
-            rows, cols = np.nonzero(self._mask)
-            self.blocked = set(zip(rows.tolist(), cols.tolist()))
-        return self.blocked
-
-    def is_free(self, site) -> bool:
-        """Whether a cage centre may occupy ``site``."""
-        row, col = site
-        return (
-            self.grid.in_bounds(row, col)
-            and not self._inflated_flat[row * self._cols + col]
-        )
-
-    def free_neighbors(self, site):
-        """Free king-move successors of ``site`` (excludes waiting)."""
-        row, col = site
-        return [
-            (row + dr, col + dc)
-            for dr, dc in MOVES_8
-            if self.is_free((row + dr, col + dc))
-        ]
 
 
 def chebyshev_heuristic(a, b) -> int:
@@ -185,82 +97,3 @@ def downhill_path(field, start):
         remaining, row, col = best
         path.append((row, col))
     return path
-
-
-def astar_route(grid, start, goal, obstacles=None, max_expansions=200000):
-    """Shortest king-move path from ``start`` to ``goal``.
-
-    Parameters
-    ----------
-    grid:
-        :class:`~repro.array.grid.ElectrodeGrid`.
-    start, goal:
-        (row, col) sites.
-    obstacles:
-        Optional :class:`ObstacleMap`; ``start``/``goal`` must be free.
-    max_expansions:
-        Search budget; exceeding it raises :class:`RoutingError`.
-
-    Returns
-    -------
-    list of (row, col) sites from start to goal inclusive.  A trivial
-    route ``[start]`` is returned when start == goal.
-    """
-    start, goal = tuple(start), tuple(goal)
-    for site, label in ((start, "start"), (goal, "goal")):
-        if not grid.in_bounds(*site):
-            raise RoutingError(f"{label} {site} out of bounds")
-        if obstacles is not None and not obstacles.is_free(site):
-            raise RoutingError(f"{label} {site} blocked")
-    if start == goal:
-        return [start]
-
-    open_heap = [(chebyshev_heuristic(start, goal), 0, start)]
-    came_from = {}
-    g_score = {start: 0}
-    expansions = 0
-    while open_heap:
-        __, g, current = heapq.heappop(open_heap)
-        if g > g_score.get(current, float("inf")):
-            continue
-        if current == goal:
-            return _reconstruct(came_from, current)
-        expansions += 1
-        if expansions > max_expansions:
-            raise RoutingError("A* expansion budget exhausted")
-        if obstacles is not None:
-            successors = obstacles.free_neighbors(current)
-        else:
-            successors = [
-                (current[0] + dr, current[1] + dc)
-                for dr, dc in MOVES_8
-                if grid.in_bounds(current[0] + dr, current[1] + dc)
-            ]
-        for nxt in successors:
-            tentative = g + 1
-            if tentative < g_score.get(nxt, float("inf")):
-                g_score[nxt] = tentative
-                came_from[nxt] = current
-                priority = tentative + chebyshev_heuristic(nxt, goal)
-                heapq.heappush(open_heap, (priority, tentative, nxt))
-    raise RoutingError(f"no route from {start} to {goal}")
-
-
-def _reconstruct(came_from, end):
-    path = [end]
-    while end in came_from:
-        end = came_from[end]
-        path.append(end)
-    path.reverse()
-    return path
-
-
-def path_moves(path):
-    """Per-step (drow, dcol) deltas of a site path (length len(path)-1)."""
-    moves = []
-    for a, b in zip(path, path[1:]):
-        delta = (b[0] - a[0], b[1] - a[1])
-        if max(abs(delta[0]), abs(delta[1])) > 1:
-            raise ValueError(f"non-adjacent step {a} -> {b} in path")
-        moves.append(delta)
-    return moves

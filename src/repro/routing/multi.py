@@ -148,8 +148,10 @@ class BatchPlan:
                 sites[i, len(arr):] = arr[-1]
         self._cage_ids = np.asarray(cage_ids, dtype=np.int64)
         self._sites = sites
-        self._deltas = np.diff(sites, axis=1)
-        self._moving = (self._deltas != 0).any(axis=2)
+        # the steps and the moving mask are read off the sites on first
+        # use: a memo hit's plan is replayed and reads neither
+        self._deltas = None
+        self._moving = None
         self._paths = None
         self.makespan = makespan
         self.expansions = expansions
@@ -182,7 +184,15 @@ class BatchPlan:
         wait.  :meth:`CageManager.run_plan
         <repro.array.cages.CageManager.run_plan>` executes the whole plan
         from this array and :attr:`cage_ids`."""
+        if self._deltas is None:
+            self._deltas = np.diff(self._sites, axis=1)
         return self._deltas
+
+    def _moving_mask(self):
+        """bool (cages, makespan): which cages step in which frame."""
+        if self._moving is None:
+            self._moving = (self.deltas != 0).any(axis=2)
+        return self._moving
 
     def moves_at(self, step) -> dict:
         """Move dict {cage_id: (drow, dcol)} for frame ``step`` (0-based)."""
@@ -204,12 +214,12 @@ class BatchPlan:
         """
         if not 0 <= step < self.makespan:
             raise IndexError("step outside plan horizon")
-        moving = self._moving[:, step]
-        return self._cage_ids[moving], self._deltas[moving, step]
+        moving = self._moving_mask()[:, step]
+        return self._cage_ids[moving], self.deltas[moving, step]
 
     def total_moves(self) -> int:
         """Total non-wait single-cage moves in the plan."""
-        return int(np.count_nonzero(self._moving))
+        return int(np.count_nonzero(self._moving_mask()))
 
 
 class _ReservationTable:
@@ -223,7 +233,7 @@ class _ReservationTable:
     earliest time each site becomes permanently blocked by a parked
     cage -- so ``site_free`` is two O(1) lookups instead of a scan
     over every reserved and parked site (which is O(population) when a
-    whole-array batch plans its stationary cages as zero-length jobs).
+    batch moves a few cages among a whole array of parked ones).
     Flat Python structures, not numpy: the space-time A* probes
     ``site_free`` millions of times and a list/set lookup is several
     times faster than a numpy scalar read, while the (2s-1)^2 window
@@ -256,8 +266,7 @@ class _ReservationTable:
         from_t = len(path) - 1
         # Transient sites: everything but the last.  (The last site's
         # window is covered for all t >= from_t by the parked table, so
-        # a blocked entry there would be redundant -- and stationary
-        # cages, planned as zero-length paths, skip this loop entirely.)
+        # a blocked entry there would be redundant.)
         for t in range(from_t):
             self._blocked.setdefault(t, set()).update(
                 self._window_indices(path[t])
@@ -269,6 +278,13 @@ class _ReservationTable:
             if from_t < parked[index]:
                 parked[index] = from_t
         self._latest_parked = max(self._latest_parked, from_t)
+
+    def park(self, sites):
+        """Block each site's window from t=0 on: cages that never move."""
+        parked = self._parked_from
+        for site in np.asarray(sites).reshape(-1, 2).tolist():
+            for index in self._window_indices(site):
+                parked[index] = 0
 
     def site_free(self, site, t) -> bool:
         index = site[0] * self._cols + site[1]
@@ -342,6 +358,7 @@ class _VectorReservationTable:
         self._corner_weights = np.array([self.row_width, 1])
         self._plane_starts = np.arange(horizon + 2) * self.plane_size
         self._blocked_1d = self.blocked.reshape(-1)
+        self._parked_1d = self.parked_from.reshape(-1)
 
     def reserve_path(self, cage_id, path):
         arr = np.asarray(path, dtype=np.int64).reshape(-1, 2)
@@ -362,6 +379,12 @@ class _VectorReservationTable:
         ]
         np.minimum(window, from_t, out=window)
         self._latest_parked = max(self._latest_parked, from_t)
+
+    def park(self, sites):
+        """Block each site's window from t=0 on, in one flat scatter."""
+        sites = np.asarray(sites, dtype=np.int64).reshape(-1, 2)
+        corners = sites[:, 0] * self.row_width + sites[:, 1]
+        self._parked_1d[corners[:, None] + self._window] = 0
 
     def site_free(self, site, t) -> bool:
         """Scalar probe (parity with the reference table, for tests)."""
@@ -447,22 +470,30 @@ class BatchRouter:
         self._blocked_arr = None
         self._counters = {}
 
-    def plan(self, requests, priority=None, attributes=None):
+    def plan(self, requests, priority=None, attributes=None, parked=()):
         """Plan all requests; returns a :class:`BatchPlan`.
 
         Parameters
         ----------
         requests:
             List of :class:`RoutingRequest`; starts must be mutually
-            separation-legal (they come from a live
-            :class:`~repro.array.cages.CageManager` so they are), and
-            goals must be pairwise separation-legal too.
+            separation-legal, and legal against ``parked`` (they come
+            from a live :class:`~repro.array.cages.CageManager` so they
+            are), and goals must be pairwise separation-legal and clear
+            of every parked cage's window.
         priority:
             Optional ordering key over requests; default plans longer
             jobs first (they are the hardest to fit).
         attributes:
             Optional extra attributes for the ``routing.plan`` span
             (the chip tags its plans with their memo outcome).
+        parked:
+            ``(row, col)`` sites of cages that stay where they are for
+            the whole plan, as an (n, 2) array or a list of pairs.  They
+            are obstacles, not requests: each site's separation window
+            is blocked from t=0 in every planning attempt, so no
+            priority order or replan can route them, and the plan has
+            rows only for ``requests``.
 
         Raises
         ------
@@ -473,14 +504,15 @@ class BatchRouter:
         # (no domain clock) and carries the plan's own stats --
         # makespan, expansions, and the tier-escalation counters.
         with tracing.span("routing.plan", attributes=attributes) as span:
-            plan = self._plan(requests, priority=priority)
+            plan = self._plan(requests, priority=priority, parked=parked)
             if span.recording:
                 span.set_attributes(dict(plan.stats))
             return plan
 
-    def _plan(self, requests, priority=None):
+    def _plan(self, requests, priority=None, parked=()):
         """The untraced :meth:`plan` body."""
         requests = list(requests)
+        parked = np.asarray(parked, dtype=np.int64).reshape(-1, 2)
         self._blocked_arr = (
             np.asarray(self.blocked, dtype=bool)
             if self.blocked is not None
@@ -493,11 +525,6 @@ class BatchRouter:
             if self._blocked_arr is not None
             else None
         )
-        self._validate(requests)
-        if priority is None:
-            def priority(req):
-                return -chebyshev_heuristic(req.start, req.goal)
-        ordered = sorted(requests, key=priority)
         horizon = (
             max(
                 (chebyshev_heuristic(r.start, r.goal) for r in requests),
@@ -505,16 +532,23 @@ class BatchRouter:
             )
             + self.horizon_slack
         )
+        started = time.perf_counter()
+        table = self._parked_table(horizon, parked)
+        self._validate(requests, parked, table)
+        if priority is None:
+            def priority(req):
+                return -chebyshev_heuristic(req.start, req.goal)
+        ordered = sorted(requests, key=priority)
         self._counters = {
             "fast_path_hits": 0,
             "greedy_walk_hits": 0,
             "frontier_steps": 0,
         }
-        started = time.perf_counter()
         expansions_total = 0
         promoted = []  # trapped cage ids, planned first on the retry
         for attempt in range(self.replan_attempts + 1):
-            table = self._make_table(horizon)
+            if attempt:
+                table = self._parked_table(horizon, parked)
             paths = {}
             failed = []
             rank = {cage_id: i for i, cage_id in enumerate(promoted)}
@@ -558,7 +592,14 @@ class BatchRouter:
             self.min_separation, (self.grid.rows, self.grid.cols)
         )
 
-    def _validate(self, requests):
+    def _parked_table(self, horizon, parked):
+        """A fresh reservation table with the ``parked`` sites parked."""
+        table = self._make_table(horizon)
+        if len(parked):
+            table.park(parked)
+        return table
+
+    def _validate(self, requests, parked, table):
         seen = set()
         for request in requests:
             if request.cage_id in seen:
@@ -591,6 +632,17 @@ class BatchRouter:
             if violation is not None:
                 a, b = violation
                 raise RoutingError(f"{label} {a} and {b} violate separation")
+        if not len(parked):
+            return
+        # a goal inside a parked window is the one separation clash with
+        # the parked cages a live chip allows: one table read per goal
+        for request in requests:
+            if not table.site_free(request.goal, 0):
+                near = np.abs(parked - request.goal).max(axis=1)
+                b = tuple(parked[np.argmax(near < self.min_separation)].tolist())
+                raise RoutingError(
+                    f"goals {request.goal} and {b} violate separation"
+                )
 
     def _route_one(self, request, table, horizon):
         """Space-time A* for one cage against the reservation table."""

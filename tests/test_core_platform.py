@@ -434,21 +434,21 @@ def memo_batches(draw):
     return side, starts, goals, stationary, dead, region, order
 
 
-#: A crowded 16x16 batch whose first planning pass seals a cage in, so
-#: the router replans with it promoted: a hit must remap that promotion
-#: order to the new cage ids.
+#: A crowded 16x16 batch whose planning passes seal movers in behind
+#: other movers' reservations, so the router replans twice with them
+#: promoted: a hit must remap that promotion order to the new cage ids.
+#: Its ten stationary cages stay put throughout.
 REPLANNED_BATCH = (
     16,
-    [(9, 1), (11, 1), (3, 11), (7, 13), (13, 9), (1, 11), (13, 13),
-     (11, 3), (13, 3), (13, 5), (13, 1), (7, 9), (9, 11), (9, 9)],
-    [(11, 9), (11, 1), (5, 5), (7, 7), (7, 13), (9, 5), (5, 7), (13, 5),
-     (7, 9), (3, 11), (1, 7), (13, 1), (11, 3), (7, 5)],
-    [(3, 13), (11, 5), (5, 11), (1, 5), (5, 9), (11, 7), (1, 3), (7, 11),
-     (9, 3), (3, 7), (11, 11), (3, 3), (13, 11), (1, 13), (3, 1), (9, 7),
-     (7, 1), (3, 9), (11, 13), (1, 9)],
+    [(11, 7), (13, 11), (3, 5), (7, 7), (9, 9), (5, 7), (7, 1), (3, 3),
+     (7, 11), (3, 9), (11, 13), (11, 1)],
+    [(7, 1), (3, 5), (5, 9), (5, 7), (5, 1), (1, 11), (7, 9), (3, 11),
+     (1, 9), (13, 7), (3, 9), (11, 11)],
+    [(11, 3), (13, 5), (13, 13), (13, 1), (7, 5), (3, 13), (1, 13), (5, 13),
+     (11, 9), (7, 3)],
     None,
     None,
-    range(14),
+    range(12),
 )
 
 
@@ -528,7 +528,7 @@ class TestBatchPlanMemo:
         totals = chip.routing_totals
         assert (totals["memo_hits"], totals["memo_misses"]) == (1, 1)
         assert totals["plans"] == 2
-        assert totals["cages_planned"] == 2 * len(starts + stationary)
+        assert totals["cages_planned"] == 2 * len(starts)
 
     def test_the_replanned_example_replans(self):
         side, starts, goals, stationary, __, __, __ = REPLANNED_BATCH

@@ -8,7 +8,7 @@ from repro import Biochip, ChipFault, FaultInjector, FaultModel, FleetFaultPlan
 from repro.array.cages import CageManager, DeadElectrodeError
 from repro.array.grid import ElectrodeGrid
 from repro.core.backend import DryRunBackend
-from repro.routing.astar import ObstacleMap, RoutingError, astar_route
+from repro.routing.astar import RoutingError
 from repro.routing.multi import BatchRouter, RoutingRequest
 from repro.sensing.quarantine import ReadingBounds, SensorQuarantine
 
@@ -195,14 +195,11 @@ class TestArrayDeadMask:
 
 class TestRoutingAroundDead:
     def test_astar_hard_mask_blocks_centres_without_inflation(self):
-        grid = grid32()
         dead = np.zeros(SHAPE, dtype=bool)
         dead[:, 10] = True  # dead column wall
         dead[5, 10] = False  # with one live gap
-        obstacles = ObstacleMap.from_mask(
-            grid, np.zeros(SHAPE, dtype=bool), separation=2, hard_mask=dead
-        )
-        path = astar_route(grid, (5, 2), (5, 20), obstacles=obstacles)
+        router = BatchRouter(grid32(), blocked=dead)
+        path = router.plan([RoutingRequest(1, (5, 2), (5, 20))]).paths[1]
         assert (5, 10) in path  # squeezes through the gap: no inflation
         assert not any(site[1] == 10 and site[0] != 5 for site in path)
 

@@ -11,14 +11,11 @@ from repro.physics.constants import um
 from repro.routing import (
     BatchRouter,
     GreedyRouter,
-    ObstacleMap,
     RoutingError,
     RoutingRequest,
     WavefrontRouter,
-    astar_route,
     chebyshev_heuristic,
     make_requests,
-    path_moves,
 )
 from repro.workloads import hotspot_workload, random_permutation_workload
 
@@ -27,47 +24,42 @@ def grid(n=30):
     return ElectrodeGrid(n, n, um(20))
 
 
+def route_one(grid, start, goal, parked=(), separation=2):
+    """One cage's path through the A* reference among ``parked`` cages."""
+    plan = BatchRouter(grid, min_separation=separation).plan(
+        [RoutingRequest(0, start, goal)], parked=parked)
+    return plan.paths[0]
+
+
 class TestAstar:
+    """Single-cage routes of the space-time A* reference, the obstacles
+    being parked cages (what ``Biochip.move`` passes the planner)."""
+
     def test_trivial_route(self):
-        assert astar_route(grid(), (5, 5), (5, 5)) == [(5, 5)]
+        assert route_one(grid(), (5, 5), (5, 5)) == [(5, 5)]
 
     def test_straight_route_length(self):
-        path = astar_route(grid(), (0, 0), (0, 9))
+        path = route_one(grid(), (0, 0), (0, 9))
         assert len(path) == 10
 
     def test_diagonal_route_uses_king_moves(self):
-        path = astar_route(grid(), (0, 0), (9, 9))
+        path = route_one(grid(), (0, 0), (9, 9))
         assert len(path) == 10  # Chebyshev-optimal
 
     def test_route_avoids_obstacle(self):
-        obstacles = ObstacleMap(grid(), {(5, 5)}, separation=2)
-        path = astar_route(grid(), (5, 0), (5, 10), obstacles)
+        path = route_one(grid(), (5, 0), (5, 10), parked=[(5, 5)])
         for site in path:
             assert max(abs(site[0] - 5), abs(site[1] - 5)) >= 2 or site[1] < 4 or site[1] > 6
 
-    def test_blocked_start_raises(self):
-        obstacles = ObstacleMap(grid(), {(5, 5)}, separation=2)
-        with pytest.raises(RoutingError):
-            astar_route(grid(), (5, 4), (5, 10), obstacles)
-
     def test_unreachable_goal_raises(self):
         g = ElectrodeGrid(5, 5, um(20))
-        wall = {(r, 2) for r in range(5)}
-        obstacles = ObstacleMap(g, wall, separation=1)
+        wall = [(r, 2) for r in range(5)]
         with pytest.raises(RoutingError):
-            astar_route(g, (0, 0), (0, 4), obstacles)
+            route_one(g, (0, 0), (0, 4), parked=wall, separation=1)
 
     def test_out_of_bounds_raises(self):
         with pytest.raises(RoutingError):
-            astar_route(grid(), (0, 0), (99, 99))
-
-    def test_path_moves(self):
-        path = [(0, 0), (0, 1), (1, 2)]
-        assert path_moves(path) == [(0, 1), (1, 1)]
-
-    def test_path_moves_rejects_jump(self):
-        with pytest.raises(ValueError):
-            path_moves([(0, 0), (0, 2)])
+            route_one(grid(), (0, 0), (99, 99))
 
     @given(
         start_row=st.integers(0, 14), start_col=st.integers(0, 14),
@@ -78,7 +70,7 @@ class TestAstar:
         """Without obstacles the path length equals Chebyshev distance."""
         g = ElectrodeGrid(15, 15, um(20))
         start, goal = (start_row, start_col), (goal_row, goal_col)
-        path = astar_route(g, start, goal)
+        path = route_one(g, start, goal)
         assert len(path) - 1 == chebyshev_heuristic(start, goal)
 
 
