@@ -11,6 +11,7 @@ layer (:mod:`repro.core.protocol`).
 from __future__ import annotations
 
 import math
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -51,7 +52,7 @@ ROUTING_COUNTERS = (
     "memo_misses",
 )
 
-#: How many distinct batch plans one chip remembers (least recently
+#: How many distinct batch plans one memo remembers (least recently
 #: used first out; see :meth:`Biochip.move_many`).
 _PLAN_MEMO_SIZE = 64
 
@@ -68,8 +69,44 @@ class _Replay(NamedTuple):
     dwell_time: float
 
 
+class _PlanMemo(OrderedDict):
+    """A bounded LRU of batch plans: memo key -> :class:`_MemoEntry`.
+
+    A lookup and a store each hold a lock.  The lease-relative memo is
+    shared by every chip spawned from one template, and the wall-clock
+    tier runs those chips on worker threads, where one thread's
+    eviction could otherwise drop a key between another's ``get`` and
+    ``move_to_end``.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        # a lock does not pickle: a copy gets the entries and a new lock
+        return type(self), (), None, None, iter(self.items())
+
+    def lookup(self, key):
+        """The entry stored under ``key`` (now the most recently used),
+        or None."""
+        with self._lock:
+            entry = self.get(key)
+            if entry is not None:
+                self.move_to_end(key)
+            return entry
+
+    def store(self, key, entry):
+        """Store ``entry`` under ``key``, evicting the least recently
+        used entry beyond :data:`_PLAN_MEMO_SIZE`."""
+        with self._lock:
+            self[key] = entry
+            if len(self) > _PLAN_MEMO_SIZE:
+                self.popitem(last=False)
+
+
 class _MemoEntry:
-    """One batch of a chip's plan memo: the plan, the request ids it was
+    """One batch of a plan memo: the plan, the request ids it was
     planned under, and -- once a run of it committed every frame -- its
     :class:`_Replay`."""
 
@@ -183,8 +220,14 @@ class Biochip:
         }
         # memo key -> _MemoEntry of the plan that filled it (and of the
         # execution it committed); see move_many
-        self._plan_memo = OrderedDict()
-        self._batch_entry = None  # the entry of _plan_batch's last plan
+        self._plan_memo = _PlanMemo()
+        # the same for leased plans, keyed and stored relative to the
+        # lease origin; shared with every chip spawned from this one
+        self._lease_memo = _PlanMemo()
+        # the entry of _plan_batch's last plan, and the origin its sites
+        # are stored relative to (None: stored as planned)
+        self._batch_entry = None
+        self._batch_origin = None
 
     @property
     def routing_totals(self) -> dict:
@@ -554,29 +597,52 @@ class Biochip:
         rejects is never stored; the bounds, region and dead-goal checks
         here still run on every call.
 
+        Leased plans are shared between the chips of one template.  A
+        chip clipped to a lease window (:meth:`set_region`) whose
+        window holds no dead pixel keys its batch relative to the
+        window's origin instead -- ``(min_separation, window rows,
+        window cols, requests - origin, parked sites - origin)`` -- in
+        a memo that :meth:`SimulatorBackend.spawn
+        <repro.core.backend.SimulatorBackend.spawn>` hands every chip it
+        spawns, so co-tenants' views (each a fresh spawn) and later
+        views of the same lease shape hit one another's plans.  The
+        entry stores its sites relative to the origin, and a hit adds
+        the origin back.  This is sound because the region is ORed into
+        the blocked mask: a leased plan never leaves its window, so the
+        chip outside it cannot change the plan, and with no dead pixel
+        inside, the blocked mask is the window's complement, which the
+        window's size fixes.  Each view holds only its own cages, all
+        of them requests or parked at sites in the key; the dirty-row
+        counts, the row write time, the pitch and the cage speed are
+        the same under translation and across spawns of one template.  Any other chip (no region, or a dead pixel inside
+        the window) keeps the per-chip key above.
+
         A hit also skips executing the plan frame by frame.  Once
         :meth:`CageManager.run_plan` has committed a stored plan whole,
         the entry keeps the report's move count, ``program_time`` and
         ``dwell_time``.  A hit commits the final sites of the rows that
         end away from their start (read off the stored sites on the
-        first hit), renamed to today's cages, in one
+        first hit, translated by the lease origin), renamed to today's
+        cages, in one
         :meth:`~repro.array.state.ArrayState.move_cages` call (origins
         are cleared before destinations are written, so a cage moving
         into a site another one vacates lands correctly) and charges the
         stored times.  ``run_plan``'s verdict, its dirty rows and the
         state it leaves are functions of the key as well: every cage on
         the chip is either a request or parked at a site in the key,
-        ``min_separation`` is in the key and the dead mask is covered by
-        its version, the grid is fixed and each tenant view is a chip of
-        its own.  When ``run_plan`` raised, the entry keeps no record and
-        the next hit runs it again.
+        ``min_separation`` is in the key, the dead mask is covered by
+        its version (or, in a clean lease window, cannot matter), and
+        the grid is fixed.  When ``run_plan`` raised, the entry keeps no
+        record and the next hit runs it again.
 
-        The memo is per chip and is not handed to spawned chips: its
-        versions count this chip's own mask and region changes, and
-        restarts and tenant views install their own.  Hits and misses
-        are counted in :attr:`routing_totals`; a hit counts as a plan
-        whose ``plan_seconds`` is the lookup time and whose planner
-        counters are zero.
+        Each memo is a bounded LRU of the last 64 batches, its lookups
+        and stores locked, since the chips sharing a lease memo may run
+        on different threads.  The per-chip memo is not handed to
+        spawned chips: its versions count this chip's own mask and
+        region changes.  Hits and misses are counted in
+        :attr:`routing_totals`; a hit counts as a plan whose
+        ``plan_seconds`` is the lookup time and whose planner counters
+        are zero.
 
         Parameters
         ----------
@@ -659,6 +725,9 @@ class Biochip:
             # its movers ended (origins are cleared first, so a cage
             # taking a site another one vacated lands correctly)
             rows, starts, ends = entry.moved()
+            origin = self._batch_origin
+            if origin is not None:
+                starts, ends = starts + origin, ends + origin
             self.cages.state.move_cages(
                 starts[:, 0], starts[:, 1], ends[:, 0], ends[:, 1],
                 plan.cage_ids[rows],
@@ -687,12 +756,27 @@ class Biochip:
             dwell_time += diagonal_dwell if diagonal[step] else straight_dwell
         return _Replay(plan.total_moves(), program_time, dwell_time)
 
-    def _plan_batch(self, ids, requests, parked):
-        """The batch plan for ``requests`` (one ``(start, goal)`` per
-        cage of ``ids``) among the ``parked`` (n, 2) sites, from this
-        chip's memo when the same batch was planned before (see
-        :meth:`move_many`).  Returns ``(plan, hit)``."""
-        started = time.perf_counter()
+    def _memo_slot(self, requests, parked):
+        """``(memo, key, origin)`` for a batch (see :meth:`move_many`).
+
+        A lease window with no dead pixel gets the memo shared by every
+        chip of this template, keyed relative to the window's ``origin``
+        (an int32 ``(row, col)``); any other chip keys its own memo on
+        absolute sites and the dead-mask and region versions, and the
+        origin is None."""
+        if self._region is not None:
+            r0, c0, r1, c1 = self._region
+            state = self.cages.state
+            if not (state.has_dead and state.dead[r0:r1, c0:c1].any()):
+                origin = np.array((r0, c0), dtype=np.int32)
+                key = (
+                    self.min_separation, r1 - r0, c1 - c0,
+                    tuple(((start[0] - r0, start[1] - c0),
+                           (goal[0] - r0, goal[1] - c0))
+                          for start, goal in requests),
+                    (parked - origin).tobytes(),
+                )
+                return self._lease_memo, key, origin
         key = (
             self.min_separation,
             self.cages.state.dead_version,
@@ -700,10 +784,18 @@ class Biochip:
             tuple(requests),
             parked.tobytes(),
         )
-        memo = self._plan_memo
-        entry = self._batch_entry = memo.get(key)
+        return self._plan_memo, key, None
+
+    def _plan_batch(self, ids, requests, parked):
+        """The batch plan for ``requests`` (one ``(start, goal)`` per
+        cage of ``ids``) among the ``parked`` (n, 2) sites, from the
+        memo when the same batch was planned before (see
+        :meth:`move_many`).  Returns ``(plan, hit)``."""
+        started = time.perf_counter()
+        memo, key, origin = self._memo_slot(requests, parked)
+        self._batch_origin = origin
+        entry = self._batch_entry = memo.lookup(key)
         if entry is not None:
-            memo.move_to_end(key)
             # the stored rows name the cages at each request position
             # when the batch was planned; rename them to today's cages
             rename = dict(zip(entry.ids, ids))
@@ -714,8 +806,11 @@ class Biochip:
                               attributes={"memo": "hit"}) as span:
                 cage_ids = [rename[cage_id]
                             for cage_id in entry.order.tolist()]
+                sites = entry.sites
+                if origin is not None:
+                    sites = sites + origin
                 stats["plan_seconds"] = time.perf_counter() - started
-                plan = BatchPlan(cage_ids=cage_ids, sites=entry.sites,
+                plan = BatchPlan(cage_ids=cage_ids, sites=sites,
                                  makespan=entry.makespan, stats=stats)
                 if span.recording:
                     span.set_attributes(dict(stats))
@@ -733,11 +828,13 @@ class Biochip:
             )
         except RoutingError as exc:
             raise ExecutionError(str(exc)) from exc
-        plan.sites.flags.writeable = False  # shared with every hit
-        memo[key] = self._batch_entry = _MemoEntry(
-            ids, plan.cage_ids, plan.sites, plan.makespan, plan.stats)
-        if len(memo) > _PLAN_MEMO_SIZE:
-            memo.popitem(last=False)
+        sites = plan.sites
+        if origin is not None:
+            sites = sites - origin
+        sites.flags.writeable = False  # shared with every hit
+        self._batch_entry = _MemoEntry(
+            ids, plan.cage_ids, sites, plan.makespan, plan.stats)
+        memo.store(key, self._batch_entry)
         return plan, False
 
     def merge(self, cage_id_a, cage_id_b):

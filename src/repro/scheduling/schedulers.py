@@ -196,7 +196,7 @@ class ListScheduler:
         self.binder.validate_graph(graph)
         levels = graph.bottom_levels()
         indegree = {
-            op.op_id: len(graph.predecessors(op.op_id)) for op in graph.operations()
+            op.op_id: len(graph.dependencies(op.op_id)) for op in graph.operations()
         }
         finish = {}
         states = {r.name: _ResourceState(r) for r in self.binder.resources}
@@ -211,7 +211,7 @@ class ListScheduler:
             __, op_id = heapq.heappop(ready)
             operation = graph.operation(op_id)
             ready_time = max(
-                (finish[p] for p in graph.predecessors(op_id)), default=0.0
+                (finish[p] for p in graph.dependencies(op_id)), default=0.0
             )
             best = None
             for resource in self.binder.candidates(operation):
@@ -254,7 +254,7 @@ class FcfsScheduler:
         entries = []
         for operation in graph.operations():  # plain topological order
             ready_time = max(
-                (finish[p] for p in graph.predecessors(operation.op_id)),
+                (finish[p] for p in graph.dependencies(operation.op_id)),
                 default=0.0,
             )
             # FCFS: take the *first* capable resource, not the best one.

@@ -226,6 +226,13 @@ class AssayGraph:
     def predecessors(self, op_id):
         return sorted(self._preds[op_id])
 
+    def dependencies(self, op_id):
+        """The ids ``op_id`` depends on, unsorted and uncopied: a
+        read-only view in edge-insertion order, for callers that only
+        count them or take a max over them (:meth:`predecessors` is the
+        sorted list)."""
+        return self._preds[op_id].keys()
+
     def successors(self, op_id):
         return sorted(self._succs[op_id])
 

@@ -21,7 +21,12 @@ multi-tenant mode is built from:
   ``SimulatorBackend`` the region-clipped planner takes diagonal hops,
   so a 3-cage straight band on a 48x48 chip takes 19.16 s leased
   against 18.50 s exclusive (``move_many`` 2.66 s against 2.00 s for
-  the same 5 frames).
+  the same 5 frames).  Every view is a fresh spawn of the chip
+  template, and a simulated view whose window holds no dead pixel
+  plans through the template's lease-relative plan memo (see
+  :meth:`Biochip.move_many <repro.core.platform.Biochip.move_many>`),
+  so co-tenants and later tenants with the same lease size and the
+  same batch reuse one plan wherever their windows lie.
 
 The frame-merge cost model lives here too.  Each tenant's accounted
 time t_i splits into electronics time p_i (row/column reprogram work,
@@ -150,6 +155,11 @@ class LeasedBackend(Backend):
     the frame-merge cost model: ``program_time`` (electronics seconds
     spent reprogramming frames) and ``frames`` (frame count of the
     tenant's movement steps).
+
+    The view holds only its own tenant's cages.  That, and the region
+    mask confining every plan to the window, is what lets simulated
+    views of one template share their batch plans keyed relative to
+    the lease origin.
     """
 
     def __init__(self, inner, offset=(0, 0)):

@@ -496,6 +496,7 @@ class TestBatchPlanMemo:
                         self.trap_all(fresh, starts, stationary)))
                     self.release_all(fresh)
                     fresh._plan_memo.clear()
+                    fresh._lease_memo.clear()
                 ids = self.trap_all(chip, starts, stationary)
                 fresh_ids = self.trap_all(fresh, starts, stationary)
                 assert ids == fresh_ids
