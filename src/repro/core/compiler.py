@@ -10,6 +10,25 @@ Lowers a validated :class:`~repro.core.protocol.Protocol` to
 3. a resource-bound :class:`~repro.scheduling.schedulers.Schedule` via
    the list scheduler.
 
+The schedule is memoised by the lowered graph.  Protocols that differ
+only in what the scheduler never reads -- handle names, particles,
+sites beyond the travel distances they set -- lower to the same graph,
+so a stream of new protocols (the program cache misses every one) often
+schedules only a few distinct graphs.  The key holds, per operation in
+insertion order, its id, type, duration (and the duration's type),
+pinned region and dependency ids, plus the binder's resources: every
+input :meth:`ListScheduler.schedule
+<repro.scheduling.schedulers.ListScheduler.schedule>` (with the graph
+and binding checks it runs) and :meth:`Schedule.validate
+<repro.scheduling.schedulers.Schedule.validate>` read.  The schedule
+and the verdict of both checks are therefore functions of the key, so a
+hit returns a schedule already validated against an identical graph.  A
+graph that raised is never stored, and each hit gets its own entries
+list, so a caller that edits its schedule cannot reach the memo.  A
+:class:`~repro.scheduling.binder.Binder` subclass, which may bind by
+more than its resources, always schedules afresh.  Lowering and
+``protocol.validate`` run on every compile.
+
 Lowering is table-driven: each command's registered
 :class:`~repro.core.registry.CommandSpec` emits its own operation
 through a shared :class:`~repro.core.registry.LoweringContext`, so new
@@ -26,8 +45,18 @@ from dataclasses import dataclass, field
 from ..scheduling.binder import Binder
 from ..scheduling.schedulers import ListScheduler, Schedule
 from ..scheduling.taskgraph import AssayGraph, DurationModel
+from .memo import LruMemo
 from .protocol import Protocol
 from .registry import LoweringContext, default_registry
+
+#: How many distinct lowered graphs the schedule memo remembers (least
+#: recently used first out).
+_SCHEDULE_MEMO_SIZE = 64
+
+#: Hash of a lowered-graph key -> (the key, the tuple of its validated
+#: schedule's entries); process-wide, so every session and serving tier
+#: shares it.
+_SCHEDULE_MEMO = LruMemo(_SCHEDULE_MEMO_SIZE)
 
 
 @dataclass
@@ -81,13 +110,45 @@ def compile_protocol(
         registry.spec_for(cmd).lower(cmd, ctx, op_id)
         op_commands[op_id] = cmd
 
-    schedule = ListScheduler(binder).schedule(graph)
-    schedule.validate(graph, binder)
     return CompiledProgram(
         protocol=protocol,
         graph=graph,
-        schedule=schedule,
+        schedule=_schedule(graph, binder),
         binder=binder,
         op_commands=op_commands,
         registry=registry,
     )
+
+
+def _schedule(graph, binder):
+    """The validated list schedule of ``graph`` on ``binder``, from the
+    schedule memo when an identical graph was scheduled before."""
+    if type(binder) is not Binder:
+        # a subclass may bind by more than the resources in the key
+        key = None
+    else:
+        preds = graph._preds
+        # One flat tuple: two thirds of the memory of a tuple per
+        # resource and per operation.  The resource count leads, so the
+        # fixed-width field groups cannot shift.  A resource is keyed by
+        # its fields (a dataclass hash and equality run in Python), a
+        # duration with its type (5 == 5.0, but their schedules' starts
+        # and ends would differ in type).
+        key = [len(binder.resources)]
+        for r in binder.resources:
+            key += (type(r), r.name, r.capacity, r.op_types)
+        for op_id, op in graph._ops.items():
+            key += (op_id, op.op_type, op.duration, type(op.duration),
+                    op.region, tuple(preds[op_id]))
+        key = tuple(key)
+        # stored under the key's hash, so the key is hashed once; a
+        # hit compares the whole key
+        digest = hash(key)
+        slot = _SCHEDULE_MEMO.lookup(digest)
+        if slot is not None and slot[0] == key:
+            return Schedule(entries=list(slot[1]))
+    schedule = ListScheduler(binder).schedule(graph)
+    schedule.validate(graph, binder)
+    if key is not None:
+        _SCHEDULE_MEMO.store(digest, (key, tuple(schedule.entries)))
+    return schedule

@@ -11,9 +11,7 @@ layer (:mod:`repro.core.protocol`).
 from __future__ import annotations
 
 import math
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -35,6 +33,7 @@ from ..sensing.quarantine import ReadingBounds, SensorQuarantine
 from ..sensing.readout import CapacitiveReadoutChain
 from ..technology.nodes import PAPER_NODE, TechnologyNode
 from .errors import ChipFault, ExecutionError
+from .memo import LruMemo as _PlanMemo
 
 #: The counters of :attr:`Biochip.routing_totals`, in report order.  The
 #: chip's totals, its per-plan fold and the service's routing meters are
@@ -67,42 +66,6 @@ class _Replay(NamedTuple):
     moves: int
     program_time: float
     dwell_time: float
-
-
-class _PlanMemo(OrderedDict):
-    """A bounded LRU of batch plans: memo key -> :class:`_MemoEntry`.
-
-    A lookup and a store each hold a lock.  The lease-relative memo is
-    shared by every chip spawned from one template, and the wall-clock
-    tier runs those chips on worker threads, where one thread's
-    eviction could otherwise drop a key between another's ``get`` and
-    ``move_to_end``.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._lock = threading.Lock()
-
-    def __reduce__(self):
-        # a lock does not pickle: a copy gets the entries and a new lock
-        return type(self), (), None, None, iter(self.items())
-
-    def lookup(self, key):
-        """The entry stored under ``key`` (now the most recently used),
-        or None."""
-        with self._lock:
-            entry = self.get(key)
-            if entry is not None:
-                self.move_to_end(key)
-            return entry
-
-    def store(self, key, entry):
-        """Store ``entry`` under ``key``, evicting the least recently
-        used entry beyond :data:`_PLAN_MEMO_SIZE`."""
-        with self._lock:
-            self[key] = entry
-            if len(self) > _PLAN_MEMO_SIZE:
-                self.popitem(last=False)
 
 
 class _MemoEntry:
@@ -220,10 +183,10 @@ class Biochip:
         }
         # memo key -> _MemoEntry of the plan that filled it (and of the
         # execution it committed); see move_many
-        self._plan_memo = _PlanMemo()
+        self._plan_memo = _PlanMemo(_PLAN_MEMO_SIZE)
         # the same for leased plans, keyed and stored relative to the
         # lease origin; shared with every chip spawned from this one
-        self._lease_memo = _PlanMemo()
+        self._lease_memo = _PlanMemo(_PLAN_MEMO_SIZE)
         # the entry of _plan_batch's last plan, and the origin its sites
         # are stored relative to (None: stored as planned)
         self._batch_entry = None

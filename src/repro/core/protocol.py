@@ -221,8 +221,10 @@ class Protocol:
 
         registry = registry or default_registry
         rename = {}
+        specs = []
         for cmd in self.commands:
             spec = registry.get(type(cmd))
+            specs.append(spec)
             if spec is None:
                 continue
             for handle in spec.defined_handles(cmd):
@@ -232,17 +234,17 @@ class Protocol:
                 rename.setdefault(handle, f"\x00{len(rename)}")
         no_rename = {}
         tokens = []
-        for cmd in self.commands:
-            spec = registry.get(type(cmd))
+        for cmd, spec in zip(self.commands, specs):
             handle_fields = getattr(spec, "handle_fields", ()) if spec else ()
-            tokens.append(type(cmd).__name__)
-            if not dataclasses.is_dataclass(cmd):
+            name, field_names = _layout(type(cmd))
+            tokens.append(name)
+            if field_names is None:
                 tokens.append(repr(cmd))
                 continue
-            for f in dataclasses.fields(cmd):
-                value = getattr(cmd, f.name)
-                scope = rename if f.name in handle_fields else no_rename
-                tokens.append(f"{f.name}={_canonical(value, scope)}")
+            for field_name in field_names:
+                value = getattr(cmd, field_name)
+                scope = rename if field_name in handle_fields else no_rename
+                tokens.append(f"{field_name}={_canonical(value, scope)}")
         digest = hashlib.sha256("\x1f".join(tokens).encode("utf-8"))
         return digest.hexdigest()[:16]
 
@@ -268,6 +270,23 @@ class Protocol:
                 raise ProtocolError(f"{where}: unknown command type")
             spec.validate(cmd, state, where)
         return True
+
+
+#: command type -> (its name, its dataclass field names or None for a
+#: non-dataclass type), found once per type by :func:`_layout`
+_LAYOUTS = {}
+
+
+def _layout(cmd_type):
+    """The name and field names :meth:`Protocol.fingerprint` hashes a
+    command of ``cmd_type`` by."""
+    layout = _LAYOUTS.get(cmd_type)
+    if layout is None:
+        field_names = None
+        if dataclasses.is_dataclass(cmd_type):
+            field_names = tuple(f.name for f in dataclasses.fields(cmd_type))
+        layout = _LAYOUTS[cmd_type] = (cmd_type.__name__, field_names)
+    return layout
 
 
 def _canonical(value, rename) -> str:

@@ -172,6 +172,7 @@ class TestReplay:
         ids = trap_all(chip, starts + stationary)
         assert trap_all(fresh, starts + stationary) == ids
         fresh._plan_memo.clear()
+        fresh._lease_memo.clear()
         expected = fresh.move_many(moves(ids))
         with counted(CageManager, "run_plan") as runs:
             report = chip.move_many(moves(ids))
@@ -181,6 +182,7 @@ class TestReplay:
         assert chip_state(chip) == chip_state(fresh)
         # the chip goes on from the replayed state like the reference
         fresh._plan_memo.clear()
+        fresh._lease_memo.clear()
         try:
             expected = fresh.move_many(back(ids))
         except ExecutionError as exc:

@@ -460,6 +460,7 @@ class TestSlotSearch:
         """trap x n, one move_many, one sense_all, release x n: the
         original scan was cubic here (8.6 ms at 98 ops, 335 ms at 386)."""
         from repro.array import ElectrodeGrid
+        from repro.core import compiler
         from repro.core.compiler import compile_protocol
         from repro.core.protocol import Protocol
         from repro.physics.constants import um
@@ -479,6 +480,8 @@ class TestSlotSearch:
             protocol.sense_all(samples=10)
             for handle in handles:
                 protocol.release(handle)
+            # every timed compile schedules: none is a schedule-memo hit
+            compiler._SCHEDULE_MEMO.clear()
             start = time.perf_counter()
             program = compile_protocol(protocol, grid)
             assert len(program.schedule.entries) == 2 * n + 2
