@@ -219,7 +219,7 @@ def _run_degraded(jobs):
     }
 
 
-def test_service_degraded_under_faults(benchmark, faults_enabled):
+def test_service_degraded_under_faults(benchmark, extended):
     """Degraded-mode serving: 5% dead pixels + transient glitches.
 
     The self-healing tier (retry/migrate/quarantine/restart) must turn
@@ -451,8 +451,12 @@ def _run_wall_clock(jobs, n_workers):
     }
 
 
-def test_service_wall_clock_scaling(benchmark, wall_clock_workers):
-    """Real jobs/sec across thread workers (``--workers N`` vs 1).
+#: Thread workers of the pooled wall-clock run (compared to one).
+WALL_CLOCK_WORKERS = 8
+
+
+def test_service_wall_clock_scaling(benchmark, extended):
+    """Real jobs/sec across thread workers (8 vs 1).
 
     All latencies here are wall seconds.  The acceptance bar: >= 3x
     real throughput at 8 workers over 1 -- device-latency overlap, the
@@ -462,7 +466,7 @@ def test_service_wall_clock_scaling(benchmark, wall_clock_workers):
     """
     jobs = _mixed_priority_traffic()
     single = _run_wall_clock(jobs, 1)
-    pooled = benchmark(_run_wall_clock, jobs, wall_clock_workers)
+    pooled = benchmark(_run_wall_clock, jobs, WALL_CLOCK_WORKERS)
     scaling = pooled["jobs_per_sec"] / single["jobs_per_sec"]
 
     _merge_json({
@@ -506,9 +510,8 @@ def test_service_wall_clock_scaling(benchmark, wall_clock_workers):
     if SMOKE:
         return  # smoke job: fail on crash, not on perf regression
     assert pooled["service_time_p99"] >= pooled["service_time_p50"] > 0.0
-    if wall_clock_workers >= 8:
-        # the acceptance bar from the serving roadmap
-        assert scaling >= 3.0
+    # the acceptance bar from the serving roadmap
+    assert scaling >= 3.0
 
 
 # -- spatial multi-tenancy ----------------------------------------------------
@@ -558,9 +561,9 @@ def _run_tenancy(jobs, max_tenants):
     }
 
 
-def test_service_multitenant_co_scheduling(benchmark, multitenant_enabled):
+def test_service_multitenant_co_scheduling(benchmark, extended):
     """Spatial multi-tenancy on a single chip: co-resident leases plus
-    frame merging vs exclusive occupancy (``--multitenant``).
+    frame merging vs exclusive occupancy.
 
     The acceptance bar: >= 2x jobs/s on small-footprint traffic with
     >= 4 co-resident tenants -- merged steps charge the chip once for

@@ -14,55 +14,20 @@ import pytest
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--faults",
+        "--extended",
         action="store_true",
         default=False,
-        help="run the degraded-mode (fault-injection) benchmarks too",
-    )
-    parser.addoption(
-        "--wall-clock",
-        action="store_true",
-        default=False,
-        help="run the wall-clock concurrent-tier benchmark too",
-    )
-    parser.addoption(
-        "--workers",
-        type=int,
-        default=8,
-        help="pool size for the wall-clock benchmark (compared to 1)",
-    )
-    parser.addoption(
-        "--multitenant",
-        action="store_true",
-        default=False,
-        help="run the multi-tenant co-scheduling benchmark too",
+        help="run the extended serving benchmarks too: degraded mode "
+        "under faults, wall-clock scaling and multi-tenant co-scheduling "
+        "(pick one with -k)",
     )
 
 
 @pytest.fixture
-def faults_enabled(request):
-    """Gate for degraded-mode benchmarks: opt in with ``--faults``."""
-    if not request.config.getoption("--faults"):
-        pytest.skip("degraded-mode benchmark: enable with --faults")
-    return True
-
-
-@pytest.fixture
-def wall_clock_workers(request):
-    """Gate + pool size for the wall-clock concurrent benchmark: opt in
-    with ``--wall-clock``, size the pool with ``--workers N``."""
-    if not request.config.getoption("--wall-clock"):
-        pytest.skip("wall-clock benchmark: enable with --wall-clock")
-    return int(request.config.getoption("--workers"))
-
-
-@pytest.fixture
-def multitenant_enabled(request):
-    """Gate for the multi-tenant co-scheduling benchmark: opt in with
-    ``--multitenant``."""
-    if not request.config.getoption("--multitenant"):
-        pytest.skip("multi-tenant benchmark: enable with --multitenant")
-    return True
+def extended(request):
+    """Gate for the extended benchmarks: opt in with ``--extended``."""
+    if not request.config.getoption("--extended"):
+        pytest.skip("extended benchmark: enable with --extended")
 
 
 def report(text):

@@ -158,9 +158,6 @@ class ArrayState:
         # chips pay nothing per step.
         self.dead = np.zeros((grid.rows, grid.cols), dtype=bool)
         self.has_dead = False
-        # bumped by every set_dead_mask, so a cache keyed on it (the
-        # chip's batch-plan memo) never outlives the mask it saw
-        self.dead_version = 0
         # scratch buffers for post_move_conflict and origin_movers,
         # allocated on first use and reused across frames
         self._conflict_canvas = None
@@ -172,8 +169,8 @@ class ArrayState:
         Sites already occupied by cages are allowed to stay (a fault
         flipping under a live cage loses the particle physically, not
         logically); the mask only constrains *new* placements and move
-        destinations.  Every call bumps :attr:`dead_version`; the mask
-        is copied, so no later change can bypass it.
+        destinations.  The mask is copied, so no later change can
+        bypass it.
         """
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != self.occupancy.shape:
@@ -183,7 +180,6 @@ class ArrayState:
             )
         self.dead = mask.copy()
         self.has_dead = bool(mask.any())
-        self.dead_version += 1
 
     def _ensure_capacity(self, cage_id):
         size = self._site_r.size

@@ -140,12 +140,12 @@ class SimulatorBackend(Backend):
         # pristine chip (fresh cages, clock, RNG) with identical config;
         # identical config means identical cage physics, so the spawn
         # shares the template's levitation cache and solves nothing anew.
-        # It shares the lease-relative plan memo for the same reason:
-        # a lease window's plan depends only on the window's size and
-        # the batch relative to its origin (see Biochip.move_many).
+        # It shares the plan memo for the same reason: a plan depends
+        # only on the chip's window, the dead pixels inside it and the
+        # batch relative to its origin (see Biochip.move_many).
         chip = dataclasses.replace(self.chip)
         chip._levitation_cache = self.chip._levitation_cache
-        chip._lease_memo = self.chip._lease_memo
+        chip._plan_memo = self.chip._plan_memo
         return SimulatorBackend(chip)
 
     def set_region(self, origin=None, rows=None, cols=None):

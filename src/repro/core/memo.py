@@ -10,7 +10,7 @@ class LruMemo(OrderedDict):
     """A bounded LRU: key -> entry, least recently used out first.
 
     A lookup and a store each hold a lock.  Memos are shared across
-    threads -- a chip template's lease memo by every chip spawned from
+    threads -- a chip template's plan memo by every chip spawned from
     it, the compiler's schedule memo by every compile in the process --
     and the wall-clock tier runs chips on worker threads, where one
     thread's eviction could otherwise drop a key between another's

@@ -33,7 +33,7 @@ from ..sensing.quarantine import ReadingBounds, SensorQuarantine
 from ..sensing.readout import CapacitiveReadoutChain
 from ..technology.nodes import PAPER_NODE, TechnologyNode
 from .errors import ChipFault, ExecutionError
-from .memo import LruMemo as _PlanMemo
+from .memo import LruMemo
 
 #: The counters of :attr:`Biochip.routing_totals`, in report order.  The
 #: chip's totals, its per-plan fold and the service's routing meters are
@@ -51,8 +51,8 @@ ROUTING_COUNTERS = (
     "memo_misses",
 )
 
-#: How many distinct batch plans one memo remembers (least recently
-#: used first out; see :meth:`Biochip.move_many`).
+#: How many distinct batch plans the plan memo remembers (least
+#: recently used first out; see :meth:`Biochip.move_many`).
 _PLAN_MEMO_SIZE = 64
 
 #: The parked sites of a batch that moves every live cage.
@@ -69,9 +69,9 @@ class _Replay(NamedTuple):
 
 
 class _MemoEntry:
-    """One batch of a plan memo: the plan, the request ids it was
-    planned under, and -- once a run of it committed every frame -- its
-    :class:`_Replay`."""
+    """One batch of the plan memo: the plan (its sites relative to the
+    window origin), the request ids it was planned under, and -- once a
+    run of it committed every frame -- its :class:`_Replay`."""
 
     __slots__ = ("ids", "order", "sites", "makespan", "stats", "replay",
                  "_moved")
@@ -172,7 +172,7 @@ class Biochip:
         self._sensor_quarantine = None
         self._region = None         # (r0, c0, r1, c1) lease window
         self._region_block = None   # bool mask, True outside the lease
-        self._region_version = 0    # bumped by every set_region
+        self._origin = None         # int32 lease origin, None at (0, 0)
         # particle key -> levitation height [m]; shared with every chip
         # spawned from this one (see _levitation_height)
         self._levitation_cache = {}
@@ -181,16 +181,10 @@ class Biochip:
         self._routing_totals = {
             **dict.fromkeys(ROUTING_COUNTERS, 0), "plan_seconds": 0.0,
         }
-        # memo key -> _MemoEntry of the plan that filled it (and of the
-        # execution it committed); see move_many
-        self._plan_memo = _PlanMemo(_PLAN_MEMO_SIZE)
-        # the same for leased plans, keyed and stored relative to the
-        # lease origin; shared with every chip spawned from this one
-        self._lease_memo = _PlanMemo(_PLAN_MEMO_SIZE)
-        # the entry of _plan_batch's last plan, and the origin its sites
-        # are stored relative to (None: stored as planned)
-        self._batch_entry = None
-        self._batch_origin = None
+        # window-relative batch key -> _MemoEntry of the plan that
+        # filled it (and of the execution it committed); shared with
+        # every chip spawned from this one (see move_many)
+        self._plan_memo = LruMemo(_PLAN_MEMO_SIZE)
 
     @property
     def routing_totals(self) -> dict:
@@ -282,13 +276,18 @@ class Biochip:
         whole-array access.  Addressing a site outside the lease is the
         *job's* bug (a placement/footprint error), so it raises
         :class:`~repro.core.errors.ExecutionError`, not a retryable
-        :class:`~repro.core.errors.ChipFault`.  Every call bumps the
-        region version that keys the batch-plan memo.
+        :class:`~repro.core.errors.ChipFault`.
+
+        The batch-plan memo needs no invalidation here: it keys every
+        batch relative to the chip's window (this lease, else the whole
+        array), with the window's size and the dead pixels inside it in
+        the key, and a plan never leaves its window (see
+        :meth:`move_many`).
         """
-        self._region_version += 1
         if origin is None:
             self._region = None
             self._region_block = None
+            self._origin = None
             return
         r0, c0 = int(origin[0]), int(origin[1])
         rows = int(rows)
@@ -305,6 +304,8 @@ class Biochip:
         block = np.ones((self.grid.rows, self.grid.cols), dtype=bool)
         block[r0:r0 + rows, c0:c0 + cols] = False
         self._region_block = block
+        self._origin = (np.array((r0, c0), dtype=np.int32)
+                        if r0 or c0 else None)
 
     def _in_region(self, site) -> bool:
         if self._region is None:
@@ -541,71 +542,54 @@ class Biochip:
         returns each frame's dirty rows; every frame is then charged its
         row rewrites and its dwell in frame order.
 
-        Repeated batches reuse their plan.  A plan is a function of the
+        Repeated batches reuse their plan, on this chip and on every
+        chip spawned from its template.  A plan is a function of the
         grid, ``min_separation``, the blocked mask, the *ordered*
         (start, goal) requests and the parked sites alone; cage ids
         reach the router only as labels, through the promotion order of
-        a replan, which follows request positions.  So each chip keeps a
-        bounded LRU memo keyed on ``(min_separation, dead mask version,
-        region version, requests, parked sites)`` -- the two versions
-        are bumped by every dead-mask install and every
-        :meth:`set_region`, and the parked sites are one bytes blob in
-        cage-id order -- that stores the plan's sites, makespan and
-        stats with the cage ids it was planned under.  A hit renames
-        each plan row to the cage now at that row's request position
-        (the same protocol re-traps its cages under new ids), so its
-        frames, report and clock charge are bit-identical to a fresh
-        plan's.  A hit skips the router's validation, because that
-        outcome is a function of the key too, and a batch the router
-        rejects is never stored; the bounds, region and dead-goal checks
-        here still run on every call.
-
-        Leased plans are shared between the chips of one template.  A
-        chip clipped to a lease window (:meth:`set_region`) whose
-        window holds no dead pixel keys its batch relative to the
-        window's origin instead -- ``(min_separation, window rows,
-        window cols, requests - origin, parked sites - origin)`` -- in
-        a memo that :meth:`SimulatorBackend.spawn
+        a replan, which follows request positions.  The blocked mask is
+        the dead pixels ORed with everything outside the chip's window
+        -- its lease (:meth:`set_region`), else the whole array at
+        origin (0, 0) -- so a plan never leaves its window.  One LRU
+        memo of the last 64 batches, which :meth:`SimulatorBackend.spawn
         <repro.core.backend.SimulatorBackend.spawn>` hands every chip it
-        spawns, so co-tenants' views (each a fresh spawn) and later
-        views of the same lease shape hit one another's plans.  The
-        entry stores its sites relative to the origin, and a hit adds
-        the origin back.  This is sound because the region is ORed into
-        the blocked mask: a leased plan never leaves its window, so the
-        chip outside it cannot change the plan, and with no dead pixel
-        inside, the blocked mask is the window's complement, which the
-        window's size fixes.  Each view holds only its own cages, all
-        of them requests or parked at sites in the key; the dirty-row
-        counts, the row write time, the pitch and the cage speed are
-        the same under translation and across spawns of one template.  Any other chip (no region, or a dead pixel inside
-        the window) keeps the per-chip key above.
+        spawns (fleet chips, restarts, tenant views), keys each batch
+        relative to its window: ``(min_separation, window rows, window
+        cols, dead bits, requests - origin, parked sites - origin)``,
+        the dead bits packing the window's dead mask (empty when it has
+        no dead pixel) and the parked sites one bytes blob in cage-id
+        order.  This is sound because the spawns of one template share
+        the grid, pitch, row timing and cage speed, and a plan, its
+        dirty rows and its clock charge are the same wherever its
+        window lies.  The entry stores the plan's sites relative to the
+        origin with the cage ids it was planned under; a hit adds the
+        origin back and renames each row to the cage now at that row's
+        request position, so its frames, report and clock charge are
+        bit-identical to a fresh plan's.  A hit skips the router's
+        validation, a function of the key too; a batch the router
+        rejects is never stored, and the bounds, region and dead-goal
+        checks here run on every call.  Lookups and stores are locked,
+        since the chips sharing the memo may run on different threads.
+        Hits and misses are counted in :attr:`routing_totals`, a hit as
+        a plan whose ``plan_seconds`` is the lookup time and whose
+        planner counters are zero.
 
         A hit also skips executing the plan frame by frame.  Once
         :meth:`CageManager.run_plan` has committed a stored plan whole,
         the entry keeps the report's move count, ``program_time`` and
         ``dwell_time``.  A hit commits the final sites of the rows that
         end away from their start (read off the stored sites on the
-        first hit, translated by the lease origin), renamed to today's
+        first hit, translated by the window origin), renamed to today's
         cages, in one
         :meth:`~repro.array.state.ArrayState.move_cages` call (origins
         are cleared before destinations are written, so a cage moving
         into a site another one vacates lands correctly) and charges the
         stored times.  ``run_plan``'s verdict, its dirty rows and the
         state it leaves are functions of the key as well: every cage on
-        the chip is either a request or parked at a site in the key,
-        ``min_separation`` is in the key, the dead mask is covered by
-        its version (or, in a clean lease window, cannot matter), and
-        the grid is fixed.  When ``run_plan`` raised, the entry keeps no
-        record and the next hit runs it again.
-
-        Each memo is a bounded LRU of the last 64 batches, its lookups
-        and stores locked, since the chips sharing a lease memo may run
-        on different threads.  The per-chip memo is not handed to
-        spawned chips: its versions count this chip's own mask and
-        region changes.  Hits and misses are counted in
-        :attr:`routing_totals`; a hit counts as a plan whose
-        ``plan_seconds`` is the lookup time and whose planner counters
-        are zero.
+        the chip is either a request or parked at a site in the key, and
+        ``min_separation`` and the dead pixels inside the window are in
+        the key.  When ``run_plan`` raised, the entry keeps no record
+        and the next hit runs it again.
 
         Parameters
         ----------
@@ -668,18 +652,7 @@ class Biochip:
         if len(ids) < len(self.cages):
             state = self.cages.state
             parked = np.column_stack(state.sites_of(state.live_ids(ids)))
-        plan, hit = self._plan_batch(ids, requests, parked)
-        entry = self._batch_entry
-        counts = {
-            **plan.stats,
-            "plans": 1,
-            "cages_planned": plan.stats["cages"],
-            "memo_hits": int(hit),
-            "memo_misses": int(not hit),
-        }
-        totals = self._routing_totals
-        for key in ROUTING_COUNTERS:
-            totals[key] += counts[key]
+        plan, entry = self._plan_batch(ids, requests, parked)
         replay = entry.replay
         if replay is None:
             replay = entry.replay = self._run_batch(plan)
@@ -688,9 +661,7 @@ class Biochip:
             # its movers ended (origins are cleared first, so a cage
             # taking a site another one vacated lands correctly)
             rows, starts, ends = entry.moved()
-            origin = self._batch_origin
-            if origin is not None:
-                starts, ends = starts + origin, ends + origin
+            starts, ends = self._on_chip(starts), self._on_chip(ends)
             self.cages.state.move_cages(
                 starts[:, 0], starts[:, 1], ends[:, 0], ends[:, 1],
                 plan.cage_ids[rows],
@@ -719,46 +690,42 @@ class Biochip:
             dwell_time += diagonal_dwell if diagonal[step] else straight_dwell
         return _Replay(plan.total_moves(), program_time, dwell_time)
 
-    def _memo_slot(self, requests, parked):
-        """``(memo, key, origin)`` for a batch (see :meth:`move_many`).
+    def _on_chip(self, sites):
+        """Window-relative ``sites`` (int32, ``(..., 2)``) as chip
+        sites; ``sites`` themselves for a window at origin (0, 0)."""
+        return sites if self._origin is None else sites + self._origin
 
-        A lease window with no dead pixel gets the memo shared by every
-        chip of this template, keyed relative to the window's ``origin``
-        (an int32 ``(row, col)``); any other chip keys its own memo on
-        absolute sites and the dead-mask and region versions, and the
-        origin is None."""
-        if self._region is not None:
-            r0, c0, r1, c1 = self._region
-            state = self.cages.state
-            if not (state.has_dead and state.dead[r0:r1, c0:c1].any()):
-                origin = np.array((r0, c0), dtype=np.int32)
-                key = (
-                    self.min_separation, r1 - r0, c1 - c0,
-                    tuple(((start[0] - r0, start[1] - c0),
-                           (goal[0] - r0, goal[1] - c0))
-                          for start, goal in requests),
-                    (parked - origin).tobytes(),
-                )
-                return self._lease_memo, key, origin
-        key = (
-            self.min_separation,
-            self.cages.state.dead_version,
-            self._region_version,
-            tuple(requests),
-            parked.tobytes(),
-        )
-        return self._plan_memo, key, None
+    def _memo_key(self, requests, parked):
+        """The plan-memo key of a batch: its requests and ``parked``
+        sites relative to the chip's window, with the window's size and
+        the dead pixels inside it (see :meth:`move_many`)."""
+        r0, c0, r1, c1 = self._region or (0, 0, self.grid.rows,
+                                          self.grid.cols)
+        state = self.cages.state
+        dead = b""
+        if state.has_dead:
+            inside = state.dead[r0:r1, c0:c1]
+            if inside.any():
+                dead = np.packbits(inside).tobytes()
+        if self._origin is not None:
+            requests = [((start[0] - r0, start[1] - c0),
+                         (goal[0] - r0, goal[1] - c0))
+                        for start, goal in requests]
+            parked = parked - self._origin
+        return (self.min_separation, r1 - r0, c1 - c0, dead,
+                tuple(requests), parked.tobytes())
 
     def _plan_batch(self, ids, requests, parked):
         """The batch plan for ``requests`` (one ``(start, goal)`` per
         cage of ``ids``) among the ``parked`` (n, 2) sites, from the
         memo when the same batch was planned before (see
-        :meth:`move_many`).  Returns ``(plan, hit)``."""
+        :meth:`move_many`), counted in :attr:`routing_totals`.  Returns
+        ``(plan, entry)``, the entry the memo served or stored."""
         started = time.perf_counter()
-        memo, key, origin = self._memo_slot(requests, parked)
-        self._batch_origin = origin
-        entry = self._batch_entry = memo.lookup(key)
-        if entry is not None:
+        key = self._memo_key(requests, parked)
+        entry = self._plan_memo.lookup(key)
+        hit = entry is not None
+        if hit:
             # the stored rows name the cages at each request position
             # when the batch was planned; rename them to today's cages
             rename = dict(zip(entry.ids, ids))
@@ -769,36 +736,44 @@ class Biochip:
                               attributes={"memo": "hit"}) as span:
                 cage_ids = [rename[cage_id]
                             for cage_id in entry.order.tolist()]
-                sites = entry.sites
-                if origin is not None:
-                    sites = sites + origin
+                sites = self._on_chip(entry.sites)
                 stats["plan_seconds"] = time.perf_counter() - started
                 plan = BatchPlan(cage_ids=cage_ids, sites=sites,
                                  makespan=entry.makespan, stats=stats)
                 if span.recording:
                     span.set_attributes(dict(stats))
-            return plan, True
-        router = WavefrontRouter(
-            self.grid, min_separation=self.min_separation,
-            blocked=self._blocked_mask(),
-        )
-        try:
-            plan = router.plan(
-                [RoutingRequest(cage_id, start, goal)
-                 for cage_id, (start, goal) in zip(ids, requests)],
-                attributes={"memo": "miss"},
-                parked=parked,
+        else:
+            router = WavefrontRouter(
+                self.grid, min_separation=self.min_separation,
+                blocked=self._blocked_mask(),
             )
-        except RoutingError as exc:
-            raise ExecutionError(str(exc)) from exc
-        sites = plan.sites
-        if origin is not None:
-            sites = sites - origin
-        sites.flags.writeable = False  # shared with every hit
-        self._batch_entry = _MemoEntry(
-            ids, plan.cage_ids, sites, plan.makespan, plan.stats)
-        memo.store(key, self._batch_entry)
-        return plan, False
+            try:
+                plan = router.plan(
+                    [RoutingRequest(cage_id, start, goal)
+                     for cage_id, (start, goal) in zip(ids, requests)],
+                    attributes={"memo": "miss"},
+                    parked=parked,
+                )
+            except RoutingError as exc:
+                raise ExecutionError(str(exc)) from exc
+            sites = plan.sites
+            if self._origin is not None:
+                sites = sites - self._origin
+            sites.flags.writeable = False  # shared with every hit
+            entry = _MemoEntry(
+                ids, plan.cage_ids, sites, plan.makespan, plan.stats)
+            self._plan_memo.store(key, entry)
+        counts = {
+            **plan.stats,
+            "plans": 1,
+            "cages_planned": plan.stats["cages"],
+            "memo_hits": int(hit),
+            "memo_misses": int(not hit),
+        }
+        totals = self._routing_totals
+        for name in ROUTING_COUNTERS:
+            totals[name] += counts[name]
+        return plan, entry
 
     def merge(self, cage_id_a, cage_id_b):
         """Bring cage b next to cage a and fuse them.

@@ -1005,8 +1005,9 @@ class WavefrontRouter(BatchRouter):
         ``(status, None)`` where ``"grow"`` means the reached set was
         clipped by the window (a wider one may route) and ``"dead"``
         means the cage is provably stuck -- the reached set hit a
-        fixpoint, or died out, without ever touching the window border,
-        so no amount of widening changes the evolution.
+        fixpoint, or died out, without ever touching the window border
+        (the window cells next to a free pixel outside it), so no amount
+        of widening changes the evolution.
         """
         row0, row1, col0, col1 = bounds
         height, width = row1 - row0 + 1, col1 - col0 + 1
@@ -1016,19 +1017,39 @@ class WavefrontRouter(BatchRouter):
         pcol0, pcol1 = col0 + radius, col1 + radius
         one_row = ((1 << width) - 1) << pcol0
         column = ((1 << (height * stride)) - 1) // ((1 << stride) - 1)
-        border = (
-            one_row | one_row << ((height - 1) * stride)
-            | column << pcol0 | column << pcol1
-        )
+        # The border is where a wider window could add a cell: the
+        # window cells next to a free pixel outside the window.  A side
+        # on the chip's edge, or against the blocked outside of a lease,
+        # is none.
+        window = one_row * column
         if self._blocked_arr is None:
-            static = one_row * column
+            static = window
+            border = 0
+            if row0 > 0:
+                border |= one_row
+            if row1 < self.grid.rows - 1:
+                border |= one_row << ((height - 1) * stride)
+            if col0 > 0:
+                border |= column << pcol0
+            if col1 < self.grid.cols - 1:
+                border |= column << pcol1
         else:
-            free = np.zeros((height, stride), dtype=bool)
+            # the free pixels of the window and of the one-pixel ring
+            # around it, row i being chip row row0 - 1 + i
+            free = np.zeros((height + 2, stride), dtype=bool)
+            r_lo, r_hi = max(row0 - 1, 0), min(row1 + 2, self.grid.rows)
+            c_lo, c_hi = max(col0 - 1, 0), min(col1 + 2, self.grid.cols)
             np.logical_not(
-                self._blocked_arr[row0 : row1 + 1, col0 : col1 + 1],
-                out=free[:, pcol0 : pcol1 + 1],
+                self._blocked_arr[r_lo:r_hi, c_lo:c_hi],
+                out=free[r_lo - row0 + 1 : r_hi - row0 + 1,
+                         c_lo + radius : c_hi + radius],
             )
-            static = _bits(free)
+            static = _bits(free[1:-1]) & window
+            free[1:-1, pcol0 : pcol1 + 1] = False
+            near = _bits(free)
+            near |= near << 1 | near >> 1
+            near |= near << stride | near >> stride
+            border = (near >> stride) & window
         start_r, start_c = start[0] - row0, start[1] + radius
         current = 1 << (start_r * stride + start_c)
         # a cage may keep sitting on (or leave) an electrode that died

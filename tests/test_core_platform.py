@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro import Biochip, ExecutionError, Protocol, Session
 from repro.bio import Sample, cells_per_ml, mammalian_cell, polystyrene_bead
+from repro.core.backend import SimulatorBackend
 from repro.faults import FaultModel
 from repro.physics.constants import ul, um
 
@@ -387,9 +388,10 @@ def _recorded_plans():
     original = Biochip._plan_batch
 
     def recording(chip, *args):
-        plan, hit = original(chip, *args)
-        plans.append((chip, plan, hit))
-        return plan, hit
+        hits = chip.routing_totals["memo_hits"]
+        plan, entry = original(chip, *args)
+        plans.append((chip, plan, chip.routing_totals["memo_hits"] > hits))
+        return plan, entry
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Biochip, "_plan_batch", recording)
@@ -400,7 +402,8 @@ def _recorded_plans():
 def memo_batches(draw):
     """A batch on a 16-24 grid: moving and stationary cages on a
     2-pitch lattice, the movers in any goal-dict order, plus an optional
-    dead mask and lease window."""
+    dead mask and lease window, and whether the repeat runs on another
+    spawn of the chip's template."""
     side = draw(st.integers(16, 24))
     lattice = [(r, c) for r in range(1, side - 1, 2)
                for c in range(1, side - 1, 2)]
@@ -431,7 +434,8 @@ def memo_batches(draw):
         r1 = min(side, max(rows) + margin + 1)
         c1 = min(side, max(cols) + margin + 1)
         region = ((r0, c0), r1 - r0, c1 - c0)
-    return side, starts, goals, stationary, dead, region, order
+    spawned = draw(st.booleans())
+    return side, starts, goals, stationary, dead, region, order, spawned
 
 
 #: A crowded 16x16 batch whose planning passes seal movers in behind
@@ -449,6 +453,7 @@ REPLANNED_BATCH = (
     None,
     None,
     range(12),
+    False,
 )
 
 
@@ -457,8 +462,11 @@ class TestBatchPlanMemo:
     for bit the result of planning it afresh."""
 
     @staticmethod
-    def make_chip(side, dead=None, region=None):
-        chip = Biochip.small_chip(rows=side, cols=side)
+    def make_chip(side, dead=None, region=None, template=None):
+        """A small chip, or a spawn of ``template``, with the dead mask
+        ``dead`` installed and clipped to ``region``."""
+        chip = (Biochip.small_chip(rows=side, cols=side) if template is None
+                else template.spawn().chip)
         if dead is not None:
             chip.apply_faults(FaultModel(shape=(side, side),
                                          dead_electrodes=dead))
@@ -479,28 +487,33 @@ class TestBatchPlanMemo:
     @example(batch=REPLANNED_BATCH)
     @settings(max_examples=60, deadline=None)
     def test_hit_is_bit_identical_to_a_fresh_plan(self, batch):
-        side, starts, goals, stationary, dead, region, order = batch
+        side, starts, goals, stationary, dead, region, order, spawned = batch
 
         def batch_moves(ids):
             return {ids[i]: goals[i] for i in order}
 
-        chip = self.make_chip(side, dead, region)
+        template = SimulatorBackend(Biochip.small_chip(rows=side, cols=side))
+        chips = [self.make_chip(side, dead, region, template)]
         previous_ids = set()
         with _recorded_plans() as plans:
             for run in range(2):
+                if spawned and run:
+                    # the repeat runs on another spawn of the template
+                    chips.append(self.make_chip(side, dead, region, template))
+                chip = chips[-1]
                 # the reference: a freshly built chip with no memo,
                 # taken through the same operations from the start
                 fresh = self.make_chip(side, dead, region)
-                for __ in range(run):
+                for __ in range(0 if spawned else run):
                     fresh.move_many(batch_moves(
                         self.trap_all(fresh, starts, stationary)))
                     self.release_all(fresh)
                     fresh._plan_memo.clear()
-                    fresh._lease_memo.clear()
                 ids = self.trap_all(chip, starts, stationary)
                 fresh_ids = self.trap_all(fresh, starts, stationary)
                 assert ids == fresh_ids
-                assert previous_ids.isdisjoint(ids)  # renamed cages
+                if not spawned:
+                    assert previous_ids.isdisjoint(ids)  # renamed cages
                 previous_ids = set(ids)
                 moves = batch_moves(ids)
                 del plans[:]
@@ -526,13 +539,15 @@ class TestBatchPlanMemo:
                 assert _history(chip) == _history(fresh)
                 assert chip.cages.sites() == fresh.cages.sites()
                 self.release_all(chip)
-        totals = chip.routing_totals
+        totals = {name: sum(c.routing_totals[name] for c in chips)
+                  for name in ("memo_hits", "memo_misses", "plans",
+                               "cages_planned")}
         assert (totals["memo_hits"], totals["memo_misses"]) == (1, 1)
         assert totals["plans"] == 2
         assert totals["cages_planned"] == 2 * len(starts)
 
     def test_the_replanned_example_replans(self):
-        side, starts, goals, stationary, __, __, __ = REPLANNED_BATCH
+        side, starts, goals, stationary, __, __, __, __ = REPLANNED_BATCH
         chip = self.make_chip(side)
         chip.move_many(dict(zip(self.trap_all(chip, starts, stationary),
                                 goals)))
@@ -567,9 +582,10 @@ class TestBatchPlanMemo:
                 == _without_plan_seconds(expected))
         totals = chip.routing_totals
         assert (totals["memo_hits"], totals["memo_misses"]) == (0, 2)
-        # clearing the faults is a mask change too
+        # clearing the faults returns to the clean mask's plan
         chip.apply_faults(None)
-        assert not self.run_batch(chip, starts, goals)[2]
+        __, plan, hit = self.run_batch(chip, starts, goals)
+        assert hit and (4, 10) in [tuple(site) for site in plan.sites[0]]
 
     def test_a_new_region_forces_a_miss(self):
         starts, goals = [(4, 4), (8, 4)], [(4, 12), (8, 12)]
@@ -581,8 +597,11 @@ class TestBatchPlanMemo:
         assert self.run_batch(chip, starts, goals)[2]
         chip.set_region((0, 0), 16, 16)
         assert not self.run_batch(chip, starts, goals)[2]
+        # back on the whole array, the whole array's plan serves
+        chip.set_region(None)
+        assert self.run_batch(chip, starts, goals)[2]
         totals = chip.routing_totals
-        assert (totals["memo_hits"], totals["memo_misses"]) == (2, 3)
+        assert (totals["memo_hits"], totals["memo_misses"]) == (3, 3)
 
     @pytest.mark.parametrize("case", ["goals too close", "walled in"])
     def test_a_rejected_batch_is_never_stored(self, case):
@@ -625,12 +644,10 @@ class TestBatchPlanMemo:
         assert self.run_batch(chip, [(2, 2)], [goals[-1]])[2]
         assert not self.run_batch(chip, [(2, 2)], [goals[1]])[2]
 
-    def test_the_memo_is_not_shared_with_spawned_chips(self):
-        from repro.core.backend import SimulatorBackend
-
+    def test_the_memo_is_shared_with_spawned_chips(self):
         starts, goals = [(4, 4)], [(4, 16)]
         template = SimulatorBackend(self.make_chip(24))
         self.run_batch(template.chip, starts, goals)
         spawned = template.spawn().chip
-        assert len(spawned._plan_memo) == 0
-        assert not self.run_batch(spawned, starts, goals)[2]
+        assert spawned._plan_memo is template.chip._plan_memo
+        assert self.run_batch(spawned, starts, goals)[2]

@@ -1,12 +1,15 @@
-"""Leased chips of one template share their batch plans.
+"""The chips of one template share their batch plans.
 
-A chip clipped to a lease window with no dead pixel in it keys its batch
-plans relative to the window's origin, in a memo every chip spawned from
-the same template shares.  So a tenant view hits the plan another view
-of the same lease size made, wherever on the chip either window lies,
-and the hit is the plan, report and clock a fresh chip clipped to the
-hit's own window makes.  A dead pixel inside the window, or a window of
-another size, keeps the plans apart.
+Every chip keys its batch plans relative to its window -- its lease,
+else the whole array at origin (0, 0) -- with the window's size and the
+dead pixels inside it, in the one memo every chip spawned from the same
+template shares.  So a tenant view hits the plan another view of the
+same lease size made, wherever on the chip either window lies, and so
+does a view whose window holds the same dead pixels at the same
+window-relative sites; unleased spawns share whole-array plans.  The hit
+is the plan, report and clock a fresh chip clipped to the hit's own
+window makes.  A window of another size, or other dead pixels inside
+it, keeps the plans apart.
 """
 
 import contextlib
@@ -30,6 +33,7 @@ from repro import (
 from repro.array.cages import CageManager
 from repro.core import platform
 from repro.core.backend import SimulatorBackend
+from repro.core.memo import LruMemo
 from repro.faults import FaultModel
 from repro.routing.multi import WavefrontRouter
 from repro.workloads import small_footprint_protocol
@@ -54,9 +58,10 @@ def recorded_plans():
     original = platform.Biochip._plan_batch
 
     def recording(chip, *args):
-        plan, hit = original(chip, *args)
-        plans.append((plan, hit))
-        return plan, hit
+        hits = chip.routing_totals["memo_hits"]
+        plan, entry = original(chip, *args)
+        plans.append((plan, chip.routing_totals["memo_hits"] > hits))
+        return plan, entry
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(platform.Biochip, "_plan_batch", recording)
@@ -80,10 +85,11 @@ def counted(owner, name):
 
 def leased(chip, origin, shape, dead=None):
     """``chip`` with the dead mask ``dead`` installed, clipped to the
-    ``shape`` window at ``origin``."""
+    ``shape`` window at ``origin`` (no shape: the whole array)."""
     if dead is not None:
         chip.apply_faults(FaultModel(shape=dead.shape, dead_electrodes=dead))
-    chip.set_region(origin, *shape)
+    if shape is not None:
+        chip.set_region(origin, *shape)
     return chip
 
 
@@ -121,20 +127,31 @@ class TestWhenPlansAreShared:
                              (2, 3), STARTS, GOALS, STATIONARY)[2]
         assert run_batch(leased(spawn(), (12, 11), SHAPE),
                          (12, 11), STARTS, GOALS, STATIONARY)[2]
-        assert len(template.chip._lease_memo) == 1
+        assert len(template.chip._plan_memo) == 1
 
-    def test_a_dead_pixel_inside_the_window_never_shares(self):
+    def test_a_dead_pixel_inside_the_window_shares_by_layout(self):
         template, spawn = views()
-        dead = np.zeros((24, 24), dtype=bool)
-        dead[2 + 8, 3 + 9] = True  # the window's far corner
-        for origin in ((2, 3), (2, 3)):
-            chip = leased(spawn(), origin, SHAPE, dead)
-            assert not run_batch(chip, origin, STARTS, GOALS, STATIONARY)[2]
-            assert len(chip._plan_memo) == 1
-        assert len(template.chip._lease_memo) == 0
-        # a clean window of the same size does not hit it either
-        assert not run_batch(leased(spawn(), (12, 11), SHAPE, dead),
+
+        def dead_at(origin, relative):
+            dead = np.zeros((24, 24), dtype=bool)
+            dead[origin[0] + relative[0], origin[1] + relative[1]] = True
+            return dead
+
+        corner = (8, 9)  # the window's far corner
+        assert not run_batch(leased(spawn(), (2, 3), SHAPE,
+                                    dead_at((2, 3), corner)),
+                             (2, 3), STARTS, GOALS, STATIONARY)[2]
+        # the same window-relative dead pixel at another origin hits
+        assert run_batch(leased(spawn(), (12, 11), SHAPE,
+                                dead_at((12, 11), corner)),
+                         (12, 11), STARTS, GOALS, STATIONARY)[2]
+        # a clean window, or a dead pixel elsewhere in it, does not
+        assert not run_batch(leased(spawn(), (12, 11), SHAPE),
                              (12, 11), STARTS, GOALS, STATIONARY)[2]
+        assert not run_batch(leased(spawn(), (2, 3), SHAPE,
+                                    dead_at((2, 3), (0, 9))),
+                             (2, 3), STARTS, GOALS, STATIONARY)[2]
+        assert len(template.chip._plan_memo) == 3
 
     def test_a_dead_pixel_outside_the_window_does_not_stop_sharing(self):
         template, spawn = views()
@@ -143,16 +160,16 @@ class TestWhenPlansAreShared:
         dead[12 + 9, 11] = True
         assert not run_batch(leased(spawn(), (2, 3), SHAPE, dead),
                              (2, 3), STARTS, GOALS, STATIONARY)[2]
-        chip = leased(spawn(), (12, 11), SHAPE, dead)
-        assert run_batch(chip, (12, 11), STARTS, GOALS, STATIONARY)[2]
-        assert len(chip._plan_memo) == 0
+        assert run_batch(leased(spawn(), (12, 11), SHAPE, dead),
+                         (12, 11), STARTS, GOALS, STATIONARY)[2]
+        assert len(template.chip._plan_memo) == 1
 
     def test_leases_of_different_sizes_never_share(self):
         template, spawn = views()
         for shape in (SHAPE, (9, 11), (10, 10), (8, 10)):
             assert not run_batch(leased(spawn(), (2, 3), shape),
                                  (2, 3), STARTS, GOALS, STATIONARY)[2]
-        assert len(template.chip._lease_memo) == 4
+        assert len(template.chip._plan_memo) == 4
 
     def test_other_parked_cages_or_separation_never_share(self):
         template, spawn = views()
@@ -161,24 +178,27 @@ class TestWhenPlansAreShared:
             assert not run_batch(leased(spawn(), (2, 3), SHAPE),
                                  (2, 3), starts, goals, stationary)[2]
         wider = Biochip(grid=template.chip.grid, min_separation=3)
-        wider._lease_memo = template.chip._lease_memo
+        wider._plan_memo = template.chip._plan_memo
         assert not run_batch(leased(wider, (2, 3), SHAPE),
                              (2, 3), starts, goals)[2]
-        assert len(template.chip._lease_memo) == 4
+        assert len(template.chip._plan_memo) == 4
 
-    def test_unleased_spawns_keep_their_own_memo(self):
+    def test_unleased_spawns_share_plans(self):
         template, spawn = views()
         whole = (0, 0)
         assert not run_batch(spawn(), whole, STARTS, GOALS)[2]
-        assert not run_batch(spawn(), whole, STARTS, GOALS)[2]
-        assert len(template.chip._lease_memo) == 0
+        assert run_batch(spawn(), whole, STARTS, GOALS)[2]
+        # a lease the size of the whole array is the same window
+        assert run_batch(leased(spawn(), whole, (24, 24)),
+                         whole, STARTS, GOALS)[2]
+        assert len(template.chip._plan_memo) == 1
 
     def test_the_memo_pickles_with_its_entries(self):
         template, spawn = views()
         run_batch(leased(spawn(), (2, 3), SHAPE), (2, 3), STARTS, GOALS)
         copy = pickle.loads(pickle.dumps(template)).spawn().chip
-        assert type(copy._lease_memo) is platform._PlanMemo
-        assert list(copy._lease_memo) == list(template.chip._lease_memo)
+        assert type(copy._plan_memo) is LruMemo
+        assert list(copy._plan_memo) == list(template.chip._plan_memo)
         assert run_batch(leased(copy, (12, 11), SHAPE),
                          (12, 11), STARTS, GOALS)[2]
 
@@ -190,7 +210,7 @@ class TestWhenPlansAreShared:
 def leased_batches(draw):
     """A window shape and a batch in window-relative sites: movers and
     stationary cages on a 2-pitch lattice, any of them on the window's
-    border."""
+    border, and a few window-relative dead pixels off those sites."""
     rows, cols = draw(st.integers(5, 11)), draw(st.integers(5, 11))
     lattice = [(r, c) for r in range(0, rows, 2) for c in range(0, cols, 2)]
     sites = draw(st.permutations(lattice))
@@ -199,7 +219,11 @@ def leased_batches(draw):
     starts = sites[:n_moving]
     stationary = sites[n_moving:n_moving + n_stationary]
     free = [s for s in draw(st.permutations(lattice)) if s not in stationary]
-    return (rows, cols), starts, free[:n_moving], stationary
+    goals = free[:n_moving]
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    used = set(starts) | set(stationary) | set(goals)
+    inside = sorted(set(draw(st.lists(cells, max_size=3))) - used)
+    return (rows, cols), starts, goals, stationary, inside
 
 
 SIDE = 28
@@ -211,24 +235,31 @@ def corner_origins(shape):
             (9, 7)]
 
 
-def dead_outside(rng, windows):
-    """A sprinkle of dead pixels, none inside any of ``windows``."""
-    dead = rng.random((SIDE, SIDE)) < 0.05
-    for (r0, c0), (rows, cols) in windows:
-        dead[r0:r0 + rows, c0:c0 + cols] = False
-    return dead
+def dead_mask(origin, inside, shape=None, seed=None):
+    """The window-relative dead pixels ``inside`` placed at ``origin``,
+    plus, given a ``seed``, a sprinkle of dead pixels kept off the
+    ``shape`` window there; None when no pixel is dead."""
+    dead = np.zeros((SIDE, SIDE), dtype=bool)
+    if seed is not None:
+        dead = np.random.default_rng(seed).random((SIDE, SIDE)) < 0.05
+        dead[origin[0]:origin[0] + shape[0],
+             origin[1]:origin[1] + shape[1]] = False
+    for r, c in inside:
+        dead[origin[0] + r, origin[1] + c] = True
+    return dead if dead.any() else None
 
 
 class TestTranslation:
     @given(batch=leased_batches())
     @settings(max_examples=40, deadline=None)
     def test_an_edge_lease_plans_as_an_interior_lease(self, batch):
-        shape, starts, goals, stationary = batch
+        shape, starts, goals, stationary, inside = batch
         outcomes = []
         for origin in corner_origins(shape):
-            # memo-less: each lease plans on a chip of its own
+            # memo-less: each lease plans on a chip of its own, with the
+            # same window-relative dead pixels
             chip = leased(Biochip.small_chip(rows=SIDE, cols=SIDE),
-                          origin, shape)
+                          origin, shape, dead_mask(origin, inside))
             try:
                 report, plan, hit = run_batch(
                     chip, origin, starts, goals, stationary)
@@ -236,11 +267,8 @@ class TestTranslation:
                 outcomes.append("rejected")
                 continue
             assert not hit
-            # frontier_steps is left out: a wavefront window clipped at
-            # the chip's edge counts that edge as a border the reached
-            # set touched, and widens to no effect
             stats = {k: v for k, v in plan.stats.items()
-                     if k not in ("plan_seconds", "frontier_steps")}
+                     if k != "plan_seconds"}
             outcomes.append((
                 (plan.sites - np.asarray(origin)).tobytes(),
                 plan.makespan,
@@ -252,25 +280,34 @@ class TestTranslation:
     @given(batch=leased_batches(), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_a_hit_on_another_view_is_a_fresh_plan_there(self, batch, data):
-        shape, starts, goals, stationary = batch
-        origins = corner_origins(shape)
-        first = data.draw(st.sampled_from(origins))
-        second = data.draw(st.sampled_from(origins))
-        dead = None
+        shape, starts, goals, stationary, inside = batch
         if data.draw(st.booleans()):
-            dead = dead_outside(
-                np.random.default_rng(data.draw(st.integers(0, 2**16))),
-                [(first, shape), (second, shape)])
+            # unleased spawns: both windows are the whole array
+            window, first, second = None, (0, 0), (0, 0)
+        else:
+            window = shape
+            origins = corner_origins(shape)
+            first = data.draw(st.sampled_from(origins))
+            second = data.draw(st.sampled_from(origins))
+        seed = None
+        if window is not None and data.draw(st.booleans()):
+            seed = data.draw(st.integers(0, 2**16))
+
+        def dead(origin):
+            # each view's own mask: the same window-relative dead pixels
+            # inside its window, and dead pixels outside it
+            return dead_mask(origin, inside, window, seed)
+
         __, spawn = views(SIDE)
-        view_a = leased(spawn(), first, shape, dead)
-        view_b = leased(spawn(), second, shape, dead)
+        view_a = leased(spawn(), first, window, dead(first))
+        view_b = leased(spawn(), second, window, dead(second))
         reference = leased(Biochip.small_chip(rows=SIDE, cols=SIDE),
-                           second, shape, dead)
+                           second, window, dead(second))
         try:
             run_batch(view_a, first, starts, goals, stationary)
         except ExecutionError:
             # a rejected batch is never stored, and is rejected again
-            assert len(view_a._lease_memo) == 0
+            assert len(view_a._plan_memo) == 0
             with pytest.raises(ExecutionError) as rejected:
                 run_batch(reference, second, starts, goals, stationary)
             with pytest.raises(ExecutionError,
@@ -328,7 +365,7 @@ class TestSharedHitWork:
             assert without_plan_seconds(report) == without_plan_seconds(first)
 
 
-# -- the wall-clock tier's threads share one lease memo -----------------------
+# -- the wall-clock tier's threads share one plan memo ------------------------
 
 
 GRID = Biochip.small_chip().grid
@@ -347,13 +384,22 @@ def tenant_traffic(n_jobs):
     ]
 
 
-def job_signature(result):
+def job_signature(result, leased=True):
+    """A job's events, chip time and readings.  A leased job runs on a
+    fresh spawn of the template; a job served exclusively runs on
+    whichever fleet chip the wall-clock tier's timing picks, so its
+    readings come from that chip's noise stream and its chip time is a
+    difference of that chip's clock: those are left out, and the chip
+    time is compared to the nanosecond."""
     run = result.run
+    skip = ("cage",) if leased else ("cage", "reading")
     events = tuple(
         (e.kind, e.op_id,
-         tuple(sorted((k, v) for k, v in e.detail.items() if k != "cage")))
+         tuple(sorted((k, v) for k, v in e.detail.items() if k not in skip)))
         for e in run.events
     )
+    if not leased:
+        return events, round(run.wall_time, 9)
     readings = tuple(
         (key, tuple((m.reading, m.detected) for m in run.measurements[key]))
         for key in sorted(run.measurements)
@@ -361,22 +407,27 @@ def job_signature(result):
     return events, run.wall_time, readings
 
 
-def test_thread_workers_share_the_lease_memo_under_eviction(monkeypatch):
+@pytest.mark.parametrize("max_tenants", [1, 4])
+def test_thread_workers_share_the_plan_memo_under_eviction(monkeypatch,
+                                                           max_tenants):
     monkeypatch.setattr(platform, "_PLAN_MEMO_SIZE", 2)
     protocols = tenant_traffic(36)
     virtual = ExecutionService.simulator(
-        ServiceConfig(n_chips=2, max_tenants=4), chip=Biochip.small_chip())
+        ServiceConfig(n_chips=2, max_tenants=max_tenants),
+        chip=Biochip.small_chip())
     virtual.submit_many(protocols)
-    want = {r.job_id: job_signature(r) for r in virtual.drain()}
+    leased = max_tenants > 1
+    want = {r.job_id: job_signature(r, leased) for r in virtual.drain()}
     assert virtual.snapshot()["routing"]["memo_hits"] > 0
     with ConcurrentExecutionService.simulator(
-            ConcurrentConfig(n_workers=2, max_tenants=4, poll_interval=0.005),
+            ConcurrentConfig(n_workers=2, max_tenants=max_tenants,
+                             poll_interval=0.005),
             chip=Biochip.small_chip()) as service:
         handles = service.submit_many(protocols)
         results = service.drain(timeout=120.0)
         routing = service.snapshot()["routing"]
     assert len(results) == len(protocols)
     assert all(h.result().state is JobState.DONE for h in handles)
-    assert {r.job_id: job_signature(r) for r in results} == want
+    assert {r.job_id: job_signature(r, leased) for r in results} == want
     assert routing["memo_hits"] > 0 and routing["memo_misses"] > 3
     assert routing["plans"] == len(protocols)

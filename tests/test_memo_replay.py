@@ -172,7 +172,6 @@ class TestReplay:
         ids = trap_all(chip, starts + stationary)
         assert trap_all(fresh, starts + stationary) == ids
         fresh._plan_memo.clear()
-        fresh._lease_memo.clear()
         expected = fresh.move_many(moves(ids))
         with counted(CageManager, "run_plan") as runs:
             report = chip.move_many(moves(ids))
@@ -182,7 +181,6 @@ class TestReplay:
         assert chip_state(chip) == chip_state(fresh)
         # the chip goes on from the replayed state like the reference
         fresh._plan_memo.clear()
-        fresh._lease_memo.clear()
         try:
             expected = fresh.move_many(back(ids))
         except ExecutionError as exc:
@@ -203,9 +201,9 @@ class TestReplay:
         plans = []
 
         def recording(chip, *args):
-            plan, hit = original(chip, *args)
+            plan, entry = original(chip, *args)
             plans.append(plan)
-            return plan, hit
+            return plan, entry
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(Biochip, "_plan_batch", recording)

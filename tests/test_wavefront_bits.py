@@ -104,6 +104,18 @@ class NumpyPlaneRouter(WavefrontRouter):
             np.logical_not(self._blocked_arr[window], out=free)
         start_local = (start[0] - row0, start[1] - col0)
         goal_local = (goal[0] - row0, goal[1] - col0)
+        # the border: window cells with a free 8-neighbour outside the
+        # window, on a chip padded by one blocked pixel
+        rows, cols = self.grid.rows, self.grid.cols
+        outside = np.zeros((rows + 2, cols + 2), dtype=bool)
+        outside[1:-1, 1:-1] = (True if self._blocked_arr is None
+                               else ~self._blocked_arr)
+        outside[row0 + 1 : row1 + 2, col0 + 1 : col1 + 2] = False
+        border = np.zeros((height, width), dtype=bool)
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                border |= outside[row0 + 1 + dr : row1 + 2 + dr,
+                                  col0 + 1 + dc : col1 + 2 + dc]
         free[start_local] = True
         parked = table.parked_from[padded]
         stack = self._stack_for(horizon + 1, height, width)
@@ -127,10 +139,7 @@ class NumpyPlaneRouter(WavefrontRouter):
             if t >= min_arrival and frontier[goal_local]:
                 arrived = t
                 break
-            touched_border = touched_border or bool(
-                frontier[0].any() or frontier[-1].any()
-                or frontier[:, 0].any() or frontier[:, -1].any()
-            )
+            touched_border = touched_border or bool((frontier & border).any())
             if not frontier.any():
                 return ("grow" if touched_border else "dead"), None
             if t > settle and np.array_equal(frontier, current):
@@ -284,12 +293,29 @@ def batches(draw):
     return grid, separation, blocked, requests, margin
 
 
+#: Cage 0 boxed in by dead rows 6 and 10 and a dead column 10, the box
+#: open only to the left, and cage 1 crossing its greedy detour: cage
+#: 0's first wavefront window (rows 7-9, columns 7-13) meets a free
+#: pixel outside only through its left side, so it must report "grow",
+#: and the wider window routes round the box.  The transposed case
+#: grows through its top side.
+WALLED_IN = np.zeros((16, 16), dtype=bool)
+WALLED_IN[[6, 10], 6:15] = True
+WALLED_IN[6:11, 10] = True
+
+
 @given(case=batches())
 @example(case=(ElectrodeGrid(22, 22, um(20)), 2, None,
                [RoutingRequest(0, (0, 0), (21, 21)),
                 RoutingRequest(1, (21, 21), (0, 0)),
                 RoutingRequest(2, (0, 21), (21, 0)),
                 RoutingRequest(3, (21, 0), (0, 21))], 1))
+@example(case=(ElectrodeGrid(16, 16, um(20)), 2, WALLED_IN,
+               [RoutingRequest(0, (8, 8), (8, 12)),
+                RoutingRequest(1, (8, 2), (3, 15))], 1))
+@example(case=(ElectrodeGrid(16, 16, um(20)), 2, WALLED_IN.T.copy(),
+               [RoutingRequest(0, (8, 8), (12, 8)),
+                RoutingRequest(1, (2, 8), (15, 3))], 1))
 @settings(max_examples=150, deadline=None)
 def test_bit_planes_match_the_numpy_planes(case):
     grid, separation, blocked, requests, margin = case
