@@ -25,15 +25,16 @@ Workers come in two flavours:
   and jobs/results cross the queues pickled.  True host parallelism
   for CPU-bound simulation at the cost of per-dispatch serialisation.
 
-Fault tolerance runs in wall time: a retryable attempt re-queues with
-exponential backoff (the job sits in a delay heap -- the backoff window
-is charged exactly once, never re-slept at dispatch), retries prefer
-workers that have not already failed the job (a bounded bounce back
-through the coordinator), a worker that fails K consecutive retryable
-attempts quarantines *itself* -- it stops pulling, so its queued work
-drains to the rest of the pool -- sleeps out the cooldown, then
-restarts with a fresh backend spawn that preserves the physical defect
-map and re-seeds the transient stream.
+Fault tolerance runs in wall time: a retryable attempt waits out an
+exponential backoff in the serving core's delay heap (the window is
+charged exactly once, never re-slept at dispatch), and the coordinator
+places the retry only on a chip the core's steering rule allows --
+one that has not already failed the job, when there is one; a retry
+whose steered chips' lanes are full waits in the queue.  A worker that
+fails K consecutive retryable attempts quarantines *itself* -- it
+stops pulling, so its queued work drains to the rest of the pool --
+sleeps out the cooldown, then restarts with a fresh backend spawn that
+preserves the physical defect map and re-seeds the transient stream.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from ..core import (
     ServingCore,
     can_lease,
     enforce_timeout,
+    steer,
 )
 from ..jobs import ErrorKind, JobError, JobResult, JobState, JobView
 from .syncbridge import SenseTap, WallClock
@@ -213,16 +215,8 @@ class _WorkerRuntime:
                     break
                 items.append(extra)
             runnable = []
-            for job, allow_bounce in items:
-                # Steering: prefer hardware the job has never failed
-                # on.  A bounce sends the job back through the
-                # coordinator (which bounds bounces), so another worker
-                # picks it up.
-                if allow_bounce and self.worker_id in job.tried_chips:
-                    self._send("bounced", job.job_id)
-                    continue
-                if (job.deadline is not None and
-                        self.clock.now() - job.submitted_at > job.deadline):
+            for job in items:
+                if job.expired(self.clock.now()):
                     self._send("expired", job.job_id)
                     continue
                 runnable.append(job)
@@ -268,9 +262,13 @@ class _WorkerRuntime:
 
     def _report(self, outcomes):
         """Ship ``(job, attempt)`` outcomes home and self-quarantine
-        when the chip's failure streak reaches the threshold."""
+        when the chip's failure streak reaches the threshold: on the
+        first attempt that trips it, with that attempt's error and
+        streak, even if a later tenant's success resets the streak."""
+        tripped = None
         for job, attempt in outcomes:
-            benched = self.chip.record(attempt.error)
+            if self.chip.record(attempt.error) and tripped is None:
+                tripped = (attempt.error, self.chip.consecutive_failures)
             if attempt.error is not None and self.strip_cause:
                 # exception objects are not reliably picklable across
                 # the process boundary; the structured JobError is
@@ -280,8 +278,8 @@ class _WorkerRuntime:
                 if self.span_buffer is not None else None
             )
             self._send("outcome", job.job_id, attempt, spans)
-        if benched:
-            self._quarantine_and_recover(attempt.error)
+        if tripped is not None:
+            self._quarantine_and_recover(*tripped)
 
     # -- multi-tenant lanes --------------------------------------------------
 
@@ -305,14 +303,11 @@ class _WorkerRuntime:
             outcomes.append((job, attempt))
         self._report(outcomes)
 
-    def _quarantine_and_recover(self, error):
-        """Self-quarantine on ``error``: stop pulling, wait out the
-        cooldown (or a manual restart), then power-cycle and rejoin the
-        pool."""
-        self._send(
-            "quarantined", self.clock.now(), self.chip.consecutive_failures,
-            error,
-        )
+    def _quarantine_and_recover(self, error, streak):
+        """Self-quarantine on ``error``, which brought the failure
+        streak to ``streak``: stop pulling, wait out the cooldown (or a
+        manual restart), then power-cycle and rejoin the pool."""
+        self._send("quarantined", self.clock.now(), streak, error)
         cooldown = self.config.restart_cooldown
         deadline = (
             self.clock.now() + cooldown if cooldown is not None else None
@@ -480,11 +475,9 @@ class ConcurrentExecutionService(ServingCore):
         self._lock = threading.RLock()
         self._capacity = threading.Condition(self._lock)
         self._terminal = threading.Condition(self._lock)
-        self._delayed = []       # (not_before, job_id, Job) backoff heap
         self._inflight = {}      # job_id -> Job handed to the pool
         self._results = []       # terminal results pending drain()
         self._outstanding = 0    # submitted jobs not yet terminal
-        self._bounces = {}       # job_id -> steering bounces so far
         self._closed = False
         self._pump_stop = False
         # -- the pool --
@@ -596,7 +589,7 @@ class ConcurrentExecutionService(ServingCore):
         self._pump.join(timeout=5.0)
 
     def _drop_queued_jobs(self):
-        """Pull every coordinator-held QUEUED job (heap + delay heap)."""
+        """Pull every coordinator-held QUEUED job (queue + delay heap)."""
         dropped = self._waiting()
         self._queue.clear()
         self._delayed.clear()
@@ -628,13 +621,6 @@ class ConcurrentExecutionService(ServingCore):
     def now(self) -> float:
         """Wall seconds since the service started."""
         return self.clock.now()
-
-    @property
-    def queue_depth(self) -> int:
-        """Jobs admitted and still waiting for a worker, retries
-        sitting out their backoff included."""
-        with self._lock:
-            return self._queued_count + len(self._delayed)
 
     def submit(self, protocol, priority=0, deadline=None, block=False,
                timeout=None) -> ConcurrentJobHandle:
@@ -673,19 +659,8 @@ class ConcurrentExecutionService(ServingCore):
                 self._refill()
         return handle
 
-    def _waiting(self) -> list:
-        return super()._waiting() + [job for __, __, job in self._delayed]
-
-    def _unqueue(self, job):
-        delayed = [entry for entry in self._delayed if entry[2] is not job]
-        if len(delayed) == len(self._delayed):
-            super()._unqueue(job)
-        else:  # a retry shed while it sat out its backoff
-            heapq.heapify(delayed)
-            self._delayed = delayed
-
     def _requeue(self, job, error):
-        heapq.heappush(self._delayed, (job.not_before, job.job_id, job))
+        super()._requeue(job, error)
         handle = self._handles.get(job.job_id)
         if handle is not None:
             handle._emit({
@@ -696,7 +671,6 @@ class ConcurrentExecutionService(ServingCore):
 
     def _resolve(self, job, result):
         """Terminalise ``job`` (caller holds the lock)."""
-        self._bounces.pop(job.job_id, None)
         self._outstanding -= 1
         self._results.append(result)
         super()._resolve(job, result)
@@ -729,8 +703,8 @@ class ConcurrentExecutionService(ServingCore):
                         self._handle_message(self._done_q.get_nowait())
                     except queue.Empty:
                         break
-                self._release_due_retries()
                 now = self.clock.now()
+                self._release_due(now)
                 if now - last_liveness >= 1.0:
                     last_liveness = now
                     self._check_worker_liveness()
@@ -806,57 +780,49 @@ class ConcurrentExecutionService(ServingCore):
         for item in items:
             if item is None:
                 ready_q.put_nowait(None)
-            elif self._inflight.pop(item[0].job_id, None) is not None:
-                self._push(item[0])
-
-    def _release_due_retries(self):
-        now = self.clock.now()
-        while self._delayed and self._delayed[0][0] <= now:
-            __, __, job = heapq.heappop(self._delayed)
-            self._push(job)
+            elif self._inflight.pop(item.job_id, None) is not None:
+                self._push(item)
 
     def _accepting(self) -> list:
-        """Ids of the workers taking new jobs."""
+        """Records of the workers taking new jobs."""
         return [
-            record.chip_id for record in self._records
+            record for record in self._records
             if record.health is ChipHealth.HEALTHY
         ]
 
     def _select_worker(self, job, require_warm):
-        """The id of the best chip with lane capacity for ``job``:
-        fresh hardware first (never failed this job), then a warm
-        program cache for its fingerprint, then the shortest backlog
-        and the least-busy chip.  None when no lane qualifies.
+        """The id of the best chip with lane capacity for ``job`` among
+        the accepting chips :func:`~repro.service.core.steer` allows:
+        a warm program cache for its fingerprint first, then the
+        shortest backlog and the least-busy chip.  None when no lane
+        qualifies; the job then waits in the queue.
 
         With ``require_warm``, a job whose fingerprint is warm on some
         accepting chip is only placed on a warm one -- if all its warm
         chips' lanes are full, None (the caller holds the job briefly
         instead of re-compiling it cold elsewhere).  Fingerprints warm
         nowhere are exempt (someone has to compile them first), and so
-        are retries: a job that already failed on a chip bounces to
-        fresh hardware even when its only warm cache is the chip that
-        just burned it -- fault isolation beats locality.
+        are retries: a job that already failed on a chip goes to fresh
+        hardware even when its only warm cache is the chip that just
+        burned it -- fault isolation beats locality.
         """
         accepting = self._accepting()
         warm_anywhere = any(
-            job.fingerprint in self._warm[worker_id]
-            for worker_id in accepting
+            job.fingerprint in self._warm[record.chip_id]
+            for record in accepting
         )
         hold_for_warm = require_warm and warm_anywhere and not job.tried_chips
         best = None
         best_key = None
-        for worker_id in accepting:
+        for record in steer(job, accepting):
+            worker_id = record.chip_id
             ready_q = self._ready_qs[worker_id]
             if ready_q.full():
                 continue
-            fresh = worker_id not in job.tried_chips
             warm = job.fingerprint in self._warm[worker_id]
             if hold_for_warm and not warm:
                 continue
-            key = (
-                not fresh, not warm, ready_q.qsize(),
-                self._records[worker_id].busy_time, worker_id,
-            )
+            key = (not warm, ready_q.qsize(), record.busy_time, worker_id)
             if best_key is None or key < best_key:
                 best, best_key = worker_id, key
         return best
@@ -874,7 +840,7 @@ class ConcurrentExecutionService(ServingCore):
         self._refill_pass(require_warm=False)
 
     def _refill_pass(self, require_warm):
-        if all(self._ready_qs[i].full() for i in self._accepting()):
+        if all(self._ready_qs[r.chip_id].full() for r in self._accepting()):
             return
         skipped = []
         while self._queue:
@@ -884,16 +850,11 @@ class ConcurrentExecutionService(ServingCore):
             worker_id = self._select_worker(job, require_warm)
             if worker_id is None:
                 skipped.append(job)
-                if require_warm:
-                    continue  # held for its warm chip; try the next job
+                if require_warm or job.tried_chips:
+                    continue  # held for its warm or its steered chips
                 break  # no free lane at all
-            allow_bounce = bool(
-                job.tried_chips
-                and self._bounces.get(job.job_id, 0) < len(self._workers)
-                and len(self._accepting()) > 1
-            )
             try:
-                self._ready_qs[worker_id].put_nowait((job, allow_bounce))
+                self._ready_qs[worker_id].put_nowait(job)
             except queue.Full:
                 skipped.append(job)
                 break
@@ -930,12 +891,6 @@ class ConcurrentExecutionService(ServingCore):
                     "kind": "sense", "worker": worker_id,
                     "sense": sense_result, "t": self.clock.now(),
                 })
-        elif kind == "bounced":
-            job_id, = payload
-            job = self._inflight.pop(job_id, None)
-            if job is not None:
-                self._bounces[job_id] = self._bounces.get(job_id, 0) + 1
-                self._push(job)
         elif kind == "outcome":
             job_id, attempt, spans = payload
             self._handle_outcome(worker_id, job_id, attempt, spans)
@@ -979,7 +934,6 @@ class ConcurrentExecutionService(ServingCore):
         record.busy_time += (
             (attempt.finished_at - attempt.started_at) / attempt.tenants
         )
-        self._note_migration(job, worker_id)
         self._settle(job, worker_id, attempt, self.clock.now())
 
     # -- draining / worker control ------------------------------------------

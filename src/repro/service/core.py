@@ -20,20 +20,24 @@ two tiers compute the same way lives here, once:
   co-tenants on leased views of the chip;
 * :class:`LeaseWindows` and :func:`group_cost` -- lease-window sizing
   and the merged chip time of a tenant group;
+* :func:`steer` -- the one retry steering rule: the chips a retry may
+  run on;
 * :class:`ServingCore` -- admission, the job root span, retry
-  bookkeeping, settlement and terminal :class:`JobResult`\\ s, the
-  meters every attempt settles (routing, lease-group telemetry and the
-  ``lease``/``frame_merge``/``evict`` span events), a chip record's
-  quarantine and restart transitions, and the one observation surface
-  rendered from the records: ``fault_counters()``, ``snapshot()``,
-  ``report()`` and ``to_prometheus()``.
+  bookkeeping and readiness (one delay heap holds every retry through
+  its backoff), settlement and terminal :class:`JobResult`\\ s, the
+  meters every attempt settles (routing, migrations, lease-group
+  telemetry and the ``lease``/``frame_merge``/``evict`` span events),
+  a chip record's quarantine and restart transitions, and the one
+  observation surface rendered from the records: ``fault_counters()``,
+  ``snapshot()``, ``report()`` and ``to_prometheus()``.
 
-A tier keeps only what really differs: where a job is placed, when a
-queued job is ready, who decides that a chip is benched or restarted,
-how jobs, outcomes and each chip's counters travel between the service
-and the chips, and the wall tier's coordinator-only pool gauges.  Time
-is whatever the tier's clock reads -- fleet virtual seconds or wall
-seconds.
+A tier keeps only what really differs: which of the steered chips a
+job is placed on, when it releases due retries (each drain step on the
+virtual clock, each coordinator pass on the wall clock), who decides
+that a chip is benched or restarted, how jobs, outcomes and each chip's
+counters travel between the service and the chips, and the wall tier's
+coordinator-only pool gauges.  Time is whatever the tier's clock reads
+-- fleet virtual seconds or wall seconds.
 """
 
 from __future__ import annotations
@@ -328,6 +332,25 @@ def chip_backend(backend, plan, chip_id, seed, lease=None, offset=(0, 0)):
     return backend, injector
 
 
+def steer(job, records) -> list:
+    """The chip records among ``records`` a retry of ``job`` should run
+    on: those it has never failed on, else all but the chip that failed
+    it last, else all of them (a first attempt may run on any).
+
+    A "transient" that is really a chip-local defect (a dead electrode
+    under the protocol's path) is only escaped by genuinely different
+    hardware, not by ping-ponging between the same two faulty chips.
+    """
+    if job.tried_chips:
+        fresh = [r for r in records if r.chip_id not in job.tried_chips]
+        if fresh:
+            return fresh
+        away = [r for r in records if r.chip_id != job.last_chip]
+        if away:
+            return away
+    return records
+
+
 # -- lease groups -----------------------------------------------------------
 
 
@@ -577,13 +600,13 @@ class ServingCore:
 
     Owns the chip template and fault plan, the priority queue
     (``_queue``, a heap of ``(sort_key, Job)`` that may still hold shed
-    entries, with ``_queued_count`` counting its QUEUED ones), the live
-    handles and root spans, and the path every attempt ends on.  A
-    tier sets ``clock``, ``_tier`` (the root span's tier attribute) and
-    ``_records`` (one :class:`ChipRecord` per chip, in chip-id order)
-    and implements ``_make_handle(job)``; it overrides
-    ``queue_depth``, ``_waiting``, ``_unqueue`` and ``_requeue`` when
-    retries wait somewhere other than the queue.
+    entries, with ``_queued_count`` counting its QUEUED ones), the
+    delay heap of retries sitting out their backoff (``_delayed``, a
+    heap of ``(not_before, job_id, Job)`` that :meth:`_release_due`
+    moves to the queue), the live handles and root spans, and the path
+    every attempt ends on.  A tier sets ``clock``, ``_tier`` (the root
+    span's tier attribute) and ``_records`` (one :class:`ChipRecord`
+    per chip, in chip-id order) and implements ``_make_handle(job)``.
     """
 
     #: Messages for terminal states the service imposed (no chip ran).
@@ -605,6 +628,7 @@ class ServingCore:
         self.telemetry = Telemetry()
         self._queue = []
         self._queued_count = 0
+        self._delayed = []
         self._handles = {}    # job_id -> handle, dropped on resolve
         self._job_spans = {}  # job_id -> live root Span (tracing on)
         self._next_id = 0
@@ -627,8 +651,9 @@ class ServingCore:
 
     @property
     def queue_depth(self) -> int:
-        """Jobs admitted and still waiting for a chip."""
-        return self._queued_count
+        """Jobs admitted and still waiting for a chip, retries sitting
+        out their backoff included."""
+        return self._queued_count + len(self._delayed)
 
     # -- admission ----------------------------------------------------------
 
@@ -701,12 +726,26 @@ class ServingCore:
         return True
 
     def _waiting(self) -> list:
-        """The jobs shedding may pick from."""
-        return [j for __, j in self._queue if j.state is JobState.QUEUED]
+        """The jobs shedding may pick from: queued or in backoff."""
+        return (
+            [j for __, j in self._queue if j.state is JobState.QUEUED]
+            + [j for __, __, j in self._delayed]
+        )
 
     def _unqueue(self, job):
         """Forget a shed waiting ``job``."""
-        self._queued_count -= 1  # lazily removed from the heap later
+        delayed = [entry for entry in self._delayed if entry[2] is not job]
+        if len(delayed) == len(self._delayed):
+            self._queued_count -= 1  # lazily removed from the heap later
+        else:  # a retry shed while it sat out its backoff
+            heapq.heapify(delayed)
+            self._delayed = delayed
+
+    def _release_due(self, now):
+        """Queue every retry whose backoff has ended by ``now``."""
+        delayed = self._delayed
+        while delayed and delayed[0][0] <= now:
+            self._push(heapq.heappop(delayed)[2])
 
     def submit_many(self, jobs, **options) -> list:
         """Submit a batch; each item is a protocol or a
@@ -722,10 +761,18 @@ class ServingCore:
     # -- settlement ---------------------------------------------------------
 
     def _note_start(self, job, chip_id):
-        """Mark ``job`` RUNNING on chip ``chip_id``; trace the dispatch."""
+        """Mark ``job`` RUNNING on chip ``chip_id``; count and trace a
+        retry that moved to other hardware, and trace the dispatch."""
         job.state = JobState.RUNNING
+        migrated = job.attempts > 0 and chip_id != job.last_chip
+        if migrated:
+            self.telemetry.count("migrated")
         span = self._job_spans.get(job.job_id)
         if span is not None:
+            if migrated:
+                span.add_event(
+                    "migrate", from_chip=job.last_chip, to_chip=chip_id
+                )
             span.add_event("dispatch", chip=chip_id, attempt=job.attempts + 1)
 
     # -- chip health transitions --------------------------------------------
@@ -767,21 +814,12 @@ class ServingCore:
             record.chip_id, at, record.restarts,
         )
 
-    def _note_migration(self, job, chip_id):
-        """Count and trace a retry that moved to other hardware."""
-        if job.attempts > 0 and chip_id != job.last_chip:
-            self.telemetry.count("migrated")
-            span = self._job_spans.get(job.job_id)
-            if span is not None:
-                span.add_event(
-                    "migrate", from_chip=job.last_chip, to_chip=chip_id
-                )
-
     def _settle(self, job, chip_id, attempt, now) -> JobResult | None:
         """End one attempt of ``job`` on chip ``chip_id``.
 
-        A retryable error with retry budget left re-queues the job with
-        exponential backoff counted from ``now`` and returns None;
+        A retryable error with retry budget left holds the job in the
+        delay heap for an exponential backoff counted from ``now`` and
+        returns None;
         anything else resolves it DONE or FAILED and returns its
         :class:`JobResult`.
         """
@@ -863,8 +901,9 @@ class ServingCore:
                 )
 
     def _requeue(self, job, error):
-        """Put a job whose attempt failed retryably back in line."""
-        self._push(job)
+        """Hold a job whose attempt failed retryably with ``error`` in
+        the delay heap until its backoff ends."""
+        heapq.heappush(self._delayed, (job.not_before, job.job_id, job))
 
     def _finish_unserved(self, job, state, counter, message=None) -> JobResult:
         """Terminalise a job that never reached a chip."""

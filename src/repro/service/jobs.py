@@ -154,6 +154,12 @@ class Job:
         """Heap key: highest priority first, FIFO within a priority."""
         return (-self.priority, self.job_id)
 
+    def expired(self, now) -> bool:
+        """Whether the job's queue-wait ``deadline`` has passed at
+        ``now`` (on the clock ``submitted_at`` was stamped on)."""
+        return (self.deadline is not None
+                and now - self.submitted_at > self.deadline)
+
 
 @dataclass
 class JobResult:

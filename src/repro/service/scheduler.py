@@ -8,11 +8,12 @@ the queue by priority, dispatches each job to a chip through the
 configured policy, reuses cached compiled programs, and meters
 everything through :class:`~repro.service.telemetry.Telemetry`.
 Admission, the attempt body, each chip's lifecycle and record, the
-lease-group runner, settlement, the health transitions and the
-observation surface (``snapshot``/``report``/``to_prometheus``) are
-the serving core's (:mod:`repro.service.core`); this module owns
-placement, retry readiness and deciding when a chip is benched,
-drained or restarted.
+lease-group runner, retry readiness (the delay heap) and steering,
+settlement, the health transitions and the observation surface
+(``snapshot``/``report``/``to_prometheus``) are the serving core's
+(:mod:`repro.service.core`); this module owns placement among the
+steered chips, the drain loop that releases due retries, and deciding
+when a chip is benched, drained or restarted.
 
 The service is synchronous: chips are simulated, so "waiting" on a
 handle drives the drain loop instead of blocking a thread.  Time is
@@ -41,7 +42,14 @@ from dataclasses import dataclass
 from ..core.backend import DryRunBackend
 from ..core.errors import ServiceError
 from .concurrent.syncbridge import FleetClock
-from .core import ChipHealth, CoreConfig, LeaseWindows, ServingCore, can_lease
+from .core import (
+    ChipHealth,
+    CoreConfig,
+    LeaseWindows,
+    ServingCore,
+    can_lease,
+    steer,
+)
 from .fleet import Fleet, make_policy
 from .jobs import JobHandle, JobResult, JobState
 
@@ -123,7 +131,8 @@ class ExecutionService(ServingCore):
         Time-source audit (what reads which clock, and why):
 
         * ``self.clock.now()`` -- every *fleet-global* stamp: job
-          ``submitted_at``, the retry-readiness gate in :meth:`step`,
+          ``submitted_at``, the release of due retries from the delay
+          heap in :meth:`step` (read only while a retry is waiting),
           quarantine stamps and cooldown expiry.  These are service
           policy, so they follow whatever clock the service runs on.
         * ``worker.elapsed`` -- deliberately NOT the service clock:
@@ -162,11 +171,15 @@ class ExecutionService(ServingCore):
         (deadline passed before its chip was free) or dispatches it to
         a chip, compiles or reuses its program, runs it, and meters the
         outcome.  An attempt that fails with a *retryable* error and
-        has retry budget left is re-queued (with backoff) instead of
-        going terminal; the loop then keeps dispatching until some job
-        does terminalise.  Returns that job's :class:`JobResult`, or
-        None when the queue is empty.  Termination is guaranteed:
-        every re-queue burns one of a job's bounded retry budget.
+        has retry budget left waits out its backoff in the delay heap
+        instead of going terminal; the loop then keeps dispatching
+        until some job does terminalise.  Retries whose backoff has
+        ended by the fleet clock rejoin the queue; when only retries in
+        backoff are left, the earliest is queued anyway and its chip
+        idles up to the end of its window, so nothing starves.  Returns
+        the terminal job's :class:`JobResult`, or None when nothing is
+        waiting.  Termination is guaranteed: every retry burns one of
+        a job's bounded retry budget.
 
         Under multi-tenancy one dispatch may terminalise several
         co-resident jobs at once; the extras are buffered and returned
@@ -175,34 +188,26 @@ class ExecutionService(ServingCore):
         if self._extra_results:
             return self._extra_results.popleft()
         self._maybe_restore_chips()
-        deferred = []
-        outcome = None
-        while self._queue:
+        while True:
+            if self._delayed:
+                self._release_due(self.clock.now())
+                if not self._queued_count:
+                    # only retries in backoff are left: queue the
+                    # earliest; its chip idles up to the window's end
+                    self._push(heapq.heappop(self._delayed)[2])
+            if not self._queue:
+                return None
             __, job = heapq.heappop(self._queue)
             if job.state is not JobState.QUEUED:
                 continue  # shed after enqueue; already terminal
-            # Delay-queue semantics for retries: while a retry is still
-            # inside its backoff window (no chip clock has reached
-            # not_before) and other jobs are ready, the ready jobs run
-            # first -- dispatching the retry now would only make a chip
-            # sit idle through the window instead of serving traffic.
-            # When the retry is the only queued work it runs anyway
-            # (the idle wait is then genuine), so nothing can starve.
-            others_ready = self._queued_count - 1 - len(deferred)
-            if (job.not_before > self.clock.now() and others_ready > 0):
-                deferred.append(job)
-                continue
             self._queued_count -= 1
             outcome = self._dispatch(job)
             if outcome is None and self._extra_results:
-                # the lead was re-queued for retry but a co-tenant of
-                # its lease group went terminal: return that instead
+                # the lead went into backoff but a co-tenant of its
+                # lease group went terminal: return that instead
                 outcome = self._extra_results.popleft()
             if outcome is not None:
-                break  # terminal; None means re-queued retry
-        for job in deferred:
-            heapq.heappush(self._queue, (job.sort_key(), job))
-        return outcome
+                return outcome  # terminal; None means a retry in backoff
 
     def drain(self) -> list:
         """Run every queued job to a terminal state, priority order."""
@@ -228,8 +233,8 @@ class ExecutionService(ServingCore):
                 self.restart_chip(worker.chip_id)
 
     def _eligible_workers(self, job):
-        """Dispatchable chips for ``job``, preferring not to re-run a
-        retry on the chip that just failed it.
+        """Dispatchable chips for ``job``, as :func:`steer` narrows
+        them for a retry.
 
         Never returns empty: if every chip is quarantined, the
         longest-benched one is restarted rather than refusing service
@@ -252,20 +257,7 @@ class ExecutionService(ServingCore):
             )
             self.restart_chip(worker.chip_id)
             healthy = [worker]
-        if len(healthy) > 1:
-            # Prefer chips the job has never failed on: a "transient"
-            # that is really a chip-local defect (a dead electrode
-            # under the protocol's path) is only escaped by genuinely
-            # different hardware, not by ping-ponging between the same
-            # two faulty chips.
-            fresh = [w for w in healthy if w.chip_id not in job.tried_chips]
-            if fresh:
-                return fresh
-            if job.last_chip is not None:
-                away = [w for w in healthy if w.chip_id != job.last_chip]
-                if away:
-                    return away
-        return healthy
+        return steer(job, healthy)
 
     def quarantine_chip(self, chip_id, error=None):
         """Bench a chip: no new dispatches until it is restarted.
@@ -330,8 +322,8 @@ class ExecutionService(ServingCore):
 
     def _dispatch(self, job) -> JobResult | None:
         """Run one attempt of ``job``; returns its terminal
-        :class:`JobResult`, or None when the attempt was re-queued for
-        retry."""
+        :class:`JobResult`, or None when the attempt went into backoff
+        for a retry."""
         eligible = self._eligible_workers(job)
         if job.not_before > 0.0 and len(eligible) > 1:
             # Clock-aware retry placement: the backoff window ends at a
@@ -346,10 +338,8 @@ class ExecutionService(ServingCore):
         # Deadline is a queue-wait budget on the chip the job would
         # actually run on: expiry must not punish a job for OTHER
         # chips' progress (fleet.now) when its own chip is free.
-        if (job.deadline is not None
-                and worker.elapsed - job.submitted_at > job.deadline):
+        if job.expired(worker.elapsed):
             return self._finish_unserved(job, JobState.EXPIRED, "expired")
-        self._note_migration(job, worker.chip_id)
         # Chips run in parallel: a chip whose local clock lags the job's
         # submission time was simply idle in fleet wall time, so it sits
         # (cages static) until the job could physically have arrived.
@@ -399,8 +389,7 @@ class ExecutionService(ServingCore):
                     or worker.chip_id in job.tried_chips):
                 passed.append(job)
                 continue
-            if (job.deadline is not None
-                    and worker.elapsed - job.submitted_at > job.deadline):
+            if job.expired(worker.elapsed):
                 self._queued_count -= 1
                 self._extra_results.append(
                     self._finish_unserved(job, JobState.EXPIRED, "expired")
@@ -424,8 +413,9 @@ class ExecutionService(ServingCore):
         Every tenant executes on its own region-clipped view, on a
         clock that starts with the group; the group's chip time is then
         charged ONCE (see :meth:`~repro.service.core.ServedChip.lease_group`).
-        Returns the lead's terminal result (None when it re-queued for
-        retry); co-tenant results land in the extra-results buffer.
+        Returns the lead's terminal result (None when it went into
+        backoff for a retry); co-tenant results land in the
+        extra-results buffer.
         """
         tenants = [(lead, lease, offset)]
         tenants += self._collect_tenants(worker, started_at, windows)

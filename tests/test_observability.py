@@ -72,8 +72,9 @@ def canonical_tree(spans, job_id):
     """Tier-independent shape of one job's trace: root status plus the
     ordered (attempt, status, error kind) triple of each attempt span.
     Chip identities and event interleaving are tier-specific (the
-    thread tier's bounce steering is scheduling-dependent) and are
-    deliberately NOT part of the canonical form."""
+    thread tier's placement among the steered chips is
+    scheduling-dependent) and are deliberately NOT part of the
+    canonical form."""
     tree = timeline.job_timeline(spans, job_id)
     attempts = sorted(
         (s for s in spans if s["name"] == "attempt"

@@ -337,3 +337,126 @@ def test_both_tiers_render_one_observation_surface():
     assert cache_events(virtual) == cache_events(thread)
     hits, misses, evictions = cache_events(virtual)
     assert hits > 0 and evictions > 0 and hits + misses == len(protocols)
+
+
+# -- one retry path -----------------------------------------------------------
+
+
+def mover(name, moves):
+    """A one-cage protocol of a trap plus ``moves`` moves: 1 + ``moves``
+    operations that roll the transient-fault process."""
+    protocol = Protocol(name).trap("p", (2, 2))
+    for i in range(moves):
+        protocol = protocol.move("p", (2, 10 if i % 2 == 0 else 6))
+    return protocol.release("p")
+
+
+@pytest.mark.parametrize("tier", ["virtual", "thread"])
+def test_lease_group_streak_trips_quarantine_mid_group(tier, caplog):
+    """The group's first two tenants fault (their third op) and trip a
+    streak of two; the last tenant succeeds and resets it.  Both tiers
+    bench the chip on the tenant that tripped it and log that streak."""
+    faults = FleetFaultPlan(
+        models={0: FaultModel(shape=SHAPE, transient_ops={2})}
+    )
+    protocols = [mover("a", 2), mover("b", 2), mover("c", 1)]
+    caplog.set_level("WARNING", logger="repro.service")
+    if tier == "virtual":
+        service = ExecutionService.dry_run(
+            ServiceConfig(n_chips=1, max_tenants=4, quarantine_after=2,
+                          max_retries=0, restart_cooldown=None),
+            faults=faults, grid=GRID,
+        )
+        handles = service.submit_many(protocols)
+        service.drain()
+        counters = service.snapshot()["counters"]
+    else:
+        config = ConcurrentConfig(
+            n_workers=1, max_tenants=4, quarantine_after=2, max_retries=0,
+            restart_cooldown=None, time_scale=0.01, poll_interval=0.005,
+        )
+        with ConcurrentExecutionService.dry_run(
+                config, faults=faults, grid=GRID) as service:
+            blocker = service.submit(blocker_protocol())
+            wait_for(lambda: blocker.state is not JobState.QUEUED)
+            handles = service.submit_many(protocols)
+            service.drain(timeout=60.0)
+            wait_for(
+                lambda: service.snapshot()["counters"]["quarantined"] >= 1
+            )
+            counters = service.snapshot()["counters"]
+            service.restart_worker(0)  # so close() need not wait
+    assert [h.result().state for h in handles] == [
+        JobState.FAILED, JobState.FAILED, JobState.DONE
+    ]
+    assert counters["merged"] == 3
+    assert counters["quarantined"] == 1
+    benched = [r.getMessage() for r in caplog.records
+               if "quarantined" in r.getMessage()]
+    assert len(benched) == 1
+    assert "after 2 consecutive retryable failures" in benched[0]
+
+
+def test_co_tenant_migrations_are_counted():
+    """Chip 0 faults every operation: the whole first lease group fails
+    there, and all four retries run on chip 1.  Each is a migration,
+    co-tenants included."""
+    faults = FleetFaultPlan(models={
+        0: FaultModel(shape=SHAPE, transient_rate=1.0),
+        1: FaultModel.none(SHAPE),
+    })
+    service = ExecutionService.dry_run(
+        ServiceConfig(n_chips=2, max_tenants=4), faults=faults, grid=GRID,
+    )
+    with tracing.capture() as tracer:
+        handles = service.submit_many(
+            tiny_protocol(f"j{i}", row=2 + 6 * i) for i in range(4)
+        )
+        service.drain()
+    results = [h.result() for h in handles]
+    assert all(r.ok and r.chip_id == 1 for r in results)
+    counters = service.snapshot()["counters"]
+    assert counters["retried"] == 4
+    assert counters["migrated"] == 4
+    migrations = [
+        event for span in tracer.finished_spans if span["name"] == "job"
+        for event in span["events"] if event["name"] == "migrate"
+    ]
+    assert len(migrations) == 4
+    assert all(e["attributes"]["to_chip"] == 1 for e in migrations)
+
+
+@pytest.mark.parametrize("tier", ["virtual", "thread"])
+def test_retry_is_steered_to_a_chip_it_never_failed_on(tier):
+    """Chip 0 faults its first operation; the retry of the job it
+    failed runs on chip 1, on both tiers."""
+    faults = FleetFaultPlan(models={
+        0: FaultModel(shape=SHAPE, transient_ops={0}),
+        1: FaultModel.none(SHAPE),
+    })
+    with tracing.capture() as tracer:
+        if tier == "virtual":
+            service = ExecutionService.dry_run(
+                ServiceConfig(n_chips=2, quarantine_after=None),
+                faults=faults, grid=GRID,
+            )
+            result = service.submit(tiny_protocol("j")).wait()
+            counters = service.snapshot()["counters"]
+        else:
+            config = ConcurrentConfig(
+                n_workers=2, retry_backoff=0.01, quarantine_after=None,
+                poll_interval=0.005,
+            )
+            with ConcurrentExecutionService.dry_run(
+                    config, faults=faults, grid=GRID) as service:
+                result = service.submit(tiny_protocol("j")).wait(timeout=60.0)
+                counters = service.snapshot()["counters"]
+    assert result.ok
+    assert result.chip_id == 1
+    assert result.attempts == 2
+    assert counters["migrated"] == 1
+    attempts = sorted(
+        (s for s in tracer.finished_spans if s["name"] == "attempt"),
+        key=lambda s: s["attributes"]["attempt"],
+    )
+    assert [a["attributes"]["chip"] for a in attempts] == [0, 1]
