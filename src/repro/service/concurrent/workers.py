@@ -10,7 +10,8 @@ coordinator thread applies the serving core's semantics (see
 :mod:`repro.service.core`: admission bounds, retry backoff,
 settlement, chip health transitions, telemetry and the observation
 surface) on a monotonic wall clock, keeping one
-:class:`~repro.service.core.ChipRecord` per worker.
+:class:`~repro.service.core.ChipRecord` per worker that also holds the
+worker's lane, warm fingerprints, runner and restart event.
 
 Workers come in two flavours:
 
@@ -31,10 +32,11 @@ charged exactly once, never re-slept at dispatch), and the coordinator
 places the retry only on a chip the core's steering rule allows --
 one that has not already failed the job, when there is one; a retry
 whose steered chips' lanes are full waits in the queue.  A worker that
-fails K consecutive retryable attempts quarantines *itself* -- it
-stops pulling, so its queued work drains to the rest of the pool --
-sleeps out the cooldown, then restarts with a fresh backend spawn that
-preserves the physical defect map and re-seeds the transient stream.
+fails K consecutive retryable attempts benches *itself* -- it stops
+pulling at once, so its queued work drains to the rest of the pool --
+and parks until the coordinator's pass of the core's health loop asks
+for the restart: a fresh backend spawn that preserves the physical
+defect map and re-seeds the transient stream.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import heapq
 import queue
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from ...analysis import ascii_table
 from ...core.errors import ServiceError
@@ -82,11 +84,12 @@ class ConcurrentConfig(CoreConfig):
     *wall seconds* on the service's monotonic clock -- backoff,
     timeouts, deadlines and cooldowns are real time.  A full queue
     suspends ``submit(block=True)`` instead of rejecting -- the
-    backpressure path.  A quarantined worker quarantines *itself* and
-    restarts after ``restart_cooldown`` (None = it parks until
-    :meth:`ConcurrentExecutionService.restart_worker`); with
-    ``max_tenants`` > 1 it pulls up to that many jobs at once and paces
-    the group to the *merged* frame time.
+    backpressure path.  A benched worker parks until the core's health
+    loop restarts it: after ``restart_cooldown``, or at once when no
+    worker is healthy while work waits (with None it otherwise waits
+    for :meth:`ConcurrentExecutionService.restart_worker`).  With
+    ``max_tenants`` > 1 a worker pulls up to that many jobs at once and
+    paces the group to the *merged* frame time.
 
     Attributes
     ----------
@@ -134,12 +137,12 @@ class _WorkerRuntime:
 
     Owns the worker's :class:`~repro.service.core.ServedChip` (built
     inside :meth:`run`, every backend behind a :class:`SenseTap` so
-    sense outcomes stream to the coordinator) and acts on its health:
-    the failure streak, self-quarantine, cooldown sleep and restart all
-    happen *inside* the worker, which is what makes the semantics
-    identical for threads and processes -- no control channel beyond
-    the per-worker restart event is needed.  Every message home carries
-    the chip's cumulative fault counters and program-cache stats.
+    sense outcomes stream to the coordinator).  The worker trips its
+    own failure streak, so it stops pulling at once, but the restart
+    is the coordinator's call, sent through the per-worker restart
+    event -- the only control channel, the same for threads and
+    processes.  Every message home carries the chip's cumulative fault
+    counters and program-cache stats.
     """
 
     def __init__(self, worker_id, template, registry, plan, config,
@@ -192,9 +195,7 @@ class _WorkerRuntime:
             return
         poll = self.config.poll_interval
         while not self.stop_event.is_set():
-            if self.restart_event.is_set():
-                self.restart_event.clear()
-                self._restart()
+            self._restart_if_asked()
             try:
                 item = self.ready_q.get(timeout=poll)
             except queue.Empty:
@@ -261,14 +262,16 @@ class _WorkerRuntime:
                 time.sleep(remaining)
 
     def _report(self, outcomes):
-        """Ship ``(job, attempt)`` outcomes home and self-quarantine
-        when the chip's failure streak reaches the threshold: on the
-        first attempt that trips it, with that attempt's error and
-        streak, even if a later tenant's success resets the streak."""
+        """Ship ``(job, attempt)`` outcomes home and bench the chip
+        when its failure streak reaches the threshold: on the first
+        attempt that trips it, with that attempt's error and streak,
+        even if a later tenant's success resets the streak.  A benched
+        worker reports ``quarantined`` and parks until the coordinator
+        asks for the restart (or the pool stops)."""
         tripped = None
         for job, attempt in outcomes:
             if self.chip.record(attempt.error) and tripped is None:
-                tripped = (attempt.error, self.chip.consecutive_failures)
+                tripped = (self.chip.consecutive_failures, attempt.error)
             if attempt.error is not None and self.strip_cause:
                 # exception objects are not reliably picklable across
                 # the process boundary; the structured JobError is
@@ -279,7 +282,11 @@ class _WorkerRuntime:
             )
             self._send("outcome", job.job_id, attempt, spans)
         if tripped is not None:
-            self._quarantine_and_recover(*tripped)
+            self._send("quarantined", self.clock.now(), *tripped)
+            poll = self.config.poll_interval
+            while (not self.stop_event.is_set()
+                    and not self._restart_if_asked(poll)):
+                pass
 
     # -- multi-tenant lanes --------------------------------------------------
 
@@ -303,29 +310,17 @@ class _WorkerRuntime:
             outcomes.append((job, attempt))
         self._report(outcomes)
 
-    def _quarantine_and_recover(self, error, streak):
-        """Self-quarantine on ``error``, which brought the failure
-        streak to ``streak``: stop pulling, wait out the cooldown (or a
-        manual restart), then power-cycle and rejoin the pool."""
-        self._send("quarantined", self.clock.now(), streak, error)
-        cooldown = self.config.restart_cooldown
-        deadline = (
-            self.clock.now() + cooldown if cooldown is not None else None
-        )
-        while not self.stop_event.is_set():
-            if self.restart_event.is_set():
-                self.restart_event.clear()
-                break
-            if deadline is not None and self.clock.now() >= deadline:
-                break
-            time.sleep(self.config.poll_interval)
-        if self.stop_event.is_set():
-            return
-        self._restart()
-
-    def _restart(self):
+    def _restart_if_asked(self, wait=None) -> bool:
+        """Power-cycle the chip if the coordinator has asked for it,
+        waiting up to ``wait`` seconds for the request; True when it
+        has."""
+        event = self.restart_event
+        if not (event.is_set() or (wait and event.wait(wait))):
+            return False
+        event.clear()
         self.chip.restart()
         self._send("restarted", self.clock.now(), self.chip.restarts)
+        return True
 
 
 def _process_worker_main(worker_id, template, registry, plan, config,
@@ -433,15 +428,22 @@ class ConcurrentJobHandle(JobView):
         self._done_event.set()
 
 
-class _WorkerSlot:
-    """Coordinator-side transport of one worker; its chip's serving
-    state is the service's :class:`~repro.service.core.ChipRecord`."""
+@dataclass(eq=False)
+class _Worker(ChipRecord):
+    """The coordinator's record of one worker: its chip's serving state
+    (``busy_time`` in wall seconds, counters copied from its messages),
+    its ready ``lane``, ``warm`` fingerprints, ``runner`` and
+    ``restart_event``, its started, unresolved ``job_ids``, its
+    liveness-check misses (``strikes``) and whether a requested
+    restart is still unreported (``cycling``)."""
 
-    def __init__(self, runner, restart_event):
-        self.runner = runner  # Thread or Process
-        self.restart_event = restart_event
-        self.current_job_ids = set()  # started but not yet resolved
-        self.dead_strikes = 0       # consecutive liveness-check misses
+    lane: object = None
+    restart_event: object = None
+    runner: object = None
+    warm: set = field(default_factory=set)
+    job_ids: set = field(default_factory=set)
+    strikes: int = 0
+    cycling: bool = False
 
 
 class ConcurrentExecutionService(ServingCore):
@@ -481,67 +483,46 @@ class ConcurrentExecutionService(ServingCore):
         self._closed = False
         self._pump_stop = False
         # -- the pool --
-        # One ready queue PER worker: the coordinator steers each job
-        # to a chosen chip (fresh hardware for retries, warm program
-        # cache for repeats) instead of letting an arbitrary idle
-        # worker grab it.  Lane depth above 1 lets a worker pull a
-        # whole co-residency group at once.
-        n = self.config.n_workers
+        # One ready lane PER worker: the coordinator steers each job to
+        # a chosen chip (fresh hardware for retries, warm program cache
+        # for repeats) instead of letting an arbitrary idle worker grab
+        # it.  Lane depth above 1 lets a worker pull a whole
+        # co-residency group at once.
         lane_depth = max(1, self.config.max_tenants)
-        # busy_time is wall seconds; counters mirror the workers' own
-        self._records = [ChipRecord(i) for i in range(n)]
-        self._warm = {i: set() for i in range(n)}  # fingerprints per chip
-        if self.config.mode == "process":
+        process = self.config.mode == "process"
+        if process:
             import multiprocessing
 
             ctx = multiprocessing.get_context(MP_CONTEXT)
-            self._ready_qs = {
-                i: ctx.Queue(maxsize=lane_depth) for i in range(n)
-            }
-            self._done_q = ctx.Queue()
-            self._stop_event = ctx.Event()
-            restart_events = [ctx.Event() for __ in range(n)]
-            trace = tracing.get_tracer() is not None
-            runners = [
-                ctx.Process(
-                    target=_process_worker_main,
-                    args=(i, template_backend, registry, self._fault_plan,
-                          self.config, self.clock.epoch, self._ready_qs[i],
-                          self._done_q, self._stop_event, restart_events[i],
-                          trace),
-                    daemon=True,
-                    name=f"chip-worker-{i}",
-                )
-                for i in range(n)
-            ]
-            self._runtimes = None  # live in the children
+            make_queue, make_event = ctx.Queue, ctx.Event
         else:
-            self._ready_qs = {
-                i: queue.Queue(maxsize=lane_depth) for i in range(n)
-            }
-            self._done_q = queue.Queue()
-            self._stop_event = threading.Event()
-            restart_events = [threading.Event() for __ in range(n)]
-            self._runtimes = [
-                _WorkerRuntime(
-                    i, template_backend, registry, self._fault_plan, self.config,
-                    self.clock, self._ready_qs[i], self._done_q,
-                    self._stop_event, restart_events[i],
+            make_queue, make_event = queue.Queue, threading.Event
+        self._done_q = make_queue()
+        self._stop_event = make_event()
+        self._records = [
+            _Worker(i, lane=make_queue(maxsize=lane_depth),
+                    restart_event=make_event())
+            for i in range(self.config.n_workers)
+        ]
+        trace = tracing.get_tracer() is not None
+        for worker in self._records:
+            args = (worker.chip_id, template_backend, registry,
+                    self._fault_plan, self.config)
+            channels = (worker.lane, self._done_q, self._stop_event,
+                        worker.restart_event)
+            name = f"chip-worker-{worker.chip_id}"
+            if process:
+                worker.runner = ctx.Process(
+                    target=_process_worker_main,
+                    args=(*args, self.clock.epoch, *channels, trace),
+                    daemon=True, name=name,
                 )
-                for i in range(n)
-            ]
-            runners = [
-                threading.Thread(
-                    target=runtime.run, daemon=True,
-                    name=f"chip-worker-{runtime.worker_id}",
+            else:
+                runtime = _WorkerRuntime(*args, self.clock, *channels)
+                worker.runner = threading.Thread(
+                    target=runtime.run, daemon=True, name=name
                 )
-                for runtime in self._runtimes
-            ]
-        self._workers = {
-            i: _WorkerSlot(runners[i], restart_events[i]) for i in range(n)
-        }
-        for runner in runners:
-            runner.start()
+            worker.runner.start()
         self._pump = threading.Thread(
             target=self._pump_loop, daemon=True, name="service-pump"
         )
@@ -570,20 +551,21 @@ class ConcurrentExecutionService(ServingCore):
                     self._finish_unserved(job, JobState.REJECTED, "rejected",
                                           "service shut down")
         self._await_outstanding(timeout)
-        for ready_q in self._ready_qs.values():
+        for worker in self._records:
             try:
-                ready_q.put_nowait(None)  # one sentinel per worker
+                worker.lane.put_nowait(None)  # one sentinel per worker
             except queue.Full:
                 pass
         deadline = time.monotonic() + timeout
-        for slot in self._workers.values():
-            slot.runner.join(max(0.1, deadline - time.monotonic()))
+        for worker in self._records:
+            worker.runner.join(max(0.1, deadline - time.monotonic()))
         self._stop_event.set()  # hard stop for anything still looping
-        for slot in self._workers.values():
-            if slot.runner.is_alive():
-                slot.runner.join(1.0)
-                if hasattr(slot.runner, "terminate") and slot.runner.is_alive():
-                    slot.runner.terminate()
+        for worker in self._records:
+            runner = worker.runner
+            if runner.is_alive():
+                runner.join(1.0)
+                if hasattr(runner, "terminate") and runner.is_alive():
+                    runner.terminate()
         with self._lock:
             self._pump_stop = True
         self._pump.join(timeout=5.0)
@@ -708,6 +690,7 @@ class ConcurrentExecutionService(ServingCore):
                 if now - last_liveness >= 1.0:
                     last_liveness = now
                     self._check_worker_liveness()
+                self._restore_chips(now)
                 self._refill()
 
     def _check_worker_liveness(self):
@@ -716,28 +699,27 @@ class ConcurrentExecutionService(ServingCore):
         and the drain() waiters don't hang.  Two consecutive misses
         with no message in between are required -- a worker's final
         messages can still be in flight when it exits."""
-        for worker_id, slot in self._workers.items():
-            if self._records[worker_id].health in (
-                    ChipHealth.STOPPED, ChipHealth.DEAD):
+        for worker in self._records:
+            if worker.health in (ChipHealth.STOPPED, ChipHealth.DEAD):
                 continue
-            if slot.runner.is_alive():
-                slot.dead_strikes = 0
+            if worker.runner.is_alive():
+                worker.strikes = 0
                 continue
-            slot.dead_strikes += 1
-            if slot.dead_strikes >= 2:
+            worker.strikes += 1
+            if worker.strikes >= 2:
                 self._mark_worker_dead(
-                    worker_id, "worker exited unexpectedly"
+                    worker.chip_id, "worker exited unexpectedly"
                 )
 
     def _mark_worker_dead(self, worker_id, detail):
         """Terminal bookkeeping for a worker that will never serve
         again (caller holds the lock)."""
-        slot = self._workers[worker_id]
-        self._records[worker_id].health = ChipHealth.DEAD
-        self._warm[worker_id].clear()
-        self._reclaim_lane(worker_id)
-        job_ids = sorted(slot.current_job_ids)
-        slot.current_job_ids = set()
+        worker = self._records[worker_id]
+        worker.health = ChipHealth.DEAD
+        worker.warm.clear()
+        self._reclaim_lane(worker)
+        job_ids = sorted(worker.job_ids)
+        worker.job_ids = set()
         for job_id in job_ids:
             if job_id not in self._inflight:
                 continue
@@ -754,9 +736,11 @@ class ConcurrentExecutionService(ServingCore):
                 started_at=now,
                 finished_at=now,
             ))
-        if not self._accepting():
-            # No worker will ever serve again: fail everything the
-            # coordinator holds instead of letting waiters hang.
+        if not any(w.health in (ChipHealth.HEALTHY, ChipHealth.QUARANTINED)
+                   for w in self._records):
+            # No worker will ever serve again (a benched one still
+            # will, once the health loop restarts it): fail everything
+            # the coordinator holds instead of letting waiters hang.
             stranded = self._drop_queued_jobs()
             stranded += list(self._inflight.values())
             self._inflight.clear()
@@ -766,20 +750,20 @@ class ConcurrentExecutionService(ServingCore):
                     f"no live workers ({detail})",
                 )
 
-    def _reclaim_lane(self, worker_id):
+    def _reclaim_lane(self, worker):
         """Send the never-attempted jobs in a worker's lane back to the
         heap once the worker stops pulling -- dead, or parked in
         quarantine; a shutdown sentinel stays (caller holds the lock)."""
-        ready_q = self._ready_qs[worker_id]
+        lane = worker.lane
         items = []
         while True:
             try:
-                items.append(ready_q.get_nowait())
+                items.append(lane.get_nowait())
             except queue.Empty:
                 break
         for item in items:
             if item is None:
-                ready_q.put_nowait(None)
+                lane.put_nowait(None)
             elif self._inflight.pop(item.job_id, None) is not None:
                 self._push(item)
 
@@ -791,7 +775,7 @@ class ConcurrentExecutionService(ServingCore):
         ]
 
     def _select_worker(self, job, require_warm):
-        """The id of the best chip with lane capacity for ``job`` among
+        """The record of the best chip with lane capacity for ``job`` among
         the accepting chips :func:`~repro.service.core.steer` allows:
         a warm program cache for its fingerprint first, then the
         shortest backlog and the least-busy chip.  None when no lane
@@ -807,24 +791,20 @@ class ConcurrentExecutionService(ServingCore):
         burned it -- fault isolation beats locality.
         """
         accepting = self._accepting()
-        warm_anywhere = any(
-            job.fingerprint in self._warm[record.chip_id]
-            for record in accepting
-        )
+        warm_anywhere = any(job.fingerprint in w.warm for w in accepting)
         hold_for_warm = require_warm and warm_anywhere and not job.tried_chips
         best = None
         best_key = None
-        for record in steer(job, accepting):
-            worker_id = record.chip_id
-            ready_q = self._ready_qs[worker_id]
-            if ready_q.full():
+        for worker in steer(job, accepting):
+            lane = worker.lane
+            if lane.full():
                 continue
-            warm = job.fingerprint in self._warm[worker_id]
+            warm = job.fingerprint in worker.warm
             if hold_for_warm and not warm:
                 continue
-            key = (not warm, ready_q.qsize(), record.busy_time, worker_id)
+            key = (not warm, lane.qsize(), worker.busy_time, worker.chip_id)
             if best_key is None or key < best_key:
-                best, best_key = worker_id, key
+                best, best_key = worker, key
         return best
 
     def _refill(self):
@@ -840,21 +820,21 @@ class ConcurrentExecutionService(ServingCore):
         self._refill_pass(require_warm=False)
 
     def _refill_pass(self, require_warm):
-        if all(self._ready_qs[r.chip_id].full() for r in self._accepting()):
+        if all(w.lane.full() for w in self._accepting()):
             return
         skipped = []
         while self._queue:
             __, job = heapq.heappop(self._queue)
             if job.state is not JobState.QUEUED:
                 continue  # shed after enqueue
-            worker_id = self._select_worker(job, require_warm)
-            if worker_id is None:
+            worker = self._select_worker(job, require_warm)
+            if worker is None:
                 skipped.append(job)
                 if require_warm or job.tried_chips:
                     continue  # held for its warm or its steered chips
                 break  # no free lane at all
             try:
-                self._ready_qs[worker_id].put_nowait(job)
+                worker.lane.put_nowait(job)
             except queue.Full:
                 skipped.append(job)
                 break
@@ -862,7 +842,7 @@ class ConcurrentExecutionService(ServingCore):
             self._inflight[job.job_id] = job
             # Optimistic: the worker will compile (or already holds)
             # this fingerprint; cleared if the chip restarts or dies.
-            self._warm[worker_id].add(job.fingerprint)
+            worker.warm.add(job.fingerprint)
             self._capacity.notify_all()
         for job in skipped:
             heapq.heappush(self._queue, (job.sort_key(), job))
@@ -870,15 +850,14 @@ class ConcurrentExecutionService(ServingCore):
     def _handle_message(self, message):
         kind, worker_id, faults, cache_stats = message[:4]
         payload = message[4:]
-        slot = self._workers[worker_id]
-        slot.dead_strikes = 0  # it just spoke
-        record = self._records[worker_id]
-        record.faults, record.cache_stats = faults, cache_stats
+        worker = self._records[worker_id]
+        worker.strikes = 0  # it just spoke
+        worker.faults, worker.cache_stats = faults, cache_stats
         if kind == "started":
             job_id, t = payload
             job = self._inflight.get(job_id)
             handle = self._handles.get(job_id)
-            slot.current_job_ids.add(job_id)
+            worker.job_ids.add(job_id)
             if job is not None:
                 self._note_start(job, worker_id)
             if handle is not None:
@@ -901,16 +880,16 @@ class ConcurrentExecutionService(ServingCore):
                 self._finish_unserved(job, JobState.EXPIRED, "expired")
         elif kind == "quarantined":
             t, streak, error = payload
-            self._reclaim_lane(worker_id)
-            self._mark_quarantined(record, t, streak, error)
+            self._reclaim_lane(worker)
+            self._mark_quarantined(worker, t, streak, error)
         elif kind == "restarted":
-            t, restarts = payload
-            record.restarts = restarts
-            self._warm[worker_id].clear()  # the restart wiped its cache
-            self._mark_restarted(record, t)
+            t, worker.restarts = payload
+            worker.cycling = False
+            worker.warm.clear()  # the restart wiped its cache
+            self._mark_restarted(worker, t)
         elif kind == "stopped":
-            record.health = ChipHealth.STOPPED
-            self._warm[worker_id].clear()
+            worker.health = ChipHealth.STOPPED
+            worker.warm.clear()
         elif kind == "worker_error":
             detail, = payload
             self._mark_worker_dead(worker_id, detail)
@@ -926,12 +905,12 @@ class ConcurrentExecutionService(ServingCore):
         job = self._inflight.pop(job_id, None)
         if job is None:
             return
-        self._workers[worker_id].current_job_ids.discard(job_id)
-        record = self._records[worker_id]
-        record.jobs_done += 1
+        worker = self._records[worker_id]
+        worker.job_ids.discard(job_id)
+        worker.jobs_done += 1
         # A merged group occupied the chip once; split the wall time
         # across its tenants so utilization reflects chip occupancy.
-        record.busy_time += (
+        worker.busy_time += (
             (attempt.finished_at - attempt.started_at) / attempt.tenants
         )
         self._settle(job, worker_id, attempt, self.clock.now())
@@ -950,7 +929,15 @@ class ConcurrentExecutionService(ServingCore):
     def restart_worker(self, worker_id):
         """Request a manual power-cycle of one worker (it restarts
         between jobs, or immediately if parked in quarantine)."""
-        self._workers[worker_id].restart_event.set()
+        with self._lock:
+            self._power_cycle(self._records[worker_id])
+
+    def _power_cycle(self, worker):
+        """Ask ``worker`` to restart: its restart event is set once per
+        request, which its ``restarted`` message closes."""
+        if not worker.cycling:
+            worker.cycling = True
+            worker.restart_event.set()
 
     # -- observability ------------------------------------------------------
 
@@ -968,8 +955,7 @@ class ConcurrentExecutionService(ServingCore):
                 "mode": self.config.mode,
                 "max_tenants": self.config.max_tenants,
                 "warm_fingerprints": {
-                    worker_id: len(warm)
-                    for worker_id, warm in self._warm.items()
+                    w.chip_id: len(w.warm) for w in self._records
                 },
                 "queue_depth": self._queued_count,
                 "delayed": len(self._delayed),

@@ -27,17 +27,18 @@ two tiers compute the same way lives here, once:
   its backoff), settlement and terminal :class:`JobResult`\\ s, the
   meters every attempt settles (routing, migrations, lease-group
   telemetry and the ``lease``/``frame_merge``/``evict`` span events),
-  a chip record's quarantine and restart transitions, and the one
-  observation surface rendered from the records: ``fault_counters()``,
-  ``snapshot()``, ``report()`` and ``to_prometheus()``.
+  the health loop (a chip's failure streak benches it; the core alone
+  decides every restart), and the one observation surface rendered
+  from the records: ``fault_counters()``, ``snapshot()``, ``report()``
+  and ``to_prometheus()``.
 
 A tier keeps only what really differs: which of the steered chips a
-job is placed on, when it releases due retries (each drain step on the
-virtual clock, each coordinator pass on the wall clock), who decides
-that a chip is benched or restarted, how jobs, outcomes and each chip's
-counters travel between the service and the chips, and the wall tier's
-coordinator-only pool gauges.  Time is whatever the tier's clock reads
--- fleet virtual seconds or wall seconds.
+job is placed on, when it releases due retries and runs the health
+loop (each drain step on the virtual clock, each coordinator pass on
+the wall clock), how a chip is power-cycled, how jobs, outcomes and
+each chip's counters travel between the service and the chips, and the
+wall tier's coordinator-only pool gauges.  Time is whatever the tier's
+clock reads -- fleet virtual seconds or wall seconds.
 """
 
 from __future__ import annotations
@@ -122,7 +123,9 @@ class CoreConfig:
     restart_cooldown:
         How long a quarantined chip sits out before it is restarted
         (fresh spawn, same defect map).  None means manual restarts
-        only.
+        only -- except that when no chip is healthy while a job waits,
+        the longest-benched chip restarts at once, so the queue is
+        never stranded.
     max_tenants:
         Spatial multi-tenancy: how many jobs may co-reside on one chip
         in disjoint leased windows, their concurrent moves merged into
@@ -448,8 +451,8 @@ class ChipRecord:
     ``cache_stats`` are the chip's cumulative fault counters and
     program-cache stats.  On the virtual tier each chip is its own
     record (:class:`ServedChip` is one); the wall tier's coordinator
-    keeps one per worker and copies in the counters every worker
-    message carries.
+    keeps one per worker, with its transport, and copies in the
+    counters every worker message carries.
     """
 
     chip_id: int
@@ -603,10 +606,12 @@ class ServingCore:
     entries, with ``_queued_count`` counting its QUEUED ones), the
     delay heap of retries sitting out their backoff (``_delayed``, a
     heap of ``(not_before, job_id, Job)`` that :meth:`_release_due`
-    moves to the queue), the live handles and root spans, and the path
-    every attempt ends on.  A tier sets ``clock``, ``_tier`` (the root
-    span's tier attribute) and ``_records`` (one :class:`ChipRecord`
-    per chip, in chip-id order) and implements ``_make_handle(job)``.
+    moves to the queue), the live handles and root spans, the path
+    every attempt ends on, and the health loop (:meth:`_restore_chips`).
+    A tier sets ``clock``, ``_tier`` (the root span's tier attribute)
+    and ``_records`` (one :class:`ChipRecord` per chip, in chip-id
+    order) and implements ``_make_handle(job)`` and
+    ``_power_cycle(record)``, which restarts the record's chip.
     """
 
     #: Messages for terminal states the service imposed (no chip ran).
@@ -801,6 +806,28 @@ class ServingCore:
             error.span_id if error is not None else "",
         )
         tracing.dump_flight("chip %d quarantined" % record.chip_id)
+
+    def _restore_chips(self, now):
+        """The health loop: power-cycle every benched chip whose
+        ``restart_cooldown`` has run out by ``now`` (None judges no
+        cooldown), and, when no chip is healthy while a job waits, the
+        longest-benched one, so a benched fleet never strands its
+        queue.  A chip an operator drained stays out."""
+        benched = [
+            r for r in self._records if r.health is ChipHealth.QUARANTINED
+        ]
+        if not benched:
+            return
+        cooldown = self.config.restart_cooldown
+        if now is not None and cooldown is not None:
+            for record in benched:
+                if now - record.quarantined_at >= cooldown:
+                    self._power_cycle(record)
+        if self.queue_depth and not any(
+                r.health is ChipHealth.HEALTHY for r in self._records):
+            self._power_cycle(
+                min(benched, key=lambda r: (r.quarantined_at, r.chip_id))
+            )
 
     def _mark_restarted(self, record, at):
         """Put ``record``'s freshly power-cycled chip back in rotation

@@ -9,11 +9,12 @@ configured policy, reuses cached compiled programs, and meters
 everything through :class:`~repro.service.telemetry.Telemetry`.
 Admission, the attempt body, each chip's lifecycle and record, the
 lease-group runner, retry readiness (the delay heap) and steering,
-settlement, the health transitions and the observation surface
-(``snapshot``/``report``/``to_prometheus``) are the serving core's
-(:mod:`repro.service.core`); this module owns placement among the
-steered chips, the drain loop that releases due retries, and deciding
-when a chip is benched, drained or restarted.
+settlement, the health loop that decides every restart and the
+observation surface (``snapshot``/``report``/``to_prometheus``) are the
+serving core's (:mod:`repro.service.core`); this module owns placement
+among the steered chips, the drain loop that releases due retries and
+runs the health loop, the power cycle itself and the operator's
+quarantine, drain and restart calls.
 
 The service is synchronous: chips are simulated, so "waiting" on a
 handle drives the drain loop instead of blocking a thread.  Time is
@@ -60,9 +61,7 @@ class ServiceConfig(CoreConfig):
 
     The serving knobs both tiers share are documented on
     :class:`~repro.service.core.CoreConfig`; here their durations are
-    fleet virtual seconds.  When *every* chip is quarantined the
-    service restarts the longest-benched one rather than refuse a job,
-    even with ``restart_cooldown=None``.
+    fleet virtual seconds.
 
     Attributes
     ----------
@@ -133,8 +132,9 @@ class ExecutionService(ServingCore):
         * ``self.clock.now()`` -- every *fleet-global* stamp: job
           ``submitted_at``, the release of due retries from the delay
           heap in :meth:`step` (read only while a retry is waiting),
-          quarantine stamps and cooldown expiry.  These are service
-          policy, so they follow whatever clock the service runs on.
+          quarantine stamps and cooldown expiry (judged once per
+          step).  These are service policy, so they follow whatever
+          clock the service runs on.
         * ``worker.elapsed`` -- deliberately NOT the service clock:
           deadline expiry (a queue-wait budget on the chip the job
           would run on -- ``fleet.now`` would punish the job for other
@@ -187,7 +187,7 @@ class ExecutionService(ServingCore):
         """
         if self._extra_results:
             return self._extra_results.popleft()
-        self._maybe_restore_chips()
+        expiry = self.clock.now()
         while True:
             if self._delayed:
                 self._release_due(self.clock.now())
@@ -195,6 +195,9 @@ class ExecutionService(ServingCore):
                     # only retries in backoff are left: queue the
                     # earliest; its chip idles up to the window's end
                     self._push(heapq.heappop(self._delayed)[2])
+            # cooldowns are judged once, at the step's start
+            self._restore_chips(expiry)
+            expiry = None
             if not self._queue:
                 return None
             __, job = heapq.heappop(self._queue)
@@ -220,44 +223,9 @@ class ExecutionService(ServingCore):
 
     # -- self-healing -------------------------------------------------------
 
-    def _maybe_restore_chips(self):
-        """Auto-restart quarantined chips whose cooldown has elapsed."""
-        cooldown = self.config.restart_cooldown
-        if cooldown is None:
-            return
-        now = self.clock.now()
-        for worker in self.fleet.workers:
-            if (worker.health is ChipHealth.QUARANTINED
-                    and worker.quarantined_at is not None
-                    and now - worker.quarantined_at >= cooldown):
-                self.restart_chip(worker.chip_id)
-
-    def _eligible_workers(self, job):
-        """Dispatchable chips for ``job``, as :func:`steer` narrows
-        them for a retry.
-
-        Never returns empty: if every chip is quarantined, the
-        longest-benched one is restarted rather than refusing service
-        (a fleet with zero capacity would strand the queue).  A fleet
-        that is entirely *draining* is an operator decision, though --
-        that raises :class:`~repro.core.errors.ServiceError`.
-        """
-        healthy = self.fleet.healthy_workers
-        if not healthy:
-            benched = [
-                w for w in self.fleet.workers
-                if w.health is ChipHealth.QUARANTINED
-            ]
-            if not benched:
-                raise ServiceError(
-                    "no dispatchable chips: the whole fleet is draining"
-                )
-            worker = min(
-                benched, key=lambda w: (w.quarantined_at, w.chip_id)
-            )
-            self.restart_chip(worker.chip_id)
-            healthy = [worker]
-        return steer(job, healthy)
+    def _power_cycle(self, worker):
+        """The health loop's restart: :meth:`restart_chip`."""
+        self.restart_chip(worker.chip_id)
 
     def quarantine_chip(self, chip_id, error=None):
         """Bench a chip: no new dispatches until it is restarted.
@@ -323,8 +291,19 @@ class ExecutionService(ServingCore):
     def _dispatch(self, job) -> JobResult | None:
         """Run one attempt of ``job``; returns its terminal
         :class:`JobResult`, or None when the attempt went into backoff
-        for a retry."""
-        eligible = self._eligible_workers(job)
+        for a retry.
+
+        The health loop has restarted a benched chip if none was
+        healthy, so a fleet with no healthy chip is entirely *draining*
+        -- an operator decision that raises
+        :class:`~repro.core.errors.ServiceError`.
+        """
+        healthy = self.fleet.healthy_workers
+        if not healthy:
+            raise ServiceError(
+                "no dispatchable chips: the whole fleet is draining"
+            )
+        eligible = steer(job, healthy)
         if job.not_before > 0.0 and len(eligible) > 1:
             # Clock-aware retry placement: the backoff window ends at a
             # point in FLEET time, so a chip whose local clock already

@@ -460,3 +460,89 @@ def test_retry_is_steered_to_a_chip_it_never_failed_on(tier):
         key=lambda s: s["attributes"]["attempt"],
     )
     assert [a["attributes"]["chip"] for a in attempts] == [0, 1]
+
+
+# -- one health loop ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("cooldown", [None, 0.0], ids=["manual", "zero"])
+@pytest.mark.parametrize("tier", ["virtual", "thread"])
+def test_a_benched_fleet_never_strands_its_queue(tier, cooldown):
+    """One chip that faults the first operation of every incarnation
+    benches itself on each attempt.  The health loop restarts it while
+    the retry waits, even when no cooldown would, so both tiers fail
+    the job after all three attempts with the same restarts: one per
+    retry, plus one after the job when a zero cooldown has run out.  A
+    restart request that races the worker's ``restarted`` message must
+    not power-cycle the chip twice."""
+    faults = FleetFaultPlan(
+        models={0: FaultModel(shape=SHAPE, transient_ops={0})}
+    )
+    options = dict(max_retries=2, quarantine_after=1,
+                   restart_cooldown=cooldown)
+    restarts = 2 if cooldown is None else 3
+    if tier == "virtual":
+        service = ExecutionService.dry_run(
+            ServiceConfig(n_chips=1, **options), faults=faults, grid=GRID,
+        )
+        handle = service.submit(tiny_protocol("j"))
+        service.drain()
+        counters = service.snapshot()["counters"]
+    else:
+        config = ConcurrentConfig(
+            n_workers=1, retry_backoff=0.01, poll_interval=0.005, **options
+        )
+        with ConcurrentExecutionService.dry_run(
+                config, faults=faults, grid=GRID) as service:
+            handle = service.submit(tiny_protocol("j"))
+            service.drain(timeout=10.0)
+
+            def benched_and_restarted():
+                counters = service.snapshot()["counters"]
+                return (counters["quarantined"], counters["restarted"]) == (
+                    3, restarts)
+
+            wait_for(benched_and_restarted, timeout=10.0)
+            time.sleep(0.1)  # twenty coordinator passes: no more restarts
+            counters = service.snapshot()["counters"]
+            if cooldown is None:
+                service.restart_worker(0)  # so close() need not wait
+    result = handle.result()
+    assert result.state is JobState.FAILED
+    assert result.error.kind is ErrorKind.TRANSIENT
+    assert result.attempts == 3
+    assert counters["quarantined"] == 3
+    assert counters["restarted"] == restarts
+
+
+def test_thread_tier_keeps_work_a_benched_worker_will_serve():
+    """Worker 0 is benched with a long cooldown and a retry waits when
+    worker 1 dies: the job is not rejected for want of live workers,
+    because the health loop restarts the benched worker to serve it."""
+    config = ConcurrentConfig(
+        n_workers=2, max_retries=1, retry_backoff=1.0, quarantine_after=1,
+        restart_cooldown=30.0, poll_interval=0.005,
+    )
+    faults = FleetFaultPlan(models={
+        0: FaultModel(shape=SHAPE, transient_ops={0}),
+        1: FaultModel.none(SHAPE),
+    })
+    with ConcurrentExecutionService.dry_run(
+            config, faults=faults, grid=GRID) as service:
+        handle = service.submit(tiny_protocol("j"))
+        wait_for(lambda: backing_off(handle)
+                 and service.snapshot()["counters"]["quarantined"] == 1)
+        with service._lock:
+            assert service.snapshot()["pool"]["delayed"] == 1
+            service._mark_worker_dead(1, "killed by the test")
+        try:
+            result = handle.result(timeout=10.0)
+        finally:
+            service.restart_worker(0)  # so close() need not wait
+    # the retry ran on worker 0's next incarnation, whose first
+    # operation faults again
+    assert result.state is JobState.FAILED
+    assert result.error.kind is ErrorKind.TRANSIENT
+    assert result.chip_id == 0
+    assert result.attempts == 2
+    assert service.snapshot()["counters"]["rejected"] == 0

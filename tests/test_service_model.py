@@ -2,13 +2,14 @@
 
 A hypothesis state machine drives :class:`ExecutionService` on a
 two-chip fleet with seeded transient faults through random sequences
-of submissions, drain steps, full drains and operator quarantines and
-restarts, across both occupancy modes, both admission policies and
-every restart-cooldown setting.  After every rule it checks what no
-schedule may break: a job is queued or terminal between steps, a
-terminal state never changes, the queue depth counts exactly the
-queued jobs (retries in backoff included), and the service's counters
-equal the handles' tallies.  After a full drain no chip holds a cage.
+of submissions, top-priority bursts over a waiting retry, drain steps,
+full drains and operator quarantines and restarts, across both occupancy
+modes, both admission policies and every restart-cooldown setting.
+After every rule it checks what no schedule may break: a job is queued
+or terminal between steps, a terminal state never changes, the queue
+depth counts exactly the queued jobs (retries in backoff included),
+and the service's counters equal the handles' tallies and the chips'
+restarts.  After a full drain no chip holds a cage.
 """
 
 from hypothesis import settings
@@ -26,6 +27,9 @@ from repro.service.core import ADMISSION_POLICIES
 
 GRID = Biochip.small_chip().grid
 N_CHIPS = 2
+
+#: The highest priority the submit rules draw.
+TOP_PRIORITY = 3
 
 #: Terminal states and the service counter each one is tallied in.
 COUNTED = {
@@ -69,7 +73,7 @@ class ServiceModel(RuleBasedStateMachine):
         self.terminal = {}  # job_id -> the first terminal state seen
 
     @rule(
-        priority=st.integers(0, 3),
+        priority=st.integers(0, TOP_PRIORITY),
         deadline=st.one_of(st.none(), st.floats(0.0, 60.0)),
         row=st.integers(2, GRID.rows - 3),
     )
@@ -77,6 +81,20 @@ class ServiceModel(RuleBasedStateMachine):
         self.handles.append(
             self.service.submit(small_protocol(row), priority, deadline)
         )
+
+    @rule(row=st.integers(2, GRID.rows - 3))
+    def burst_over_a_retry(self, row):
+        """Two bottom-priority jobs and one drain step -- when the
+        first fails into its backoff and the second completes, an old
+        low-priority retry waits in the delay heap -- then as many
+        top-priority jobs as a bounded queue holds: under shed-lowest
+        they shed every lower-priority waiting job, that retry
+        included."""
+        for __ in range(2):
+            self.submit(0, None, row)
+        self.service.step()
+        for __ in range(self.service.config.max_queue_depth or 0):
+            self.submit(TOP_PRIORITY, None, row)
 
     @rule()
     def step(self):
@@ -123,6 +141,12 @@ class ServiceModel(RuleBasedStateMachine):
         for state, counter in COUNTED.items():
             tally = sum(h.state is state for h in self.handles)
             assert counters[counter] == tally, (counter, counters)
+
+    @invariant()
+    def restarts_equal_the_chips_restarts(self):
+        counters = self.service.snapshot()["counters"]
+        restarts = sum(w.restarts for w in self.service.fleet.workers)
+        assert counters["restarted"] == restarts
 
 
 ServiceModel.TestCase.settings = settings(
