@@ -219,6 +219,18 @@ class CageManager:
         :meth:`~repro.array.state.ArrayState.set_dead_mask`)."""
         self._state.set_dead_mask(mask)
 
+    def clear(self):
+        """Drop every cage and the dead mask and restart cage ids at 0:
+        the just-built manager, its grids cleared in place (see
+        :meth:`ArrayState.clear <repro.array.state.ArrayState.clear>`).
+        A cage still live keeps its last site, as if released."""
+        for cage in self._cages.values():
+            cage._site = cage.site
+            cage._state = None
+        self._cages = {}
+        self._next_id = 0
+        self._state.clear()
+
     def create(self, site, payload=None) -> Cage:
         """Create a cage at ``site``; raises on bounds/spacing violation."""
         site = tuple(site)

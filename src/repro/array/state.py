@@ -181,6 +181,18 @@ class ArrayState:
         self.dead = mask.copy()
         self.has_dead = bool(mask.any())
 
+    def clear(self):
+        """Return to the just-built state, no cage and no dead pixel,
+        filling the grids in place.  An installed dead mask is replaced,
+        never written to, like in :meth:`set_dead_mask`."""
+        self.occupancy.fill(False)
+        self.cage_ids.fill(NO_CAGE)
+        self._site_r.fill(-1)
+        self._site_c.fill(-1)
+        if self.has_dead:
+            self.dead = np.zeros_like(self.dead)
+            self.has_dead = False
+
     def _ensure_capacity(self, cage_id):
         size = self._site_r.size
         if cage_id >= size:

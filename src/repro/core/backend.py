@@ -111,6 +111,10 @@ class SimulatorBackend(Backend):
         :attr:`Biochip.routing_totals`)."""
         return self.chip.routing_totals
 
+    @property
+    def addresser(self):
+        return self.chip.addresser
+
     def trap(self, site, particle=None) -> int:
         return self.chip.trap(site, particle).cage_id
 
@@ -135,6 +139,9 @@ class SimulatorBackend(Backend):
     def release(self, cage_id):
         self.chip.release(cage_id)
 
+    def reset(self):
+        self.chip.reset()
+
     def spawn(self) -> "SimulatorBackend":
         # dataclasses.replace re-runs Biochip.__post_init__, giving a
         # pristine chip (fresh cages, clock, RNG) with identical config;
@@ -142,7 +149,9 @@ class SimulatorBackend(Backend):
         # shares the template's levitation cache and solves nothing anew.
         # It shares the plan memo for the same reason: a plan depends
         # only on the chip's window, the dead pixels inside it and the
-        # batch relative to its origin (see Biochip.move_many).
+        # batch relative to its origin (see Biochip.move_many).  Fleet
+        # chips and restarts are spawns; a tenant view is spawned once
+        # per lease slot and then reset in place (Biochip.reset).
         chip = dataclasses.replace(self.chip)
         chip._levitation_cache = self.chip._levitation_cache
         chip._plan_memo = self.chip._plan_memo
@@ -174,6 +183,11 @@ class DryRunBackend(Backend):
         self.durations = DurationModel(
             pitch=self.grid.pitch, cage_speed=self.cage_speed
         )
+        self.reset()
+
+    def reset(self):
+        """Return to the just-built state: no cage, clock at zero, the
+        whole array addressable."""
         self.elapsed = 0.0
         self._history = []
         self._sites = {}  # (row, col) -> cage_id

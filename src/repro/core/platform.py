@@ -166,6 +166,37 @@ class Biochip:
             medium=self.medium,
         )
         self.readout = CapacitiveReadoutChain(sensor=sensor, rng=self.rng)
+        # the noise state reset() returns to: the RNG after the readout
+        # chain drew its initial flicker offset from it, and that offset
+        self._pristine_rng = self.rng.bit_generator.state
+        self._pristine_flicker = self.readout._noise._flicker_state
+        # particle key -> levitation height [m]; shared with every chip
+        # spawned from this one (see _levitation_height)
+        self._levitation_cache = {}
+        # window-relative batch key -> _MemoEntry of the plan that
+        # filled it (and of the execution it committed); shared with
+        # every chip spawned from this one (see move_many)
+        self._plan_memo = LruMemo(_PLAN_MEMO_SIZE)
+        self.reset()
+
+    def reset(self):
+        """Return the chip to its just-built state, in place.
+
+        The RNG and the readout's flicker offset go back to where
+        construction left them, and every cage and the dead mask are
+        cleared; the clock, the event log, the fault model and sensor
+        quarantine, the lease window, the signal caches and the routing
+        totals are rebound to new empty ones, never mutated, so an
+        object a finished run still holds is left as it was.  The
+        template-shared levitation cache and plan memo are kept.  A
+        reset chip runs every operation bit for bit like a fresh
+        :meth:`spawn <repro.core.backend.SimulatorBackend.spawn>` of
+        its template; the service resets its tenant views this way
+        instead of spawning one per tenant.
+        """
+        self.rng.bit_generator.state = self._pristine_rng
+        self.readout._noise._flicker_state = self._pristine_flicker
+        self.cages.clear()
         self.elapsed = 0.0
         self._history = []
         self.faults = None  # FaultModel installed by apply_faults
@@ -173,18 +204,11 @@ class Biochip:
         self._region = None         # (r0, c0, r1, c1) lease window
         self._region_block = None   # bool mask, True outside the lease
         self._origin = None         # int32 lease origin, None at (0, 0)
-        # particle key -> levitation height [m]; shared with every chip
-        # spawned from this one (see _levitation_height)
-        self._levitation_cache = {}
         self._signal_cache = {}          # particle key -> signal [V]
         self._payload_signal_cache = {}  # payload id -> (payload, signal)
         self._routing_totals = {
             **dict.fromkeys(ROUTING_COUNTERS, 0), "plan_seconds": 0.0,
         }
-        # window-relative batch key -> _MemoEntry of the plan that
-        # filled it (and of the execution it committed); shared with
-        # every chip spawned from this one (see move_many)
-        self._plan_memo = LruMemo(_PLAN_MEMO_SIZE)
 
     @property
     def routing_totals(self) -> dict:

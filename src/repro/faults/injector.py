@@ -85,6 +85,10 @@ class FaultInjector(Backend):
     def routing_totals(self):
         return self.backend.routing_totals
 
+    @property
+    def addresser(self):
+        return self.backend.addresser
+
     def set_region(self, origin=None, rows=None, cols=None):
         # Pure delegation, never rolled: leasing is a scheduler action,
         # not a chip operation a transient glitch could hit.

@@ -556,10 +556,13 @@ class ConcurrentExecutionService(ServingCore):
                 worker.lane.put_nowait(None)  # one sentinel per worker
             except queue.Full:
                 pass
+        # Every job is terminal, so nothing runs any more: the stop
+        # event wakes a benched worker parked on its restart event
+        # (restart_cooldown=None), which never reads its sentinel.
+        self._stop_event.set()
         deadline = time.monotonic() + timeout
         for worker in self._records:
             worker.runner.join(max(0.1, deadline - time.monotonic()))
-        self._stop_event.set()  # hard stop for anything still looping
         for worker in self._records:
             runner = worker.runner
             if runner.is_alive():
@@ -569,6 +572,10 @@ class ConcurrentExecutionService(ServingCore):
         with self._lock:
             self._pump_stop = True
         self._pump.join(timeout=5.0)
+        with self._lock:
+            # the workers' parting messages (``stopped``) the pump may
+            # have stopped short of
+            self._drain_messages()
 
     def _drop_queued_jobs(self):
         """Pull every coordinator-held QUEUED job (queue + delay heap)."""
@@ -680,11 +687,7 @@ class ConcurrentExecutionService(ServingCore):
             with self._lock:
                 if message is not None:
                     self._handle_message(message)
-                while True:  # drain whatever else arrived
-                    try:
-                        self._handle_message(self._done_q.get_nowait())
-                    except queue.Empty:
-                        break
+                self._drain_messages()
                 now = self.clock.now()
                 self._release_due(now)
                 if now - last_liveness >= 1.0:
@@ -692,6 +695,15 @@ class ConcurrentExecutionService(ServingCore):
                     self._check_worker_liveness()
                 self._restore_chips(now)
                 self._refill()
+
+    def _drain_messages(self):
+        """Handle every worker message already waiting (caller holds
+        the lock)."""
+        while True:
+            try:
+                self._handle_message(self._done_q.get_nowait())
+            except queue.Empty:
+                return
 
     def _check_worker_liveness(self):
         """Detect workers that died without a parting message (a

@@ -310,7 +310,8 @@ def add_counts(totals, counters) -> dict:
 
 
 def chip_backend(backend, plan, chip_id, seed, lease=None, offset=(0, 0)):
-    """Wrap a freshly spawned ``backend`` for serving on chip ``chip_id``.
+    """Wrap a pristine ``backend`` (a fresh spawn, or a tenant view
+    reset in place) for serving on chip ``chip_id``.
 
     With a fault ``plan`` the chip sits behind a :class:`FaultInjector`
     carrying the chip's defect map, its transient stream seeded by
@@ -477,11 +478,13 @@ class ServedChip(ChipRecord):
     (whose stats are the record's ``cache_stats``), the live fault
     ``injector`` (None without a fault plan) and the chip-attributable
     failure streak (``consecutive_failures``).  The record's
-    ``faults`` bank the counters of retired incarnations and discarded
-    tenant views, so :meth:`fault_counters` is cumulative across
-    restarts.  ``tap``, when given, wraps every backend a session is
-    opened on (the wall tier's sense stream); ``job_id`` names the job
-    whose attempt is running.
+    ``faults`` bank the counters of retired incarnations and of each
+    tenant's fault injector, so :meth:`fault_counters` is cumulative
+    across restarts.  ``tap``, when given, wraps every backend a
+    session is opened on (the wall tier's sense stream); ``job_id``
+    names the job whose attempt is running.  ``_views`` holds one
+    tenant view per lease slot, spawned from the template on the
+    slot's first use and reset in place before each later group.
     """
 
     def __init__(self, chip_id, template, *, registry=None, plan=None,
@@ -495,6 +498,7 @@ class ServedChip(ChipRecord):
         self.tap = tap
         self.consecutive_failures = 0
         self.job_id = None
+        self._views = []
         self._power_up()
 
     def _power_up(self):
@@ -564,19 +568,30 @@ class ServedChip(ChipRecord):
         finally:
             self.job_id = None
 
+    def _view(self, slot):
+        """Lease slot ``slot``'s view of the chip in the state of a
+        fresh spawn of the template: spawned on the slot's first use,
+        reset in place after that."""
+        views = self._views
+        if slot == len(views):
+            views.append(self.template.spawn())
+        else:
+            views[slot].reset()
+        return views[slot]
+
     def lease_group(self, tenants, clock, **options) -> list:
         """Run a lease group: one attempt per ``(job, lease, offset)``
-        tenant, each on a fresh view of the chip clipped to its lease
-        (the chip's faults re-attached, seeded per tenant), so
-        co-tenants stay isolated while the group is charged its merged
-        chip time once.  ``clock(view)`` is a tenant's attempt clock;
-        ``options`` go to :func:`run_attempt`.  Returns the attempts in
-        tenant order, each carrying the group's cost (see
-        :func:`group_cost`)."""
+        tenant, each on its lease slot's view of the chip, reset to a
+        fresh spawn's state and clipped to its lease (the chip's faults
+        re-attached, seeded per tenant), so co-tenants stay isolated
+        while the group is charged its merged chip time once.
+        ``clock(view)`` is a tenant's attempt clock; ``options`` go to
+        :func:`run_attempt`.  Returns the attempts in tenant order, each
+        carrying the group's cost (see :func:`group_cost`)."""
         attempts = []
-        for job, lease, offset in tenants:
+        for slot, (job, lease, offset) in enumerate(tenants):
             view, injector = chip_backend(
-                self.template.spawn(), self.plan, self.chip_id,
+                self._view(slot), self.plan, self.chip_id,
                 (self.restarts, job.job_id), lease, offset,
             )
             attempt = self.attempt(
@@ -585,7 +600,7 @@ class ServedChip(ChipRecord):
             attempt.program_time, attempt.frames = (
                 view.program_time, view.frames
             )
-            # the view's injector dies with the view
+            # the tenant's injector is dropped with the group
             self._bank(injector)
             attempts.append(attempt)
         group_time, ratio = group_cost(attempts)

@@ -184,6 +184,9 @@ class ExecutionService(ServingCore):
         Under multi-tenancy one dispatch may terminalise several
         co-resident jobs at once; the extras are buffered and returned
         by subsequent calls before any new dispatch happens.
+
+        Raises :class:`~repro.core.errors.ServiceError` when a job waits
+        and every chip is draining; the job stays queued.
         """
         if self._extra_results:
             return self._extra_results.popleft()
@@ -203,6 +206,15 @@ class ExecutionService(ServingCore):
             __, job = heapq.heappop(self._queue)
             if job.state is not JobState.QUEUED:
                 continue  # shed after enqueue; already terminal
+            if not self.fleet.healthy_workers:
+                # the health loop restarts a benched chip when none is
+                # healthy, so the whole fleet is draining: an operator
+                # decision.  The job goes back first, so a restart_chip
+                # serves it later.
+                heapq.heappush(self._queue, (job.sort_key(), job))
+                raise ServiceError(
+                    "no dispatchable chips: the whole fleet is draining"
+                )
             self._queued_count -= 1
             outcome = self._dispatch(job)
             if outcome is None and self._extra_results:
@@ -289,21 +301,11 @@ class ExecutionService(ServingCore):
     # -- dispatch -----------------------------------------------------------
 
     def _dispatch(self, job) -> JobResult | None:
-        """Run one attempt of ``job``; returns its terminal
+        """Run one attempt of ``job`` on a healthy chip (:meth:`step`
+        has checked that one exists); returns its terminal
         :class:`JobResult`, or None when the attempt went into backoff
-        for a retry.
-
-        The health loop has restarted a benched chip if none was
-        healthy, so a fleet with no healthy chip is entirely *draining*
-        -- an operator decision that raises
-        :class:`~repro.core.errors.ServiceError`.
-        """
-        healthy = self.fleet.healthy_workers
-        if not healthy:
-            raise ServiceError(
-                "no dispatchable chips: the whole fleet is draining"
-            )
-        eligible = steer(job, healthy)
+        for a retry."""
+        eligible = steer(job, self.fleet.healthy_workers)
         if job.not_before > 0.0 and len(eligible) > 1:
             # Clock-aware retry placement: the backoff window ends at a
             # point in FLEET time, so a chip whose local clock already

@@ -21,12 +21,15 @@ multi-tenant mode is built from:
   ``SimulatorBackend`` the region-clipped planner takes diagonal hops,
   so a 3-cage straight band on a 48x48 chip takes 19.16 s leased
   against 18.50 s exclusive (``move_many`` 2.66 s against 2.00 s for
-  the same 5 frames).  Every view is a fresh spawn of the chip
-  template, and a simulated view whose window holds no dead pixel
-  plans through the template's lease-relative plan memo (see
-  :meth:`Biochip.move_many <repro.core.platform.Biochip.move_many>`),
-  so co-tenants and later tenants with the same lease size and the
-  same batch reuse one plan wherever their windows lie.
+  the same 5 frames).  Every view starts in the state of a fresh
+  spawn of the chip template: the service keeps one view per lease
+  slot and resets it in place before each group (see
+  :meth:`Biochip.reset <repro.core.platform.Biochip.reset>`).  A
+  simulated view plans through the template's lease-relative plan
+  memo (see :meth:`Biochip.move_many
+  <repro.core.platform.Biochip.move_many>`), so co-tenants and later
+  tenants with the same lease size, the same dead pixels inside it and
+  the same batch reuse one plan wherever their windows lie.
 
 The frame-merge cost model lives here too.  Each tenant's accounted
 time t_i splits into electronics time p_i (row/column reprogram work,
@@ -47,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..array.addressing import RowColumnAddresser
 from ..core.backend import Backend
 from ..core.protocol import (
     IncubateCmd,
@@ -165,7 +167,8 @@ class LeasedBackend(Backend):
     def __init__(self, inner, offset=(0, 0)):
         self.inner = inner
         self.offset = (int(offset[0]), int(offset[1]))
-        self._addresser = RowColumnAddresser(inner.grid)
+        # the inner chip's timing model, not one more built per view
+        self._addresser = inner.addresser
         self.program_time = 0.0
         self.frames = 0
 

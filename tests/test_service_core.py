@@ -207,6 +207,29 @@ def test_fault_totals_survive_a_chip_restart(tier, leased):
     assert after == before
 
 
+def test_close_wakes_a_benched_worker():
+    """Regression: with ``restart_cooldown=None`` a benched worker parks
+    on its restart event and never reads its shutdown sentinel, and
+    ``close`` used to join it for its whole timeout."""
+    faults = FleetFaultPlan(
+        models={0: FaultModel(shape=SHAPE, transient_ops={0})}
+    )
+    service = ConcurrentExecutionService.dry_run(
+        ConcurrentConfig(
+            n_workers=1, max_retries=0, quarantine_after=1,
+            restart_cooldown=None, poll_interval=0.005,
+        ),
+        faults=faults, grid=GRID,
+    )
+    result = service.submit(tiny_protocol("faults")).wait(timeout=30.0)
+    assert result.state is JobState.FAILED
+    wait_for(lambda: service.snapshot()["counters"]["quarantined"] == 1)
+    started = time.monotonic()
+    service.close(timeout=30.0)
+    assert time.monotonic() - started < 5.0
+    assert service.snapshot()["fleet"]["health"][0] == "stopped"
+
+
 def retrying_thread_service(admission):
     """One worker whose first op faults, a long backoff, and room for
     one queued job."""

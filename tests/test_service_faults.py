@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import Biochip, ExecutionService, Protocol, ServiceConfig
+from repro.core.errors import ServiceError
 from repro.faults import FaultModel, FleetFaultPlan
 from repro.service import ChipHealth, ErrorKind, JobError, JobState
 
@@ -205,6 +206,23 @@ class TestQuarantine:
         assert "chip 0" in message and "consecutive" not in message
         service.restart_chip(0)
         assert service.fleet.worker(0).health is ChipHealth.HEALTHY
+
+    def test_fully_draining_fleet_keeps_the_job_queued(self):
+        """Regression: a step with every chip draining popped the job
+        before it raised, so the queue read empty, the handle stayed
+        QUEUED for ever and a restart had nothing to serve."""
+        service = faulted_service({0: clean()}, n_chips=1)
+        service.drain_chip(0)
+        handle = service.submit(tiny_protocol())
+        with pytest.raises(ServiceError, match="draining"):
+            service.step()
+        assert service.queue_depth == 1
+        assert handle.state is JobState.QUEUED
+        service.restart_chip(0)
+        result, = service.drain()
+        assert result.job_id == handle.job_id
+        assert result.state is JobState.DONE
+        assert service.queue_depth == 0
 
 
 class TestTimeout:
