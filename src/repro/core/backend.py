@@ -115,6 +115,15 @@ class SimulatorBackend(Backend):
     def addresser(self):
         return self.chip.addresser
 
+    @property
+    def cage_count(self) -> int:
+        return self.chip.cage_count
+
+    @property
+    def history(self):
+        """The chip's (time, kind, detail) event log."""
+        return self.chip.history
+
     def trap(self, site, particle=None) -> int:
         return self.chip.trap(site, particle).cage_id
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -97,9 +99,10 @@ class _MemoEntry:
         return self._moved
 
 
-@dataclass
+@dataclass(slots=True)
 class SenseResult:
-    """Outcome of sensing one cage."""
+    """Outcome of sensing one cage (slotted: an array scan makes one per
+    live cage)."""
 
     cage_id: int
     reading: float  # averaged signal [V], pedestal removed
@@ -993,17 +996,29 @@ class Biochip:
         """The untraced :meth:`sense_all` body."""
         duration = n_samples * self.addresser.frame_scan_time()
         cages = self.cages.cages
-        signals = []
-        expected = []
+        # (signal, present) per cage, worked out once per payload object
+        # (the drive settings are fixed for the scan, and every payload
+        # stays alive in its cage, so its id is not recycled); merged
+        # cages' list payloads are summed per cage.
+        cage_signal = self._cage_signal
+        by_payload = {}
+        pairs = []
         for cage in cages:
-            signal, present = self._cage_signal(cage)
-            signals.append(signal)
-            expected.append(present)
+            payload = cage.payload
+            pair = by_payload.get(id(payload))
+            if pair is None:
+                pair = cage_signal(cage)
+                if not isinstance(payload, list):
+                    by_payload[id(payload)] = pair
+            pairs.append(pair)
         # One vectorized pass through the readout chain for the whole
         # population: noise drawn per cage block, quantised and averaged
         # as matrices (RNG stream documented on batch_readings; per-cage
         # results are identical in distribution to per-cage senses).
-        readings = self.readout.batch_readings(np.asarray(signals), n_samples)
+        readings = self.readout.batch_readings(
+            np.fromiter(map(itemgetter(0), pairs), dtype=float, count=len(pairs)),
+            n_samples,
+        )
         faults = self.faults
         if faults is not None and faults.has_sensor_faults and cages:
             # Vectorized corruption to match _corrupt_reading: gather
@@ -1024,48 +1039,32 @@ class Biochip:
                     self.readout.adc.full_scale - self.readout.pedestal,
                     readings,
                 )
-        readings = readings.tolist()
-        durations = [duration] * len(cages)
-        rescanned = [False] * len(cages)
+        threshold = self._detection_threshold(n_samples)
+        ids = [cage.cage_id for cage in cages]
+        results = list(map(
+            SenseResult, ids, readings.tolist(), repeat(n_samples),
+            (np.abs(readings) > threshold).tolist(),
+            map(itemgetter(1), pairs), repeat(duration),
+        ))
         rescan_time = 0.0
         quarantine = self._sensor_quarantine
         if quarantine is not None:
-            for i, cage in enumerate(cages):
-                if quarantine.admit(cage.site, readings[i]):
+            for cage, result in zip(cages, results):
+                if quarantine.admit(cage.site, result.reading):
                     continue
                 rescan_result, extra = self._rescan(cage, n_samples)
-                readings[i] = rescan_result.reading
-                rescanned[i] = True
-                durations[i] += extra
+                result.reading = rescan_result.reading
+                result.detected = abs(result.reading) > threshold
+                result.rescanned = True
+                result.duration += extra
                 rescan_time += extra
-        threshold = self._detection_threshold(n_samples)
-        n_detected = 0
-        outcomes = []
-        for i, (cage, reading, present) in enumerate(
-            zip(cages, readings, expected)
-        ):
-            hit = abs(reading) > threshold
-            n_detected += hit
-            outcomes.append(
-                (
-                    cage.cage_id,
-                    SenseResult(
-                        cage_id=cage.cage_id,
-                        reading=reading,
-                        n_samples=n_samples,
-                        detected=hit,
-                        expected=present,
-                        duration=durations[i],
-                        rescanned=rescanned[i],
-                    ),
-                )
-            )
         self._log(
             "sense_all",
-            {"cages": len(outcomes), "detections": int(n_detected)},
+            {"cages": len(results),
+             "detections": sum(map(attrgetter("detected"), results))},
             duration + rescan_time,
         )
-        return outcomes
+        return list(zip(ids, results))
 
     def incubate(self, seconds):
         """Advance time with cages held static (reaction/settling)."""

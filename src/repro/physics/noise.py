@@ -106,6 +106,65 @@ def samples_for_target_snr(signal_rms, white_sigma, target_db, floor_sigma=0.0):
     return max(1, math.ceil((white_sigma**2) / residual_sq))
 
 
+#: The flicker cumulative sum runs in chunks of at most this many
+#: samples, which bounds each correlation's power table at 8 KiB; at the
+#: chip's correlation of 0.999 one chunk covers a read.
+_CHUNK_MAX = 1024
+#: ... and of at most as many as keep ``rho**-i`` within ``2**64``, so no
+#: scaled drive of a chunk can overflow.
+_CHUNK_LOG_RANGE = 64 * math.log(2.0)
+#: rho -> read-only ``rho**-i`` for i below rho's chunk length.  It
+#: depends on rho alone, so every generator shares it.
+_POWERS = {}
+
+
+def _power_table(rho):
+    """The cached ``rho**-i`` table, one chunk long.
+
+    Built from Python floats, not the numpy power ufunc, whose first
+    call pages in code the sense path otherwise never needs.
+    """
+    table = _POWERS.get(rho)
+    if table is None:
+        size = min(_CHUNK_MAX, 1 + int(_CHUNK_LOG_RANGE / -math.log(rho)))
+        if len(_POWERS) >= 64:
+            _POWERS.clear()
+        table = np.array([rho**-i for i in range(size)])
+        table.flags.writeable = False
+        _POWERS[rho] = table
+    return table
+
+
+def _flicker_trajectory(drive, rho, state):
+    """Run the AR(1) recursion ``s[i] = rho*s[i-1] + drive[i]`` in place.
+
+    ``drive`` becomes the trajectory started from ``state``; returns the
+    final state as a float.  Unrolled, ``s[i] = (rho*state +
+    sum(rho**-j * drive[j] for j <= i)) / rho**-i``: the prefix-sum form
+    of a linear recurrence (Blelloch, 1990).  So the carried state is
+    folded into the first drive, each drive scaled by ``rho**-j``, one
+    cumulative sum taken and each sum divided by ``rho**-i``, chunk by
+    chunk (:data:`_CHUNK_MAX`, :data:`_CHUNK_LOG_RANGE`), each chunk
+    started from the last one's final state.  A rounding error made at
+    step ``j`` reaches step ``i`` scaled by ``rho**(i - j)``, as in the
+    sequential loop, so the trajectory stays within a few ulps of it.
+    ``rho == 0`` leaves the drive as it is.
+    """
+    if rho == 0.0:
+        return float(drive[-1])
+    table = _power_table(rho)
+    size = table.size
+    for start in range(0, drive.size, size):
+        chunk = drive[start : start + size]
+        powers = table[: chunk.size]
+        chunk[0] += rho * state
+        chunk *= powers
+        np.add.accumulate(chunk, out=chunk)
+        chunk /= powers
+        state = float(chunk[-1])
+    return state
+
+
 @dataclass
 class NoiseGenerator:
     """Sampled noise source combining white and flicker-like components.
@@ -137,39 +196,38 @@ class NoiseGenerator:
         """Return ``n`` consecutive noise samples [same units as sigma].
 
         RNG stream: one size-``n`` white draw, then -- when flicker is
-        enabled -- one size-``n`` flicker-drive draw.
+        enabled -- one size-``n`` flicker-drive draw.  With flicker
+        enabled, both are taken as one unit-normal draw, its halves scaled
+        in place into the white noise and the drive: ``normal(0, s)`` is
+        ``0.0 + s*z`` per element, so this is bit-identical to the two
+        draws.
 
         The flicker AR(1) recursion ``s[i] = rho*s[i-1] + drive[i]`` is
-        evaluated as a log-depth doubling scan (Hillis & Steele, CACM
-        1986) in place on the drive array ``x``: the carried state is
-        folded in with ``x[0] += rho*s0`` (the recursion's first step,
-        exactly), then for ``k = 1, 2, 4, ... < n`` each element adds
-        ``rho**k`` times the element ``k`` before it, after which
-        ``x[i]`` sums ``2k`` terms of the recursion.  That is
-        ``ceil(log2 n)`` numpy calls instead of ``n`` Python iterations.
-        The scan rounds in a different order from the sequential loop, so
-        trajectories -- and the carried ``_flicker_state`` -- may differ
-        from it by a few ulps (~1e-14 of ``flicker_sigma``).  Quantised readings do not
-        change: a sample would have to land within those few ulps of an
-        ADC code edge.
+        evaluated as a cumulative sum (:func:`_flicker_trajectory`), a
+        fixed handful of numpy calls per read instead of ``n`` Python
+        iterations.  It rounds in a different order from the sequential
+        loop, so trajectories -- and the carried ``_flicker_state`` --
+        may differ from it by a few ulps (~1e-14 of ``flicker_sigma``).
+        Quantised readings do not change: a sample would have to land
+        within those few ulps of an ADC code edge.
         """
         if n < 1:
             raise ValueError("need n >= 1")
-        white = self.rng.normal(0.0, self.white_sigma, size=n) if self.white_sigma else np.zeros(n)
         if self.flicker_sigma == 0.0:
-            return white
+            if self.white_sigma:
+                return self.rng.normal(0.0, self.white_sigma, size=n)
+            return np.zeros(n)
         rho = self.flicker_correlation
-        # The drive draw, scanned in place into the flicker trajectory.
-        flicker = self.rng.normal(
-            0.0, self.flicker_sigma * math.sqrt(1.0 - rho**2), size=n
+        draw = self.rng.normal(0.0, 1.0, size=2 * n if self.white_sigma else n)
+        flicker = draw[-n:]
+        flicker *= self.flicker_sigma * math.sqrt(1.0 - rho**2)
+        self._flicker_state = _flicker_trajectory(
+            flicker, rho, self._flicker_state
         )
-        flicker[0] += rho * self._flicker_state
-        k, rho_k = 1, rho
-        while k < n:
-            flicker[k:] += rho_k * flicker[:-k]
-            k *= 2
-            rho_k *= rho_k
-        self._flicker_state = float(flicker[-1])
+        if not self.white_sigma:
+            return flicker
+        white = draw[:n]
+        white *= self.white_sigma
         white += flicker
         return white
 
@@ -192,13 +250,12 @@ class NoiseGenerator:
         stationary -- but the draws are not bit-identical to them.
 
         The flicker recursion stays a loop over samples here, each step
-        one vector op across all rows, rather than the doubling scan of
-        :meth:`sample`: the scan does ``n log n`` work instead of ``n``,
-        which only pays when the per-step Python overhead dominates, as
-        it does for one row.  Measured on a shared 2-vCPU host, the scan
-        made ``sample_block(11449, 50)`` 8-16% slower (~19 -> ~21.5 ms)
-        and a 64-sample ``sense_all`` of 11,449 cages on a 320x320 chip
-        7% slower (50.9 -> 54.3 ms).
+        two vector ops across all rows that write the trajectory over the
+        drive, rather than the cumulative sum of :meth:`sample`: with
+        thousands of rows the per-step Python overhead is small next to
+        the vector work, and the loop keeps block trajectories and the
+        carried state bit-for-bit what they have been, where the sum
+        would move them by a few ulps.
         """
         if n_rows < 1 or n < 1:
             raise ValueError("need n_rows >= 1 and n >= 1")
@@ -213,12 +270,14 @@ class NoiseGenerator:
         drive = self.rng.normal(
             0.0, self.flicker_sigma * math.sqrt(1.0 - rho**2), size=(n, n_rows)
         )
-        flicker = np.empty((n, n_rows))
+        # Each drive row adds rho times the trajectory row before it
+        # (``d + rho*s`` rounds exactly as ``rho*s + d``).
         state = np.full(n_rows, self._flicker_state)
-        for i in range(n):
-            state *= rho
-            state += drive[i]
-            flicker[i] = state
+        carried = np.empty(n_rows)
+        for row in drive:
+            np.multiply(state, rho, out=carried)
+            row += carried
+            state = row
         self._flicker_state = float(state[-1])
-        white += flicker.T
+        white += drive.T
         return white

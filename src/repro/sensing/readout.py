@@ -78,18 +78,24 @@ class AnalogToDigital:
 
         Works in place on one private copy of the input, so the caller's
         array is never touched; a scalar input gives a numpy scalar.
+        """
+        v = self.quantise_in_place(np.array(voltages, dtype=float))
+        return v if v.ndim else v[()]
+
+    def quantise_in_place(self, v):
+        """:meth:`quantise` on a float array the caller owns; returns it.
+
         Clamping the code to ``[0, 2**bits - 1]`` also clamps the voltage
         to the rails: ``full_scale / lsb`` is exactly ``2**bits``.
         """
         lsb = self.lsb
-        v = np.array(voltages, dtype=float)
         v /= lsb
         np.floor(v, out=v)
         np.maximum(v, 0.0, out=v)
         np.minimum(v, 2**self.bits - 1, out=v)
         v += 0.5
         v *= lsb
-        return v if v.ndim else v[()]
+        return v
 
     def quantisation_noise_rms(self) -> float:
         """RMS quantisation noise LSB/sqrt(12) [V]."""
@@ -182,7 +188,7 @@ class CapacitiveReadoutChain:
         """
         analog = self._noise.sample(n_samples)
         analog += self.pedestal + signal
-        codes = self.adc.quantise(analog)
+        codes = self.adc.quantise_in_place(analog)
         # np.mean's own pairwise sum and division, without its overhead.
         return float(codes.sum()) / codes.size - self.pedestal
 
@@ -216,7 +222,7 @@ class CapacitiveReadoutChain:
             analog += self.pedestal
             analog += chunk[:, None]
             readings[start : start + block] = (
-                self.adc.quantise(analog).mean(axis=1) - self.pedestal
+                self.adc.quantise_in_place(analog).mean(axis=1) - self.pedestal
             )
         return readings
 

@@ -1,11 +1,11 @@
 """The single-cage sense path against its sequential reference.
 
 ``NoiseGenerator.sample`` evaluates the flicker AR(1) recursion as a
-doubling scan and ``AnalogToDigital.quantise`` works in place on one
-copy.  The reference implementations they replaced live here as test
-oracles: the per-sample flicker loop and the ``clip``/``floor``/``clip``
-quantiser.  Flicker trajectories must agree to within 1e-12 of the
-flicker sigma, and quantised readings must be *equal*.
+chunked cumulative sum and ``AnalogToDigital.quantise`` works in place
+on one copy.  The reference implementations they replaced live here as
+test oracles: the per-sample flicker loop and the ``clip``/``floor``/
+``clip`` quantiser.  Flicker trajectories must agree to within 1e-12 of
+the flicker sigma, and quantised readings must be *equal*.
 """
 
 import copy

@@ -15,15 +15,18 @@ from repro import Biochip, ExecutionService, Protocol, ServiceConfig
 from repro.core.backend import DryRunBackend, SimulatorBackend
 from repro.core.errors import ExecutionError
 from repro.core.session import Session
+from repro.faults import FaultInjector, FleetFaultPlan
 from repro.service import (
     Footprint,
     LeasedBackend,
+    RegionLease,
     RegionLeaseAllocator,
     frame_merge_ratio,
     merged_group_time,
     protocol_footprint,
     routing_separation,
 )
+from repro.service.core import chip_backend
 from repro.workloads import small_footprint_protocol, small_footprint_traffic
 
 GRID = Biochip.small_chip().grid
@@ -185,6 +188,23 @@ def test_leased_view_translation_is_invisible():
     ]
     assert run.wall_time == reference.wall_time
     assert leased.frames > 0 and leased.program_time > 0.0
+
+
+def test_simulated_view_passes_history_and_cage_count_through():
+    chip = Biochip.small_chip()
+    lease = RegionLease(chip_id=0, origin=(20, 17), rows=9, cols=11, guard=2)
+    view, injector = chip_backend(
+        SimulatorBackend(chip), FleetFaultPlan(seed=5), 0, (0,), lease,
+        offset=(20, 17),
+    )
+    assert isinstance(view, LeasedBackend)
+    assert isinstance(injector, FaultInjector)
+    view.trap((1, 1))
+    view.trap((4, 6))
+    for backend in (view, injector, injector.backend):
+        assert backend.cage_count == 2
+        assert backend.history == chip.history
+    assert [kind for __, kind, __ in view.history] == ["trap", "trap"]
 
 
 # -- co-scheduling equivalence ------------------------------------------------
