@@ -44,6 +44,7 @@ SPACING = 3  # one cage every 3 electrodes: 320x320 -> 11,449 cages
 SENSE_SAMPLES = 64
 STEP_BUDGET = 0.1 if SMOKE else 1.5  # wall seconds per frame-step measurement
 SCAN_BUDGET = 0.1 if SMOKE else 1.5  # wall seconds per scan measurement
+SCAN_ROUNDS = 6  # alternating rounds the scan budget is split into
 
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_array.json"
 
@@ -77,13 +78,27 @@ def _chip_with_population(rows, cols):
     return chip
 
 
-def _scans_per_second(scan):
-    scans = 0
-    start = time.perf_counter()
-    while time.perf_counter() - start < SCAN_BUDGET or scans < 2:
-        scan()
-        scans += 1
-    return scans / (time.perf_counter() - start)
+def _scans_per_second(*scans):
+    """Scans/s of each scan, timed in ``SCAN_ROUNDS`` alternating short
+    rounds of equal budget (the order flips every round), so a change
+    of host speed mid-measurement hits every scan alike instead of one
+    of two back-to-back windows.  A round runs at least one scan."""
+    counts = [0] * len(scans)
+    spent = [0.0] * len(scans)
+    budget = SCAN_BUDGET / SCAN_ROUNDS
+    order = list(range(len(scans)))
+    for __ in range(SCAN_ROUNDS):
+        for i in order:
+            start = time.perf_counter()
+            while True:
+                scans[i]()
+                counts[i] += 1
+                elapsed = time.perf_counter() - start
+                if elapsed >= budget:
+                    break
+            spent[i] += elapsed
+        order.reverse()
+    return [count / seconds for count, seconds in zip(counts, spent)]
 
 
 def _measure_scale(rows, cols):
@@ -108,9 +123,8 @@ def _measure_scale(rows, cols):
             for cage in chip.cages.cages
         ]
 
-    scalar_sps = _scans_per_second(scalar_scan)
-    batched_sps = _scans_per_second(
-        lambda: chip.sense_all(n_samples=SENSE_SAMPLES)
+    scalar_sps, batched_sps = _scans_per_second(
+        scalar_scan, lambda: chip.sense_all(n_samples=SENSE_SAMPLES)
     )
 
     return {

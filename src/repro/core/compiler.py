@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..scheduling.binder import Binder
+from ..scheduling.binder import Binder, default_chip_resources
 from ..scheduling.schedulers import ListScheduler, Schedule
 from ..scheduling.taskgraph import AssayGraph, DurationModel
 from .memo import LruMemo
@@ -57,6 +57,12 @@ _SCHEDULE_MEMO_SIZE = 64
 #: schedule's entries); process-wide, so every session and serving tier
 #: shares it.
 _SCHEDULE_MEMO = LruMemo(_SCHEDULE_MEMO_SIZE)
+
+#: The binder of every compile not given one: one per process, so its
+#: per-operation-type candidate lists are found once (two threads that
+#: find one at once store equal lists).  Its resources are a tuple, so
+#: no caller can change the shared resource set.
+_DEFAULT_BINDER = Binder(tuple(default_chip_resources()))
 
 
 @dataclass
@@ -100,7 +106,7 @@ def compile_protocol(
     registry = registry or default_registry
     protocol.validate(registry=registry)
     duration_model = duration_model or DurationModel(pitch=grid.pitch)
-    binder = binder or Binder()
+    binder = binder or _DEFAULT_BINDER
     graph = AssayGraph(name=protocol.name)
     ctx = LoweringContext(grid=grid, duration_model=duration_model, graph=graph)
     op_commands = {}

@@ -53,13 +53,6 @@ from .astar import (
 #: Reservation planes packed into wavefront bit planes per numpy call.
 _PLANE_CHUNK = 16
 
-#: The backtrack's predecessor order (WAIT, then MOVES_8) with each
-#: offset's bit in a 3x3 neighbourhood read row by row.
-_BACKTRACK_ORDER = tuple(
-    (dr, dc, (dr + 1) * 3 + dc + 1) for dr, dc in (WAIT,) + MOVES_8
-)
-
-
 #: The greedy walk's candidate moves as ``(rank, drow, dcol)``: staying
 #: put, then MOVES_8; the rank breaks ties between equally close sites.
 _GREEDY_MOVES = tuple(
@@ -96,6 +89,24 @@ def _greedy_ranking(a, b):
 _GREEDY_RANKINGS = {
     _greedy_key(a, b): _greedy_ranking(a, b)
     for a in range(-4, 5) for b in range(-4, 5)
+}
+
+
+#: The wavefront backtrack's moves as ``(bit, drow, dcol)``, ``bit`` the
+#: move's cell in a 3x3 neighbourhood read row by row.
+_BACKTRACK_MOVES = {
+    (dr, dc): (1 << (dr + 1) * 3 + dc + 1, dr, dc)
+    for dr, dc in (WAIT,) + MOVES_8
+}
+
+#: The backtrack's predecessor order per class of offsets from the start
+#: (see :func:`_greedy_key`): the greedy ranking's moves.  The reached
+#: predecessor closest to the start, ties to WAIT and then MOVES_8, is
+#: the first reached move in this order, since the greedy ranking sorts
+#: the moves by the same distance with the same ties.
+_BACKTRACK_RANKINGS = {
+    key: tuple(_BACKTRACK_MOVES[dr, dc] for __, __, dr, dc in ranking)
+    for key, ranking in _GREEDY_RANKINGS.items()
 }
 
 
@@ -322,6 +333,11 @@ class _VectorReservationTable:
     col`` in padded coordinates.  They are views, not copies: every
     write through the arrays shows in them at once.
 
+    The wavefront packs a window's planes into ints through one pad
+    buffer per table (so one per plan attempt), allocated on the first
+    :meth:`pad_view` call: a chunk of planes copied into it, each row
+    padded to whole bytes, packs as one flat array.
+
     Edge (swap) conflicts are not tracked: with ``separation >= 2`` a
     swap is unreachable, because any site adjacent to a reserved
     cage's position is already inside its inflated window at that
@@ -359,6 +375,20 @@ class _VectorReservationTable:
         self._plane_starts = np.arange(horizon + 2) * self.plane_size
         self._blocked_1d = self.blocked.reshape(-1)
         self._parked_1d = self.parked_from.reshape(-1)
+        self._pad = None
+
+    def pad_view(self, planes, height, stride):
+        """A ``(planes, height, stride)`` bool view of the table's pad
+        buffer, for at most :data:`_PLANE_CHUNK` planes of a window of
+        the chip plus one guard column a side (``stride`` that width
+        rounded up to bytes).  Its contents are left over from earlier
+        calls."""
+        if self._pad is None:
+            widest = 8 * ((self.cols + 2 + 7) // 8)
+            self._pad = np.empty(_PLANE_CHUNK * self.rows * widest, dtype=bool)
+        return self._pad[: planes * height * stride].reshape(
+            planes, height, stride
+        )
 
     def reserve_path(self, cage_id, path):
         arr = np.asarray(path, dtype=np.int64).reshape(-1, 2)
@@ -993,13 +1023,24 @@ class WavefrontRouter(BatchRouter):
     def _wavefront(self, start, goal, min_arrival, table, horizon, bounds):
         """Level-synchronous masked BFS inside ``bounds``, on bit planes.
 
-        Each BFS level is one Python int: bit ``r * stride + c`` is the
-        padded-table site ``(row0 + radius + r, c)``, over full padded
-        rows, with ``stride`` the packed row width (a multiple of 8), so
-        ``np.packbits(..., bitorder="little")`` of table rows gives the
-        layout directly.  The padding ring keeps every window bit off
-        both row ends, so a one-bit column shift never wraps into the
-        next row, and a level step is shifts, ORs and ANDs.
+        Each BFS level is one Python int over the window's rows and
+        columns plus one guard column a side: bit ``r * stride + c`` is
+        chip site ``(row0 + r, col0 - 1 + c)``, with ``stride`` that
+        width (``width + 2``) rounded up to whole bytes.  So a level
+        costs in proportion to the window, not the chip, and the guard
+        columns keep every window bit off both row ends: a one-bit
+        column shift never wraps into the next row, and a level step is
+        shifts, ORs and ANDs.
+
+        The reservation planes are packed :data:`_PLANE_CHUNK` at a
+        time: the chunk's window rows, over the window's columns plus
+        the guard columns (which the padded table always has), are
+        copied into the table's one pad buffer
+        (:meth:`_VectorReservationTable.pad_view`), packed flat and
+        inverted to free bits, and a plane becomes an int only when its
+        level is reached.  Bits past the guard columns hold whatever the
+        buffer held; the static mask, which covers only the window,
+        clears them in every level.
 
         Returns ``(status, path)``: ``("found", path)`` on success, or
         ``(status, None)`` where ``"grow"`` means the reached set was
@@ -1012,10 +1053,12 @@ class WavefrontRouter(BatchRouter):
         row0, row1, col0, col1 = bounds
         height, width = row1 - row0 + 1, col1 - col0 + 1
         radius = table.radius
-        stride = 8 * ((table.blocked.shape[2] + 7) // 8)
+        stride = 8 * ((width + 2 + 7) // 8)
+        # the window's rows and its columns plus the guard columns, in
+        # padded-table coordinates
         rows = slice(row0 + radius, row1 + 1 + radius)
-        pcol0, pcol1 = col0 + radius, col1 + radius
-        one_row = ((1 << width) - 1) << pcol0
+        cols = slice(col0 - 1 + radius, col1 + 2 + radius)
+        one_row = ((1 << width) - 1) << 1
         column = ((1 << (height * stride)) - 1) // ((1 << stride) - 1)
         # The border is where a wider window could add a cell: the
         # window cells next to a free pixel outside the window.  A side
@@ -1030,42 +1073,43 @@ class WavefrontRouter(BatchRouter):
             if row1 < self.grid.rows - 1:
                 border |= one_row << ((height - 1) * stride)
             if col0 > 0:
-                border |= column << pcol0
+                border |= column << 1
             if col1 < self.grid.cols - 1:
-                border |= column << pcol1
+                border |= column << width
         else:
             # the free pixels of the window and of the one-pixel ring
-            # around it, row i being chip row row0 - 1 + i
+            # around it, row i being chip row row0 - 1 + i and column j
+            # chip column col0 - 1 + j
             free = np.zeros((height + 2, stride), dtype=bool)
             r_lo, r_hi = max(row0 - 1, 0), min(row1 + 2, self.grid.rows)
             c_lo, c_hi = max(col0 - 1, 0), min(col1 + 2, self.grid.cols)
             np.logical_not(
                 self._blocked_arr[r_lo:r_hi, c_lo:c_hi],
                 out=free[r_lo - row0 + 1 : r_hi - row0 + 1,
-                         c_lo + radius : c_hi + radius],
+                         c_lo - col0 + 1 : c_hi - col0 + 1],
             )
             static = _bits(free[1:-1]) & window
-            free[1:-1, pcol0 : pcol1 + 1] = False
+            free[1:-1, 1 : width + 1] = False
             near = _bits(free)
             near |= near << 1 | near >> 1
             near |= near << stride | near >> stride
             border = (near >> stride) & window
-        start_r, start_c = start[0] - row0, start[1] + radius
+        start_r, start_c = start[0] - row0, start[1] - col0 + 1
         current = 1 << (start_r * stride + start_c)
         # a cage may keep sitting on (or leave) an electrode that died
         # under it; only *entering* dead sites is forbidden
         static |= current
-        goal_bit = 1 << ((goal[0] - row0) * stride + goal[1] + radius)
+        goal_bit = 1 << ((goal[0] - row0) * stride + goal[1] - col0 + 1)
         # parked windows join the static mask at their parked-from time;
         # horizon + 1 ends the list past the last level
-        parked = table.parked_from[rows]
-        inside = parked[:, pcol0 : pcol1 + 1]
+        parked = table.parked_from[rows, cols]
+        inside = parked[:, 1:-1]
         parked_times = sorted(set(inside[inside <= horizon].tolist()))
         parked_times.append(horizon + 1)
         next_parked = 0
-        blocked_rows = table.blocked[:, rows]
+        blocked_rows = table.blocked[:, rows, cols]
         plane_bytes = height * stride // 8
-        planes = ()
+        packed = b""
         chunk0 = chunk1 = 1
         settle = table.latest_parked_time()
         counters = self._counters
@@ -1075,20 +1119,19 @@ class WavefrontRouter(BatchRouter):
         for t in range(1, horizon + 1):
             if t == chunk1:
                 chunk0, chunk1 = t, min(t + _PLANE_CHUNK, horizon + 1)
-                packed = np.packbits(
-                    blocked_rows[chunk0:chunk1], axis=-1, bitorder="little"
-                ).tobytes()
-                planes = [
-                    int.from_bytes(packed[i : i + plane_bytes], "little")
-                    for i in range(0, len(packed), plane_bytes)
-                ]
+                pad = table.pad_view(chunk1 - chunk0, height, stride)
+                pad[:, :, : width + 2] = blocked_rows[chunk0:chunk1]
+                packed = np.packbits(pad.reshape(-1), bitorder="little")
+                packed = np.invert(packed, out=packed).tobytes()
             while parked_times[next_parked] <= t:
                 static &= ~_bits(parked == parked_times[next_parked])
                 next_parked += 1
+            at = (t - chunk0) * plane_bytes
             frontier = current | current << 1 | current >> 1
             frontier = (
                 (frontier | frontier << stride | frontier >> stride)
-                & static & ~planes[t - chunk0]
+                & static
+                & int.from_bytes(packed[at : at + plane_bytes], "little")
             )
             levels.append(frontier)
             counters["frontier_steps"] += 1
@@ -1109,32 +1152,37 @@ class WavefrontRouter(BatchRouter):
             current = frontier
         if arrived < 0:
             return "grow", None
-        # Backtrack through the stored levels: at each step pick the
-        # predecessor closest to the start (ties prefer waiting, then
-        # MOVES_8 order), which yields a direct, low-move path with the
-        # same arrival time the A* reference finds.  One shift brings a
-        # site's 3x3 neighbourhood down to the low bits of three rows.
-        row, col = goal[0] - row0, goal[1] + radius
-        path = [(goal[0], goal[1])]
-        for t in range(arrived, 0, -1):
-            if row:
-                near = levels[t - 1] >> ((row - 1) * stride + col - 1)
-                nine = (
-                    (near & 7) | (near >> stride & 7) << 3
-                    | (near >> 2 * stride & 7) << 6
-                )
-            else:
-                near = levels[t - 1] >> (col - 1)
-                nine = (near & 7) << 3 | (near >> stride & 7) << 6
-            best = None
-            best_distance = None
-            for dr, dc, bit in _BACKTRACK_ORDER:
-                if nine >> bit & 1:
-                    prow, pcol = row + dr, col + dc
-                    d = max(abs(prow - start_r), abs(pcol - start_c))
-                    if best is None or d < best_distance:
-                        best, best_distance = (prow, pcol), d
-            row, col = best
-            path.append((row + row0, col - radius))
-        path.reverse()
-        return "found", np.asarray(path, dtype=np.int32)
+        # Backtrack through the stored levels: at each step take the
+        # reached predecessor closest to the start (ties prefer waiting,
+        # then MOVES_8 order), which yields a direct, low-move path with
+        # the same arrival time the A* reference finds.  That order is
+        # the greedy ranking of the site's offset from the start, so one
+        # shift and mask bring the 3x3 neighbourhood down to nine bits
+        # and the first reached move in ranked order is the step.
+        rankings = _BACKTRACK_RANKINGS
+        three_rows = 7 | 7 << stride | 7 << 2 * stride
+        a, b = goal[0] - start[0], goal[1] - start[1]
+        at = (goal[0] - row0) * stride + goal[1] - col0 + 1
+        sites = [at]
+        for t in range(arrived - 1, -1, -1):
+            # the 3x3 neighbourhood of bit ``at``, its corner at bit 0
+            shift = at - stride - 1
+            near = (levels[t] >> shift if shift >= 0
+                    else levels[t] << -shift) & three_rows
+            nine = (near & 7 | (near >> (stride - 3)) & 0o70
+                    | (near >> (2 * stride - 6)) & 0o700)
+            skew = abs(a) - abs(b)
+            for bit, dr, dc in rankings[
+                (a > 0) - (a < 0), (b > 0) - (b < 0),
+                -2 if skew < -2 else 2 if skew > 2 else skew,
+            ]:
+                if nine & bit:
+                    break
+            at += dr * stride + dc
+            a += dr
+            b += dc
+            sites.append(at)
+        path = np.empty((len(sites), 2), dtype=np.int32)
+        path[:, 0], path[:, 1] = np.divmod(np.array(sites[::-1]), stride)
+        path += (row0, col0 - 1)
+        return "found", path

@@ -406,3 +406,173 @@ def test_plans_dilate_no_bool_planes(side, n, dilations):
     oracle = NumpyPlaneRouter(grid).plan(requests)
     assert oracle.stats["frontier_steps"] == steps
     assert len(dilations) == steps
+
+
+# -- window-local layout ------------------------------------------------------
+
+
+def wavefront_statuses(grid, cases, blocked=None, reserved=(), horizon=40,
+                       **options):
+    """Runs each ``(start, goal, min_arrival, bounds)`` case through a
+    :class:`CheckedRouter`'s ``_wavefront`` (so against the oracle) on
+    one table holding the ``reserved`` paths; returns the statuses."""
+    router = CheckedRouter(grid, blocked=blocked, **options)
+    router.plan([])      # installs the per-plan mask state
+    table = router._make_table(horizon)
+    for cage_id, path in enumerate(reserved):
+        table.reserve_path(cage_id, path)
+    return [
+        router._wavefront(start, goal, arrival, table, horizon, bounds)[0]
+        for start, goal, arrival, bounds in cases
+    ]
+
+
+def sweep(start, step, frames):
+    """A reserved path from ``start`` moving by ``step`` each frame."""
+    return [(start[0] + step[0] * t, start[1] + step[1] * t)
+            for t in range(frames + 1)]
+
+
+@pytest.mark.parametrize("separation", [2, 3])
+def test_windows_flush_with_each_chip_edge(separation):
+    """A window on a chip edge takes its guard column (or reads past
+    its edge row) from the table's padding, which cages reserved along
+    that edge have written."""
+    grid = ElectrodeGrid(20, 20, um(20))
+    reserved = [sweep((0, 0), (1, 0), 19), sweep((19, 19), (-1, 0), 19),
+                sweep((0, 19), (0, -1), 19), sweep((19, 0), (0, 1), 19)]
+    cases = [
+        ((8, 1), (6, 7), 0, (4, 12, 0, 9)),        # left edge
+        ((8, 18), (6, 12), 0, (4, 12, 10, 19)),    # right edge
+        ((1, 8), (7, 6), 0, (0, 9, 4, 12)),        # top edge
+        ((18, 8), (12, 6), 0, (10, 19, 4, 12)),    # bottom edge
+        ((2, 2), (17, 17), 3, (0, 19, 0, 19)),     # the whole chip
+        ((10, 0), (10, 19), 0, (0, 19, 0, 19)),
+    ]
+    statuses = wavefront_statuses(grid, cases, reserved=reserved,
+                                  min_separation=separation)
+    assert "found" in statuses
+
+
+def test_one_row_and_one_column_windows():
+    """A window one row high (levels never shift to a neighbour row)
+    and one column wide (every row holds one window bit between its
+    two guard columns), crossed by a reserved cage, so the cage waits
+    for it or is cut off."""
+    grid = ElectrodeGrid(20, 20, um(20))
+    across = [sweep((0, 9), (1, 0), 19), sweep((9, 0), (0, 1), 19)]
+    row_cases = [
+        ((8, 3), (8, 15), 0, (8, 8, 2, 17)),
+        ((8, 15), (8, 3), 0, (8, 8, 2, 17)),
+        ((0, 0), (0, 19), 0, (0, 0, 0, 19)),       # on the top edge
+    ]
+    column_cases = [
+        ((3, 8), (15, 8), 0, (2, 17, 8, 8)),
+        ((15, 8), (3, 8), 0, (2, 17, 8, 8)),
+        ((0, 19), (19, 19), 0, (0, 19, 19, 19)),   # on the right edge
+    ]
+    statuses = wavefront_statuses(grid, row_cases + column_cases,
+                                  reserved=across)
+    assert "found" in statuses[:3] and "found" in statuses[3:]
+    # a cage parked across the row cuts it: no route in one row
+    parked = [[(8, 9)]]
+    assert wavefront_statuses(grid, row_cases[:1], reserved=parked) == [
+        "grow"
+    ]
+
+
+@pytest.mark.parametrize("width", [6, 7, 14, 15, 22, 23])
+def test_window_widths_around_a_whole_byte(width):
+    """``width + 2`` a multiple of 8 fills the row's last byte, so the
+    right guard column is the last bit of the row and a column shift
+    out of it lands in the next row's left guard column; one column
+    wider starts a new byte."""
+    stride = 8 * ((width + 2 + 7) // 8)
+    assert (stride == width + 2) == (width % 8 == 6)
+    grid = ElectrodeGrid(30, 30, um(20))
+    reserved = [sweep((0, 3), (1, 1), 25), sweep((12, 0), (0, 1), 29)]
+    c0 = 3
+    c1 = c0 + width - 1
+    cases = [
+        ((4, c0), (20, c1), 0, (2, 22, c0, c1)),
+        ((20, c1), (4, c0), 4, (2, 22, c0, c1)),
+        ((12, c1), (13, c0), 0, (10, 15, c0, c1)),
+    ]
+    statuses = wavefront_statuses(grid, cases, reserved=reserved)
+    assert "found" in statuses
+
+
+def test_lease_window_with_dead_pixels_in_its_ring():
+    """A wavefront window inside a lease whose one-pixel ring is dead
+    but for one pixel: the reached set touches the border only next to
+    that pixel ("grow"), and with the whole ring dead it is provably
+    stuck ("dead").  A window flush with the lease has no border on
+    that side."""
+    grid = ElectrodeGrid(24, 24, um(20))
+    blocked = np.ones((24, 24), dtype=bool)
+    blocked[4:20, 4:20] = False                  # the lease
+    blocked[7, 7:16] = blocked[15, 7:16] = True  # the window's ring
+    blocked[7:16, 7] = blocked[7:16, 15] = True
+    never = 41                                   # past the horizon
+    box = (8, 14, 8, 14)
+    sealed = wavefront_statuses(
+        grid, [((10, 10), (12, 12), never, box)], blocked=blocked
+    )
+    blocked[7, 11] = False                       # one gap in the ring
+    gap = wavefront_statuses(
+        grid,
+        [((10, 10), (12, 12), never, box),
+         ((10, 10), (12, 12), 0, box),
+         ((5, 5), (9, 9), 0, (4, 10, 4, 10)),    # flush with the lease
+         ((5, 5), (18, 18), never, (4, 19, 4, 19))],
+        blocked=blocked,
+        reserved=[sweep((11, 4), (0, 1), 15)],
+    )
+    assert sealed == ["dead"]
+    assert gap[0] == "grow"
+    assert gap[1] == "found"
+    assert gap[3] == "dead"                      # the lease's own edges
+
+
+def test_backtrack_breaks_a_three_way_distance_tie():
+    """Start (5, 5), goal (5, 8), arrival held back to t = 5 on an open
+    chip.  From the goal, the reached predecessors (4, 7), (5, 7) and
+    (6, 7) are all two steps from the start; MOVES_8 order takes
+    (4, 7) (move (-1, -1)).  From (4, 7), (4, 6) and (5, 6) tie at one
+    step, and MOVES_8 takes (0, -1) before (1, -1): (4, 6).  Then
+    (5, 5), where the cage waited."""
+    grid = ElectrodeGrid(12, 12, um(20))
+    router = CheckedRouter(grid)
+    router.plan([])
+    table = router._make_table(20)
+    status, path = router._wavefront((5, 5), (5, 8), 5, table, 20,
+                                     (0, 11, 0, 11))
+    assert status == "found"
+    assert path.tolist() == [[5, 5], [5, 5], [5, 5], [4, 6], [4, 7], [5, 8]]
+
+
+def test_a_plan_allocates_one_pad_buffer(monkeypatch):
+    """Every chunk of planes a plan packs goes through one buffer its
+    reservation table allocates once, on the first chunk, whatever
+    window size asks for it; the router keeps none of it."""
+    views = []
+    pad_view = _VectorReservationTable.pad_view
+
+    def spy(table, planes, height, stride):
+        fresh = table._pad is None
+        view = pad_view(table, planes, height, stride)
+        views.append((table, fresh, view, (height, stride)))
+        return view
+
+    monkeypatch.setattr(_VectorReservationTable, "pad_view", spy)
+    grid = ElectrodeGrid(22, 22, um(20))
+    router = CheckedRouter(grid, window_margin=1)
+    plan = router.plan(congested_batch(22, 40, 1))
+    assert plan.stats["replans"] == 0     # one attempt, so one table
+    assert len({id(table) for table, *__ in views}) == 1
+    table = views[0][0]
+    assert [fresh for __, fresh, __, __ in views].count(True) == 1
+    assert views[0][1]
+    assert all(view.base is table._pad for __, __, view, __ in views)
+    assert len({shape for *__, shape in views}) > 1
+    assert len(views) > 10
