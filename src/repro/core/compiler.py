@@ -29,6 +29,23 @@ list, so a caller that edits its schedule cannot reach the memo.  A
 more than its resources, always schedules afresh.  Lowering and
 ``protocol.validate`` run on every compile.
 
+A miss pays for one list schedule and one check of it.  The scheduler
+finds the topological order once (the graph keeps it) and checks the
+graph in the same reverse pass that finds each operation's bottom level
+and candidate resources: no cycle, no negative duration, every
+operation bindable.  Only when that pass meets a problem do the graph's
+and the binder's own checks run, to raise the first problem in their
+order before anything is placed.  :meth:`Schedule.validate
+<repro.scheduling.schedulers.Schedule.validate>` then checks the
+schedule in one pass over its entries.
+
+Each :class:`CompiledProgram` fixes its run order once, when it is
+built: the schedule's entries sorted by start, ties by topological
+position.  :meth:`CompiledProgram.ordered_commands` reads it on every
+run, and a cache hit rebound to another protocol
+(:func:`~repro.service.cache.rebind_program`) shares it, so neither
+sorts again.
+
 Lowering is table-driven: each command's registered
 :class:`~repro.core.registry.CommandSpec` emits its own operation
 through a shared :class:`~repro.core.registry.LoweringContext`, so new
@@ -67,7 +84,13 @@ _DEFAULT_BINDER = Binder(tuple(default_chip_resources()))
 
 @dataclass
 class CompiledProgram:
-    """A protocol lowered to a scheduled operation graph."""
+    """A protocol lowered to a scheduled operation graph.
+
+    ``op_commands`` maps each op id to its command, in command order.
+    ``run_order`` holds the schedule's entries in the order the
+    executor runs them, found once when the program is built (a
+    rebound copy shares it).
+    """
 
     protocol: Protocol
     graph: AssayGraph
@@ -75,6 +98,11 @@ class CompiledProgram:
     binder: Binder
     op_commands: dict = field(default_factory=dict)  # op_id -> command
     registry: object = None  # the CommandRegistry it was compiled with
+    run_order: tuple = None
+
+    def __post_init__(self):
+        if self.run_order is None:
+            self.run_order = _run_order(self.graph, self.schedule)
 
     @property
     def makespan(self) -> float:
@@ -84,14 +112,20 @@ class CompiledProgram:
     def ordered_commands(self):
         """(start_time, op_id, command) sorted by scheduled start.
 
-        Ties are broken by op insertion order, so handle data flow is
-        preserved for equal starts.
+        Ties are broken by the operations' topological order, so handle
+        data flow is preserved for equal starts.
         """
-        order = {op.op_id: i for i, op in enumerate(self.graph.operations())}
-        entries = sorted(
-            self.schedule.entries, key=lambda e: (e.start, order[e.op_id])
-        )
-        return [(e.start, e.op_id, self.op_commands[e.op_id]) for e in entries]
+        op_commands = self.op_commands
+        return [(e.start, e.op_id, op_commands[e.op_id]) for e in self.run_order]
+
+
+def _run_order(graph, schedule):
+    """The schedule's entries sorted by start, ties by topological
+    position: one tuple of the entries themselves, so a cached program
+    holds no copy of them."""
+    position = {op_id: i for i, op_id in enumerate(graph._order())}
+    return tuple(
+        sorted(schedule.entries, key=lambda e: (e.start, position[e.op_id])))
 
 
 def compile_protocol(

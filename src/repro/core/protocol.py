@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import marshal
+import operator
 from dataclasses import dataclass, field
 
 from .errors import ProtocolError
@@ -213,18 +215,25 @@ class Protocol:
         non-dataclass command hashes by ``repr``), which can only cost
         cache hits, never produce false ones.
 
+        The digest is one sha256 over one serialisation of a flat list:
+        per command, its type's name and field names, then each field's
+        value as :func:`_canonical` makes it (a type's name and field
+        names fix how many values follow them, so the list reads back
+        one way only).  ``marshal`` writes the list at version 0, which
+        reads each value's type and contents only (no sharing
+        references, no string interning), so equal lists always give
+        equal bytes.
+
         This is the compiled-program cache key used by
         :mod:`repro.service.cache` (combined with the grid shape), but
         it stands alone as a cheap protocol-identity check.
         """
-        from .registry import default_registry
-
-        registry = registry or default_registry
+        if not registry:
+            from .registry import default_registry as registry
+        commands = self.commands
+        specs = list(map(registry.get, map(type, commands)))
         rename = {}
-        specs = []
-        for cmd in self.commands:
-            spec = registry.get(type(cmd))
-            specs.append(spec)
+        for cmd, spec in zip(commands, specs):
             if spec is None:
                 continue
             for handle in spec.defined_handles(cmd):
@@ -232,20 +241,29 @@ class Protocol:
                 # handle strings, so an undefined handle reference can
                 # never collide with another protocol's alias
                 rename.setdefault(handle, f"\x00{len(rename)}")
-        no_rename = {}
         tokens = []
-        for cmd, spec in zip(self.commands, specs):
+        for cmd, spec in zip(commands, specs):
             handle_fields = getattr(spec, "handle_fields", ()) if spec else ()
-            name, field_names = _layout(type(cmd))
-            tokens.append(name)
-            if field_names is None:
-                tokens.append(repr(cmd))
+            try:
+                head, getter, handles = _LAYOUTS[type(cmd), handle_fields]
+            except (KeyError, TypeError):
+                head, getter, handles = _layout(type(cmd), handle_fields)
+            tokens.append(head)
+            if getter is None:
+                tokens.append([repr(cmd)])
                 continue
-            for field_name in field_names:
-                value = getattr(cmd, field_name)
-                scope = rename if field_name in handle_fields else no_rename
-                tokens.append(f"{field_name}={_canonical(value, scope)}")
-        digest = hashlib.sha256("\x1f".join(tokens).encode("utf-8"))
+            for value, is_handle in zip(getter(cmd), handles):
+                kind = type(value)
+                if kind is str:
+                    if is_handle:
+                        value = rename.get(value, value)
+                elif kind in _ATOMS or (
+                        kind is tuple and _ATOMS.issuperset(map(type, value))):
+                    pass  # nothing to rename or to convert
+                else:
+                    value = _canonical(value, rename if is_handle else {})
+                tokens.append(value)
+        digest = hashlib.sha256(marshal.dumps(tokens, 0))
         return digest.hexdigest()[:16]
 
     # -- validation ------------------------------------------------------------
@@ -272,41 +290,125 @@ class Protocol:
         return True
 
 
-#: command type -> (its name, its dataclass field names or None for a
-#: non-dataclass type), found once per type by :func:`_layout`
+#: (command type, its spec's handle fields) -> the command's layout,
+#: found once per pair by :func:`_layout`
 _LAYOUTS = {}
 
+#: Exact types :func:`_canonical` keeps as they are: nothing in them to
+#: rename, and ``marshal`` writes each by its value.
+_ATOMS = frozenset({int, float, bool, complex, bytes, type(None)})
 
-def _layout(cmd_type):
-    """The name and field names :meth:`Protocol.fingerprint` hashes a
-    command of ``cmd_type`` by."""
-    layout = _LAYOUTS.get(cmd_type)
-    if layout is None:
-        field_names = None
-        if dataclasses.is_dataclass(cmd_type):
-            field_names = tuple(f.name for f in dataclasses.fields(cmd_type))
-        layout = _LAYOUTS[cmd_type] = (cmd_type.__name__, field_names)
+
+def _layout(cmd_type, handle_fields):
+    """How :meth:`Protocol.fingerprint` reads a command of
+    ``cmd_type``: ``(head, getter, handles)``.  The head is the type's
+    name and dataclass field names, pre-serialised; the getter returns
+    the fields' values as a tuple, and ``handles`` flags each field
+    named in ``handle_fields``.  A non-dataclass type has no field
+    names, getter or flags."""
+    if dataclasses.is_dataclass(cmd_type):
+        names = tuple(f.name for f in dataclasses.fields(cmd_type))
+        layout = (
+            _serialised((cmd_type.__name__, names)),
+            _values_getter(names),
+            tuple(name in handle_fields for name in names),
+        )
+    else:
+        layout = (_serialised((cmd_type.__name__, None)), None, None)
+    try:
+        _LAYOUTS[cmd_type, handle_fields] = layout
+    except TypeError:
+        pass  # unhashable handle fields (a list, say): found every call
     return layout
 
 
-def _canonical(value, rename) -> str:
-    """Deterministic token for one command field value.
+def _values_getter(names):
+    """A function returning an object's ``names`` attributes as a
+    tuple."""
+    if len(names) == 1:
+        (name,) = names
+        return lambda cmd: (getattr(cmd, name),)
+    if names:
+        return operator.attrgetter(*names)
+    return lambda cmd: ()
 
-    Strings that name a defined handle are replaced by their canonical
-    definition-order alias; containers recurse so handle references
-    nested in e.g. ``MoveManyCmd.moves`` are canonicalised too.
+
+def _canonical(value, rename):
+    """``value`` as :meth:`Protocol.fingerprint` hashes it.
+
+    A string naming a defined handle (a key of ``rename``) becomes its
+    alias; tuples and lists, subclasses included, become plain tuples
+    and a dict ``{None: its items sorted}``, their contents canonical
+    too, so handle references nested in e.g. ``MoveManyCmd.moves`` are
+    renamed.  Exact atoms (:data:`_ATOMS`) and strings are kept.  Any
+    other value becomes the one-item list of its ``repr``: lists and
+    dicts occur nowhere else in a canonical value, so such a value
+    never hashes like a string, tuple or dict.
     """
-    if isinstance(value, str):
-        return repr(rename.get(value, value))
+    kind = type(value)
+    if kind in _ATOMS:
+        return value
+    if kind is str:
+        return rename.get(value, value)
+    if kind is tuple and _ATOMS.issuperset(map(type, value)):
+        return value
     if isinstance(value, (tuple, list)):
-        return "(" + ",".join(_canonical(v, rename) for v in value) + ")"
+        return tuple([
+            v if type(v) in _ATOMS
+            else rename.get(v, v) if type(v) is str
+            else v if type(v) is tuple and _ATOMS.issuperset(map(type, v))
+            else _canonical(v, rename)
+            for v in value
+        ])
     if isinstance(value, dict):
-        items = sorted(
-            (_canonical(k, rename), _canonical(v, rename))
-            for k, v in value.items()
-        )
-        return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
-    return repr(value)
+        items = [(_canonical(k, rename), _canonical(v, rename))
+                 for k, v in value.items()]
+        return {None: tuple(sorted(items, key=_serialised))}
+    if isinstance(value, str):
+        value = rename.get(value, value)
+        if type(value).__repr__ is str.__repr__:
+            return str.__str__(value)  # a plain copy: marshal takes no subclass
+    return [_leaf_repr(value)]
+
+
+#: id(leaf) -> (the leaf, its ``repr``) for leaves that cannot change
+#: (:func:`_unchanging`); emptied when it reaches ``_REPRS_SIZE``.
+_REPRS = {}
+_REPRS_SIZE = 64
+
+
+def _leaf_repr(value):
+    """``repr(value)``, remembered while ``value`` lives in
+    :data:`_REPRS`.  Protocols tend to share their particle objects,
+    and a particle's dataclass ``repr`` is the costliest token of a
+    fingerprint; the entry holds the leaf, so its id is not reused."""
+    entry = _REPRS.get(id(value))
+    if entry is not None and entry[0] is value:
+        return entry[1]
+    text = repr(value)
+    if _unchanging(value):
+        if len(_REPRS) >= _REPRS_SIZE:
+            _REPRS.clear()
+        _REPRS[id(value)] = (value, text)
+    return text
+
+
+def _unchanging(value):
+    """True when ``value``'s ``repr`` is fixed for its lifetime: an
+    atom, a string, a tuple of such values or a frozen dataclass
+    instance whose fields all hold such values."""
+    kind = type(value)
+    if kind in _ATOMS or kind is str:
+        return True
+    if kind is tuple:
+        return all(map(_unchanging, value))
+    params = getattr(kind, "__dataclass_params__", None)
+    return bool(params and params.frozen) and all(
+        _unchanging(getattr(value, f.name)) for f in dataclasses.fields(kind))
+
+
+def _serialised(value):
+    return marshal.dumps(value, 0)
 
 
 def viability_sort_protocol(pairs, left_column, right_column, samples=2000):

@@ -87,10 +87,8 @@ class LoweringContext:
 
     def add(self, op_id, op_type, duration, after=(), payload=None):
         """Add one operation to the graph; returns the operation."""
-        operation = Operation(
-            op_id, op_type, duration, payload=payload if payload else {}
-        )
-        self.graph.add(operation, after=[dep for dep in after if dep is not None])
+        operation = Operation(op_id, op_type, duration, None, payload or {})
+        self.graph.add(operation, [dep for dep in after if dep is not None])
         return operation
 
     def distance(self, a, b) -> int:

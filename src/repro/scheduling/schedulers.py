@@ -12,7 +12,7 @@ import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .binder import Binder
+from .binder import Binder, BindingError
 
 
 @dataclass(frozen=True)
@@ -68,38 +68,71 @@ class Schedule:
         return sum(values) / len(values) if values else 0.0
 
     def validate(self, graph, binder):
-        """Assert dependency and capacity correctness; returns True.
+        """Check the schedule runs ``graph`` on ``binder``; returns True.
 
-        * every operation scheduled exactly once, with its duration;
-        * no operation starts before all predecessors end;
-        * at no instant does a resource exceed its capacity.
+        Raises ValueError unless
+
+        * every operation of the graph is scheduled, exactly once, and
+          nothing else is;
+        * each entry lasts its operation's duration (to 1e-9 s);
+        * each entry's resource can run its operation's type and, for
+          an operation pinned to a region, is that region;
+        * no operation starts before each of its predecessors ends (to
+          1e-9 s);
+        * at no instant does a resource hold more operations than its
+          capacity (one ending at t frees its slot for one starting at
+          t).
+
+        An entry on a resource the binder does not have raises
+        :class:`~repro.scheduling.binder.BindingError`.  One pass over
+        the entries checks all but capacity; the capacity sweep sorts
+        the entries' start and end events only on a resource holding
+        more entries than its capacity, since no other can overflow.
         """
-        scheduled = {e.op_id for e in self.entries}
-        graph_ops = {op.op_id for op in graph.operations()}
-        if scheduled != graph_ops:
-            missing = graph_ops - scheduled
-            extra = scheduled - graph_ops
-            raise ValueError(f"schedule mismatch: missing {missing}, extra {extra}")
-        by_id = {e.op_id: e for e in self.entries}
-        for op in graph.operations():
-            entry = by_id[op.op_id]
-            if abs(entry.duration - op.duration) > 1e-9:
-                raise ValueError(f"{op.op_id}: scheduled duration differs from graph")
-            for pred in graph.predecessors(op.op_id):
-                if by_id[pred].end - entry.start > 1e-9:
+        ops, preds = graph._ops, graph._preds
+        by_id = {entry.op_id: entry for entry in self.entries}
+        if len(by_id) != len(self.entries):
+            seen = set()
+            for entry in self.entries:
+                if entry.op_id in seen:
                     raise ValueError(
-                        f"{op.op_id} starts at {entry.start} before "
+                        f"operation {entry.op_id!r} scheduled more than once")
+                seen.add(entry.op_id)
+        if by_id.keys() != ops.keys():
+            missing = ops.keys() - by_id.keys()
+            extra = by_id.keys() - ops.keys()
+            raise ValueError(f"schedule mismatch: missing {missing}, extra {extra}")
+        held = {}  # resource name -> its entries
+        runs = set()  # (resource name, op type) pairs found runnable
+        for entry in self.entries:
+            op_id, name, start = entry.op_id, entry.resource, entry.start
+            operation = ops[op_id]
+            if abs(entry.end - start - operation.duration) > 1e-9:
+                raise ValueError(f"{op_id}: scheduled duration differs from graph")
+            if (name, operation.op_type) not in runs:
+                if not binder.resource(name).supports(operation.op_type):
+                    raise ValueError(
+                        f"{op_id}: resource {name} cannot run {operation.op_type}")
+                runs.add((name, operation.op_type))
+            if operation.region is not None and operation.region != name:
+                raise ValueError(
+                    f"{op_id}: scheduled on {name}, pinned to {operation.region}")
+            for pred in preds[op_id]:
+                if by_id[pred].end - start > 1e-9:
+                    raise ValueError(
+                        f"{op_id} starts at {start} before "
                         f"predecessor {pred} ends at {by_id[pred].end}"
                     )
-        # capacity: sweep events per resource
-        events = {}
-        for entry in self.entries:
-            events.setdefault(entry.resource, []).append((entry.start, 1))
-            events.setdefault(entry.resource, []).append((entry.end, -1))
-        for name, evs in events.items():
+            held.setdefault(name, []).append(entry)
+        for name, entries in held.items():
             capacity = binder.resource(name).capacity
+            if len(entries) <= capacity:
+                continue
+            events = [(e.start, 1) for e in entries]
+            events += [(e.end, -1) for e in entries]
+            events.sort()
             level = 0
-            for __, delta in sorted(evs, key=lambda e: (e[0], e[1])):
+            for __, delta in events:
                 level += delta
                 if level > capacity:
                     raise ValueError(f"resource {name} exceeds capacity {capacity}")
@@ -120,14 +153,20 @@ class _ResourceState:
     one, every candidate before that run's end fails too, and the run's
     end is itself a candidate.  A query is therefore one bisection per
     run it skips, not a scan over every interval per candidate.
+
+    Fewer intervals than the capacity can never fill the resource, so
+    the first ``capacity - 1`` are only held; the step function is
+    built from them, in commit order, when the next one arrives.
     """
+
+    __slots__ = ("resource", "_times", "_levels", "_full_starts",
+                 "_full_ends", "_held")
 
     def __init__(self, resource):
         self.resource = resource
-        self._times = []  # step-function breakpoints, sorted
-        self._levels = []  # occupancy on [times[i], times[i + 1])
-        self._full_starts = []  # runs at capacity, sorted and disjoint
-        self._full_ends = []
+        self._held = []  # intervals not yet in the step function
+        # no run at capacity until the step function is built
+        self._full_starts = self._full_ends = ()
 
     def earliest_slot(self, ready_time, duration):
         """Earliest start >= ready_time with capacity for ``duration``."""
@@ -150,6 +189,21 @@ class _ResourceState:
     def commit(self, start, end):
         if end <= start:
             return  # an empty interval never adds to the occupancy
+        held = self._held
+        if held is None:
+            self._add(start, end)
+            return
+        held.append((start, end))
+        if len(held) == self.resource.capacity:
+            self._held = None
+            self._times = []  # step-function breakpoints, sorted
+            self._levels = []  # occupancy on [times[i], times[i + 1])
+            self._full_starts = []  # runs at capacity, sorted and disjoint
+            self._full_ends = []
+            for interval in held:
+                self._add(*interval)
+
+    def _add(self, start, end):
         first = self._breakpoint(start)
         last = self._breakpoint(end)
         levels = self._levels
@@ -192,45 +246,73 @@ class ListScheduler:
     binder: Binder
 
     def schedule(self, graph) -> Schedule:
-        graph.validate()
-        self.binder.validate_graph(graph)
-        levels = graph.bottom_levels()
-        indegree = {
-            op.op_id: len(graph.dependencies(op.op_id)) for op in graph.operations()
-        }
-        finish = {}
-        states = {r.name: _ResourceState(r) for r in self.binder.resources}
-        ready = [
-            (-levels[op_id], op_id)
-            for op_id, deg in indegree.items()
-            if deg == 0
-        ]
+        """Place every operation of ``graph``; returns the schedule.
+
+        One reverse topological pass checks the graph (no cycle, no
+        negative duration, every operation bindable) while it finds
+        each operation's bottom level and candidate resources.  When
+        that pass meets a problem, :meth:`AssayGraph.validate
+        <repro.scheduling.taskgraph.AssayGraph.validate>` and
+        :meth:`Binder.validate_graph
+        <repro.scheduling.binder.Binder.validate_graph>` run and raise
+        the first problem in their order, before anything is placed.
+        """
+        ops, preds, succs = graph._ops, graph._preds, graph._succs
+        order = graph._order()
+        binder = self.binder
+        levels = {}
+        candidates = {}  # op_id -> its candidate resources
+        indegree = {}
+        ready = []  # (-bottom level, op_id) of the roots
+        try:
+            if len(order) != len(ops):
+                raise ValueError("assay graph has a cycle")
+            for op_id in reversed(order):
+                operation = ops[op_id]
+                duration = operation.duration
+                if duration < 0.0:
+                    raise ValueError(f"operation {op_id} has negative duration")
+                after = succs[op_id]
+                level = levels[op_id] = duration + (
+                    max(map(levels.__getitem__, after)) if after else 0.0
+                )
+                candidates[op_id] = binder.candidates(operation)
+                indegree[op_id] = len(preds[op_id])
+                if not indegree[op_id]:
+                    ready.append((-level, op_id))
+        except (ValueError, BindingError):
+            # the checks' own order decides which problem is reported
+            graph.validate()
+            binder.validate_graph(graph)
+            raise
         heapq.heapify(ready)
+        states = {r.name: _ResourceState(r) for r in binder.resources}
+        finish = {}
         entries = []
+        # (-level, op_id) is unique, so the pop order cannot depend on
+        # the order successors are pushed in
         while ready:
             __, op_id = heapq.heappop(ready)
-            operation = graph.operation(op_id)
-            ready_time = max(
-                (finish[p] for p in graph.dependencies(op_id)), default=0.0
-            )
-            best = None
-            for resource in self.binder.candidates(operation):
-                start = states[resource.name].earliest_slot(
-                    ready_time, operation.duration
-                )
-                if best is None or start < best[0]:
-                    best = (start, resource.name)
-            start, resource_name = best
-            end = start + operation.duration
-            states[resource_name].commit(start, end)
+            duration = ops[op_id].duration
+            deps = preds[op_id]
+            ready_time = max(map(finish.__getitem__, deps)) if deps else 0.0
+            best = best_start = None
+            for resource in candidates[op_id]:
+                state = states[resource.name]
+                start = state.earliest_slot(ready_time, duration)
+                if best is None or start < best_start:
+                    best, best_start = state, start
+                    if start == ready_time:
+                        break  # no later candidate can start sooner
+            end = best_start + duration
+            best.commit(best_start, end)
             finish[op_id] = end
-            entries.append(ScheduledOp(op_id, resource_name, start, end))
-            for succ in graph.successors(op_id):
+            entries.append(
+                ScheduledOp(op_id, best.resource.name, best_start, end))
+            for succ in succs[op_id]:
                 indegree[succ] -= 1
-                if indegree[succ] == 0:
+                if not indegree[succ]:
                     heapq.heappush(ready, (-levels[succ], succ))
-        if len(entries) != len(graph):
-            raise RuntimeError("scheduler failed to place every operation")
         return Schedule(entries=entries)
 
 

@@ -29,6 +29,12 @@ class OpType(Enum):
     INCUBATE = "incubate"  # hold in place for a reaction time
     RELEASE = "release"  # open the cage, give the particle back to the bulk
 
+    # Members are singletons that compare by identity, so the identity
+    # hash agrees with equality and runs in C; ``Enum.__hash__`` hashes
+    # the member's name in Python, paid per operation in the schedule
+    # memo's key and in every binder lookup.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class Operation:
@@ -138,19 +144,20 @@ class AssayGraph:
         which is rejected up front.  Nothing is added on error.
         """
         op_id = operation.op_id
-        if op_id in self._ops:
+        ops, succs = self._ops, self._succs
+        if op_id in ops:
             raise ValueError(f"duplicate operation id {op_id}")
         if op_id in after:
             raise ValueError(f"operation {op_id} cannot depend on itself")
         for dep in after:
-            if dep not in self._ops:
+            if dep not in ops:
                 raise ValueError(f"dependency {dep} not in graph")
-        self._ops[op_id] = operation
-        self._preds[op_id] = {}
-        self._succs[op_id] = {}
+        ops[op_id] = operation
+        self._preds[op_id] = dict.fromkeys(after)
+        succs[op_id] = {}
         self._topo = None
         for dep in after:
-            self._link(dep, op_id)
+            succs[dep][op_id] = None
         return operation
 
     def add_dependency(self, op_id, dep):

@@ -31,25 +31,23 @@ def rebind_program(program, protocol):
 
     Two protocols with the same fingerprint have positionally identical
     command structure, so the cached schedule/graph/durations carry
-    over verbatim while ``op_commands`` is remapped by command index --
-    execution then uses the submitted job's handle names, measurement
-    keys and particles.  Returns None when the structures don't line up
-    (a fingerprint collision); the caller recompiles.
+    over verbatim while ``op_commands`` (in command order) is remapped
+    position by position -- execution then uses the submitted job's
+    handle names, measurement keys and particles, in the run order the
+    cached program fixed.  Returns None when the structures don't line
+    up (a fingerprint collision); the caller recompiles.
     """
     if program.protocol is protocol:
         return program
     commands = protocol.commands
-    if len(commands) != len(program.op_commands):
+    cached = program.op_commands
+    if len(commands) != len(cached):
         return None
-    op_commands = {}
-    for op_id, cached_cmd in program.op_commands.items():
-        index = int(op_id.split(":", 1)[0])
-        cmd = commands[index]
+    for cmd, cached_cmd in zip(commands, cached.values()):
         if type(cmd) is not type(cached_cmd):
             return None
-        op_commands[op_id] = cmd
     return dataclasses.replace(
-        program, protocol=protocol, op_commands=op_commands
+        program, protocol=protocol, op_commands=dict(zip(cached, commands))
     )
 
 
