@@ -12,7 +12,8 @@ compiled protocol can run on different targets:
   costed without paying for field solves or sensor noise.
 
 Third-party backends (hardware drivers, distributed simulators)
-implement the same interface.
+implement the same interface; one that drives another backend
+subclasses :class:`BackendWrapper`.
 """
 
 from __future__ import annotations
@@ -25,16 +26,25 @@ from ..array.addressing import RowColumnAddresser
 from ..array.grid import ElectrodeGrid, paper_grid
 from ..scheduling.taskgraph import DurationModel
 from .errors import ExecutionError
-from .platform import Biochip, SenseResult
+from .platform import Biochip, SenseResult, check_in_window, lease_window
 
 
 class Backend:
     """Execution target interface.
 
-    Implementations expose ``grid`` (array geometry) and ``elapsed``
-    (accounted chip time [s]) plus the operation methods below.  Cage
-    identity is an opaque integer id returned by :meth:`trap`.
+    The contract is the state ``grid`` (array geometry), ``elapsed``
+    (accounted chip time [s]), ``cage_count``, ``history`` (the
+    (time, kind, detail) event log), ``routing_totals`` (batch-planner
+    cost; a backend that plans no batches may leave it out),
+    ``addresser`` (the row/column timing model) and
+    ``min_separation`` (the cage spacing rule; 2 unless a backend says
+    otherwise), plus the operation methods below.  Cage identity is an
+    opaque integer id returned by :meth:`trap`.  A backend that drives
+    another one subclasses :class:`BackendWrapper`, which forwards the
+    whole contract but :meth:`spawn`.
     """
+
+    min_separation = 2
 
     def trap(self, site, particle=None) -> int:
         """Create a cage at ``site``; returns its cage id."""
@@ -91,65 +101,95 @@ class Backend:
         )
 
 
-@dataclass
-class SimulatorBackend(Backend):
-    """The full physical simulation, wrapping a :class:`Biochip`."""
+class BackendWrapper(Backend):
+    """A backend that drives another one, ``backend``.
 
-    chip: Biochip = field(default_factory=Biochip.small_chip)
+    Forwards every contract member but :meth:`spawn` once, so the
+    simulator's adapter, the fault injector, a tenant's leased view and
+    the wall tier's sense tap override only what they change.  Plain
+    properties and methods, no ``__getattr__``: tenant views sit on the
+    serving hot path.  ``release``, ``incubate`` and ``set_region``
+    return None.
+    """
+
+    def __init__(self, backend):
+        self.backend = backend
 
     @property
     def grid(self):
-        return self.chip.grid
+        return self.backend.grid
 
     @property
     def elapsed(self) -> float:
-        return self.chip.elapsed
-
-    @property
-    def routing_totals(self) -> dict:
-        """Cumulative batch-planner cost (see
-        :attr:`Biochip.routing_totals`)."""
-        return self.chip.routing_totals
-
-    @property
-    def addresser(self):
-        return self.chip.addresser
+        return self.backend.elapsed
 
     @property
     def cage_count(self) -> int:
-        return self.chip.cage_count
+        return self.backend.cage_count
 
     @property
     def history(self):
-        """The chip's (time, kind, detail) event log."""
-        return self.chip.history
+        return self.backend.history
+
+    @property
+    def routing_totals(self) -> dict:
+        return self.backend.routing_totals
+
+    @property
+    def addresser(self):
+        return self.backend.addresser
+
+    @property
+    def min_separation(self) -> int:
+        return self.backend.min_separation
 
     def trap(self, site, particle=None) -> int:
-        return self.chip.trap(site, particle).cage_id
+        return self.backend.trap(site, particle)
 
     def move(self, cage_id, goal) -> int:
-        return len(self.chip.move(cage_id, goal)) - 1
+        return self.backend.move(cage_id, goal)
 
     def move_many(self, goals) -> dict:
-        return self.chip.move_many(goals)
+        return self.backend.move_many(goals)
 
     def merge(self, keep_id, absorb_id):
-        return self.chip.merge(keep_id, absorb_id)
+        return self.backend.merge(keep_id, absorb_id)
 
     def sense(self, cage_id, n_samples=1000) -> SenseResult:
-        return self.chip.sense(cage_id, n_samples=n_samples)
+        return self.backend.sense(cage_id, n_samples)
 
     def sense_all(self, n_samples=1000):
-        return self.chip.sense_all(n_samples=n_samples)
+        return self.backend.sense_all(n_samples)
 
     def incubate(self, seconds):
-        self.chip.incubate(seconds)
+        self.backend.incubate(seconds)
 
     def release(self, cage_id):
-        self.chip.release(cage_id)
+        self.backend.release(cage_id)
+
+    def set_region(self, origin=None, rows=None, cols=None):
+        self.backend.set_region(origin, rows, cols)
+
+
+class SimulatorBackend(BackendWrapper):
+    """The full physical simulation, wrapping a :class:`Biochip`
+    (``Biochip.small_chip()`` unless ``chip`` is given)."""
+
+    def __init__(self, chip=None):
+        super().__init__(Biochip.small_chip() if chip is None else chip)
+
+    @property
+    def chip(self) -> Biochip:
+        return self.backend
+
+    def trap(self, site, particle=None) -> int:
+        return self.backend.trap(site, particle).cage_id
+
+    def move(self, cage_id, goal) -> int:
+        return len(self.backend.move(cage_id, goal)) - 1
 
     def reset(self):
-        self.chip.reset()
+        self.backend.reset()
 
     def spawn(self) -> "SimulatorBackend":
         # dataclasses.replace re-runs Biochip.__post_init__, giving a
@@ -161,13 +201,10 @@ class SimulatorBackend(Backend):
         # batch relative to its origin (see Biochip.move_many).  Fleet
         # chips and restarts are spawns; a tenant view is spawned once
         # per lease slot and then reset in place (Biochip.reset).
-        chip = dataclasses.replace(self.chip)
-        chip._levitation_cache = self.chip._levitation_cache
-        chip._plan_memo = self.chip._plan_memo
+        chip = dataclasses.replace(self.backend)
+        chip._levitation_cache = self.backend._levitation_cache
+        chip._plan_memo = self.backend._plan_memo
         return SimulatorBackend(chip)
-
-    def set_region(self, origin=None, rows=None, cols=None):
-        self.chip.set_region(origin, rows, cols)
 
 
 @dataclass
@@ -221,36 +258,13 @@ class DryRunBackend(Backend):
         """Clip the backend to a lease window (see
         :meth:`Biochip.set_region <repro.core.platform.Biochip.set_region>`);
         sites outside it are rejected like out-of-bounds ones."""
-        if origin is None:
-            self._region = None
-            return
-        r0, c0 = int(origin[0]), int(origin[1])
-        rows = int(rows)
-        cols = int(cols)
-        if rows < 1 or cols < 1:
-            raise ValueError(f"region must be >= 1x1, got {rows}x{cols}")
-        if (r0 < 0 or c0 < 0 or r0 + rows > self.grid.rows
-                or c0 + cols > self.grid.cols):
-            raise ValueError(
-                f"region {(r0, c0)}+{rows}x{cols} exceeds the "
-                f"{self.grid.rows}x{self.grid.cols} array"
-            )
-        self._region = (r0, c0, r0 + rows, c0 + cols)
-
-    def _check_region(self, site, what="cage site"):
-        if self._region is None:
-            return
-        r0, c0, r1, c1 = self._region
-        if not (r0 <= site[0] < r1 and c0 <= site[1] < c1):
-            raise ExecutionError(
-                f"{what} {tuple(site)} outside leased region "
-                f"[{r0}:{r1}, {c0}:{c1}]"
-            )
+        self._region = (None if origin is None
+                        else lease_window(self.grid, origin, rows, cols))
 
     def _check_site(self, site, ignore_id=None):
         if not self.grid.in_bounds(*site):
             raise ExecutionError(f"cage site {site} out of bounds")
-        self._check_region(site)
+        check_in_window(self._region, site, "cage site")
         radius = self.min_separation - 1
         row, col = site
         for dr in range(-radius, radius + 1):
@@ -312,7 +326,7 @@ class DryRunBackend(Backend):
             self._cage(cage_id)
             if not self.grid.in_bounds(*goal):
                 raise ExecutionError(f"cage {cage_id}: goal {goal} out of bounds")
-            self._check_region(goal, f"cage {cage_id}: goal")
+            check_in_window(self._region, goal, f"cage {cage_id}: goal")
             resolved[cage_id] = goal
         # Validate the full post-move state (collisions and the
         # separation rule, against both movers and stationary cages)

@@ -61,6 +61,37 @@ _PLAN_MEMO_SIZE = 64
 _NO_SITES = np.zeros((0, 2), dtype=np.int32)
 
 
+def lease_window(grid, origin, rows, cols) -> tuple:
+    """The half-open window ``(r0, c0, r1, c1)`` of a ``rows x cols``
+    lease at ``origin`` on ``grid``; ValueError when it is empty or
+    leaves the array.  Every backend's ``set_region`` validates here."""
+    r0, c0 = int(origin[0]), int(origin[1])
+    rows = int(rows)
+    cols = int(cols)
+    if rows < 1 or cols < 1:
+        raise ValueError(f"region must be >= 1x1, got {rows}x{cols}")
+    if (r0 < 0 or c0 < 0 or r0 + rows > grid.rows
+            or c0 + cols > grid.cols):
+        raise ValueError(
+            f"region {(r0, c0)}+{rows}x{cols} exceeds the "
+            f"{grid.rows}x{grid.cols} array"
+        )
+    return (r0, c0, r0 + rows, c0 + cols)
+
+
+def check_in_window(window, site, what):
+    """Raise :class:`ExecutionError` naming ``what`` when ``site`` lies
+    outside ``window`` (a :func:`lease_window`; None = no lease)."""
+    if window is None:
+        return
+    r0, c0, r1, c1 = window
+    if not (r0 <= site[0] < r1 and c0 <= site[1] < c1):
+        raise ExecutionError(
+            f"{what} {tuple(site)} outside leased region "
+            f"[{r0}:{r1}, {c0}:{c1}]"
+        )
+
+
 class _Replay(NamedTuple):
     """What running a memoised plan whole charged: the report's move
     count and times (see :meth:`Biochip.move_many`)."""
@@ -316,20 +347,11 @@ class Biochip:
             self._region_block = None
             self._origin = None
             return
-        r0, c0 = int(origin[0]), int(origin[1])
-        rows = int(rows)
-        cols = int(cols)
-        if rows < 1 or cols < 1:
-            raise ValueError(f"region must be >= 1x1, got {rows}x{cols}")
-        if (r0 < 0 or c0 < 0 or r0 + rows > self.grid.rows
-                or c0 + cols > self.grid.cols):
-            raise ValueError(
-                f"region {(r0, c0)}+{rows}x{cols} exceeds the "
-                f"{self.grid.rows}x{self.grid.cols} array"
-            )
-        self._region = (r0, c0, r0 + rows, c0 + cols)
+        self._region = r0, c0, r1, c1 = lease_window(
+            self.grid, origin, rows, cols
+        )
         block = np.ones((self.grid.rows, self.grid.cols), dtype=bool)
-        block[r0:r0 + rows, c0:c0 + cols] = False
+        block[r0:r1, c0:c1] = False
         self._region_block = block
         self._origin = (np.array((r0, c0), dtype=np.int32)
                         if r0 or c0 else None)
@@ -339,14 +361,6 @@ class Biochip:
             return True
         r0, c0, r1, c1 = self._region
         return r0 <= site[0] < r1 and c0 <= site[1] < c1
-
-    def _check_region(self, site, what):
-        if not self._in_region(site):
-            r0, c0, r1, c1 = self._region
-            raise ExecutionError(
-                f"{what} {tuple(site)} outside leased region "
-                f"[{r0}:{r1}, {c0}:{c1}]"
-            )
 
     def _blocked_mask(self):
         """Hard-blocked electrodes for routing: dead pixels plus
@@ -489,7 +503,7 @@ class Biochip:
         Physical trapping time: the particle must sediment/drift into
         the cage, modelled as a fixed settle time.
         """
-        self._check_region(site, "trap site")
+        check_in_window(self._region, site, "trap site")
         try:
             cage = self.cages.create(site, payload=particle)
         except DeadElectrodeError as exc:
@@ -667,7 +681,7 @@ class Biochip:
             goal = tuple(goal)
             if not self.grid.in_bounds(*goal):
                 raise ExecutionError(f"cage {cage_id}: goal {goal} out of bounds")
-            self._check_region(goal, f"cage {cage_id}: goal")
+            check_in_window(self._region, goal, f"cage {cage_id}: goal")
             if dead is not None and dead[goal]:
                 raise ChipFault(
                     f"cage {cage_id}: goal {goal} is a dead electrode"

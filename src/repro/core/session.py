@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from ..observability import tracing
 from .backend import Backend, DryRunBackend, SimulatorBackend
 from .compiler import CompiledProgram, compile_protocol
-from .platform import Biochip
 from .registry import ExecutionContext, default_registry
 from .results import RunResult
 
@@ -131,7 +130,6 @@ class Session:
     @classmethod
     def simulator(cls, chip=None, registry=None) -> "Session":
         """A session on the full physical simulator (small chip default)."""
-        chip = chip if chip is not None else Biochip.small_chip()
         return cls(SimulatorBackend(chip), registry=registry)
 
     @classmethod

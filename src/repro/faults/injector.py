@@ -1,7 +1,8 @@
-"""The fault injector: a backend proxy that makes a chip misbehave.
+"""The fault injector: a backend wrapper that makes a chip misbehave.
 
-:class:`FaultInjector` wraps any :class:`~repro.core.backend.Backend`
-and realises a :class:`~repro.faults.model.FaultModel` against it:
+:class:`FaultInjector` is a :class:`~repro.core.backend.BackendWrapper`
+over any :class:`~repro.core.backend.Backend`, and realises a
+:class:`~repro.faults.model.FaultModel` against it:
 
 * dead electrodes -- operations that would put a cage *centre* on a
   dead pixel raise :class:`~repro.core.errors.ChipFault` before they
@@ -24,22 +25,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.backend import Backend
+from ..core.backend import BackendWrapper
 from ..core.errors import ChipFault
 from ..observability import tracing
 from .model import FaultModel
 
 
-class FaultInjector(Backend):
+class FaultInjector(BackendWrapper):
     """Wrap ``backend`` so it exhibits ``model``'s faults.
 
     The injector is itself a :class:`Backend`: sessions, services and
     registries drive it exactly like the chip it wraps.  ``counters``
-    tallies what was injected (for telemetry).
+    tallies what was injected (for telemetry); ``op_count`` counts the
+    operations that rolled the transient process.
 
-    Incubation never faults: holding cages static involves no frame
-    reprogramming, and the fleet scheduler uses ``incubate`` for clock
-    synchronisation -- a fault there would be charged to no job.
+    Three operations never roll:
+
+    * ``incubate`` -- holding cages static involves no frame
+      reprogramming, and the fleet scheduler uses it for clock
+      synchronisation: a fault there would be charged to no job;
+    * ``release`` -- the sweep that cleans a chip after a failed job is
+      made of releases, and a fault there would wedge the cleanup
+      itself;
+    * ``set_region`` -- leasing is a scheduler action, not a chip
+      operation a transient glitch could hit.
     """
 
     def __init__(self, backend, model: FaultModel, seed=0):
@@ -49,7 +58,7 @@ class FaultInjector(Backend):
                 f"fault model shape {model.shape} does not match backend "
                 f"grid ({grid.rows}, {grid.cols})"
             )
-        self.backend = backend
+        super().__init__(backend)
         self.model = model
         self.seed = seed
         self.rng = np.random.default_rng(
@@ -62,37 +71,6 @@ class FaultInjector(Backend):
         chip = getattr(backend, "chip", None)
         if chip is not None and hasattr(chip, "apply_faults"):
             chip.apply_faults(model)
-
-    # -- delegation ---------------------------------------------------------
-
-    @property
-    def grid(self):
-        return self.backend.grid
-
-    @property
-    def elapsed(self) -> float:
-        return self.backend.elapsed
-
-    @property
-    def cage_count(self) -> int:
-        return self.backend.cage_count
-
-    @property
-    def history(self):
-        return self.backend.history
-
-    @property
-    def routing_totals(self):
-        return self.backend.routing_totals
-
-    @property
-    def addresser(self):
-        return self.backend.addresser
-
-    def set_region(self, origin=None, rows=None, cols=None):
-        # Pure delegation, never rolled: leasing is a scheduler action,
-        # not a chip operation a transient glitch could hit.
-        self.backend.set_region(origin, rows, cols)
 
     # -- fault processes ----------------------------------------------------
 
@@ -158,15 +136,6 @@ class FaultInjector(Backend):
     def sense_all(self, n_samples=1000):
         self._roll("sense_all")
         return self.backend.sense_all(n_samples=n_samples)
-
-    def incubate(self, seconds):
-        self.backend.incubate(seconds)
-
-    def release(self, cage_id):
-        # Releases never roll the transient process either: the sweep
-        # that cleans a chip after a failed job is made of releases, and
-        # a fault there would wedge the cleanup itself.
-        return self.backend.release(cage_id)
 
     def spawn(self) -> "FaultInjector":
         """A fresh wrapped spawn: same defect map, independent

@@ -96,11 +96,6 @@ class MaskLayer:
     def count(self) -> int:
         return len(self.rects)
 
-    def total_area(self) -> float:
-        """Sum of rectangle areas (overlaps counted twice -- layouts
-        here are expected disjoint; the DRC flags overlaps)."""
-        return sum(r.area for r in self.rects)
-
     def bounding_box(self):
         """Overall bounding Rect, or None for an empty layer."""
         if not self.rects:

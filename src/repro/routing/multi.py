@@ -50,6 +50,14 @@ from .astar import (
     downhill_path,
 )
 
+#: Extra timesteps a batch plan may take beyond its lower-bound
+#: makespan before a cage's search is declared failed.
+HORIZON_SLACK = 40
+
+#: Times a batch is replanned, trapped cages promoted to the front,
+#: before a routing failure propagates.
+REPLAN_ATTEMPTS = 2
+
 #: Reservation planes packed into wavefront bit planes per numpy call.
 _PLANE_CHUNK = 16
 
@@ -467,9 +475,6 @@ class BatchRouter:
     min_separation:
         Cage-centre spacing rule (match the
         :class:`~repro.array.cages.CageManager`).
-    horizon_slack:
-        Extra timesteps allowed beyond the lower-bound makespan before a
-        cage's search is declared failed.
     max_expansions:
         Per-cage space-time A* expansion budget.
     blocked:
@@ -477,21 +482,20 @@ class BatchRouter:
         (dead electrodes).  Uninflated: only the centre is excluded.
         Starts on blocked sites are tolerated (a fault may flip under a
         live cage, which must still be able to escape); goals are not.
-    replan_attempts:
-        Prioritised planning is incomplete: a cage can be sealed in by
-        cages planned before it that park across its only corridor
-        (corner starts are the classic case).  On failure the whole
-        batch is replanned with every trapped cage promoted to the
-        front of the order -- it then routes before its jailers park.
-        This many retries are allowed before the error propagates.
+
+    A cage's search fails past :data:`HORIZON_SLACK` timesteps beyond
+    the lower-bound makespan.  Prioritised planning is incomplete: a
+    cage can be sealed in by cages planned before it that park across
+    its only corridor (corner starts are the classic case).  On failure
+    the whole batch is replanned with every trapped cage promoted to
+    the front of the order -- it then routes before its jailers park --
+    up to :data:`REPLAN_ATTEMPTS` times before the error propagates.
     """
 
     grid: ElectrodeGrid
     min_separation: int = 2
-    horizon_slack: int = 40
     max_expansions: int = 400000
     blocked: object = None
-    replan_attempts: int = 2
 
     planner_name = "astar"
 
@@ -560,7 +564,7 @@ class BatchRouter:
                 (chebyshev_heuristic(r.start, r.goal) for r in requests),
                 default=0,
             )
-            + self.horizon_slack
+            + HORIZON_SLACK
         )
         started = time.perf_counter()
         table = self._parked_table(horizon, parked)
@@ -576,7 +580,7 @@ class BatchRouter:
         }
         expansions_total = 0
         promoted = []  # trapped cage ids, planned first on the retry
-        for attempt in range(self.replan_attempts + 1):
+        for attempt in range(REPLAN_ATTEMPTS + 1):
             if attempt:
                 table = self._parked_table(horizon, parked)
             paths = {}
@@ -587,7 +591,7 @@ class BatchRouter:
                 try:
                     path, expansions = self._route_one(request, table, horizon)
                 except RoutingError:
-                    if attempt == self.replan_attempts:
+                    if attempt == REPLAN_ATTEMPTS:
                         raise
                     # keep going: one retry then discovers *every* cage
                     # trapped by this attempt's reservations at once

@@ -63,10 +63,6 @@ class Schedule:
             result[name] = busy / (capacity * makespan)
         return result
 
-    def average_utilisation(self, binder) -> float:
-        values = list(self.utilisation(binder).values())
-        return sum(values) / len(values) if values else 0.0
-
     def validate(self, graph, binder):
         """Check the schedule runs ``graph`` on ``binder``; returns True.
 

@@ -20,15 +20,17 @@ checks in workers, backoff stamps in the coordinator) reads the same
 timeline.  On the platforms the tier supports, ``time.monotonic()`` is
 a system-wide clock, not a per-process one.
 
-:class:`SenseTap` is the streaming bridge: a transparent backend proxy
-that forwards every sense outcome to a callback as it happens, which is
-how the asyncio front end streams per-cage sense events out of a worker
-thread mid-protocol.
+:class:`SenseTap` is the streaming bridge: a
+:class:`~repro.core.backend.BackendWrapper` that hands every sense
+outcome to a callback as it happens, which is how the asyncio front end
+streams per-cage sense events out of a worker thread mid-protocol.
 """
 
 from __future__ import annotations
 
 import time
+
+from ...core.backend import BackendWrapper
 
 
 class Clock:
@@ -68,26 +70,21 @@ class WallClock(Clock):
         return time.monotonic() - self.epoch
 
 
-class SenseTap:
-    """Backend proxy that streams sense outcomes to a callback.
+class SenseTap(BackendWrapper):
+    """Backend wrapper that streams sense outcomes to a callback.
 
     Wraps any :class:`~repro.core.backend.Backend` (including a
     :class:`~repro.faults.FaultInjector`) and forwards every
     :class:`~repro.core.platform.SenseResult` the protocol produces to
     ``on_sense(sense_result)`` *as it is read* -- the hook the
     concurrent tier uses to push live sense events into a job handle
-    while the protocol is still running.  Everything else delegates
-    untouched, so the tap is behaviourally invisible.
+    while the protocol is still running.  The rest of the contract is
+    forwarded untouched, so the tap is behaviourally invisible.
     """
 
     def __init__(self, backend, on_sense):
-        self.backend = backend
+        super().__init__(backend)
         self.on_sense = on_sense
-
-    def __getattr__(self, name):
-        # Delegate everything not overridden (grid, elapsed, trap,
-        # move, move_many, merge, incubate, release, history, ...).
-        return getattr(self.backend, name)
 
     def sense(self, cage_id, n_samples=1000):
         outcome = self.backend.sense(cage_id, n_samples=n_samples)

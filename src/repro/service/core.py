@@ -49,9 +49,13 @@ import logging
 from dataclasses import asdict, dataclass, field
 
 from ..analysis import ascii_table, format_seconds
-from ..core.backend import Backend, DryRunBackend, SimulatorBackend
+from ..core.backend import (
+    Backend,
+    BackendWrapper,
+    DryRunBackend,
+    SimulatorBackend,
+)
 from ..core.errors import BiochipError
-from ..core.platform import Biochip
 from ..core.session import Session, sweep_handles
 from ..faults import FaultInjector, FaultModel, FleetFaultPlan
 from ..observability import tracing
@@ -361,7 +365,10 @@ def steer(job, records) -> list:
 def can_lease(template, config) -> bool:
     """Whether ``config`` co-schedules tenants and chips spawned from
     ``template`` can be clipped to a leased window; other backends are
-    served exclusively."""
+    served exclusively.  A wrapper that only forwards ``set_region``
+    leases when the backend it wraps does."""
+    while type(template).set_region is BackendWrapper.set_region:
+        template = template.backend
     return (config.max_tenants > 1
             and type(template).set_region is not Backend.set_region)
 
@@ -571,12 +578,15 @@ class ServedChip(ChipRecord):
     def _view(self, slot):
         """Lease slot ``slot``'s view of the chip in the state of a
         fresh spawn of the template: spawned on the slot's first use,
-        reset in place after that."""
+        reset in place after that (spawned again when the backend has
+        no ``reset``, which is no part of the backend contract)."""
         views = self._views
         if slot == len(views):
             views.append(self.template.spawn())
-        else:
+        elif hasattr(views[slot], "reset"):
             views[slot].reset()
+        else:
+            views[slot] = self.template.spawn()
         return views[slot]
 
     def lease_group(self, tenants, clock, **options) -> list:
@@ -658,7 +668,6 @@ class ServingCore:
                   **options):
         """A service whose chips are full physical simulators
         (``Biochip.small_chip()`` unless ``chip`` is given)."""
-        chip = chip if chip is not None else Biochip.small_chip()
         return cls(SimulatorBackend(chip), config=config, registry=registry,
                    faults=faults, **options)
 

@@ -29,7 +29,9 @@ multi-tenant mode is built from:
   memo (see :meth:`Biochip.move_many
   <repro.core.platform.Biochip.move_many>`), so co-tenants and later
   tenants with the same lease size, the same dead pixels inside it and
-  the same batch reuse one plan wherever their windows lie.
+  the same batch reuse one plan wherever their windows lie.  The view
+  is a :class:`~repro.core.backend.BackendWrapper` that overrides only
+  the three site-addressing operations.
 
 The frame-merge cost model lives here too.  Each tenant's accounted
 time t_i splits into electronics time p_i (row/column reprogram work,
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.backend import Backend
+from ..core.backend import BackendWrapper
 from ..core.protocol import (
     IncubateCmd,
     MergeCmd,
@@ -112,12 +114,7 @@ def protocol_footprint(protocol):
 
 def routing_separation(backend) -> int:
     """The routing separation a backend enforces (guard-band width)."""
-    separation = getattr(backend, "min_separation", None)
-    if separation is None:
-        separation = getattr(
-            getattr(backend, "chip", None), "min_separation", 2
-        )
-    return int(separation)
+    return int(backend.min_separation)
 
 
 def merged_group_time(durations, program_times) -> float:
@@ -146,7 +143,7 @@ def frame_merge_ratio(frames) -> float:
     return sum(frames) / peak if peak else 1.0
 
 
-class LeasedBackend(Backend):
+class LeasedBackend(BackendWrapper):
     """A tenant's coordinate-translating view of a leased chip window.
 
     Wraps an inner backend whose region mask is already clipped to the
@@ -156,7 +153,9 @@ class LeasedBackend(Backend):
     an exclusive-mode run.  Along the way it meters the two inputs of
     the frame-merge cost model: ``program_time`` (electronics seconds
     spent reprogramming frames) and ``frames`` (frame count of the
-    tenant's movement steps).
+    tenant's movement steps).  Everything else -- state, merges,
+    sensing, incubation, releases, the region itself -- is forwarded
+    untranslated by :class:`~repro.core.backend.BackendWrapper`.
 
     The view holds only its own tenant's cages.  That, and the region
     mask confining every plan to the window, is what lets simulated
@@ -165,7 +164,7 @@ class LeasedBackend(Backend):
     """
 
     def __init__(self, inner, offset=(0, 0)):
-        self.inner = inner
+        super().__init__(inner)
         self.offset = (int(offset[0]), int(offset[1]))
         # the inner chip's timing model, not one more built per view
         self._addresser = inner.addresser
@@ -175,62 +174,30 @@ class LeasedBackend(Backend):
     def _translate(self, site):
         return (site[0] + self.offset[0], site[1] + self.offset[1])
 
-    # -- pass-through state -------------------------------------------------
-
     @property
-    def grid(self):
-        return self.inner.grid
-
-    @property
-    def elapsed(self) -> float:
-        return self.inner.elapsed
-
-    @property
-    def cage_count(self) -> int:
-        return self.inner.cage_count
-
-    @property
-    def history(self):
-        return self.inner.history
-
-    @property
-    def routing_totals(self):
-        return self.inner.routing_totals
+    def inner(self):
+        """The wrapped backend (``backend``)."""
+        return self.backend
 
     # -- translated + metered operations ------------------------------------
 
     def trap(self, site, particle=None) -> int:
-        return self.inner.trap(self._translate(site), particle)
+        return self.backend.trap(self._translate(site), particle)
 
     def move(self, cage_id, goal) -> int:
-        steps = self.inner.move(cage_id, self._translate(goal))
+        steps = self.backend.move(cage_id, self._translate(goal))
         self.frames += steps
         self.program_time += steps * 2 * self._addresser.row_write_time()
         return steps
 
     def move_many(self, goals) -> dict:
-        report = self.inner.move_many(
+        report = self.backend.move_many(
             {cage_id: self._translate(goal)
              for cage_id, goal in goals.items()}
         )
         self.frames += int(report.get("frames", 0))
         self.program_time += float(report.get("program_time", 0.0))
         return report
-
-    def merge(self, cage_id_a, cage_id_b) -> int:
-        return self.inner.merge(cage_id_a, cage_id_b)
-
-    def sense(self, cage_id, n_samples=1000):
-        return self.inner.sense(cage_id, n_samples)
-
-    def sense_all(self, n_samples=1000):
-        return self.inner.sense_all(n_samples)
-
-    def incubate(self, seconds):
-        return self.inner.incubate(seconds)
-
-    def release(self, cage_id):
-        return self.inner.release(cage_id)
 
 
 @dataclass(frozen=True)
