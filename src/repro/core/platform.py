@@ -1083,7 +1083,7 @@ class Biochip:
     def incubate(self, seconds):
         """Advance time with cages held static (reaction/settling)."""
         if seconds < 0.0:
-            raise ValueError("incubation time must be non-negative")
+            raise ExecutionError("incubation time must be non-negative")
         self._log("incubate", {"seconds": seconds}, seconds)
 
     def release(self, cage_id):

@@ -61,7 +61,6 @@ from .concurrent import (
 from .fleet import (
     POLICIES,
     AffinityPolicy,
-    ChipHealth,
     ChipWorker,
     DispatchPolicy,
     Fleet,
@@ -78,7 +77,7 @@ from .jobs import (
     JobState,
     classify_error,
 )
-from .core import ADMISSION_POLICIES, ChipRecord
+from .core import ADMISSION_POLICIES, ChipHealth, ChipRecord
 from .scheduler import ExecutionService, ServiceConfig
 from .telemetry import Counter, Histogram, Telemetry
 from .tenancy import (

@@ -5,13 +5,29 @@ drains jobs on one thread over simulated time -- the deterministic
 behavioural reference.  This module is the tier that serves jobs for
 real: N chip workers, each owning one spawned backend (fault-injected
 when a plan is active) plus its compiled-program cache, pull jobs from
-a shared queue and push attempt outcomes to a completion queue; a
-coordinator thread applies the serving core's semantics (see
+their own ready lane and push attempt outcomes to a completion queue.
+The coordinator applies the serving core's semantics (see
 :mod:`repro.service.core`: admission bounds, retry backoff,
 settlement, chip health transitions, telemetry and the observation
 surface) on a monotonic wall clock, keeping one
 :class:`~repro.service.core.ChipRecord` per worker that also holds the
-worker's lane, warm fingerprints, runner and restart event.
+worker's lane, warm fingerprints, runner, restart event and the jobs
+handed to it and not yet resolved.
+
+The coordinator is one pass,
+:meth:`ConcurrentExecutionService._pump_pass`: given the time and a
+batch of worker messages it handles the messages in order, then
+releases due retries, checks worker liveness, runs the core's health
+loop and refills the lanes.  Its effects leave only through the lanes
+and the restart events, and what it knows of a lane is its own count
+of the jobs handed to that worker and not yet reported started.  The
+pump thread is a thin loop around it: wait on the completion queue,
+collect what has arrived, make one pass at the clock's ``now``.  The
+pool's start is one method, so a test can build the records over
+in-memory lanes with stub runners, set a manual clock and feed the
+pass scripted messages.  The ``pool`` gauges are derived from that
+state: ``inflight`` from the records' job dicts, ``outstanding`` from
+the live handles.
 
 Workers come in two flavours:
 
@@ -433,15 +449,16 @@ class _Worker(ChipRecord):
     """The coordinator's record of one worker: its chip's serving state
     (``busy_time`` in wall seconds, counters copied from its messages),
     its ready ``lane``, ``warm`` fingerprints, ``runner`` and
-    ``restart_event``, its started, unresolved ``job_ids``, its
-    liveness-check misses (``strikes``) and whether a requested
-    restart is still unreported (``cycling``)."""
+    ``restart_event``, the ``jobs`` handed to it and not yet resolved
+    (by id; those still QUEUED are in its lane or pulled and not yet
+    reported started), its liveness-check misses (``strikes``) and
+    whether a requested restart is still unreported (``cycling``)."""
 
     lane: object = None
     restart_event: object = None
     runner: object = None
     warm: set = field(default_factory=set)
-    job_ids: set = field(default_factory=set)
+    jobs: dict = field(default_factory=dict)
     strikes: int = 0
     cycling: bool = False
 
@@ -477,18 +494,24 @@ class ConcurrentExecutionService(ServingCore):
         self._lock = threading.RLock()
         self._capacity = threading.Condition(self._lock)
         self._terminal = threading.Condition(self._lock)
-        self._inflight = {}      # job_id -> Job handed to the pool
         self._results = []       # terminal results pending drain()
-        self._outstanding = 0    # submitted jobs not yet terminal
         self._closed = False
         self._pump_stop = False
-        # -- the pool --
+        self._liveness_at = 0.0  # when the last liveness check ran
         # One ready lane PER worker: the coordinator steers each job to
         # a chosen chip (fresh hardware for retries, warm program cache
         # for repeats) instead of letting an arbitrary idle worker grab
         # it.  Lane depth above 1 lets a worker pull a whole
         # co-residency group at once.
-        lane_depth = max(1, self.config.max_tenants)
+        self._lane_depth = max(1, self.config.max_tenants)
+        self._start_pool()
+
+    def _start_pool(self):
+        """Build and start the pool: one record per worker with its
+        ready lane, restart event and runner, the stop event and done
+        queue they share, and the coordinator's pump thread.  Nothing
+        else in the service knows how the workers run, so a subclass
+        can override this to script the workers by hand."""
         process = self.config.mode == "process"
         if process:
             import multiprocessing
@@ -500,13 +523,13 @@ class ConcurrentExecutionService(ServingCore):
         self._done_q = make_queue()
         self._stop_event = make_event()
         self._records = [
-            _Worker(i, lane=make_queue(maxsize=lane_depth),
+            _Worker(i, lane=make_queue(maxsize=self._lane_depth),
                     restart_event=make_event())
             for i in range(self.config.n_workers)
         ]
         trace = tracing.get_tracer() is not None
         for worker in self._records:
-            args = (worker.chip_id, template_backend, registry,
+            args = (worker.chip_id, self._template, self.registry,
                     self._fault_plan, self.config)
             channels = (worker.lane, self._done_q, self._stop_event,
                         worker.restart_event)
@@ -540,26 +563,31 @@ class ConcurrentExecutionService(ServingCore):
         """Stop the pool.  With ``drain=True`` every submitted job
         finishes first; otherwise still-queued jobs resolve REJECTED
         (in-flight attempts are always allowed to finish -- a chip is
-        never yanked mid-protocol)."""
+        never yanked mid-protocol).
+
+        Re-entrant: the first call refuses new submits at once, and a
+        call whose wait timed out (ServiceError) leaves the pool
+        serving, so a later call finishes the shutdown."""
         with self._lock:
-            if self._closed:
-                return
+            if self._stop_event.is_set():
+                return  # another call has shut the pool down
             self._closed = True
             self._capacity.notify_all()
             if not drain:
                 for job in self._drop_queued_jobs():
                     self._finish_unserved(job, JobState.REJECTED, "rejected",
                                           "service shut down")
-        self._await_outstanding(timeout)
+        self._await_terminal(timeout)
+        with self._lock:
+            if self._stop_event.is_set():
+                return
+            # Every job is terminal, so nothing runs any more: the stop
+            # event wakes a benched worker parked on its restart event
+            # (restart_cooldown=None), which never reads its sentinel.
+            self._stop_event.set()
         for worker in self._records:
-            try:
-                worker.lane.put_nowait(None)  # one sentinel per worker
-            except queue.Full:
-                pass
-        # Every job is terminal, so nothing runs any more: the stop
-        # event wakes a benched worker parked on its restart event
-        # (restart_cooldown=None), which never reads its sentinel.
-        self._stop_event.set()
+            # no job is left in a lane, so each has room for its sentinel
+            worker.lane.put_nowait(None)
         deadline = time.monotonic() + timeout
         for worker in self._records:
             worker.runner.join(max(0.1, deadline - time.monotonic()))
@@ -575,7 +603,8 @@ class ConcurrentExecutionService(ServingCore):
         with self._lock:
             # the workers' parting messages (``stopped``) the pump may
             # have stopped short of
-            self._drain_messages()
+            for message in self._collect():
+                self._handle_message(message)
 
     def _drop_queued_jobs(self):
         """Pull every coordinator-held QUEUED job (queue + delay heap)."""
@@ -585,14 +614,14 @@ class ConcurrentExecutionService(ServingCore):
         self._queued_count = 0
         return dropped
 
-    def _await_outstanding(self, timeout):
+    def _await_terminal(self, timeout):
         with self._lock:
             deadline = time.monotonic() + timeout
-            while self._outstanding > 0:
+            while self._handles:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0.0:
                     raise ServiceError(
-                        f"{self._outstanding} jobs still not terminal "
+                        f"{len(self._handles)} jobs still not terminal "
                         f"after {timeout}s"
                     )
                 self._terminal.wait(remaining)
@@ -642,7 +671,6 @@ class ConcurrentExecutionService(ServingCore):
             job, handle = self._open_job(
                 protocol, priority, deadline, fingerprint
             )
-            self._outstanding += 1
             if self._enqueue(job):
                 handle._emit({"kind": "queued", "t": job.submitted_at})
                 self._refill()
@@ -660,7 +688,6 @@ class ConcurrentExecutionService(ServingCore):
 
     def _resolve(self, job, result):
         """Terminalise ``job`` (caller holds the lock)."""
-        self._outstanding -= 1
         self._results.append(result)
         super()._resolve(job, result)
         self._terminal.notify_all()
@@ -670,40 +697,51 @@ class ConcurrentExecutionService(ServingCore):
     # -- the coordinator ----------------------------------------------------
 
     def _pump_loop(self):
+        """The coordinator thread: wait for worker messages (no longer
+        than the poll interval, nor past the next retry's backoff),
+        then make one :meth:`_pump_pass` over whatever has arrived."""
         poll = self.config.poll_interval
-        last_liveness = 0.0
         while True:
-            timeout = poll
             with self._lock:
                 if self._pump_stop:
                     return
+                timeout = poll
                 if self._delayed:
                     due = self._delayed[0][0] - self.clock.now()
                     timeout = max(0.001, min(poll, due))
-            try:
-                message = self._done_q.get(timeout=timeout)
-            except queue.Empty:
-                message = None
+            messages = self._collect(timeout)
             with self._lock:
-                if message is not None:
-                    self._handle_message(message)
-                self._drain_messages()
-                now = self.clock.now()
-                self._release_due(now)
-                if now - last_liveness >= 1.0:
-                    last_liveness = now
-                    self._check_worker_liveness()
-                self._restore_chips(now)
-                self._refill()
+                self._pump_pass(self.clock.now(), messages)
 
-    def _drain_messages(self):
-        """Handle every worker message already waiting (caller holds
-        the lock)."""
-        while True:
-            try:
-                self._handle_message(self._done_q.get_nowait())
-            except queue.Empty:
-                return
+    def _collect(self, timeout=None) -> list:
+        """The worker messages waiting on the done queue, after waiting
+        up to ``timeout`` seconds for the first (None: no wait)."""
+        messages = []
+        try:
+            if timeout is not None:
+                messages.append(self._done_q.get(timeout=timeout))
+            while True:
+                messages.append(self._done_q.get_nowait())
+        except queue.Empty:
+            return messages
+
+    def _pump_pass(self, now, messages):
+        """One coordinator decision step at time ``now`` (caller holds
+        the lock): handle ``messages`` in order, release the retries
+        due, check worker liveness once a second, run the core's health
+        loop and refill the lanes.  Its effects leave only through the
+        records' lanes (filled, or emptied of a benched or dead
+        worker's unpulled jobs) and restart events; of the workers it
+        reads only ``messages`` and, for the liveness check, the
+        runners."""
+        for message in messages:
+            self._handle_message(message)
+        self._release_due(now)
+        if now - self._liveness_at >= 1.0:
+            self._liveness_at = now
+            self._check_worker_liveness()
+        self._restore_chips(now)
+        self._refill()
 
     def _check_worker_liveness(self):
         """Detect workers that died without a parting message (a
@@ -730,37 +768,20 @@ class ConcurrentExecutionService(ServingCore):
         worker.health = ChipHealth.DEAD
         worker.warm.clear()
         self._reclaim_lane(worker)
-        job_ids = sorted(worker.job_ids)
-        worker.job_ids = set()
-        for job_id in job_ids:
-            if job_id not in self._inflight:
-                continue
-            # Its in-flight attempt can never report an outcome; treat
-            # the death as a retryable chip failure of that attempt.
+        # What is left the worker pulled, and can never report: treat
+        # the death as a retryable chip failure of each attempt.
+        for job_id in sorted(worker.jobs):
             now = self.clock.now()
             self._handle_outcome(worker_id, job_id, Attempt(
                 error=JobError(
                     kind=ErrorKind.TRANSIENT,
                     message=f"worker {worker_id} died mid-attempt: {detail}",
                     chip_id=worker_id,
-                    attempts=self._inflight[job_id].attempts + 1,
+                    attempts=worker.jobs[job_id].attempts + 1,
                 ),
                 started_at=now,
                 finished_at=now,
             ))
-        if not any(w.health in (ChipHealth.HEALTHY, ChipHealth.QUARANTINED)
-                   for w in self._records):
-            # No worker will ever serve again (a benched one still
-            # will, once the health loop restarts it): fail everything
-            # the coordinator holds instead of letting waiters hang.
-            stranded = self._drop_queued_jobs()
-            stranded += list(self._inflight.values())
-            self._inflight.clear()
-            for job in stranded:
-                self._finish_unserved(
-                    job, JobState.REJECTED, "rejected",
-                    f"no live workers ({detail})",
-                )
 
     def _reclaim_lane(self, worker):
         """Send the never-attempted jobs in a worker's lane back to the
@@ -776,15 +797,13 @@ class ConcurrentExecutionService(ServingCore):
         for item in items:
             if item is None:
                 lane.put_nowait(None)
-            elif self._inflight.pop(item.job_id, None) is not None:
-                self._push(item)
+            else:  # a process lane hands back a copy: queue the job
+                self._push(worker.jobs.pop(item.job_id))
 
-    def _accepting(self) -> list:
-        """Records of the workers taking new jobs."""
-        return [
-            record for record in self._records
-            if record.health is ChipHealth.HEALTHY
-        ]
+    def _lane_load(self, worker) -> int:
+        """The jobs handed to ``worker`` it has not reported started:
+        never fewer than its lane holds."""
+        return sum(job.state is JobState.QUEUED for job in worker.jobs.values())
 
     def _select_worker(self, job, require_warm):
         """The record of the best chip with lane capacity for ``job`` among
@@ -808,13 +827,13 @@ class ConcurrentExecutionService(ServingCore):
         best = None
         best_key = None
         for worker in steer(job, accepting):
-            lane = worker.lane
-            if lane.full():
+            load = self._lane_load(worker)
+            if load >= self._lane_depth:
                 continue
             warm = job.fingerprint in worker.warm
             if hold_for_warm and not warm:
                 continue
-            key = (not warm, lane.qsize(), worker.busy_time, worker.chip_id)
+            key = (not warm, load, worker.busy_time, worker.chip_id)
             if best_key is None or key < best_key:
                 best, best_key = worker, key
         return best
@@ -827,12 +846,23 @@ class ConcurrentExecutionService(ServingCore):
         for that lane rather than re-compiling cold elsewhere); the
         second fills whatever lanes remain so no chip idles while work
         is queued -- cache locality never costs utilization.
+
+        When no worker will ever serve again (a benched one still
+        will, once the health loop restarts it), every waiting job is
+        rejected instead, so its waiters never hang.
         """
+        if not any(w.health in (ChipHealth.HEALTHY, ChipHealth.QUARANTINED)
+                   for w in self._records):
+            for job in self._drop_queued_jobs():
+                self._finish_unserved(job, JobState.REJECTED, "rejected",
+                                      "no live workers")
+            return
         self._refill_pass(require_warm=True)
         self._refill_pass(require_warm=False)
 
     def _refill_pass(self, require_warm):
-        if all(w.lane.full() for w in self._accepting()):
+        depth = self._lane_depth
+        if all(self._lane_load(w) >= depth for w in self._accepting()):
             return
         skipped = []
         while self._queue:
@@ -845,13 +875,9 @@ class ConcurrentExecutionService(ServingCore):
                 if require_warm or job.tried_chips:
                     continue  # held for its warm or its steered chips
                 break  # no free lane at all
-            try:
-                worker.lane.put_nowait(job)
-            except queue.Full:
-                skipped.append(job)
-                break
+            worker.lane.put_nowait(job)
             self._queued_count -= 1
-            self._inflight[job.job_id] = job
+            worker.jobs[job.job_id] = job
             # Optimistic: the worker will compile (or already holds)
             # this fingerprint; cleared if the chip restarts or dies.
             worker.warm.add(job.fingerprint)
@@ -867,13 +893,12 @@ class ConcurrentExecutionService(ServingCore):
         worker.faults, worker.cache_stats = faults, cache_stats
         if kind == "started":
             job_id, t = payload
-            job = self._inflight.get(job_id)
-            handle = self._handles.get(job_id)
-            worker.job_ids.add(job_id)
+            job = worker.jobs.get(job_id)
             if job is not None:
                 self._note_start(job, worker_id)
-            if handle is not None:
-                handle._emit({"kind": "started", "worker": worker_id, "t": t})
+                self._handles[job_id]._emit(
+                    {"kind": "started", "worker": worker_id, "t": t}
+                )
         elif kind == "sense":
             job_id, sense_result = payload
             handle = self._handles.get(job_id)
@@ -887,7 +912,7 @@ class ConcurrentExecutionService(ServingCore):
             self._handle_outcome(worker_id, job_id, attempt, spans)
         elif kind == "expired":
             job_id, = payload
-            job = self._inflight.pop(job_id, None)
+            job = worker.jobs.pop(job_id, None)
             if job is not None:
                 self._finish_unserved(job, JobState.EXPIRED, "expired")
         elif kind == "quarantined":
@@ -914,11 +939,10 @@ class ConcurrentExecutionService(ServingCore):
             # the parent trace file holds the whole tree.
             for span_dict in spans or ():
                 tracer.ingest(span_dict)
-        job = self._inflight.pop(job_id, None)
-        if job is None:
-            return
         worker = self._records[worker_id]
-        worker.job_ids.discard(job_id)
+        job = worker.jobs.pop(job_id, None)
+        if job is None:
+            return  # a dead worker's attempt, already failed
         worker.jobs_done += 1
         # A merged group occupied the chip once; split the wall time
         # across its tenants so utilization reflects chip occupancy.
@@ -933,7 +957,7 @@ class ConcurrentExecutionService(ServingCore):
         """Block until every submitted job is terminal; returns the
         results that went terminal since the last drain (completion
         order)."""
-        self._await_outstanding(timeout)
+        self._await_terminal(timeout)
         with self._lock:
             results, self._results = self._results, []
         return results
@@ -959,8 +983,9 @@ class ConcurrentExecutionService(ServingCore):
 
     def snapshot(self) -> dict:
         """The serving core's snapshot plus ``pool``: the coordinator's
-        own gauges (worker mode, lanes' warm fingerprints, the queue,
-        backoff heap and in-flight set)."""
+        own gauges (worker mode, lanes' warm fingerprints, the queue
+        and backoff heap, the jobs handed to workers and the jobs not
+        yet terminal)."""
         with self._lock:
             snap = super().snapshot()
             snap["pool"] = {
@@ -971,8 +996,8 @@ class ConcurrentExecutionService(ServingCore):
                 },
                 "queue_depth": self._queued_count,
                 "delayed": len(self._delayed),
-                "inflight": len(self._inflight),
-                "outstanding": self._outstanding,
+                "inflight": sum(len(w.jobs) for w in self._records),
+                "outstanding": len(self._handles),
             }
         return snap
 

@@ -32,13 +32,17 @@ two tiers compute the same way lives here, once:
   from the records: ``fault_counters()``, ``snapshot()``, ``report()``
   and ``to_prometheus()``.
 
-A tier keeps only what really differs: which of the steered chips a
-job is placed on, when it releases due retries and runs the health
-loop (each drain step on the virtual clock, each coordinator pass on
-the wall clock), how a chip is power-cycled, how jobs, outcomes and
-each chip's counters travel between the service and the chips, and the
-wall tier's coordinator-only pool gauges.  Time is whatever the tier's
-clock reads -- fleet virtual seconds or wall seconds.
+A tier keeps only what really differs: which of the steered chips
+(among :meth:`ServingCore._accepting`) a job is placed on, when it
+releases due retries and runs the health loop, how a chip is
+power-cycled, how jobs, outcomes and each chip's counters travel
+between the service and the chips, and the wall tier's pool gauges.
+Each tier drives the core in one pass per event: the virtual tier's
+``step`` per dispatch on the fleet clock, the wall tier's
+``_pump_pass(now, messages)`` per batch of worker messages on the wall
+clock (its pump thread only collects the messages and reads the
+clock).  Time is whatever the tier's clock reads -- fleet virtual
+seconds or wall seconds.
 """
 
 from __future__ import annotations
@@ -831,6 +835,11 @@ class ServingCore:
         )
         tracing.dump_flight("chip %d quarantined" % record.chip_id)
 
+    def _accepting(self) -> list:
+        """The records of the chips taking new jobs (HEALTHY), in
+        chip-id order."""
+        return [r for r in self._records if r.health is ChipHealth.HEALTHY]
+
     def _restore_chips(self, now):
         """The health loop: power-cycle every benched chip whose
         ``restart_cooldown`` has run out by ``now`` (None judges no
@@ -847,8 +856,7 @@ class ServingCore:
             for record in benched:
                 if now - record.quarantined_at >= cooldown:
                     self._power_cycle(record)
-        if self.queue_depth and not any(
-                r.health is ChipHealth.HEALTHY for r in self._records):
+        if self.queue_depth and not self._accepting():
             self._power_cycle(
                 min(benched, key=lambda r: (r.quarantined_at, r.chip_id))
             )

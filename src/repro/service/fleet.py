@@ -22,7 +22,7 @@ Which chip gets the next job is a pluggable :class:`DispatchPolicy`:
 from __future__ import annotations
 
 from .cache import CacheStats
-from .core import ChipHealth, ServedChip
+from .core import ServedChip
 
 #: One chip of the fleet: its serving lifecycle and, being a
 #: :class:`~repro.service.core.ChipRecord`, its health and load meters
@@ -214,11 +214,6 @@ class Fleet:
     @property
     def total_busy_time(self) -> float:
         return sum(w.busy_time for w in self.workers)
-
-    @property
-    def healthy_workers(self) -> list:
-        """Chips currently accepting new jobs."""
-        return [w for w in self.workers if w.health is ChipHealth.HEALTHY]
 
     def worker(self, chip_id) -> ChipWorker:
         """Look up one chip by id (ValueError when absent)."""

@@ -206,7 +206,7 @@ class ExecutionService(ServingCore):
             __, job = heapq.heappop(self._queue)
             if job.state is not JobState.QUEUED:
                 continue  # shed after enqueue; already terminal
-            if not self.fleet.healthy_workers:
+            if not self._accepting():
                 # the health loop restarts a benched chip when none is
                 # healthy, so the whole fleet is draining: an operator
                 # decision.  The job goes back first, so a restart_chip
@@ -305,7 +305,7 @@ class ExecutionService(ServingCore):
         has checked that one exists); returns its terminal
         :class:`JobResult`, or None when the attempt went into backoff
         for a retry."""
-        eligible = steer(job, self.fleet.healthy_workers)
+        eligible = steer(job, self._accepting())
         if job.not_before > 0.0 and len(eligible) > 1:
             # Clock-aware retry placement: the backoff window ends at a
             # point in FLEET time, so a chip whose local clock already

@@ -278,6 +278,17 @@ def test_simulator_builds_the_small_chip_by_default():
     assert SimulatorBackend(chip).chip is chip
 
 
+@pytest.mark.parametrize("make_inner", INNERS.values(), ids=list(INNERS))
+def test_negative_incubation_is_one_execution_error(make_inner):
+    """Both backends refuse a negative incubation with the same error
+    and charge no time for it."""
+    backend = make_inner()
+    with pytest.raises(ExecutionError) as refused:
+        backend.incubate(-1.0)
+    assert str(refused.value) == "incubation time must be non-negative"
+    assert backend.elapsed == 0.0
+
+
 # -- routing separation -----------------------------------------------------
 
 

@@ -28,8 +28,10 @@ from repro import (
     ErrorKind,
     ExecutionService,
     JobState,
+    Protocol,
     ServiceConfig,
 )
+from repro.core.errors import ServiceError
 from repro.faults import FaultModel, FleetFaultPlan
 from repro.service import AsyncExecutionService, Telemetry
 from repro.service.concurrent import FleetClock, WallClock
@@ -343,6 +345,27 @@ def test_snapshot_exposes_pool_gauges():
     assert pool["queue_depth"] == 0 and pool["outstanding"] == 0
     assert snap["cache"]["hits"] + snap["cache"]["misses"] >= 4
     assert "pool:" in report and "worker" in report
+
+
+def test_a_close_that_times_out_can_be_finished():
+    """close() is re-entrant: a call whose wait times out refuses new
+    work but leaves the pool serving, and a later call waits for the
+    job and stops the worker and the coordinator."""
+    slow = Protocol("slow").trap("b", (4, 4)).incubate("b", 30.0) \
+        .release("b")
+    service = ConcurrentExecutionService.dry_run(
+        slow_config(time_scale=0.05), grid=GRID
+    )
+    handle = service.submit(slow)
+    with pytest.raises(ServiceError):
+        service.close(timeout=0.2)
+    with pytest.raises(ServiceError):
+        service.submit(slow)
+    service.close(timeout=30.0)
+    assert handle.state is JobState.DONE
+    threads = [worker.runner for worker in service._records] + [service._pump]
+    assert not any(thread.is_alive() for thread in threads)
+    service.close()  # a closed service closes again at once
 
 
 # -- cache-locality steering -------------------------------------------------
