@@ -429,7 +429,6 @@ def _run_wall_clock(jobs, n_workers):
             ConcurrentConfig(
                 n_workers=n_workers,
                 time_scale=TIME_SCALE,
-                poll_interval=0.005,
             ),
             grid=grid) as service:
         host_start = time.perf_counter()

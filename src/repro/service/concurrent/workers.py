@@ -21,11 +21,14 @@ releases due retries, checks worker liveness, runs the core's health
 loop and refills the lanes.  Its effects leave only through the lanes
 and the restart events, and what it knows of a lane is its own count
 of the jobs handed to that worker and not yet reported started.  The
-pump thread is a thin loop around it: wait on the completion queue,
-collect what has arrived, make one pass at the clock's ``now``.  The
-pool's start is one method, so a test can build the records over
-in-memory lanes with stub runners, set a manual clock and feed the
-pass scripted messages.  The ``pool`` gauges are derived from that
+pump thread is a thin loop around it: wait on the completion queue
+until a message arrives or the pass next has timed work (a retry's
+backoff or a benched worker's cooldown ends, or the liveness check is
+due), collect what has arrived, make one pass at the clock's ``now``.
+Nothing polls: an idle worker blocks on its lane and a benched one on
+its restart event.  The pool's start is one method, so a test can
+build the records over in-memory lanes with stub runners, set a manual
+clock and feed the pass scripted messages.  The ``pool`` gauges are derived from that
 state: ``inflight`` from the records' job dicts, ``outstanding`` from
 the live handles.
 
@@ -90,6 +93,10 @@ WORKER_MODES = ("thread", "process")
 #: their locks in whatever state they held).
 MP_CONTEXT = "spawn"
 
+#: Seconds between the coordinator's checks for workers that died
+#: without a parting message.
+LIVENESS_PERIOD = 1.0
+
 
 @dataclass
 class ConcurrentConfig(CoreConfig):
@@ -122,9 +129,11 @@ class ConcurrentConfig(CoreConfig):
         worker sleeps the remainder, as it would wait on hardware).
         None/0 disables pacing -- attempts run as fast as the host
         simulates.
-    poll_interval:
-        Queue-poll granularity [s] for workers and the coordinator;
-        bounds shutdown/quarantine responsiveness.
+
+    No wait in the pool polls: an idle worker blocks on its lane, a
+    benched one on its restart event, and the coordinator until a
+    worker message arrives or its next timed work is due, so there is
+    no poll period to tune.
     """
 
     n_workers: int = 4
@@ -132,7 +141,6 @@ class ConcurrentConfig(CoreConfig):
     retry_backoff: float = 0.05
     restart_cooldown: float | None = 1.0
     time_scale: float | None = None
-    poll_interval: float = 0.02
 
     def __post_init__(self):
         if self.n_workers < 1:
@@ -142,10 +150,6 @@ class ConcurrentConfig(CoreConfig):
                 f"mode must be one of {WORKER_MODES}, got {self.mode!r}"
             )
         super().__post_init__()
-        if self.poll_interval <= 0.0:
-            raise ValueError(
-                f"poll_interval must be positive, got {self.poll_interval}"
-            )
 
 
 class _WorkerRuntime:
@@ -209,15 +213,13 @@ class _WorkerRuntime:
             # even spawn must report and die, not hang the pool
             self._send("worker_error", repr(exc))
             return
-        poll = self.config.poll_interval
-        while not self.stop_event.is_set():
-            self._restart_if_asked()
-            try:
-                item = self.ready_q.get(timeout=poll)
-            except queue.Empty:
-                continue
+        while True:
+            item = self.ready_q.get()
             if item is None:  # graceful-shutdown sentinel
                 break
+            # a restart asked while this worker idled runs before the
+            # job that woke it
+            self._restart_if_asked()
             items = [item]
             stop_after = False
             # Tenancy lanes: opportunistically pull more ready work and
@@ -237,8 +239,11 @@ class _WorkerRuntime:
                     self._send("expired", job.job_id)
                     continue
                 runnable.append(job)
+            # Like the virtual tier, every job with a window is leased,
+            # alone or not, so its result does not hang on what else
+            # this pull held.
             leased, solo = [], runnable
-            if len(runnable) > 1:
+            if self._can_lease:
                 windows = LeaseWindows(self.template, self.worker_id)
                 leased, solo = [], []
                 for job in runnable:
@@ -247,11 +252,6 @@ class _WorkerRuntime:
                         solo.append(job)
                     else:
                         leased.append((job, *fit))
-            if len(leased) == 1:
-                # A lone leasable job gains nothing from the leased
-                # path; run it on the worker's own chip as usual.
-                solo = [leased[0][0]] + solo
-                leased = []
             if leased:
                 self._run_group(leased)
             for job in solo:
@@ -299,10 +299,9 @@ class _WorkerRuntime:
             self._send("outcome", job.job_id, attempt, spans)
         if tripped is not None:
             self._send("quarantined", self.clock.now(), *tripped)
-            poll = self.config.poll_interval
-            while (not self.stop_event.is_set()
-                    and not self._restart_if_asked(poll)):
-                pass
+            self.restart_event.wait()
+            if not self.stop_event.is_set():  # else close() woke it
+                self._restart_if_asked()
 
     # -- multi-tenant lanes --------------------------------------------------
 
@@ -326,17 +325,12 @@ class _WorkerRuntime:
             outcomes.append((job, attempt))
         self._report(outcomes)
 
-    def _restart_if_asked(self, wait=None) -> bool:
-        """Power-cycle the chip if the coordinator has asked for it,
-        waiting up to ``wait`` seconds for the request; True when it
-        has."""
-        event = self.restart_event
-        if not (event.is_set() or (wait and event.wait(wait))):
-            return False
-        event.clear()
-        self.chip.restart()
-        self._send("restarted", self.clock.now(), self.chip.restarts)
-        return True
+    def _restart_if_asked(self):
+        """Power-cycle the chip if the coordinator has asked for it."""
+        if self.restart_event.is_set():
+            self.restart_event.clear()
+            self.chip.restart()
+            self._send("restarted", self.clock.now(), self.chip.restarts)
 
 
 def _process_worker_main(worker_id, template, registry, plan, config,
@@ -581,11 +575,14 @@ class ConcurrentExecutionService(ServingCore):
         with self._lock:
             if self._stop_event.is_set():
                 return
-            # Every job is terminal, so nothing runs any more: the stop
-            # event wakes a benched worker parked on its restart event
-            # (restart_cooldown=None), which never reads its sentinel.
+            # Every job is terminal, so nothing runs any more.  The pump
+            # stops at the next message (the workers' parting
+            # ``stopped``), and a benched worker parked on its restart
+            # event wakes, sees the stop event and reads its sentinel.
             self._stop_event.set()
+            self._pump_stop = True
         for worker in self._records:
+            worker.restart_event.set()
             # no job is left in a lane, so each has room for its sentinel
             worker.lane.put_nowait(None)
         deadline = time.monotonic() + timeout
@@ -597,8 +594,6 @@ class ConcurrentExecutionService(ServingCore):
                 runner.join(1.0)
                 if hasattr(runner, "terminate") and runner.is_alive():
                     runner.terminate()
-        with self._lock:
-            self._pump_stop = True
         self._pump.join(timeout=5.0)
         with self._lock:
             # the workers' parting messages (``stopped``) the pump may
@@ -673,6 +668,8 @@ class ConcurrentExecutionService(ServingCore):
             )
             if self._enqueue(job):
                 handle._emit({"kind": "queued", "t": job.submitted_at})
+                # a pool whose every worker is benched restarts one now
+                self._restore_chips(self.clock.now())
                 self._refill()
         return handle
 
@@ -697,21 +694,33 @@ class ConcurrentExecutionService(ServingCore):
     # -- the coordinator ----------------------------------------------------
 
     def _pump_loop(self):
-        """The coordinator thread: wait for worker messages (no longer
-        than the poll interval, nor past the next retry's backoff),
+        """The coordinator thread: wait for a worker message, no longer
+        than until the pass's next timed work (:meth:`_pump_deadline`),
         then make one :meth:`_pump_pass` over whatever has arrived."""
-        poll = self.config.poll_interval
         while True:
             with self._lock:
                 if self._pump_stop:
                     return
-                timeout = poll
-                if self._delayed:
-                    due = self._delayed[0][0] - self.clock.now()
-                    timeout = max(0.001, min(poll, due))
+                timeout = max(0.001, self._pump_deadline() - self.clock.now())
             messages = self._collect(timeout)
             with self._lock:
                 self._pump_pass(self.clock.now(), messages)
+
+    def _pump_deadline(self) -> float:
+        """When the pass next has timed work (caller holds the lock):
+        the first retry whose backoff ends, the first benched worker
+        whose cooldown ends (one already asked to restart has none)
+        or the next liveness check, whichever is first."""
+        deadlines = [self._liveness_at + LIVENESS_PERIOD]
+        if self._delayed:
+            deadlines.append(self._delayed[0][0])
+        cooldown = self.config.restart_cooldown
+        if cooldown is not None:
+            deadlines += [
+                w.quarantined_at + cooldown for w in self._records
+                if w.health is ChipHealth.QUARANTINED and not w.cycling
+            ]
+        return min(deadlines)
 
     def _collect(self, timeout=None) -> list:
         """The worker messages waiting on the done queue, after waiting
@@ -737,7 +746,7 @@ class ConcurrentExecutionService(ServingCore):
         for message in messages:
             self._handle_message(message)
         self._release_due(now)
-        if now - self._liveness_at >= 1.0:
+        if now - self._liveness_at >= LIVENESS_PERIOD:
             self._liveness_at = now
             self._check_worker_liveness()
         self._restore_chips(now)
@@ -964,7 +973,10 @@ class ConcurrentExecutionService(ServingCore):
 
     def restart_worker(self, worker_id):
         """Request a manual power-cycle of one worker (it restarts
-        between jobs, or immediately if parked in quarantine)."""
+        between jobs, or immediately if parked in quarantine).  Raises
+        ValueError for an id outside the pool."""
+        if not 0 <= worker_id < len(self._records):
+            raise ValueError(f"no worker {worker_id} in pool")
         with self._lock:
             self._power_cycle(self._records[worker_id])
 

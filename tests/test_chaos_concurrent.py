@@ -68,7 +68,6 @@ def test_chaos_concurrent_pool_under_seeded_faults(seed):
                 retry_backoff=0.01,
                 quarantine_after=3,
                 restart_cooldown=0.1,
-                poll_interval=0.005,
             ),
             faults=plan, grid=grid) as service:
         handles = service.submit_many(protocols)
@@ -127,7 +126,6 @@ def test_chaos_concurrent_quarantine_recovers():
                 retry_backoff=0.01,
                 quarantine_after=2,
                 restart_cooldown=0.05,
-                poll_interval=0.005,
             ),
             faults=plan, grid=grid) as service:
         service.submit_many(protocols)

@@ -195,7 +195,6 @@ def test_wall_clock_tenant_chaos(seed):
             ConcurrentConfig(
                 n_workers=2, max_tenants=4, max_retries=3,
                 retry_backoff=0.01, quarantine_after=None,
-                poll_interval=0.005,
             ),
             faults=plan, grid=GRID) as service:
         handles = service.submit_many(protocols)

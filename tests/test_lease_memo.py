@@ -420,8 +420,7 @@ def test_thread_workers_share_the_plan_memo_under_eviction(monkeypatch,
     want = {r.job_id: job_signature(r, leased) for r in virtual.drain()}
     assert virtual.snapshot()["routing"]["memo_hits"] > 0
     with ConcurrentExecutionService.simulator(
-            ConcurrentConfig(n_workers=2, max_tenants=max_tenants,
-                             poll_interval=0.005),
+            ConcurrentConfig(n_workers=2, max_tenants=max_tenants),
             chip=Biochip.small_chip()) as service:
         handles = service.submit_many(protocols)
         results = service.drain(timeout=120.0)

@@ -168,7 +168,7 @@ def test_thread_tier_matches_reference(seed):
     protocols = hot_protocol_traffic(GRID, n_jobs=8, seed=seed)
     reference = reference_signatures(protocols)
     with ConcurrentExecutionService.dry_run(
-            ConcurrentConfig(n_workers=N_WORKERS, poll_interval=0.005),
+            ConcurrentConfig(n_workers=N_WORKERS),
             grid=GRID) as service:
         handles = service.submit_many(protocols)
         results = service.drain(timeout=60.0)
@@ -198,7 +198,7 @@ def test_faulted_fleet_matches_reference():
     with ConcurrentExecutionService.dry_run(
             ConcurrentConfig(
                 n_workers=N_WORKERS, max_retries=2, retry_backoff=0.01,
-                quarantine_after=None, poll_interval=0.005,
+                quarantine_after=None,
             ),
             faults=model, grid=GRID) as service:
         service.submit_many(protocols)
@@ -230,7 +230,7 @@ def test_process_tier_matches_reference():
 def slow_config(**kwargs):
     """One worker, paced so each job takes ~0.1 wall seconds."""
     defaults = dict(
-        n_workers=1, time_scale=0.005, poll_interval=0.005,
+        n_workers=1, time_scale=0.005,
         retry_backoff=0.01,
     )
     defaults.update(kwargs)
@@ -306,7 +306,6 @@ def test_quarantine_cooldown_and_manual_restart_in_wall_time():
             ConcurrentConfig(
                 n_workers=2, max_retries=3, retry_backoff=0.01,
                 quarantine_after=1, restart_cooldown=30.0,
-                poll_interval=0.005,
             ),
             faults=faults, grid=GRID) as service:
         service.submit_many(protocols)
@@ -331,7 +330,7 @@ def test_quarantine_cooldown_and_manual_restart_in_wall_time():
 def test_snapshot_exposes_pool_gauges():
     protocols = hot_protocol_traffic(GRID, n_jobs=4, seed=0)
     with ConcurrentExecutionService.dry_run(
-            ConcurrentConfig(n_workers=2, poll_interval=0.005),
+            ConcurrentConfig(n_workers=2),
             grid=GRID) as service:
         service.submit_many(protocols)
         service.drain(timeout=60.0)
@@ -368,6 +367,75 @@ def test_a_close_that_times_out_can_be_finished():
     service.close()  # a closed service closes again at once
 
 
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_close_wakes_a_worker_parked_in_quarantine(mode):
+    """A worker benched with ``restart_cooldown=None`` and never asked
+    to restart parks on its restart event: close() wakes it, and the
+    worker and the coordinator stop within a bound."""
+    faults = FleetFaultPlan(models={
+        0: FaultModel(shape=(GRID.rows, GRID.cols), transient_ops={0}),
+    })
+    service = ConcurrentExecutionService.dry_run(
+        ConcurrentConfig(n_workers=1, mode=mode, max_retries=0,
+                         quarantine_after=1, restart_cooldown=None),
+        faults=faults, grid=GRID,
+    )
+    handle = service.submit(hot_protocol_traffic(GRID, n_jobs=1, seed=0)[0])
+    assert handle.result(timeout=90.0).state is JobState.FAILED
+    deadline = time.monotonic() + 30.0
+    while service.snapshot()["fleet"]["health"][0] != "quarantined":
+        assert time.monotonic() < deadline, "the worker never benched"
+        time.sleep(0.01)
+    start = time.monotonic()
+    service.close(timeout=30.0)
+    assert time.monotonic() - start < 5.0
+    names = {thread.name for thread in threading.enumerate()}
+    assert not {n for n in names
+                if n.startswith("chip-worker-") or n == "service-pump"}
+    assert not service._records[0].runner.is_alive()
+    assert service.snapshot()["counters"]["restarted"] == 0
+
+
+@pytest.mark.parametrize("worker_id", [-1, 2])
+def test_restart_worker_rejects_an_id_outside_the_pool(worker_id):
+    with ConcurrentExecutionService.dry_run(
+            ConcurrentConfig(n_workers=2), grid=GRID) as service:
+        with pytest.raises(ValueError, match=f"no worker {worker_id} "):
+            service.restart_worker(worker_id)
+        assert not any(w.restart_event.is_set() or w.cycling
+                       for w in service._records)
+
+
+def solo_protocol():
+    return (Protocol("solo").trap("a", (4, 0)).trap("b", (6, 0))
+            .move_many({"a": (4, 4), "b": (6, 4)})
+            .sense("a", 173).sense("b", 168)
+            .release("a").release("b"))
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+@pytest.mark.parametrize("max_tenants", [1, 4])
+def test_a_lone_job_leases_as_on_the_virtual_tier(mode, max_tenants):
+    """A job served alone is leased on every tier when it has a window,
+    so its result does not depend on what else a worker's pull held."""
+    virtual = ExecutionService.simulator(
+        ServiceConfig(n_chips=1, max_tenants=max_tenants),
+        chip=Biochip.small_chip())
+    want = virtual.submit(solo_protocol())
+    virtual.drain()
+    with ConcurrentExecutionService.simulator(
+            ConcurrentConfig(n_workers=1, mode=mode,
+                             max_tenants=max_tenants),
+            chip=Biochip.small_chip()) as service:
+        got = service.submit(solo_protocol()).result(timeout=90.0)
+        leased = service.snapshot()["counters"]["leased"]
+    assert got.ok
+    assert got.run.wall_time == want.result().run.wall_time
+    assert job_signature(got) == job_signature(want.result())
+    assert leased == virtual.snapshot()["counters"]["leased"] == (
+        1 if max_tenants > 1 else 0)
+
+
 # -- cache-locality steering -------------------------------------------------
 
 
@@ -384,7 +452,7 @@ def test_pooled_cache_hit_rate_on_hot_traffic():
     """
     protocols = hot_protocol_traffic(GRID, n_jobs=96, seed=5)
     with ConcurrentExecutionService.dry_run(
-            ConcurrentConfig(n_workers=N_WORKERS, poll_interval=0.005),
+            ConcurrentConfig(n_workers=N_WORKERS),
             grid=GRID) as service:
         service.submit_many(protocols)
         results = service.drain(timeout=120.0)
@@ -401,7 +469,7 @@ def test_async_frontend_streams_events_and_results():
 
     async def serve():
         async with AsyncExecutionService.dry_run(
-                ConcurrentConfig(n_workers=2, poll_interval=0.005),
+                ConcurrentConfig(n_workers=2),
                 grid=GRID) as service:
             handles = await service.submit_many(protocols)
             events = []

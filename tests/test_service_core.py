@@ -76,7 +76,7 @@ def serve(tier, leased, protocols, faults=None):
         return [h.result() for h in handles], service.snapshot()["counters"]
     config = ConcurrentConfig(
         n_workers=1, max_tenants=tenants, max_retries=3,
-        time_scale=0.01 if leased else None, poll_interval=0.005,
+        time_scale=0.01 if leased else None,
     )
     with ConcurrentExecutionService.dry_run(
             config, faults=faults, grid=GRID) as service:
@@ -151,7 +151,7 @@ def test_thread_tier_meters_batch_routing():
         .release("b")
     )
     with ConcurrentExecutionService.simulator(
-            ConcurrentConfig(n_workers=1, poll_interval=0.005)) as service:
+            ConcurrentConfig(n_workers=1)) as service:
         assert service.submit(routed).result(timeout=60.0).ok
         assert service.snapshot()["routing"]["plans"] >= 1
         assert "batch routing" in service.report()
@@ -186,7 +186,7 @@ def test_fault_totals_survive_a_chip_restart(tier, leased):
         config = ConcurrentConfig(
             n_workers=1, max_tenants=tenants, max_retries=0,
             quarantine_after=1, restart_cooldown=None,
-            time_scale=0.01 if leased else None, poll_interval=0.005,
+            time_scale=0.01 if leased else None,
         )
         with ConcurrentExecutionService.dry_run(
                 config, faults=faults, grid=GRID) as service:
@@ -217,7 +217,7 @@ def test_close_wakes_a_benched_worker():
     service = ConcurrentExecutionService.dry_run(
         ConcurrentConfig(
             n_workers=1, max_retries=0, quarantine_after=1,
-            restart_cooldown=None, poll_interval=0.005,
+            restart_cooldown=None,
         ),
         faults=faults, grid=GRID,
     )
@@ -236,7 +236,7 @@ def retrying_thread_service(admission):
     return ConcurrentExecutionService.dry_run(
         ConcurrentConfig(
             n_workers=1, max_queue_depth=1, admission=admission,
-            retry_backoff=2.0, quarantine_after=None, poll_interval=0.005,
+            retry_backoff=2.0, quarantine_after=None,
         ),
         faults=FleetFaultPlan(
             models={0: FaultModel(shape=SHAPE, transient_ops={0})}
@@ -290,7 +290,7 @@ def test_thread_quarantine_hands_queued_lane_work_to_other_workers():
     config = ConcurrentConfig(
         n_workers=2, max_retries=3, retry_backoff=0.01,
         quarantine_after=1, restart_cooldown=60.0,
-        time_scale=0.02, poll_interval=0.005,
+        time_scale=0.02,
     )
     faults = FleetFaultPlan(models={
         0: FaultModel(shape=SHAPE, transient_ops={1}),
@@ -326,7 +326,7 @@ def observe(tier, protocols):
         service.drain()
         return service.snapshot(), service.to_prometheus()
     config = ConcurrentConfig(
-        n_workers=1, cache_capacity=2, poll_interval=0.005
+        n_workers=1, cache_capacity=2
     )
     with ConcurrentExecutionService.dry_run(
             config, faults=faults, grid=GRID) as service:
@@ -396,7 +396,7 @@ def test_lease_group_streak_trips_quarantine_mid_group(tier, caplog):
     else:
         config = ConcurrentConfig(
             n_workers=1, max_tenants=4, quarantine_after=2, max_retries=0,
-            restart_cooldown=None, time_scale=0.01, poll_interval=0.005,
+            restart_cooldown=None, time_scale=0.01,
         )
         with ConcurrentExecutionService.dry_run(
                 config, faults=faults, grid=GRID) as service:
@@ -468,7 +468,6 @@ def test_retry_is_steered_to_a_chip_it_never_failed_on(tier):
         else:
             config = ConcurrentConfig(
                 n_workers=2, retry_backoff=0.01, quarantine_after=None,
-                poll_interval=0.005,
             )
             with ConcurrentExecutionService.dry_run(
                     config, faults=faults, grid=GRID) as service:
@@ -513,7 +512,7 @@ def test_a_benched_fleet_never_strands_its_queue(tier, cooldown):
         counters = service.snapshot()["counters"]
     else:
         config = ConcurrentConfig(
-            n_workers=1, retry_backoff=0.01, poll_interval=0.005, **options
+            n_workers=1, retry_backoff=0.01, **options
         )
         with ConcurrentExecutionService.dry_run(
                 config, faults=faults, grid=GRID) as service:
@@ -526,7 +525,7 @@ def test_a_benched_fleet_never_strands_its_queue(tier, cooldown):
                     3, restarts)
 
             wait_for(benched_and_restarted, timeout=10.0)
-            time.sleep(0.1)  # twenty coordinator passes: no more restarts
+            time.sleep(0.1)  # a tenth of a second on: no more restarts
             counters = service.snapshot()["counters"]
             if cooldown is None:
                 service.restart_worker(0)  # so close() need not wait
@@ -544,7 +543,7 @@ def test_thread_tier_keeps_work_a_benched_worker_will_serve():
     because the health loop restarts the benched worker to serve it."""
     config = ConcurrentConfig(
         n_workers=2, max_retries=1, retry_backoff=1.0, quarantine_after=1,
-        restart_cooldown=30.0, poll_interval=0.005,
+        restart_cooldown=30.0,
     )
     faults = FleetFaultPlan(models={
         0: FaultModel(shape=SHAPE, transient_ops={0}),
