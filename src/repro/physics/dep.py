@@ -40,6 +40,11 @@ _BRENT_XTOL = 2e-12
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 
+#: Heights in the levitation scan, and how many of them one force call
+#: evaluates (see :meth:`DepCage.levitation_height`).
+_SCAN_HEIGHTS = 96
+_SCAN_CHUNK = 24
+
 
 def _signbit(x):
     return math.copysign(1.0, x) < 0.0
@@ -204,7 +209,11 @@ class DepCage:
 
     def force_at(self, x, y, z):
         """DEP force vector (Fx, Fy, Fz) at a point [N]."""
-        gx, gy, gz = self._model.grad_e2(x, y, z)
+        return self._force(self._model.grad_e2(x, y, z))
+
+    def _force(self, grad):
+        """The DEP force of the gradient ``grad`` of |E|^2."""
+        gx, gy, gz = grad
         scale = 2.0 * math.pi * self._eps_m * self.radius**3 * self._cm
         return scale * np.asarray(gx), scale * np.asarray(gy), scale * np.asarray(gz)
 
@@ -227,6 +236,16 @@ class DepCage:
         electrode to just below the lid.  Returns ``None`` when the cage
         cannot levitate the particle (e.g. pDEP particle or drive too
         weak) -- which is itself a meaningful engineering answer.
+
+        The scan's ``_SCAN_HEIGHTS`` evenly spaced heights are evaluated
+        from the bottom in chunks of ``_SCAN_CHUNK``, and the scan stops
+        at the first height pair where the net force crosses from up to
+        down; Brent's method then solves that bracket.  Every chunk uses
+        the finite-difference steps of the whole scan, so each force is
+        the one a single call over all heights gives, and the bracket
+        and the height are those of the full scan.  On the chip's
+        geometry (20 um pitch, 100 um chamber) a bead balances about one
+        pitch above the electrodes, inside the first chunk.
         """
         if self._cm >= 0.0:
             return None
@@ -234,27 +253,35 @@ class DepCage:
         z_hi = self.lid_height - max(self.radius, 0.02 * self.pitch)
         if z_lo >= z_hi:
             return None
-        zs = np.linspace(z_lo, z_hi, 96)
-        # vectorised scan: one grad_e2 call over the whole z range
-        __, __, fz = self.force_at(np.zeros_like(zs), np.zeros_like(zs), zs)
-        net = np.asarray(fz) - buoyant_weight(self.radius, self.particle_density)
-        # A stable equilibrium has net force crossing + -> - as z grows.
-        for i in range(len(zs) - 1):
-            if net[i] > 0.0 >= net[i + 1]:
-                lo, hi = float(zs[i]), float(zs[i + 1])
-                ends = {lo: self.net_vertical_force(lo), hi: self.net_vertical_force(hi)}
-                if not _brackets(ends[lo], ends[hi]):
-                    # The scalar force differs from the scan's vectorised
-                    # one by up to ~1e-11 N, enough to flip the sign at
-                    # an end where the net force is that small: that end
-                    # is then the balance point.
-                    return min(ends, key=lambda z: abs(ends[z]))
-                return _brentq(
-                    lambda z: ends[z] if z in ends else self.net_vertical_force(z),
-                    lo,
-                    hi,
-                )
+        zs = np.linspace(z_lo, z_hi, _SCAN_HEIGHTS)
+        steps = self._model._grad_steps(zs, None)
+        weight = buoyant_weight(self.radius, self.particle_density)
+        net = np.empty_like(zs)
+        for start in range(0, len(zs), _SCAN_CHUNK):
+            chunk = zs[start:start + _SCAN_CHUNK]
+            zero = np.zeros_like(chunk)
+            __, __, fz = self._force(self._model._grad_e2(zero, zero, chunk, *steps))
+            net[start:start + len(chunk)] = fz - weight
+            # A stable equilibrium has net force crossing + -> - as z grows.
+            for i in range(max(start - 1, 0), start + len(chunk) - 1):
+                if net[i] > 0.0 >= net[i + 1]:
+                    return self._balance(float(zs[i]), float(zs[i + 1]))
         return None
+
+    def _balance(self, lo, hi):
+        """The balance point in the bracket ``[lo, hi]`` of the scan."""
+        ends = {lo: self.net_vertical_force(lo), hi: self.net_vertical_force(hi)}
+        if not _brackets(ends[lo], ends[hi]):
+            # The scalar force differs from the scan's vectorised
+            # one by up to ~1e-11 N, enough to flip the sign at
+            # an end where the net force is that small: that end
+            # is then the balance point.
+            return min(ends, key=lambda z: abs(ends[z]))
+        return _brentq(
+            lambda z: ends[z] if z in ends else self.net_vertical_force(z),
+            lo,
+            hi,
+        )
 
     def lateral_stiffness(self, z=None, probe=None):
         """Lateral trap stiffness k [N/m] near the cage axis.
