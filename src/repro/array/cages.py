@@ -236,14 +236,15 @@ class CageManager:
         site = tuple(site)
         if not self.grid.in_bounds(*site):
             raise CageError(f"cage site {site} out of bounds")
-        if self._state.has_dead and self._state.dead[site]:
+        state = self._state
+        if state.has_dead and state._dead_flat[site[0] * self.grid.cols + site[1]]:
             raise DeadElectrodeError(
                 f"cage site {site} is a dead electrode"
             )
-        if self._state.window_occupied(site, self.min_separation - 1):
+        if state.window_occupied(site, self.min_separation - 1):
             raise CageError(f"cage at {site} violates min separation {self.min_separation}")
-        cage = Cage(self._next_id, site, payload, state=self._state)
-        self._state.add(cage.cage_id, site)
+        cage = Cage(self._next_id, site, payload, state=state)
+        state.add(cage.cage_id, site)
         self._cages[cage.cage_id] = cage
         self._next_id += 1
         return cage
@@ -419,11 +420,11 @@ class CageManager:
         if not moves:
             return 0
         self.step(moves)
-        site_r, site_c = self._state._site_r, self._state._site_c
+        site_r, site_c = self._state._site_r_flat, self._state._site_c_flat
         dests = set()
         origins = set()
         for cage_id, (drow, dcol) in moves.items():
-            row, col = site_r.item(cage_id), site_c.item(cage_id)
+            row, col = site_r[cage_id], site_c[cage_id]
             dests.add((row, col))
             origins.add((row - drow, col - dcol))
         return len({row for row, __ in dests ^ origins})
@@ -557,31 +558,30 @@ class CageManager:
         """Scalar step: the small-frame path and the one source of step
         errors (the vectorized check re-runs a frame it rejects here).
 
-        Grid reads go through ``ndarray.item`` on flat indices -- the
-        cheapest scalar access numpy offers -- since a one-mover step
-        only touches a couple of dozen sites.
+        Grid reads go through the state's flat views (see
+        :mod:`repro.array.state`), since a one-mover step only touches a
+        couple of dozen sites.
         """
         state = self._state
         rows, cols = self.grid.rows, self.grid.cols
-        site_r = state._site_r
-        site_c = state._site_c
-        cage_grid = state.cage_ids
-        capacity = site_r.size
+        site_r = state._site_r_flat
+        site_c = state._site_c_flat
+        cage_grid = state._cage_ids_flat
+        dead = state._dead_flat if state.has_dead else None
+        capacity = len(site_r)
         origins = {}
         dests = {}
         for cage_id, (drow, dcol) in moves.items():
             if abs(drow) > 1 or abs(dcol) > 1:
                 raise CageError(f"cage {cage_id}: step larger than one electrode")
-            orig_row = (
-                site_r.item(cage_id) if 0 <= cage_id < capacity else -1
-            )
+            orig_row = site_r[cage_id] if 0 <= cage_id < capacity else -1
             if orig_row < 0:
                 raise CageError(f"no cage with id {cage_id}")
-            orig_col = site_c.item(cage_id)
+            orig_col = site_c[cage_id]
             dest = (orig_row + drow, orig_col + dcol)
             if not (0 <= dest[0] < rows and 0 <= dest[1] < cols):
                 raise CageError(f"cage {cage_id}: destination {dest} out of bounds")
-            if state.has_dead and state.dead[dest]:
+            if dead is not None and dead[dest[0] * cols + dest[1]]:
                 raise DeadElectrodeError(
                     f"cage {cage_id}: destination {dest} is a dead electrode"
                 )
@@ -596,7 +596,7 @@ class CageManager:
                 )
             claimed[dest] = cage_id
         for cage_id, dest in dests.items():
-            occupant = cage_grid.item(dest[0] * cols + dest[1])
+            occupant = cage_grid[dest[0] * cols + dest[1]]
             if occupant == NO_CAGE or occupant == cage_id:
                 continue
             if occupant not in dests:
@@ -614,7 +614,7 @@ class CageManager:
                     continue
                 other = claimed.get((row, col))
                 if other is None:
-                    occupant = cage_grid.item(row * cols + col)
+                    occupant = cage_grid[row * cols + col]
                     if occupant != NO_CAGE and occupant not in dests:
                         other = occupant
                 if other is not None and other != cage_id:
@@ -622,16 +622,12 @@ class CageManager:
                         f"separation violated between cages {cage_id} "
                         f"and {other} at {dest}"
                     )
-        # Commit: clear every origin first so chains move correctly.
-        occupancy = state.occupancy
-        for cage_id, site in origins.items():
-            occupancy[site] = False
-            cage_grid[site] = NO_CAGE
-        for cage_id, dest in dests.items():
-            occupancy[dest] = True
-            cage_grid[dest] = cage_id
-            site_r[cage_id] = dest[0]
-            site_c[cage_id] = dest[1]
+        if dests:
+            # move_cages clears every origin first, so chains move
+            # correctly
+            origin_r, origin_c = zip(*origins.values())
+            dest_r, dest_c = zip(*dests.values())
+            state.move_cages(origin_r, origin_c, dest_r, dest_c, list(dests))
 
     def merge(self, cage_id_a, cage_id_b):
         """Merge cage b into cage a (they must be adjacent within 2*sep).

@@ -114,20 +114,59 @@ class _MemoEntry:
         self.order = order      # the plan's row ids, in planning order
         self.sites = sites
         self.makespan = makespan
-        self.stats = stats
+        # the plan's stats as a hit reports them: it does none of the
+        # planner's counted work
+        self.stats = {name: 0 if name in ROUTING_COUNTERS else value
+                      for name, value in stats.items()}
         self.replay = None
         self._moved = None
 
     def moved(self):
-        """``(rows, starts, ends)``: the plan rows whose final site
-        differs from their start, and those two sites as (n, 2) arrays.
-        Read off the sites on first use, so a batch that never repeats
-        pays nothing for it."""
+        """``(positions, start rows, start cols, end rows, end cols)``,
+        lists of ints: the plan rows whose final site differs from their
+        start, each as its request position, and those two sites.  Read
+        off the sites on first use, so a batch that never repeats pays
+        nothing for it."""
         if self._moved is None:
             starts, ends = self.sites[:, 0], self.sites[:, -1]
             rows = np.flatnonzero((starts != ends).any(axis=1))
-            self._moved = (rows, starts[rows], ends[rows])
+            position = {cage_id: i for i, cage_id in enumerate(self.ids)}
+            self._moved = (
+                [position[cage_id] for cage_id in self.order[rows].tolist()],
+                *starts[rows].T.tolist(), *ends[rows].T.tolist(),
+            )
         return self._moved
+
+
+class _HitPlan(BatchPlan):
+    """A memo hit's plan: the entry's plan, its rows renamed to the
+    cages now at their request positions (``ids``) and its sites moved
+    to the chip's window (``origin``, None at (0, 0)).  A replay reads
+    neither, so both are built when first read."""
+
+    def __init__(self, entry, ids, origin, stats):
+        super().__init__(cage_ids=entry.order, sites=entry.sites,
+                         makespan=entry.makespan, stats=stats)
+        self._cage_ids = self._sites = None
+        self._replayed = (entry, ids, origin)
+
+    @property
+    def cage_ids(self):
+        if self._cage_ids is None:
+            entry, ids, __ = self._replayed
+            rename = dict(zip(entry.ids, ids))
+            self._cage_ids = np.array(
+                [rename[cage_id] for cage_id in entry.order.tolist()],
+                dtype=np.int64)
+        return self._cage_ids
+
+    @property
+    def sites(self):
+        if self._sites is None:
+            entry, __, origin = self._replayed
+            self._sites = (entry.sites if origin is None
+                           else entry.sites + origin)
+        return self._sites
 
 
 @dataclass(slots=True)
@@ -676,6 +715,7 @@ class Biochip:
         """Plan ``goals`` with every other cage parked, and commit the
         plan (replayed on a memo hit); returns ``(plan, replay)``."""
         dead = self._dead_mask()
+        region = self._region
         ids = []
         requests = []  # (start, goal) per cage of ``ids``
         for cage_id, goal in goals.items():
@@ -683,7 +723,8 @@ class Biochip:
             goal = tuple(goal)
             if not self.grid.in_bounds(*goal):
                 raise ExecutionError(f"cage {cage_id}: goal {goal} out of bounds")
-            check_in_window(self._region, goal, f"cage {cage_id}: goal")
+            if region is not None:
+                check_in_window(region, goal, f"cage {cage_id}: goal")
             if dead is not None and dead[goal]:
                 raise ChipFault(
                     f"cage {cage_id}: goal {goal} is a dead electrode"
@@ -703,11 +744,16 @@ class Biochip:
             # this batch ran before from this very state: commit where
             # its movers ended (origins are cleared first, so a cage
             # taking a site another one vacated lands correctly)
-            rows, starts, ends = entry.moved()
-            starts, ends = self._on_chip(starts), self._on_chip(ends)
+            positions, start_r, start_c, end_r, end_c = entry.moved()
+            if self._origin is not None:
+                r0, c0 = self._region[:2]
+                start_r = [row + r0 for row in start_r]
+                start_c = [col + c0 for col in start_c]
+                end_r = [row + r0 for row in end_r]
+                end_c = [col + c0 for col in end_c]
             self.cages.state.move_cages(
-                starts[:, 0], starts[:, 1], ends[:, 0], ends[:, 1],
-                plan.cage_ids[rows],
+                start_r, start_c, end_r, end_c,
+                np.array([ids[i] for i in positions], dtype=np.int64),
             )
         return plan, replay
 
@@ -733,11 +779,6 @@ class Biochip:
             dwell_time += diagonal_dwell if diagonal[step] else straight_dwell
         return _Replay(plan.total_moves(), program_time, dwell_time)
 
-    def _on_chip(self, sites):
-        """Window-relative ``sites`` (int32, ``(..., 2)``) as chip
-        sites; ``sites`` themselves for a window at origin (0, 0)."""
-        return sites if self._origin is None else sites + self._origin
-
     def _memo_key(self, requests, parked):
         """The plan-memo key of a batch: its requests and ``parked``
         sites relative to the chip's window, with the window's size and
@@ -754,7 +795,8 @@ class Biochip:
             requests = [((start[0] - r0, start[1] - c0),
                          (goal[0] - r0, goal[1] - c0))
                         for start, goal in requests]
-            parked = parked - self._origin
+            if parked.size:
+                parked = parked - self._origin
         return (self.min_separation, r1 - r0, c1 - c0, dead,
                 tuple(requests), parked.tobytes())
 
@@ -767,53 +809,48 @@ class Biochip:
         started = time.perf_counter()
         key = self._memo_key(requests, parked)
         entry = self._plan_memo.lookup(key)
-        hit = entry is not None
-        if hit:
-            # the stored rows name the cages at each request position
-            # when the batch was planned; rename them to today's cages
-            rename = dict(zip(entry.ids, ids))
-            # a hit does none of the planner's counted work
-            stats = {name: 0 if name in ROUTING_COUNTERS else value
-                     for name, value in entry.stats.items()}
+        totals = self._routing_totals
+        if entry is not None:
             with tracing.span("routing.plan",
                               attributes={"memo": "hit"}) as span:
-                cage_ids = [rename[cage_id]
-                            for cage_id in entry.order.tolist()]
-                sites = self._on_chip(entry.sites)
+                stats = entry.stats.copy()
                 stats["plan_seconds"] = time.perf_counter() - started
-                plan = BatchPlan(cage_ids=cage_ids, sites=sites,
-                                 makespan=entry.makespan, stats=stats)
+                plan = _HitPlan(entry, ids, self._origin, stats)
                 if span.recording:
                     span.set_attributes(dict(stats))
-        else:
-            router = WavefrontRouter(
-                self.grid, min_separation=self.min_separation,
-                blocked=self._blocked_mask(),
+            # every planner counter of a hit is zero
+            totals["plans"] += 1
+            totals["cages_planned"] += stats["cages"]
+            totals["plan_seconds"] += stats["plan_seconds"]
+            totals["memo_hits"] += 1
+            return plan, entry
+        router = WavefrontRouter(
+            self.grid, min_separation=self.min_separation,
+            blocked=self._blocked_mask(),
+        )
+        try:
+            plan = router.plan(
+                [RoutingRequest(cage_id, start, goal)
+                 for cage_id, (start, goal) in zip(ids, requests)],
+                attributes={"memo": "miss"},
+                parked=parked,
             )
-            try:
-                plan = router.plan(
-                    [RoutingRequest(cage_id, start, goal)
-                     for cage_id, (start, goal) in zip(ids, requests)],
-                    attributes={"memo": "miss"},
-                    parked=parked,
-                )
-            except RoutingError as exc:
-                raise ExecutionError(str(exc)) from exc
-            sites = plan.sites
-            if self._origin is not None:
-                sites = sites - self._origin
-            sites.flags.writeable = False  # shared with every hit
-            entry = _MemoEntry(
-                ids, plan.cage_ids, sites, plan.makespan, plan.stats)
-            self._plan_memo.store(key, entry)
+        except RoutingError as exc:
+            raise ExecutionError(str(exc)) from exc
+        sites = plan.sites
+        if self._origin is not None:
+            sites = sites - self._origin
+        sites.flags.writeable = False  # shared with every hit
+        entry = _MemoEntry(
+            ids, plan.cage_ids, sites, plan.makespan, plan.stats)
+        self._plan_memo.store(key, entry)
         counts = {
             **plan.stats,
             "plans": 1,
             "cages_planned": plan.stats["cages"],
-            "memo_hits": int(hit),
-            "memo_misses": int(not hit),
+            "memo_hits": 0,
+            "memo_misses": 1,
         }
-        totals = self._routing_totals
         for name in ROUTING_COUNTERS:
             totals[name] += counts[name]
         return plan, entry

@@ -193,7 +193,7 @@ class BatchPlan:
         if self._paths is None:
             self._paths = {
                 int(cage_id): [tuple(site) for site in path.tolist()]
-                for cage_id, path in zip(self._cage_ids, self._sites)
+                for cage_id, path in zip(self.cage_ids, self.sites)
             }
         return self._paths
 
@@ -204,7 +204,7 @@ class BatchPlan:
         <repro.array.cages.CageManager.run_plan>` executes the whole plan
         from this array and :attr:`cage_ids`."""
         if self._deltas is None:
-            self._deltas = np.diff(self._sites, axis=1)
+            self._deltas = np.diff(self.sites, axis=1)
         return self._deltas
 
     def _moving_mask(self):
@@ -234,7 +234,7 @@ class BatchPlan:
         if not 0 <= step < self.makespan:
             raise IndexError("step outside plan horizon")
         moving = self._moving_mask()[:, step]
-        return self._cage_ids[moving], self.deltas[moving, step]
+        return self.cage_ids[moving], self.deltas[moving, step]
 
     def total_moves(self) -> int:
         """Total non-wait single-cage moves in the plan."""
