@@ -21,9 +21,10 @@ happened to be compiled first.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass
+
+from ..core.compiler import CompiledProgram
 
 
 def rebind_program(program, protocol):
@@ -46,8 +47,10 @@ def rebind_program(program, protocol):
     for cmd, cached_cmd in zip(commands, cached.values()):
         if type(cmd) is not type(cached_cmd):
             return None
-    return dataclasses.replace(
-        program, protocol=protocol, op_commands=dict(zip(cached, commands))
+    return CompiledProgram(
+        protocol=protocol, graph=program.graph, schedule=program.schedule,
+        binder=program.binder, op_commands=dict(zip(cached, commands)),
+        registry=program.registry, run_order=program.run_order,
     )
 
 

@@ -247,7 +247,7 @@ class _WorkerRuntime:
                 windows = LeaseWindows(self.template, self.worker_id)
                 leased, solo = [], []
                 for job in runnable:
-                    fit = windows.fit(job.protocol)
+                    fit = windows.fit(job.protocol, job.fingerprint)
                     if fit is None:
                         solo.append(job)
                     else:

@@ -19,7 +19,8 @@ two tiers compute the same way lives here, once:
   streak, banked fault counters, and the lease-group runner that puts
   co-tenants on leased views of the chip;
 * :class:`LeaseWindows` and :func:`group_cost` -- lease-window sizing
-  and the merged chip time of a tenant group;
+  (memoised by fingerprint and by the group's size sequence) and the
+  merged chip time of a tenant group;
 * :func:`steer` -- the one retry steering rule: the chips a retry may
   run on;
 * :class:`ServingCore` -- admission, the job root span, retry
@@ -60,6 +61,7 @@ from ..core.backend import (
     SimulatorBackend,
 )
 from ..core.errors import BiochipError
+from ..core.memo import LruMemo
 from ..core.session import Session, sweep_handles
 from ..faults import FaultInjector, FaultModel, FleetFaultPlan
 from ..observability import tracing
@@ -377,38 +379,109 @@ def can_lease(template, config) -> bool:
             and type(template).set_region is not Backend.set_region)
 
 
+#: How many fingerprints' window requests, and how many lease layouts,
+#: the lease-group memos remember (least recently used first out).
+_FOOTPRINT_MEMO_SIZE = 64
+_LAYOUT_MEMO_SIZE = 128
+
+#: Fingerprint -> ``((rows, cols), (row shift, col shift))`` of the
+#: window its protocol needs, or False when it has no static footprint.
+_FOOTPRINT_MEMO = LruMemo(_FOOTPRINT_MEMO_SIZE)
+
+#: ``(rows, cols, guard, chip_id, placed sizes, size)`` -> the lease the
+#: next request of ``size`` gets, or False when it does not fit.
+_LAYOUT_MEMO = LruMemo(_LAYOUT_MEMO_SIZE)
+
+
+def _window_request(protocol):
+    """``((rows, cols), (row shift, col shift))`` of the lease window
+    ``protocol`` needs -- its footprint padded by :data:`LEASE_MARGIN`
+    a side, and what maps its own coordinates into the lease interior
+    from the lease origin -- or False when it has no static footprint."""
+    footprint = protocol_footprint(protocol)
+    if footprint is None:
+        return False
+    return (
+        (footprint.rows + 2 * LEASE_MARGIN, footprint.cols + 2 * LEASE_MARGIN),
+        (LEASE_MARGIN - footprint.row0, LEASE_MARGIN - footprint.col0),
+    )
+
+
 class LeaseWindows:
-    """Sizes tenants' leased windows on one chip for one lease group."""
+    """Sizes tenants' leased windows on one chip for one lease group.
+
+    Both tiers size every lease group through here, and two
+    process-wide memos make a repeated group a pair of table lookups
+    per tenant.  Both rest on determinism:
+
+    * A protocol's footprint is a function of its command types and
+      site payloads, which its fingerprint hashes, so the window a job
+      needs is looked up by ``job.fingerprint``.  An empty fingerprint
+      (a :class:`Job` built without one) is never a key: its footprint
+      is read off the protocol every time.
+    * A group starts on an empty chip and never releases a lease, and
+      a request that does not fit changes nothing, so the lease the
+      next request gets is a function of the chip shape, the guard,
+      the chip id, the sizes already placed and the size asked for.
+      Layouts are memoised on exactly that, "does not fit" included
+      (stored as False; a miss reads None).
+
+    On a layout miss the first-fit :class:`RegionLeaseAllocator` is
+    built (or caught up) by replaying the sizes placed so far, and
+    answers.  Both memos are bounded :class:`LruMemo`\\ s, locked for
+    the wall tier's worker threads.
+    """
 
     def __init__(self, template, chip_id):
         grid = template.grid
-        self.allocator = RegionLeaseAllocator(
-            grid.rows, grid.cols,
-            guard=routing_separation(template),
-            chip_id=chip_id,
-        )
+        guard = routing_separation(template)
+        self._shape = (grid.rows, grid.cols, guard, chip_id)
+        self._placed = ()  # sizes of the leases given out, in order
+        self._allocator = None
+        self._replayed = 0  # how many of them the allocator holds
 
-    def fit(self, protocol):
-        """``(lease, offset)`` for ``protocol``, or None when it has no
+    @property
+    def allocator(self) -> RegionLeaseAllocator:
+        """The first-fit allocator holding every lease given out so
+        far, built or caught up by replaying their sizes."""
+        if self._allocator is None:
+            rows, cols, guard, chip_id = self._shape
+            self._allocator = RegionLeaseAllocator(
+                rows, cols, guard=guard, chip_id=chip_id
+            )
+        for rows, cols in self._placed[self._replayed:]:
+            self._allocator.allocate(rows, cols)
+        self._replayed = len(self._placed)
+        return self._allocator
+
+    def fit(self, protocol, fingerprint):
+        """``(lease, offset)`` for ``protocol`` (whose fingerprint is
+        ``fingerprint``, "" when unknown), or None when it has no
         static footprint or no window is left for it.
 
         ``offset`` maps the job's own (protocol) coordinates into its
         lease interior: lease origin plus :data:`LEASE_MARGIN`, minus
         the footprint origin.
         """
-        footprint = protocol_footprint(protocol)
-        if footprint is None:
+        request = _FOOTPRINT_MEMO.lookup(fingerprint) if fingerprint else None
+        if request is None:
+            request = _window_request(protocol)
+            if fingerprint:
+                _FOOTPRINT_MEMO.store(fingerprint, request)
+        if not request:
             return None
-        lease = self.allocator.allocate(
-            footprint.rows + 2 * LEASE_MARGIN, footprint.cols + 2 * LEASE_MARGIN
-        )
+        size, (row_shift, col_shift) = request
+        key = self._shape + (self._placed, size)
+        lease = _LAYOUT_MEMO.lookup(key)
         if lease is None:
+            lease = self.allocator.allocate(*size) or False
+            _LAYOUT_MEMO.store(key, lease)
+            if lease:
+                self._replayed += 1
+        if not lease:
             return None
-        offset = (
-            lease.origin[0] + LEASE_MARGIN - footprint.row0,
-            lease.origin[1] + LEASE_MARGIN - footprint.col0,
-        )
-        return lease, offset
+        self._placed += (size,)
+        return lease, (lease.origin[0] + row_shift, lease.origin[1] + col_shift)
 
 
 def group_cost(attempts):

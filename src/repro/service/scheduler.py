@@ -334,7 +334,7 @@ class ExecutionService(ServingCore):
         self._note_start(job, worker.chip_id)
         if self._can_lease:
             windows = LeaseWindows(self._template, worker.chip_id)
-            fit = windows.fit(job.protocol)
+            fit = windows.fit(job.protocol, job.fingerprint)
             if fit is not None:
                 return self._dispatch_leased(
                     job, worker, windows, *fit, started_at
@@ -376,7 +376,7 @@ class ExecutionService(ServingCore):
                     self._finish_unserved(job, JobState.EXPIRED, "expired")
                 )
                 continue
-            fit = windows.fit(job.protocol)
+            fit = windows.fit(job.protocol, job.fingerprint)
             if fit is None:
                 passed.append(job)
                 continue

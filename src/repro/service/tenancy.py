@@ -10,7 +10,14 @@ multi-tenant mode is built from:
   :class:`RegionLease` windows of one chip;
 * :func:`protocol_footprint` -- the static bounding box of every site a
   protocol addresses, so the scheduler knows how small a window the job
-  can live in;
+  can live in.  Both are deterministic: the footprint is a function of
+  the command types and site payloads the protocol's fingerprint
+  hashes, and a lease group (an empty allocator that never releases)
+  gives the next request a lease fixed by the sizes placed before it.
+  So the serving tiers size groups through
+  :class:`~repro.service.core.LeaseWindows`, which memoises the one by
+  fingerprint and the other by that size sequence, and run these two
+  only on a memo miss;
 * :class:`LeasedBackend` -- a coordinate-translating tenant view of a
   chip: the job is compiled and executed in its own protocol
   coordinates, the view shifts every site into the leased window before

@@ -1,11 +1,14 @@
 """Unit tests for the fleet execution service: jobs, cache, scheduler,
 admission control and telemetry."""
 
+import dataclasses
+
 import pytest
 
 from repro import ExecutionService, Protocol, ServiceConfig
 from repro.core.errors import ServiceError
 from repro.service import JobState, ProgramCache, program_key
+from repro.service.cache import rebind_program
 from repro.workloads import (
     bursty_traffic,
     hot_protocol_traffic,
@@ -224,6 +227,21 @@ class TestProgramCache:
         assert program2.schedule is program1.schedule
         assert program2.protocol is p2
         assert cache.stats.hit_rate == pytest.approx(0.5)
+
+    def test_rebind_shares_everything_but_the_commands(self):
+        session = dry_service(n_chips=1).fleet.workers[0].session
+        program = session.compile(tiny_protocol("a"))
+        other = Protocol("b").trap("q", (2, 2)).move("q", (2, 10)).release("q")
+        rebound = rebind_program(program, other)
+        assert rebound == dataclasses.replace(
+            program, protocol=other,
+            op_commands=dict(zip(program.op_commands, other.commands)),
+        )
+        assert rebound.run_order is program.run_order
+        assert rebound.schedule is program.schedule
+        # a structure that does not line up is a collision: recompile
+        sensed = Protocol("c").trap("p", (2, 2)).sense("p").release("p")
+        assert rebind_program(program, sensed) is None
 
     def test_miss_on_different_structure(self):
         service = dry_service(n_chips=1)
