@@ -199,8 +199,8 @@ class SimulatorBackend(BackendWrapper):
         # It shares the plan memo for the same reason: a plan depends
         # only on the chip's window, the dead pixels inside it and the
         # batch relative to its origin (see Biochip.move_many).  Fleet
-        # chips and restarts are spawns; a tenant view is spawned once
-        # per lease slot and then reset in place (Biochip.reset).
+        # chips and restarts are spawns; a served chip's one tenant view
+        # is spawned once and then reset in place (Biochip.reset).
         chip = dataclasses.replace(self.backend)
         chip._levitation_cache = self.backend._levitation_cache
         chip._plan_memo = self.backend._plan_memo

@@ -264,8 +264,8 @@ class Biochip:
         template-shared levitation cache and plan memo are kept.  A
         reset chip runs every operation bit for bit like a fresh
         :meth:`spawn <repro.core.backend.SimulatorBackend.spawn>` of
-        its template; the service resets its tenant views this way
-        instead of spawning one per tenant.
+        its template; the service resets its one tenant view this way
+        before every tenant instead of spawning one per tenant.
         """
         self.rng.bit_generator.state = self._pristine_rng
         self.readout._noise._flicker_state = self._pristine_flicker
@@ -275,7 +275,6 @@ class Biochip:
         self.faults = None  # FaultModel installed by apply_faults
         self._sensor_quarantine = None
         self._region = None         # (r0, c0, r1, c1) lease window
-        self._region_block = None   # bool mask, True outside the lease
         self._origin = None         # int32 lease origin, None at (0, 0)
         self._signal_cache = {}          # particle key -> signal [V]
         self._payload_signal_cache = {}  # payload id -> (payload, signal)
@@ -379,19 +378,16 @@ class Biochip:
         batch relative to the chip's window (this lease, else the whole
         array), with the window's size and the dead pixels inside it in
         the key, and a plan never leaves its window (see
-        :meth:`move_many`).
+        :meth:`move_many`).  Only the window's bounds are kept (see
+        :meth:`_blocked_mask`).
         """
         if origin is None:
             self._region = None
-            self._region_block = None
             self._origin = None
             return
         self._region = r0, c0, r1, c1 = lease_window(
             self.grid, origin, rows, cols
         )
-        block = np.ones((self.grid.rows, self.grid.cols), dtype=bool)
-        block[r0:r1, c0:c1] = False
-        self._region_block = block
         self._origin = (np.array((r0, c0), dtype=np.int32)
                         if r0 or c0 else None)
 
@@ -403,13 +399,15 @@ class Biochip:
 
     def _blocked_mask(self):
         """Hard-blocked electrodes for routing: dead pixels plus
-        everything outside the leased region (when one is set)."""
+        everything outside the leased region (when one is set), built
+        from the window when a plan misses the memo."""
         dead = self._dead_mask()
-        if self._region_block is None:
+        if self._region is None:
             return dead
-        if dead is None:
-            return self._region_block
-        return dead | self._region_block
+        r0, c0, r1, c1 = self._region
+        block = np.ones((self.grid.rows, self.grid.cols), dtype=bool)
+        block[r0:r1, c0:c1] = False
+        return block if dead is None else block | dead
 
     # -- physics views -----------------------------------------------------
 

@@ -16,8 +16,8 @@ two tiers compute the same way lives here, once:
   state: health, load, restarts, fault counters and cache stats;
 * :class:`ServedChip` -- one chip's lifecycle, itself a record: its
   session, program cache and fault injector, restarts, the quarantine
-  streak, banked fault counters, and the lease-group runner that puts
-  co-tenants on leased views of the chip;
+  streak, banked fault counters, and the lease-group runner that runs
+  co-tenants in turn on the chip's one leased tenant view;
 * :class:`LeaseWindows` and :func:`group_cost` -- lease-window sizing
   (memoised by fingerprint and by the group's size sequence) and the
   merged chip time of a tenant group;
@@ -566,9 +566,9 @@ class ServedChip(ChipRecord):
     tenant's fault injector, so :meth:`fault_counters` is cumulative
     across restarts.  ``tap``, when given, wraps every backend a
     session is opened on (the wall tier's sense stream); ``job_id``
-    names the job whose attempt is running.  ``_views`` holds one
-    tenant view per lease slot, spawned from the template on the
-    slot's first use and reset in place before each later group.
+    names the job whose attempt is running.  ``_tenant_view`` is the
+    one view every tenant runs on, spawned from the template on first
+    use and reset in place before each later tenant.
     """
 
     def __init__(self, chip_id, template, *, registry=None, plan=None,
@@ -582,7 +582,7 @@ class ServedChip(ChipRecord):
         self.tap = tap
         self.consecutive_failures = 0
         self.job_id = None
-        self._views = []
+        self._tenant_view = None
         self._power_up()
 
     def _power_up(self):
@@ -652,23 +652,21 @@ class ServedChip(ChipRecord):
         finally:
             self.job_id = None
 
-    def _view(self, slot):
-        """Lease slot ``slot``'s view of the chip in the state of a
-        fresh spawn of the template: spawned on the slot's first use,
-        reset in place after that (spawned again when the backend has
-        no ``reset``, which is no part of the backend contract)."""
-        views = self._views
-        if slot == len(views):
-            views.append(self.template.spawn())
-        elif hasattr(views[slot], "reset"):
-            views[slot].reset()
+    def _view(self):
+        """The tenant view in the state of a fresh spawn of the
+        template: spawned on first use, reset in place after that
+        (spawned again when the backend has no ``reset``, which is no
+        part of the backend contract)."""
+        view = self._tenant_view
+        if view is not None and hasattr(view, "reset"):
+            view.reset()
         else:
-            views[slot] = self.template.spawn()
-        return views[slot]
+            view = self._tenant_view = self.template.spawn()
+        return view
 
     def lease_group(self, tenants, clock, **options) -> list:
         """Run a lease group: one attempt per ``(job, lease, offset)``
-        tenant, each on its lease slot's view of the chip, reset to a
+        tenant, in turn, each on the chip's tenant view reset to a
         fresh spawn's state and clipped to its lease (the chip's faults
         re-attached, seeded per tenant), so co-tenants stay isolated
         while the group is charged its merged chip time once.
@@ -676,9 +674,9 @@ class ServedChip(ChipRecord):
         :func:`run_attempt`.  Returns the attempts in tenant order, each
         carrying the group's cost (see :func:`group_cost`)."""
         attempts = []
-        for slot, (job, lease, offset) in enumerate(tenants):
+        for job, lease, offset in tenants:
             view, injector = chip_backend(
-                self._view(slot), self.plan, self.chip_id,
+                self._view(), self.plan, self.chip_id,
                 (self.restarts, job.job_id), lease, offset,
             )
             attempt = self.attempt(

@@ -13,11 +13,13 @@ number is deterministic for a given workload; the wall-clock tier
 meters real seconds through the same classes.
 
 Every meter is thread-safe with its own lock (lock-sharded: two
-threads bumping *different* counters never contend), because the
-concurrent tier's coordinator, workers and submitting callers all
-write telemetry at once.  The single-threaded virtual tier pays one
-uncontended lock acquisition per event, which is noise next to a
-protocol dispatch.
+threads touching *different* meters never contend).  The wall-clock
+tier writes only under its service lock (chip workers touch no
+telemetry: ``_pump_pass``, ``close`` and ``submit`` write it), so the
+locks keep a meter whole for readers on other threads, such as
+``AsyncExecutionService.telemetry``.  The single-threaded virtual tier
+pays one uncontended lock acquisition per event, which is noise next
+to a protocol dispatch.
 """
 
 from __future__ import annotations

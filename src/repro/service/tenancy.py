@@ -29,8 +29,8 @@ multi-tenant mode is built from:
   so a 3-cage straight band on a 48x48 chip takes 19.16 s leased
   against 18.50 s exclusive (``move_many`` 2.66 s against 2.00 s for
   the same 5 frames).  Every view starts in the state of a fresh
-  spawn of the chip template: the service keeps one view per lease
-  slot and resets it in place before each group (see
+  spawn of the chip template: the service keeps one view per chip
+  and resets it in place before each tenant (see
   :meth:`Biochip.reset <repro.core.platform.Biochip.reset>`).  A
   simulated view plans through the template's lease-relative plan
   memo (see :meth:`Biochip.move_many

@@ -651,3 +651,89 @@ class TestBatchPlanMemo:
         spawned = template.spawn().chip
         assert spawned._plan_memo is template.chip._plan_memo
         assert self.run_batch(spawned, starts, goals)[2]
+
+
+# -- the lease window and its routing mask ------------------------------------
+
+
+class TestLeaseMask:
+    """A lease is held as its window bounds; the router's mask of the
+    blocked outside is built from them on each call."""
+
+    def test_the_mask_blocks_the_outside_and_the_dead_pixels(self):
+        chip = Biochip.small_chip(rows=16, cols=16)
+        assert chip._blocked_mask() is None
+        chip.set_region((3, 5), 6, 4)
+        want = np.ones((16, 16), dtype=bool)
+        want[3:9, 5:9] = False
+        assert np.array_equal(chip._blocked_mask(), want)
+        dead = np.zeros((16, 16), dtype=bool)
+        dead[4, 6] = dead[0, 0] = True
+        chip.apply_faults(FaultModel(shape=(16, 16), dead_electrodes=dead))
+        assert np.array_equal(chip._blocked_mask(), want | dead)
+        # every call builds its own mask: no caller can change the lease
+        chip._blocked_mask()[3:9, 5:9] = True
+        assert not chip._blocked_mask()[5, 7]
+        chip.set_region(None)
+        assert np.array_equal(chip._blocked_mask(), dead)
+
+
+# -- separation 1: the space-time A* plans every route ------------------------
+
+
+class TestSeparationOne:
+    """At ``min_separation=1`` the wavefront router defers to the
+    space-time A* of :class:`~repro.routing.multi.BatchRouter` (its
+    set-based reservation table), so that A* is production code."""
+
+    @staticmethod
+    def chip():
+        from repro.array import ElectrodeGrid
+
+        return Biochip(grid=ElectrodeGrid(16, 16, um(20)), min_separation=1)
+
+    @staticmethod
+    def assert_separated(chip):
+        sites = np.array(chip.cages.sites())
+        gaps = np.abs(sites[:, None, :] - sites[None, :, :]).max(axis=2)
+        np.fill_diagonal(gaps, chip.min_separation)
+        assert gaps.min() >= chip.min_separation
+
+    def test_move_and_move_many_plan_with_the_a_star(self, monkeypatch):
+        from repro.routing.multi import BatchRouter
+
+        routed = []
+        route_one = BatchRouter._route_one
+
+        def counted(router, request, table, horizon):
+            routed.append(request.cage_id)
+            return route_one(router, request, table, horizon)
+
+        monkeypatch.setattr(BatchRouter, "_route_one", counted)
+        chip = self.chip()
+        a, b, c = (chip.trap(site).cage_id
+                   for site in ((2, 2), (2, 3), (5, 5)))
+        # around the cage at (5, 5)
+        chip.move(a, (10, 10))
+        first = chip.routing_totals["expansions"]
+        assert first > 0 and routed
+        # c follows b into the site b leaves, one site from it
+        report = chip.move_many({b: (2, 4), c: (2, 3)})
+        assert report["cages"] == 2
+        assert chip.routing_totals["expansions"] > first
+        assert [chip.cages.cage(i).site for i in (a, b, c)] == [
+            (10, 10), (2, 4), (2, 3)]
+        self.assert_separated(chip)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_batch_ends_at_its_goals_separated(self, seed):
+        from repro.workloads import random_permutation_workload
+
+        chip = self.chip()
+        requests = random_permutation_workload(chip.grid, 6, seed=seed)
+        ids = {r.cage_id: chip.trap(r.start).cage_id for r in requests}
+        chip.move_many({ids[r.cage_id]: r.goal for r in requests})
+        assert chip.routing_totals["expansions"] > 0
+        for r in requests:
+            assert chip.cages.cage(ids[r.cage_id]).site == tuple(r.goal)
+        self.assert_separated(chip)

@@ -1,7 +1,7 @@
 """A tenant view reset in place acts like a fresh spawn of its template.
 
-The service keeps one view per lease slot on each chip and resets it
-before every lease group instead of spawning a chip per tenant
+The service keeps one tenant view on each chip and resets it before
+every tenant instead of spawning a chip per tenant
 (:meth:`Biochip.reset <repro.core.platform.Biochip.reset>`,
 :meth:`DryRunBackend.reset <repro.core.backend.DryRunBackend.reset>`).
 These tests run a random protocol on a view -- leased or not, behind a
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import Biochip, ExecutionService, ServiceConfig
+from repro import Biochip, ExecutionService, JobState, ServiceConfig
 from repro.array import ElectrodeGrid
 from repro.array.cages import CageError
 from repro.bio import polystyrene_bead
@@ -57,7 +57,7 @@ BIOCHIP_ATTRIBUTES = {
     "_levitation_cache", "_plan_memo",
     # rebound by reset()
     "elapsed", "_history", "faults", "_sensor_quarantine", "_region",
-    "_region_block", "_origin", "_signal_cache",
+    "_origin", "_signal_cache",
     "_payload_signal_cache", "_routing_totals",
 }
 
@@ -305,7 +305,7 @@ def served(spawn_per_tenant):
     """Per-job outcomes of seeded tenant traffic on one faulty chip
     served four tenants at a time, the served chip and every view it
     handed out; ``spawn_per_tenant`` gives every tenant a fresh spawn
-    instead of its slot's reset view."""
+    instead of the chip's reset tenant view."""
     grid = ElectrodeGrid(SIDE, SIDE, um(20.0))
     service = ExecutionService.simulator(
         ServiceConfig(n_chips=1, max_tenants=4, max_retries=2),
@@ -315,11 +315,11 @@ def served(spawn_per_tenant):
     )
     chip = service.fleet.worker(0)
     views = []
-    pooled = chip._view
+    reused = chip._view
 
-    def view(slot):
+    def view():
         views.append(chip.template.spawn() if spawn_per_tenant
-                     else pooled(slot))
+                     else reused())
         return views[-1]
 
     chip._view = view
@@ -339,17 +339,49 @@ def test_served_reset_views_match_a_spawn_per_tenant():
     got, chip, views = served(spawn_per_tenant=False)
     want, __, __ = served(spawn_per_tenant=True)
     assert got == want
-    # one view per lease slot, reused group after group
-    assert 1 < len(chip._views) <= 4 < len(views)
-    assert {id(v) for v in views} == {id(v) for v in chip._views}
+    # one view, reused tenant after tenant
+    assert len(views) > 4
+    assert {id(v) for v in views} == {id(chip._tenant_view)}
 
 
-def test_a_slot_spawns_its_view_once():
+def test_the_tenant_view_is_spawned_once_and_reset_on_reuse():
     template = TEMPLATES["dry_run"]
     chip = ServedChip(0, template)
-    first = chip._view(0)
+    first = chip._view()
     first.trap((2, 2))
-    assert chip._view(0) is first and first.cage_count == 0
-    assert chip._view(1) is not first
-    assert chip._views == [first, chip._view(1)]
-    assert not hasattr(template, "_views")  # workers pickle only this
+    assert chip._view() is first and first.cage_count == 0
+    assert chip._tenant_view is first
+    assert not hasattr(template, "_tenant_view")  # workers pickle only this
+
+
+def test_a_served_chip_spawns_one_view_and_masks_only_on_a_miss(monkeypatch):
+    """Lease group after lease group, a served chip spawns its tenant
+    view once, and the router's lease mask is built once per plan that
+    misses the memo, never per tenant."""
+    grid = ElectrodeGrid(SIDE, SIDE, um(20.0))
+    service = ExecutionService.simulator(
+        ServiceConfig(n_chips=1, max_tenants=4), chip=Biochip(grid=grid))
+    template = service.fleet.worker(0).template
+    calls = {"spawn": 0, "mask": 0}
+    spawn, blocked_mask = template.spawn, Biochip._blocked_mask
+
+    def counted_spawn():
+        calls["spawn"] += 1
+        return spawn()
+
+    def counted_mask(chip):
+        calls["mask"] += 1
+        return blocked_mask(chip)
+
+    monkeypatch.setattr(template, "spawn", counted_spawn)
+    monkeypatch.setattr(Biochip, "_blocked_mask", counted_mask)
+    service.submit_many(small_footprint_traffic(
+        grid, 200, hot_fraction=0.5, seed=11))
+    results = service.drain()
+    snap = service.snapshot()
+    assert all(r.state is JobState.DONE for r in results)
+    tenancy = snap["tenancy"]
+    assert tenancy["groups"] >= 40
+    assert 1 < tenancy["co_residency"]["max"] <= 4
+    assert calls["spawn"] == 1
+    assert calls["mask"] == snap["routing"]["memo_misses"] > 0
