@@ -82,6 +82,16 @@ def _window_offsets(radius, width):
     )
 
 
+class PlanRun(list):
+    """What :meth:`CageManager.run_plan` returns: each frame's dirty row
+    count, as a list, with what the same pass read off the plan's steps
+    -- ``moves``, the number of single-cage steps, and per frame
+    ``active`` (whether any cage steps) and ``diagonal`` (whether any
+    cage steps diagonally), lists of bools."""
+
+    __slots__ = ("moves", "active", "diagonal")
+
+
 class CageError(Exception):
     """Violation of cage placement or motion rules."""
 
@@ -336,9 +346,11 @@ class CageManager:
         before it stay committed and the failing frame's error
         propagates, so the state is the one a per-frame loop leaves.
 
-        Returns one int per frame: how many array rows change phase,
-        i.e. ``len(new_frame.dirty_rows(old_frame))`` -- the rows an
-        incremental reprogram rewrites -- without building any frame.
+        Returns a :class:`PlanRun`: one int per frame, how many array
+        rows change phase, i.e. ``len(new_frame.dirty_rows(old_frame))``
+        -- the rows an incremental reprogram rewrites -- without building
+        any frame, plus the plan's move count and which frames move a
+        cage (diagonally), read in the same pass over ``deltas``.
 
         One vectorised pass checks a chunk of frames at a time against
         every cage, plan and non-plan, and commits the valid frames in
@@ -346,17 +358,33 @@ class CageManager:
         (the same validation as :meth:`step_arrays`), which raises its
         exact error.  Plans of at most :data:`SMALL_PLAN_MOVES` moves
         run frame by frame through :meth:`step` directly.
+
+        Cost: the pass reads ``deltas`` a constant number of times and
+        otherwise works per move -- the checks, the window gathers and
+        the dirty rows all follow the movers' sites.  Once per call it
+        builds two padded planes of the array (the sites no mover may
+        take and, when some live cage is outside the plan, their
+        occupancy), and once per chunk it zeroes a cage-count canvas of
+        one plane per frame, into which only the plan's cages are
+        written.
         """
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        deltas = np.asarray(deltas, dtype=np.int64)
+        deltas = np.ascontiguousarray(deltas, dtype=np.int64)
         if deltas.ndim != 3 or deltas.shape[0] != ids.size or deltas.shape[2] != 2:
             raise ValueError(
                 f"deltas must be (cages, frames, 2) for {ids.size} cages, "
                 f"got {deltas.shape}"
             )
-        moving = _either(deltas != 0)
+        # One read of the steps: each (drow, dcol) pair as one uint16,
+        # non-zero for a move and 0x0101 for a diagonal one.
+        pairs = (deltas != 0).view(np.uint16)[..., 0]
+        moving = pairs != 0
+        run = PlanRun()
+        run.moves = int(np.count_nonzero(moving))
+        run.active = moving.any(axis=0).tolist()
+        run.diagonal = (pairs == 0x0101).any(axis=0).tolist()
         frames = deltas.shape[1]
-        if np.count_nonzero(moving) <= SMALL_PLAN_MOVES:
+        if run.moves <= SMALL_PLAN_MOVES:
             by_frame = [{} for __ in range(frames)]
             frame, cage = np.nonzero(moving.T)
             for t, cage_id, step in zip(
@@ -364,7 +392,8 @@ class CageManager:
                 deltas[cage, frame].tolist(),
             ):
                 by_frame[t][cage_id] = step
-            return [self._step_dirty(moves) for moves in by_frame]
+            run.extend(self._step_dirty(moves) for moves in by_frame)
+            return run
 
         state = self._state
         rows, cols = self.grid.rows, self.grid.cols
@@ -373,47 +402,54 @@ class CageManager:
         # array lands on the ring instead of wrapping to the next row.
         pad = max(self.min_separation - 1, 1)
         width = cols + 2 * pad
-        plane = (rows + 2 * pad) * width
-        alive = state.alive_mask(ids)
-        live = ids[alive]
+        failing = np.zeros(frames, dtype=bool)
         # A frame that moves an unknown cage or steps further than one
-        # electrode fails whatever the geometry.
-        failing = (moving & ~alive[:, None]).any(axis=0) | _either(
-            np.abs(deltas) > 1
-        ).any(axis=0)
+        # electrode fails whatever the geometry; one reduction each
+        # tells whether any frame does.
+        if deltas.min() < -1 or deltas.max() > 1:
+            failing |= _either(np.abs(deltas) > 1).any(axis=0)
+        alive = state.alive_mask(ids)
+        live, live_deltas, live_moving = ids, deltas, moving
+        if not alive.all():
+            failing |= (moving & ~alive[:, None]).any(axis=0)
+            live = ids[alive]
+            live_deltas, live_moving = deltas[alive], moving[alive]
         # No mover may end on the ring or on a dead electrode.
         forbidden = np.ones((rows + 2 * pad, width), dtype=bool)
         forbidden[pad : pad + rows, pad : pad + cols] = state.dead
-        # Cages outside the plan hold still: one padded occupancy plane.
+        plane = forbidden.size
+        # Cages outside the plan hold still: one padded occupancy plane,
+        # with a window's reach of flat margin either side so a window
+        # around any site of the plane stays on it.
         static = None
         if live.size < len(self._cages):
-            static = np.zeros((rows + 2 * pad, width), dtype=np.uint8)
-            static[pad : pad + rows, pad : pad + cols] = state.occupancy
+            reach = (self.min_separation - 1) * (width + 1)
+            static = np.zeros(plane + 2 * reach, dtype=np.uint8)
+            inner = static[reach : reach + plane].reshape(-1, width)
+            inner[pad : pad + rows, pad : pad + cols] = state.occupancy
             live_r, live_c = state.sites_of(live)
-            static[live_r + pad, live_c + pad] = 0
-        live_deltas, live_moving = deltas[alive], moving[alive]
+            inner[live_r + pad, live_c + pad] = 0
         steps = live_deltas[..., 0] * width + live_deltas[..., 1]
         chunk = max(1, min(CHUNK_CANVAS_BYTES // plane - 1,
                            CHUNK_CAGE_FRAMES // max(1, live.size)))
-        dirty = [0] * frames
         start = 0
         while start < frames:
             stop = min(frames, start + chunk)
             counts = self._run_chunk(
                 live, steps[:, start:stop], live_moving[:, start:stop],
-                failing[start:stop], forbidden.reshape(-1), static, pad,
+                failing[start:stop], forbidden, static, pad,
             )
-            dirty[start : start + len(counts)] = counts
+            run.extend(counts)
             start += len(counts)
             if start < stop:
                 # The pass flagged this frame: step raises its error,
                 # with every frame before it committed.
                 mask = moving[:, start]
-                dirty[start] = self._step_dirty(dict(zip(
+                run.append(self._step_dirty(dict(zip(
                     ids[mask].tolist(), deltas[mask, start].tolist()
-                )))
+                ))))
                 start += 1
-        return dirty
+        return run
 
     def _step_dirty(self, moves):
         """:meth:`step` one frame; returns its dirty row count."""
@@ -436,15 +472,20 @@ class CageManager:
         ``ids`` are the plan's live cages, ``steps`` their flat
         per-frame steps and ``moving`` their non-wait mask, both
         (cages, frames); ``failing`` flags the frames already known to
-        fail, ``forbidden`` the padded sites no mover may take and
-        ``static`` the padded occupancy of the cages outside the plan
-        (or None).  Returns the dirty row counts of the frames
-        committed, which stop before the first frame that fails.
+        fail, ``forbidden`` the padded plane of sites no mover may take
+        and ``static`` the padded occupancy of the cages outside the
+        plan, flat, with a window's reach of margin either side (or
+        None).  Returns the dirty row counts of the frames committed,
+        which stop before the first frame that fails.
+
+        Only the cage-count canvas is sized by the array: it is zeroed
+        once per chunk, one plane per state, and written at the plan's
+        cages.  Every check and the dirty rows read it (and ``static``)
+        at the movers' sites, O(moves) gathers.
         """
         state = self._state
-        rows, cols = self.grid.rows, self.grid.cols
-        width = cols + 2 * pad
-        plane = (rows + 2 * pad) * width
+        plane_rows, width = forbidden.shape
+        plane = forbidden.size
         frames = moving.shape[1]
         start_r, start_c = state.sites_of(ids)
         start = (start_r + pad) * width + (start_c + pad)
@@ -454,49 +495,64 @@ class CageManager:
         sites += start[:, None]
         np.maximum(sites, 0, out=sites)
         np.minimum(sites, plane - 1, out=sites)
-        failing = failing | (forbidden[sites] & moving).any(axis=0)
-        # Cages per site, one plane per state: plane 0 before the chunk,
-        # plane t + 1 after frame t, and a tail so a window around any
-        # site of the last plane stays on the canvas.
+        failing = failing | (forbidden.reshape(-1)[sites] & moving).any(axis=0)
+        # The plan's cages per site, one plane per state: plane 0 before
+        # the chunk (the cages' distinct current sites), plane t + 1
+        # after frame t, and a tail so a window around any site of the
+        # last plane stays on the canvas.
         radius = self.min_separation - 1
-        canvas = np.zeros((frames + 1) * plane + radius * (width + 1), np.uint8)
-        planes = canvas[: (frames + 1) * plane].reshape(frames + 1, -1, width)
+        reach = radius * (width + 1)
+        canvas = np.zeros((frames + 1) * plane + reach, np.uint8)
         post = sites + np.arange(plane, (frames + 1) * plane, plane)
+        canvas[start] = 1
         # (a numpy uint8 increment: add.at casts a Python int slowly)
-        np.add.at(canvas, start, np.uint8(1))
         np.add.at(canvas, post, np.uint8(1))
-        if static is not None:
-            planes += static
-        cage, frame = np.nonzero(moving)
-        dest = post[cage, frame]
+        # The moves, cage-major (``flat % frames`` is a move's frame):
+        # each one's flat step, its site on the plane and on the canvas.
+        flat = np.flatnonzero(moving)
+        step = steps.reshape(-1)[flat]
+        to = sites.reshape(-1)[flat]
+        dest = post.reshape(-1)[flat]
         # Every mover's window after its frame must hold exactly one
         # cage, itself: this catches two movers claiming one site, a
         # mover landing on a cage that stays, and any separation
-        # violation against the post-frame state of every cage.
-        window = canvas[dest[:, None] + _window_offsets(radius, width)]
-        failing[frame[window.sum(axis=1) != 1]] = True
+        # violation against the post-frame state of every cage.  The
+        # windows are gathered as (offsets, moves), so the sum runs
+        # down whole rows.
+        offsets = _window_offsets(radius, width)[:, None]
+        window = canvas[dest + offsets]
+        if static is not None:
+            window += static[to + (offsets + reach)]
+        failing[flat[window.sum(axis=0) != 1] % frames] = True
         if radius == 0:
             # At separation 1 a swap leaves a legal post-state, but the
             # two cages pass through each other mid-frame.  Two movers
             # sharing an unordered (origin, destination) pair in one
             # frame are exactly a swap.
-            dest = sites[cage, frame]
-            origin = dest - steps[cage, frame]
+            frame = flat % frames
+            origin = to - step
             edges = np.sort(
-                (frame * plane + np.minimum(origin, dest)) * plane
-                + np.maximum(origin, dest)
+                (frame * plane + np.minimum(origin, to)) * plane
+                + np.maximum(origin, to)
             )
             failing[edges[1:][edges[1:] == edges[:-1]] // (plane * plane)] = True
         good = int(np.argmax(failing)) if failing.any() else frames
         if good == 0:
             return []
-        # A frame's dirty rows are the rows whose occupancy it changes.
-        changed = np.flatnonzero(planes[1 : good + 1] != planes[:good]) // width
-        dirty_rows = np.zeros(good * planes.shape[1], dtype=bool)
-        dirty_rows[changed] = True
-        counts = np.bincount(
-            np.flatnonzero(dirty_rows) // planes.shape[1], minlength=good
-        )
+        # A frame's dirty rows are the rows whose occupancy it changes,
+        # and only a mover's origin or destination can change: compare
+        # both cells' counts before the frame (plane t, ``cells``) with
+        # after it.  Cages outside the plan never change, so the canvas
+        # alone decides.  ``cell // width`` is t * plane_rows + row.
+        if good < frames:
+            keep = flat % frames < good
+            dest, step = dest[keep], step[keep]
+        dest = dest - plane
+        cells = np.concatenate((dest, dest - step))
+        changed = cells[canvas[cells] != canvas[plane:][cells]]
+        dirty_rows = np.zeros(good * plane_rows, dtype=bool)
+        dirty_rows[changed // width] = True
+        counts = dirty_rows.reshape(good, plane_rows).sum(axis=1)
         end = sites[:, good - 1]
         moved = end != start
         end_r, end_c = np.divmod(end[moved], width)

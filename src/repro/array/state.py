@@ -297,8 +297,12 @@ class ArrayState:
     def alive_mask(self, ids):
         """Boolean mask of which ids in an int array are live cages."""
         ids = np.asarray(ids)
-        safe = np.clip(ids, 0, self._site_r.size - 1)
-        return (ids >= 0) & (ids < self._site_r.size) & (self._site_r[safe] >= 0)
+        size = self._site_r.size
+        if ids.size and ids.min() >= 0 and ids.max() < size:
+            # every id indexes the table: one gather decides
+            return self._site_r[ids] >= 0
+        safe = np.clip(ids, 0, size - 1)
+        return (ids >= 0) & (ids < size) & (self._site_r[safe] >= 0)
 
     def sites(self):
         """Occupied sites in row-major (sorted) order, as int tuples."""

@@ -758,24 +758,23 @@ class Biochip:
     def _run_batch(self, plan):
         """Execute ``plan`` through :meth:`CageManager.run_plan`, charging
         each frame its row rewrites and dwell; returns the
-        :class:`_Replay` of what it committed."""
-        dirty = self.cages.run_plan(plan.cage_ids, plan.deltas)
+        :class:`_Replay` of what it committed.  The move count and which
+        frames move (diagonally) come with the dirty rows, read in the
+        plan executor's one pass over the steps."""
+        run = self.cages.run_plan(plan.cage_ids, plan.deltas)
         row_time = self.addresser.row_write_time()
-        drow, dcol = plan.deltas[..., 0], plan.deltas[..., 1]
-        active = (drow | dcol).any(axis=0).tolist()
         # frame dwell is set by the longest single-cage hop: pitch, or
         # pitch*sqrt(2) if any mover goes diagonally
-        diagonal = (drow * dcol).any(axis=0).tolist()
         diagonal_dwell = math.sqrt(2.0) * self.grid.pitch / self.cage_speed
         straight_dwell = self.grid.pitch / self.cage_speed
         program_time = 0.0
         dwell_time = 0.0
-        for step in range(plan.makespan):
-            if not active[step]:
+        for rows, active, diagonal in zip(run, run.active, run.diagonal):
+            if not active:
                 continue
-            program_time += dirty[step] * row_time
-            dwell_time += diagonal_dwell if diagonal[step] else straight_dwell
-        return _Replay(plan.total_moves(), program_time, dwell_time)
+            program_time += rows * row_time
+            dwell_time += diagonal_dwell if diagonal else straight_dwell
+        return _Replay(run.moves, program_time, dwell_time)
 
     def _memo_key(self, requests, parked):
         """The plan-memo key of a batch: its requests and ``parked``

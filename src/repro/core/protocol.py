@@ -182,9 +182,7 @@ class Protocol:
 
     def handles(self, registry=None):
         """All handles ever defined, in definition order."""
-        from .registry import default_registry
-
-        registry = registry or default_registry
+        registry = registry or (_REGISTRY or _registry())[0]
         seen = []
         for cmd in self.commands:
             spec = registry.get(type(cmd))
@@ -229,7 +227,7 @@ class Protocol:
         it stands alone as a cheap protocol-identity check.
         """
         if not registry:
-            from .registry import default_registry as registry
+            registry = (_REGISTRY or _registry())[0]
         commands = self.commands
         specs = list(map(registry.get, map(type, commands)))
         rename = {}
@@ -277,10 +275,9 @@ class Protocol:
         :class:`~repro.core.errors.ProtocolError` on the first problem;
         returns True when clean.
         """
-        from .registry import ValidationState, default_registry
-
-        registry = registry or default_registry
-        state = ValidationState()
+        default, new_state = _REGISTRY or _registry()
+        registry = registry or default
+        state = new_state()
         for index, cmd in enumerate(self.commands):
             where = f"command #{index} ({type(cmd).__name__})"
             spec = registry.get(type(cmd))
@@ -288,6 +285,21 @@ class Protocol:
                 raise ProtocolError(f"{where}: unknown command type")
             spec.validate(cmd, state, where)
         return True
+
+
+#: ``(default_registry, ValidationState)`` of :mod:`repro.core.registry`,
+#: which imports this module: bound by :func:`_registry` on first use,
+#: so a call pays no import statement
+_REGISTRY = None
+
+
+def _registry():
+    """Bind and return :data:`_REGISTRY`."""
+    global _REGISTRY
+    from .registry import ValidationState, default_registry
+
+    _REGISTRY = (default_registry, ValidationState)
+    return _REGISTRY
 
 
 #: (command type, its spec's handle fields) -> the command's layout,

@@ -339,7 +339,9 @@ class _VectorReservationTable:
     flat ``memoryview`` objects over the same two buffers, indexed
     ``t * plane_size + row * row_width + col`` and ``row * row_width +
     col`` in padded coordinates.  They are views, not copies: every
-    write through the arrays shows in them at once.
+    write through the arrays shows in them at once.  ``reserve_path``
+    lowers a goal's parked window through ``parked_flat`` too, a
+    handful of cells.
 
     The wavefront packs a window's planes into ints through one pad
     buffer per table (so one per plan attempt), allocated on the first
@@ -379,7 +381,7 @@ class _VectorReservationTable:
         # t * plane_size + row * row_width + col.
         span = np.arange(2 * self.radius + 1)
         self._window = (span[:, None] * self.row_width + span).reshape(-1)
-        self._corner_weights = np.array([self.row_width, 1])
+        self._window_offsets = self._window.tolist()
         self._plane_starts = np.arange(horizon + 2) * self.plane_size
         self._blocked_1d = self.blocked.reshape(-1)
         self._parked_1d = self.parked_from.reshape(-1)
@@ -399,23 +401,23 @@ class _VectorReservationTable:
         )
 
     def reserve_path(self, cage_id, path):
-        arr = np.asarray(path, dtype=np.int64).reshape(-1, 2)
+        arr = np.asarray(path).reshape(-1, 2)
         from_t = len(arr) - 1
-        radius = self.radius
         if from_t > 0:
             # every transient window of the path in one flat scatter;
             # consecutive windows sit on different planes, so no cell
             # is written twice
-            corners = (arr[:from_t] @ self._corner_weights
-                       + self._plane_starts[:from_t])
+            corners = (self._plane_starts[:from_t]
+                       + arr[:from_t, 0] * self.row_width + arr[:from_t, 1])
             self._blocked_1d[corners[:, None] + self._window] = True
-        goal_r = int(arr[-1, 0]) + radius
-        goal_c = int(arr[-1, 1]) + radius
-        window = self.parked_from[
-            goal_r - radius : goal_r + radius + 1,
-            goal_c - radius : goal_c + radius + 1,
-        ]
-        np.minimum(window, from_t, out=window)
+        # the goal's window parks from ``from_t``: a handful of cells,
+        # lowered one by one through the flat view
+        goal_r, goal_c = arr[-1].tolist()
+        corner = goal_r * self.row_width + goal_c
+        parked = self.parked_flat
+        for offset in self._window_offsets:
+            if from_t < parked[corner + offset]:
+                parked[corner + offset] = from_t
         self._latest_parked = max(self._latest_parked, from_t)
 
     def park(self, sites):

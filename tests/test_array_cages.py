@@ -522,6 +522,135 @@ class TestRunPlan:
         assert peak < 256 * 1024
 
 
+#: A bystander's site on a 12x15 array, as (row, col) with -1 the last
+#: row or column and None the middle one: each corner and each edge.
+BYSTANDER_SITES = {
+    "top-left": (0, 0), "top": (0, None), "top-right": (0, -1),
+    "right": (None, -1), "bottom-right": (-1, -1), "bottom": (-1, None),
+    "bottom-left": (-1, 0), "left": (None, 0),
+}
+
+
+def _plan(*paths):
+    """``(ids, deltas)`` for cages 0.. walking ``paths``, each a list of
+    per-frame (drow, dcol) steps, shorter lists padded with waits."""
+    import numpy as np
+
+    frames = max(len(path) for path in paths)
+    deltas = np.zeros((len(paths), frames, 2), dtype=np.int64)
+    for i, path in enumerate(paths):
+        if path:
+            deltas[i, : len(path)] = path
+    return np.arange(len(paths)), deltas
+
+
+class TestPlanIndexing:
+    """The whole-plan pass reads cages outside the plan at the movers'
+    windows and takes dirty rows from the movers' cells only; these
+    cases pin that indexing to the per-frame reference at each
+    separation, near the array's edges and corners too."""
+
+    ROWS, COLS = 12, 15
+
+    def manager_with(self, sep, *sites, shape=(ROWS, COLS)):
+        """Factory of managers holding cages at ``sites``, ids in order."""
+        def build():
+            manager = make_manager(*shape, sep)
+            for site in sites:
+                manager.create(site)
+            return manager
+
+        return build
+
+    @staticmethod
+    def vectorised(deltas):
+        """Whether a plan runs the whole-plan pass, not frame by frame."""
+        import numpy as np
+
+        from repro.array.cages import SMALL_PLAN_MOVES
+
+        return np.count_nonzero(deltas.any(axis=2)) > SMALL_PLAN_MOVES
+
+    @pytest.mark.parametrize("sep", [1, 2, 3])
+    @pytest.mark.parametrize("closes_in", [False, True])
+    @pytest.mark.parametrize("where", list(BYSTANDER_SITES))
+    def test_a_mover_next_to_a_bystander(self, where, closes_in, sep):
+        """A mover paces between ``sep`` and ``sep + 1`` from a cage
+        outside the plan on a corner or an edge, so its window reads the
+        bystander and the padding beyond the edge; closing in to
+        ``sep - 1`` raises the reference's error."""
+        row, col = BYSTANDER_SITES[where]
+        middle = (self.ROWS // 2, self.COLS // 2)
+        size = (self.ROWS, self.COLS)
+        bystander = tuple(
+            middle[axis] if at is None else at % size[axis]
+            for axis, at in enumerate((row, col)))
+        # the unit step from the bystander into the array
+        inward = tuple(0 if at is None else (1 if at == 0 else -1)
+                       for at in (row, col))
+        start = tuple(b + (sep + 1) * u for b, u in zip(bystander, inward))
+        toward = tuple(-u for u in inward)
+        pace = [toward, inward] * 13 + ([toward, toward] if closes_in else [])
+        # a plan cage that never moves, across the array
+        still = (self.ROWS - 1 - bystander[0], self.COLS - 1 - bystander[1])
+        build = self.manager_with(sep, bystander, start, still)
+        ids, deltas = _plan(pace, [])
+        ids += 1  # cage 0, the bystander, is outside the plan
+        assert self.vectorised(deltas)
+        result = _assert_same(build, ids, deltas)
+        if closes_in:
+            assert result[0] is CageError
+            assert ("collide" if sep == 1 else "separation violated") in result[1]
+        else:
+            assert len(result) == len(pace)
+
+    @pytest.mark.parametrize("sep", [1, 2, 3])
+    @pytest.mark.parametrize("step", [(1, 0), (0, 1), (1, 1)])
+    def test_a_convoy_and_a_chain(self, sep, step):
+        """Cages ``sep`` apart in a line along ``step`` all take ``step``
+        every frame: at separation 1 each follower takes the site the
+        cage ahead vacates in the same frame, so only the head's new row
+        and the tail's old row change."""
+        side, frames = 24, 10
+        line = [(2 + i * sep * step[0], 2 + i * sep * step[1])
+                for i in range(4)]
+        bystander = (side - 1, 0) if step[1] else (0, side - 1)
+        build = self.manager_with(sep, *line, bystander, shape=(side, side))
+        ids, deltas = _plan(*([[step] * frames] * 4))
+        assert self.vectorised(deltas)
+        rows = 1 if step == (0, 1) else 2 if sep == 1 else 8
+        assert _assert_same(build, ids, deltas) == [rows] * frames
+
+    @pytest.mark.parametrize("sep", [1, 2, 3])
+    @pytest.mark.parametrize("step", [(0, 1), (1, 0), (1, -1)])
+    def test_a_mover_back_at_its_start_inside_one_chunk(self, sep, step):
+        """A cage walks out and back while another walks on: the first
+        ends where it began, its frames still dirty."""
+        back = (-step[0], -step[1])
+        build = self.manager_with(sep, (4, 6), (self.ROWS - 1, 1))
+        ids, deltas = _plan([step] * 3 + [back] * 3 + [step, back] * 4,
+                            [(0, 1)] * 12)
+        assert self.vectorised(deltas)
+        counts = _assert_same(build, ids, deltas)
+        assert all(counts)
+        manager = build()
+        manager.run_plan(ids, deltas)
+        assert manager.cage(0).site == (4, 6)
+
+    @pytest.mark.parametrize("sep", [1, 2, 3])
+    def test_a_collision_against_a_bystander(self, sep):
+        """A convoy walks into a cage outside the plan: the frame that
+        reaches it raises the per-frame reference's error, the frames
+        before it committed."""
+        build = self.manager_with(
+            sep, *[(2 + i * sep, 1) for i in range(4)], (2 + sep, 9))
+        ids, deltas = _plan(*([[(0, 1)] * 9] * 4))
+        assert self.vectorised(deltas)
+        result = _assert_same(build, ids, deltas)
+        assert result[0] is CageError
+        assert ("collide" if sep == 1 else "separation violated") in result[1]
+
+
 # -- one error source ----------------------------------------------------------
 
 
