@@ -23,6 +23,7 @@ Run with:  pytest benchmarks/bench_array.py --benchmark-only -s
 
 import json
 import os
+import platform
 import time
 from pathlib import Path
 
@@ -148,6 +149,8 @@ def test_array_state_throughput(benchmark):
     )
 
     payload = {
+        "host": f"{platform.machine()}, {os.cpu_count()} CPUs, "
+                f"Python {platform.python_version()}",
         "spacing": SPACING,
         "sense_samples": SENSE_SAMPLES,
         "scales": results,

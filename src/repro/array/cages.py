@@ -26,11 +26,12 @@ addressing layer rewrites) without building any
 and :meth:`CageManager.step_arrays` remain the one-frame entry points
 and the reference the plan executor must match.
 
-The vectorised checks -- the one-frame pass in :meth:`CageManager.step`
-and the whole-plan pass -- only decide whether a frame is legal.  A
-frame they reject is re-run through the scalar step, the one place that
-builds a step's :class:`CageError`, so a failing frame reports the same
-error whatever its size and whichever entry point ran it.
+That pass is the one vectorised check: :meth:`CageManager.step` runs a
+frame of more than 8 movers through it as a one-frame plan.  It only
+decides whether a frame is legal.  A frame it rejects is re-run through
+the scalar step, the one place that builds a step's :class:`CageError`,
+so a failing frame reports the same error whatever its size and
+whichever entry point ran it.
 
 The original dict implementation survives as
 :class:`~repro.array.legacy.LegacyCageManager` for the equivalence
@@ -287,13 +288,13 @@ class CageManager:
         One call corresponds to one array-frame update: this is the
         granularity at which the addressing layer reprograms rows and
         the physics layer drags particles.  Up to 8 movers are checked
-        and committed by the scalar step; larger frames by a
-        dirty-region pass over the movers only (only pairs involving a
-        mover can newly collide, swap, or violate separation), as
-        vectorized gathers on the :class:`~repro.array.state.ArrayState`
-        grids.  The vectorized pass only decides legality: a frame it
-        rejects is re-run through the scalar step, which raises the
-        error, so every frame size reports the same error.
+        and committed by the scalar step; larger frames run as a
+        one-frame plan through :meth:`run_plan`'s vectorised pass, whose
+        checks follow the movers only (only pairs involving a mover can
+        newly collide, swap, or violate separation).  The pass only
+        decides legality: a frame it rejects is re-run through the
+        scalar step, which raises the error, so every frame size
+        reports the same error.
         """
         k = len(moves)
         if k <= 8:
@@ -307,9 +308,16 @@ class CageManager:
         # whole-array steps.
         deltas = np.fromiter(
             chain.from_iterable(moves.values()), dtype=np.int64, count=2 * k
-        ).reshape(k, 2)
-        if not self._step_vector(ids, deltas):
-            self._step_scalar(moves)
+        ).reshape(k, 1, 2)
+        # The pass checks movers only, but a wait still fails on an
+        # unknown cage or on a cage sitting on a dead electrode; the
+        # scalar step, given every entry, names the first offender.
+        state = self._state
+        if (state.alive_mask(ids).all()
+                and not (state.has_dead and state.dead[state.sites_of(ids)].any())
+                and self._run_frames(ids, deltas, _either(deltas != 0))):
+            return
+        self._step_scalar(moves)
 
     def step_arrays(self, ids, deltas):
         """Array-native :meth:`step`: movers as ``(ids, deltas)`` arrays.
@@ -354,10 +362,11 @@ class CageManager:
 
         One vectorised pass checks a chunk of frames at a time against
         every cage, plan and non-plan, and commits the valid frames in
-        one update; a flagged frame is re-run through :meth:`step`
-        (the same validation as :meth:`step_arrays`), which raises its
-        exact error.  Plans of at most :data:`SMALL_PLAN_MOVES` moves
-        run frame by frame through :meth:`step` directly.
+        one update; a flagged frame is re-run through the scalar step
+        (the one source of step errors, for every entry point), which
+        raises its exact error.  Plans of at most
+        :data:`SMALL_PLAN_MOVES` moves run frame by frame through
+        :meth:`step` directly.
 
         Cost: the pass reads ``deltas`` a constant number of times and
         otherwise works per move -- the checks, the window gathers and
@@ -392,9 +401,50 @@ class CageManager:
                 deltas[cage, frame].tolist(),
             ):
                 by_frame[t][cage_id] = step
-            run.extend(self._step_dirty(moves) for moves in by_frame)
+            run.extend(self._step_dirty(moves, self.step) for moves in by_frame)
             return run
+        start = 0
+        while start < frames:
+            counts = self._run_frames(
+                ids, deltas[:, start:], moving[:, start:])
+            run.extend(counts)
+            start += len(counts)
+            if start < frames:
+                # The pass flagged this frame: the scalar step raises
+                # its error, with every frame before it committed.
+                mask = moving[:, start]
+                run.append(self._step_dirty(dict(zip(
+                    ids[mask].tolist(), deltas[mask, start].tolist()
+                )), self._step_scalar))
+                start += 1
+        return run
 
+    def _step_dirty(self, moves, step):
+        """Commit one frame through ``step`` (:meth:`step`, or
+        :meth:`_step_scalar` for a frame the pass flagged); returns its
+        dirty row count."""
+        if not moves:
+            return 0
+        step(moves)
+        site_r, site_c = self._state._site_r_flat, self._state._site_c_flat
+        dests = set()
+        origins = set()
+        for cage_id, (drow, dcol) in moves.items():
+            row, col = site_r[cage_id], site_c[cage_id]
+            dests.add((row, col))
+            origins.add((row - drow, col - dcol))
+        return len({row for row, __ in dests ^ origins})
+
+    def _run_frames(self, ids, deltas, moving):
+        """The vectorised pass: check a plan's frames and commit them up
+        to the first one that fails.  Returns the dirty row counts of
+        the frames committed.
+
+        ``ids``, ``deltas`` and ``moving`` are :meth:`run_plan`'s cage
+        ids, steps and non-wait mask.  Only movers are checked: a wait
+        is neither looked up nor checked against the dead mask.
+        """
+        frames = deltas.shape[1]
         state = self._state
         rows, cols = self.grid.rows, self.grid.cols
         # Sites are flat indices on a canvas padded by the separation
@@ -432,38 +482,17 @@ class CageManager:
         steps = live_deltas[..., 0] * width + live_deltas[..., 1]
         chunk = max(1, min(CHUNK_CANVAS_BYTES // plane - 1,
                            CHUNK_CAGE_FRAMES // max(1, live.size)))
-        start = 0
-        while start < frames:
+        counts = []
+        while len(counts) < frames:
+            start = len(counts)
             stop = min(frames, start + chunk)
-            counts = self._run_chunk(
+            counts += self._run_chunk(
                 live, steps[:, start:stop], live_moving[:, start:stop],
                 failing[start:stop], forbidden, static, pad,
             )
-            run.extend(counts)
-            start += len(counts)
-            if start < stop:
-                # The pass flagged this frame: step raises its error,
-                # with every frame before it committed.
-                mask = moving[:, start]
-                run.append(self._step_dirty(dict(zip(
-                    ids[mask].tolist(), deltas[mask, start].tolist()
-                ))))
-                start += 1
-        return run
-
-    def _step_dirty(self, moves):
-        """:meth:`step` one frame; returns its dirty row count."""
-        if not moves:
-            return 0
-        self.step(moves)
-        site_r, site_c = self._state._site_r_flat, self._state._site_c_flat
-        dests = set()
-        origins = set()
-        for cage_id, (drow, dcol) in moves.items():
-            row, col = site_r[cage_id], site_c[cage_id]
-            dests.add((row, col))
-            origins.add((row - drow, col - dcol))
-        return len({row for row, __ in dests ^ origins})
+            if len(counts) < stop:
+                break
+        return counts
 
     def _run_chunk(self, ids, steps, moving, failing, forbidden, static, pad):
         """Check a chunk of plan frames against the current state and
@@ -560,55 +589,6 @@ class CageManager:
             start_r[moved], start_c[moved], end_r - pad, end_c - pad, ids[moved]
         )
         return counts.tolist()
-
-    def _step_vector(self, ids, deltas):
-        """Check one frame with vectorized gathers and commit it when it
-        is legal.  Returns whether it was: an illegal frame changes
-        nothing and :meth:`_step_scalar` names its error."""
-        state = self._state
-        rows, cols = self.grid.rows, self.grid.cols
-        if (np.abs(deltas) > 1).any() or not state.alive_mask(ids).all():
-            return False
-        orig_r, orig_c = state.sites_of(ids)
-        dest_r = orig_r + deltas[:, 0]
-        dest_c = orig_c + deltas[:, 1]
-        off = (dest_r < 0) | (dest_r >= rows) | (dest_c < 0) | (dest_c >= cols)
-        if off.any():
-            return False
-        if state.has_dead and state.dead[dest_r, dest_c].any():
-            return False
-        # Collisions (a): two movers claiming the same destination.
-        dest_keys = np.sort(dest_r * cols + dest_c)
-        if (dest_keys[1:] == dest_keys[:-1]).any():
-            return False
-        # Collisions (b): a mover's destination holds a non-mover.  A
-        # pre-state occupant that IS a mover is a legal chain (it vacates
-        # this frame) -- unless it swaps with us, checked below.  The
-        # occupant is a mover exactly when the destination is some
-        # mover's origin; the lookup is O(movers), never sized by the
-        # id-indexed site table (which grows with every cage ever made).
-        occupied = state.cage_ids[dest_r, dest_c] != NO_CAGE
-        source = state.origin_movers(orig_r, orig_c, dest_r, dest_c)
-        if (occupied & (source < 0)).any():
-            return False
-        # Swaps: mover m lands on mover o's origin while o lands on m's
-        # origin -- the cages would pass through each other mid-frame,
-        # which physically merges them.
-        chained = (source >= 0) & (source != np.arange(source.size))
-        others = source[chained]
-        if ((dest_r[others] == orig_r[chained])
-                & (dest_c[others] == orig_c[chained])).any():
-            return False
-        # Separation: check only the movers' post-state neighbourhoods.
-        if state.post_move_conflict(
-            orig_r, orig_c, dest_r, dest_c, self.min_separation
-        ):
-            return False
-        # Commit: grids and the id-indexed site table update in one
-        # vectorized pass; Cage.site reads the table, so no per-cage
-        # Python update is needed.
-        state.move_cages(orig_r, orig_c, dest_r, dest_c, ids)
-        return True
 
     def _step_scalar(self, moves):
         """Scalar step: the small-frame path and the one source of step

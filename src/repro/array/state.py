@@ -184,9 +184,12 @@ class ArrayState:
         self.occupancy = np.zeros((grid.rows, grid.cols), dtype=bool)
         self.cage_ids = np.full((grid.rows, grid.cols), NO_CAGE, dtype=np.int32)
         # id-indexed site table (the inverse of cage_ids): -1 == dead.
-        # Grown geometrically as ids are allocated; lets batch ops gather
-        # every mover's site in one indexing op, and lets Cage.site be a
-        # zero-maintenance view instead of a per-step Python update.
+        # Grown geometrically as ids are allocated; lets the one
+        # vectorised frame check (CageManager.run_plan's pass, which
+        # also runs step's frames of more than 8 movers; errors still
+        # come from the scalar step) gather every mover's site in one
+        # indexing op, and lets Cage.site be a zero-maintenance view
+        # instead of a per-step Python update.
         self._site_r = np.full(256, -1, dtype=np.int32)
         self._site_c = np.full(256, -1, dtype=np.int32)
         # dead-electrode mask (fault model): no cage centre may sit on
@@ -194,10 +197,6 @@ class ArrayState:
         # chips pay nothing per step.
         self.dead = np.zeros((grid.rows, grid.cols), dtype=bool)
         self.has_dead = False
-        # scratch buffers for post_move_conflict and origin_movers,
-        # allocated on first use and reused across frames
-        self._conflict_canvas = None
-        self._index_canvas = None
         self._cols = grid.cols
         self._views()
 
@@ -412,63 +411,3 @@ class ArrayState:
             cage_ids[index] = cage_id
             site_r[cage_id] = row
             site_c[cage_id] = col
-
-    # -- batch validation ------------------------------------------------
-
-    def origin_movers(self, origins_r, origins_c, dests_r, dests_c):
-        """For each destination, the index of the mover whose origin it
-        is, or -1.
-
-        Mover indices are written into a grid-shaped scratch buffer at
-        the origins, gathered at the destinations and wiped again: O(K)
-        work for K movers, whatever the cage ids.
-        """
-        canvas = self._index_canvas
-        if canvas is None:
-            canvas = self._index_canvas = np.full(
-                self.occupancy.shape, -1, dtype=np.int32
-            )
-        canvas[origins_r, origins_c] = np.arange(origins_r.size)
-        try:
-            return canvas[dests_r, dests_c]
-        finally:
-            canvas[origins_r, origins_c] = -1
-
-    def post_move_conflict(self, origins_r, origins_c, dests_r, dests_c, separation):
-        """Whether the post-move state violates separation.
-
-        Builds the post-move occupancy (origins cleared, destinations
-        set) and checks every mover's Chebyshev-(separation-1) window
-        with per-offset gathers: at most ``(2s-1)^2 - 1`` vectorized
-        reads of the mover count, instead of re-validating every live
-        cage.  Only pairs involving a mover can newly violate the rule,
-        so the dirty-region check is exhaustive.
-        """
-        radius = separation - 1
-        rows, cols = self.occupancy.shape
-        # Post-move occupancy on a radius-padded canvas: window gathers
-        # then need no per-offset bounds clipping.  The canvas buffer is
-        # reused across calls (refilled, not reallocated) and gathers go
-        # through flat indices -- one index array per offset instead of
-        # a (row, col) pair.
-        width = cols + 2 * radius
-        occ = self._conflict_canvas
-        if occ is None or occ.shape != ((rows + 2 * radius) * width,):
-            occ = self._conflict_canvas = np.zeros(
-                (rows + 2 * radius) * width, dtype=bool
-            )
-        canvas = occ.reshape(rows + 2 * radius, width)
-        canvas[radius : radius + rows, radius : radius + cols] = self.occupancy
-        flat_orig = (origins_r + radius) * width + (origins_c + radius)
-        flat_dest = (dests_r + radius) * width + (dests_c + radius)
-        occ[flat_orig] = False
-        occ[flat_dest] = True
-        try:
-            return any(
-                occ[flat_dest + (dr * width + dc)].any()
-                for dr, dc in separation_offsets(separation)
-            )
-        finally:
-            # restore the shared canvas to all-False for the next call
-            # (every write above lands inside the interior window)
-            canvas[radius : radius + rows, radius : radius + cols] = False

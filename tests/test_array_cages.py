@@ -1,7 +1,7 @@
 """Unit + property tests for the cage manager (invariant: separation)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.array import CageError, CageManager, ElectrodeGrid, tile_cages
@@ -667,6 +667,7 @@ STEP_ENTRY_POINTS = {
 
 FRAME_FAULTS = (
     "oversize", "unknown", "bounds", "dead", "collide", "swap", "separation",
+    "unknown-wait", "dead-wait",
 )
 
 
@@ -688,7 +689,8 @@ def _frame_case(seed, sep, dead, movers, faults):
     stays in the frame) until the frame is legal, then each of
     ``faults`` is injected where the geometry allows it.  Cage 0 always
     sits on the (0, 0) corner and, with a dead mask (always there for a
-    ``"dead"`` fault), (1, 1) is dead.
+    ``"dead"`` fault), (1, 1) is dead.  A ``"dead-wait"`` fault kills
+    (0, 0) under cage 0 once the cages are trapped.
     Returns ``(build, ids, deltas)``, the frame as lists in random mover
     order.
     """
@@ -706,7 +708,7 @@ def _frame_case(seed, sep, dead, movers, faults):
         for r, c in zip(rng.integers(0, rows, 600), rng.integers(0, cols, 600))
     ]
 
-    def build():
+    def build(trapped="dead-wait" in faults):
         manager = make_manager(rows, cols, sep)
         if dead_mask is not None:
             manager.set_dead_mask(dead_mask)
@@ -717,9 +719,13 @@ def _frame_case(seed, sep, dead, movers, faults):
                 manager.create(site)
             except CageError:
                 pass
+        if trapped:
+            late = manager.state.dead.copy()
+            late[0, 0] = True
+            manager.set_dead_mask(late)
         return manager
 
-    probe = build()
+    probe = build(trapped=False)
     ids = rng.permutation([c.cage_id for c in probe.cages])[:movers]
     step = rng.integers(-1, 2, size=(ids.size, 2))
     while True:
@@ -739,6 +745,10 @@ def _frame_case(seed, sep, dead, movers, faults):
             frame[0] = (-1, int(rng.integers(-1, 2)))
         elif fault == "dead":
             frame[0] = (1, 1)
+        elif fault == "unknown-wait":
+            frame[10_000] = (0, 0)
+        elif fault == "dead-wait":
+            frame[0] = (0, 0)
         else:
             # separation: a pair exactly ``sep`` apart, and at least 2 so
             # that closing in does not collide
@@ -777,6 +787,11 @@ class TestOneErrorSource:
         faults=st.lists(st.sampled_from(FRAME_FAULTS), max_size=2),
     )
     @settings(max_examples=300, deadline=None)
+    # a wait that fails, in frames of fewer and of more than 8 movers
+    @example(seed=1, sep=2, dead=False, movers=4, faults=["unknown-wait"])
+    @example(seed=2, sep=1, dead=True, movers=20, faults=["unknown-wait"])
+    @example(seed=3, sep=2, dead=False, movers=4, faults=["dead-wait"])
+    @example(seed=8, sep=1, dead=True, movers=12, faults=["dead-wait"])
     def test_entry_points_match_scalar_step(self, seed, sep, dead, movers, faults):
         import numpy as np
 
